@@ -21,9 +21,9 @@ import argparse
 import json
 import math
 import resource
+import signal
 import statistics
 import sys
-import threading
 import time
 from contextlib import ExitStack
 from pathlib import Path
@@ -70,34 +70,35 @@ def probe_once() -> float:
 class HostSpeedProbe:
     """Samples the host's speed while a phase of the pass runs.
 
-    A background thread times :func:`probe_once` every *interval_s*; the
-    interpreter lock makes it interleave with the measured work, so its
-    samples see the same host speed the work sees (about 2.5% of the CPU
-    time goes to the probe).  A few samples are also taken on entry and
-    exit, so a phase shorter than the interval still gets some.
-    ``run.py`` scales the phase's times by the mean sample: the host
-    switches between a fast and a slow state, and the mean follows the
-    share of time spent in each, where the median would jump between them.
+    An interval timer raises ``SIGALRM`` every :data:`PROBE_INTERVAL_S`,
+    and the handler times :func:`probe_once`.  Python runs signal handlers
+    in the main thread between two bytecodes of the measured work, so the
+    probe never runs beside that work: work that releases the interpreter
+    lock (numpy loops) cannot overlap it, and it sees the host speed the
+    work sees just before and after it (about 2.5% of the CPU time goes to
+    the probe).  A few samples are also taken on entry and exit, so a phase
+    shorter than the interval still gets some.  ``run.py`` scales the
+    phase's times by the mean sample: the host switches between a fast and
+    a slow state, and the mean follows the share of time spent in each,
+    where the median would jump between them.
     """
 
-    def __init__(self, interval_s: float = PROBE_INTERVAL_S) -> None:
-        self.interval_s = interval_s
+    def __init__(self) -> None:
         self.samples: list[float] = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._sample, name="host-speed-probe")
+        self._previous_handler = None
 
-    def _sample(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.samples.append(probe_once())
+    def _sample(self, signum, frame) -> None:
+        self.samples.append(probe_once())
 
     def __enter__(self) -> "HostSpeedProbe":
         self.samples.extend(probe_once() for _ in range(3))
-        self._thread.start()
+        self._previous_handler = signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
         return self
 
     def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join()
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, self._previous_handler)
         self.samples.extend(probe_once() for _ in range(3))
 
     @property
@@ -118,13 +119,11 @@ def run_pass(
     *,
     traced: bool = False,
     gate: bool = False,
-    expected_digest: str | None = None,
 ) -> dict:
     """Set up, time and check one pass; returns its record.
 
-    With *gate*, the study's digest must equal *expected_digest* (by
-    default the pinned one); a mismatch is a failed check, as is every
-    other check that does not hold.
+    With *gate*, the study's digest must equal the pinned one; a mismatch
+    is a failed check, as is every other check that does not hold.
     """
     clock = time.perf_counter
     with HostSpeedProbe() as setup_probe:
@@ -151,8 +150,7 @@ def run_pass(
 
     checks = dict(outcome.checks)
     if gate:
-        expected = expected_digest or pinned_digest(workload, scale)
-        checks["digest_pinned"] = outcome.digest == expected
+        checks["digest_pinned"] = outcome.digest == pinned_digest(workload, scale)
         if workload == "ber_sweep":
             checks["fast_equals_event"] = bench_workloads.check_fast_equals_event(
                 timed, CROSS_CHECK_BITS

@@ -252,9 +252,10 @@ def _executed_bits(result: SweepResult) -> int:
 
 def _basic_checks(study: Study, result: SweepResult) -> dict[str, bool]:
     ber = result.ber.ravel()
+    serial = [audit.mode == "serial" for audit in result.audit]
     return {
         "no_failed_points": not result.failures,
-        "all_points_ran": result.n_points == study.n_points,
+        "every_point_ran_serially": len(serial) == study.n_points and all(serial),
         "bits_compared": bool(np.all(result.metrics["compared"] > 0)),
         "ber_in_unit_interval": bool(np.all((ber >= 0.0) & (ber <= 1.0))),
     }

@@ -62,11 +62,10 @@ def test_every_metric_is_reported_with_its_unit(records, workload):
     assert all(end_to_end[name]["value"] > 0 for name in run.END_TO_END_UNITS)
 
 
-def test_perturbed_digest_trips_the_gate(tmp_path):
+def test_perturbed_digest_trips_the_gate(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pass, "pinned_digest", lambda *args: "0" * 64)
     seed = bench_pass.gate_seed()
-    record = bench_pass.run_pass(
-        "gate_jitter_sweep", seed, "tiny", tmp_path, gate=True, expected_digest="0" * 64
-    )
+    record = bench_pass.run_pass("gate_jitter_sweep", seed, "tiny", tmp_path, gate=True)
     assert record["checks"]["digest_pinned"] is False
     problems = run.failed_checks([record])
     assert problems == ["pass 0: digest_pinned"]
