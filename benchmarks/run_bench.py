@@ -44,8 +44,7 @@ if str(_SRC) not in sys.path:
 
 import numpy as np
 
-from repro import _kernels, telemetry
-from repro.core.cdr_channel import BehavioralCdrChannel
+from repro import telemetry
 from repro.core.config import CdrChannelConfig
 from repro.datapath.cid import measured_run_distribution
 from repro.datapath.nrz import JitterSpec
@@ -54,7 +53,6 @@ from repro.gates.ring import GccoParameters
 from repro.link import (
     LinkCdrChannel,
     LinkConfig,
-    LinkPath,
     LinkTrainer,
     LmsDfe,
     LossyLineChannel,
@@ -321,17 +319,16 @@ def bench_link_training(n_bits: int) -> dict:
 
 
 def bench_bittrue_kernels(n_bits: int) -> dict:
-    """Kernel-tier gate: pure-python bit-true path versus dispatched kernels.
+    """Bit-true gate: the DFE-equalized link on the event kernel vs the fast path.
 
-    Runs the same DFE-equalized bit-true link simulation twice: once with
-    every hot loop pinned to the pure-python ``"reference"`` tier (the
-    reference DFE recursion feeding the event kernel's reference drain),
-    once resolved by the :mod:`repro._kernels` dispatcher (vectorized fast
-    CDR path plus the fastest available DFE tier — numba where installed,
-    the scalar middle tier otherwise).  The two runs must agree **byte for
-    byte** — the golden bit-identity pin — and the dispatched path must
-    clear a 10x floor (``EXTRA_FLOORS``).  The isolated DFE-adaptation
-    kernel speedup is reported alongside.
+    Runs the same DFE-equalized bit-true link simulation twice through
+    :class:`~repro.link.LinkCdrChannel`: once on the event kernel (the
+    semantic reference) and once on the auto-resolved vectorized fast
+    path.  The two runs must agree **byte for byte** — the golden
+    bit-identity pin — and the fast path must clear a 10x floor
+    (``EXTRA_FLOORS``).  The isolated DFE-adaptation speedup of the scalar
+    recursion over the pinned numpy reference loop
+    (``LmsDfe._adapt_reference``) is reported alongside.
     """
     link = LinkConfig(
         channel=LossyLineChannel.for_loss_at_nyquist(12.0),
@@ -342,57 +339,46 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
     config = CdrChannelConfig(
         oscillator=GccoParameters(jitter_sigma_fraction=0.0))
     bits = prbs_sequence(7, n_bits)
-    start_s = link.settle_ui * link.timebase.unit_interval_s
 
-    def run_reference():
-        path = LinkPath(link, kernel_tier="reference")
-        cdr = BehavioralCdrChannel(config, kernel_tier="reference")
-        stream = path.transmit(bits, rng=np.random.default_rng(21),
-                               start_time_s=start_s, pattern_period=127)
-        return cdr.run(bits, rng=np.random.default_rng(21), stream=stream)
-
-    def run_dispatched():
-        channel = LinkCdrChannel(link, config=config, backend="auto")
+    def run_on(backend):
+        channel = LinkCdrChannel(link, config=config, backend=backend)
         return channel, channel.run(bits, rng=np.random.default_rng(21),
                                     pattern_period=127)
 
-    (channel, fast), dispatched_s = _timed(run_dispatched)
-    reference, reference_s = _timed(run_reference)
+    (channel, fast), fast_s = _timed(lambda: run_on("auto"))
+    (_, reference), event_s = _timed(lambda: run_on("event"))
     assert fast.sampled_bits.tobytes() == reference.sampled_bits.tobytes(), \
-        "kernel tier divergence!"
-    assert fast.ber().errors == reference.ber().errors, "kernel tier divergence!"
+        "backend divergence!"
+    assert fast.ber().errors == reference.ber().errors, "backend divergence!"
 
-    # Isolated DFE-adaptation kernel: reference recursion vs fastest tier.
+    # Isolated DFE adaptation: pinned reference loop vs the scalar recursion.
     levels = nrz_symbol_levels(prbs_sequence(7, 127))
     samples = levels + np.random.default_rng(1234).normal(0.0, 0.18, levels.size)
     repetitions = range(20)
     _, adapt_reference_s = _timed(lambda: [
-        link.dfe.adapt(samples, levels, kernel="reference")
-        for _ in repetitions])
-    _, adapt_dispatched_s = _timed(lambda: [
-        link.dfe.adapt(samples, levels, kernel="auto") for _ in repetitions])
+        link.dfe._adapt_reference(samples, levels) for _ in repetitions])
+    _, adapt_s = _timed(lambda: [
+        link.dfe.adapt(samples, levels) for _ in repetitions])
 
     return {
         "n_bits": n_bits,
         "resolved_backend": channel.backend,
-        "resolved_kernel_tier": _kernels.resolve_tier("auto"),
-        "jit_available": _kernels.jit_available(),
-        "reference_s": round(reference_s, 4),
-        "dispatched_s": round(dispatched_s, 4),
-        "speedup": round(reference_s / dispatched_s, 2),
+        "event_s": round(event_s, 4),
+        "fast_s": round(fast_s, 4),
+        "speedup": round(event_s / fast_s, 2),
         "bit_identical": True,
         "total_errors": int(fast.ber().errors),
         "dfe_adapt_reference_s": round(adapt_reference_s, 4),
-        "dfe_adapt_dispatched_s": round(adapt_dispatched_s, 4),
-        "dfe_adapt_speedup": round(adapt_reference_s / adapt_dispatched_s, 2),
+        "dfe_adapt_s": round(adapt_s, 4),
+        "dfe_adapt_speedup": round(adapt_reference_s / adapt_s, 2),
     }
 
 
 #: Per-benchmark speedup floors stricter than the global ``--floor``: the
 #: statistical eye must beat bit-true extrapolation by orders of magnitude,
 #: so anything under 100x signals a broken solver (same for the training
-#: loop built on it), not noise; the dispatched kernel tier must beat the
-#: pure-python reference path by at least 10x on the bit-true link sweep.
+#: loop built on it), not noise; the fast path must beat the event kernel
+#: by at least 10x on the DFE-equalized bit-true link.
 EXTRA_FLOORS = {
     "stateye_vs_bittrue": 100.0,
     "link_training": 100.0,
@@ -409,19 +395,10 @@ def main() -> int:
     arguments = parser.parse_args()
     scale = 1 if arguments.quick else 2
 
-    # Compile the numba kernels (where installed) outside every timed region.
-    if _kernels.warmup_jit():
-        print("kernel tier: jit (numba kernels warmed before timing)")
-    else:
-        print("kernel tier: python (numba not installed — scalar middle tier)")
-
     # One provenance manifest for the whole run, stamped into every entry
-    # and the history record: the auto-resolved backend and kernel tier
-    # are what the dispatched benchmarks actually exercise.
-    manifest = collect_manifest(
-        backend=resolve_backend().name,
-        kernel_tier=_kernels.resolve_tier("auto"),
-    )
+    # and the history record: the auto-resolved backend is what the fast
+    # sides of the benchmarks actually exercise.
+    manifest = collect_manifest(backend=resolve_backend().name)
 
     print("timing fig09 BER-vs-SJ sweep (event vs fast)...")
     fig09 = _traced("fig09_ber_vs_sj_sweep", bench_fig09_sj_sweep,
@@ -455,13 +432,11 @@ def main() -> int:
           f"training {training['training_s']}s "
           f"({training['training_evaluations']} evaluations)  "
           f"speedup {training['speedup']}x")
-    print("timing bit-true link sweep (reference tier vs dispatched kernels)...")
+    print("timing DFE-equalized bit-true link (event vs fast)...")
     kernels = _traced("bittrue_kernels", bench_bittrue_kernels,
                       n_bits=4000 * scale)
-    print(f"  reference {kernels['reference_s']}s  "
-          f"dispatched {kernels['dispatched_s']}s "
-          f"({kernels['resolved_backend']}, "
-          f"{kernels['resolved_kernel_tier']} tier)  "
+    print(f"  event {kernels['event_s']}s  fast {kernels['fast_s']}s "
+          f"({kernels['resolved_backend']})  "
           f"speedup {kernels['speedup']}x  "
           f"(isolated DFE adapt {kernels['dfe_adapt_speedup']}x)")
 

@@ -25,11 +25,4 @@ setup(
         # dual-Dirac decomposition in repro.jitter / repro.statistical.
         "scipy",
     ],
-    extras_require={
-        # Compiled kernel tier (repro._kernels.jit): numba-accelerated DFE
-        # adaptation and error-propagation loops.  Strictly optional — every
-        # kernel has a bit-identical pure-python tier, and backend="auto"
-        # only selects "fast+jit" when this extra is installed.
-        "fast": ["numba"],
-    },
 )

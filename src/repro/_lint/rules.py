@@ -448,13 +448,10 @@ class FloatEqualityRule(Rule):
 
 # --- RPL007 ------------------------------------------------------------------
 
-#: Files whose broad excepts are the sanctioned failure-isolation
-#: boundaries (every worker exception must be caught and carried as a
+#: The file whose broad excepts are the sanctioned failure-isolation
+#: boundary (every worker exception must be caught and carried as a
 #: structured record there).
-_BROAD_EXCEPT_SANCTIONED = (
-    "src/repro/sweep/resilient.py",
-    "src/repro/_kernels/dispatch.py",
-)
+_BROAD_EXCEPT_SANCTIONED = ("src/repro/sweep/resilient.py",)
 _BROAD_NAMES = {"Exception", "BaseException"}
 
 

@@ -182,17 +182,10 @@ class BehavioralSimulationResult:
 
 
 class BehavioralCdrChannel:
-    """Assembles and runs the event-driven model of one CDR channel.
+    """Assembles and runs the event-driven model of one CDR channel."""
 
-    *kernel_tier* selects the event kernel's drain-loop implementation
-    (see :class:`repro.events.Simulator`); every tier executes the same
-    events in the same order, so results are identical across tiers.
-    """
-
-    def __init__(self, config: CdrChannelConfig | None = None, *,
-                 kernel_tier: str = "auto") -> None:
+    def __init__(self, config: CdrChannelConfig | None = None) -> None:
         self.config = config or CdrChannelConfig()
-        self.kernel_tier = kernel_tier
 
     def run(
         self,
@@ -264,7 +257,7 @@ class BehavioralCdrChannel:
         require_positive_int("number of bits", int(bits.size))
         rng = rng or np.random.default_rng()  # repro-lint: disable=RPL001 — opt-in entropy: reproducible callers pass a seeded Generator
 
-        simulator = Simulator(kernel_tier=self.kernel_tier)
+        simulator = Simulator()
         recorder = WaveformRecorder()
 
         # --- stimulus -------------------------------------------------------

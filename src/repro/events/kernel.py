@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Generator
 
-from .. import _kernels, telemetry
+from .. import telemetry
 from .._validation import require_non_negative
 
 __all__ = [
@@ -118,17 +118,13 @@ class Process:
 class Simulator:
     """Event-driven simulator with an absolute-time event queue.
 
-    *kernel_tier* selects the drain-loop implementation for :meth:`run` /
-    :meth:`run_until` (see :mod:`repro._kernels`): ``"auto"`` (default)
-    uses the fast scalar drain, ``"reference"`` the pinned per-event
-    :meth:`step` loop.  Both execute the same events in the same order —
-    gate processes are arbitrary Python callbacks, so the compiled tier
-    does not apply here and ``"jit"`` resolves to the scalar drain.
+    :meth:`step` is the event-order reference: :meth:`run` and
+    :meth:`run_until` drain the queue with the heap and the pop hoisted
+    into locals, but execute exactly the events a :meth:`step` loop
+    would, in the same order and with the same clock updates.
     """
 
-    def __init__(self, kernel_tier: str = _kernels.TIER_AUTO) -> None:
-        _kernels.resolve_tier(kernel_tier, jit_capable=False)  # validate eagerly
-        self.kernel_tier = kernel_tier
+    def __init__(self) -> None:
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
         self._now = 0.0
@@ -175,45 +171,26 @@ class Simulator:
         callback()
         return True
 
-    def drain_until_reference(self, stop_time_s: float,
-                              max_events: int | None) -> tuple[int, bool]:
-        """Pinned per-event stepping loop behind :meth:`run_until`.
-
-        The ``"reference"`` kernel tier; the fast drain in
-        :mod:`repro._kernels.scalar` must match it event for event.
-        Returns ``(executed, exceeded)``.
-        """
-        executed = 0
-        while self._queue and self._queue[0][0] <= stop_time_s:
-            if max_events is not None and executed >= max_events:
-                return executed, True
-            self.step()
-            executed += 1
-        return executed, False
-
-    def drain_reference(self, max_events: int) -> tuple[int, bool]:
-        """Pinned per-event stepping loop behind :meth:`run` (reference tier)."""
-        executed = 0
-        while self._queue:
-            if executed >= max_events:
-                return executed, True
-            self.step()
-            executed += 1
-        return executed, False
-
     def run_until(self, stop_time_s: float, max_events: int | None = None) -> int:
         """Run until simulated time reaches *stop_time_s*; return the event count.
 
         ``max_events`` guards against runaway zero-delay loops (an error is
         raised when it is exceeded).
         """
-        executed, exceeded = _kernels.simulator_drain_until(
-            self, stop_time_s, max_events, tier=self.kernel_tier)
-        if exceeded:
-            raise SimulationError(
-                f"exceeded {max_events} events before reaching {stop_time_s!r}s "
-                "(possible zero-delay loop)"
-            )
+        queue = self._queue
+        pop = heapq.heappop
+        executed = 0
+        bounded = max_events is not None
+        while queue and queue[0][0] <= stop_time_s:
+            if bounded and executed >= max_events:
+                raise SimulationError(
+                    f"exceeded {max_events} events before reaching {stop_time_s!r}s "
+                    "(possible zero-delay loop)"
+                )
+            time_s, _seq, callback = pop(queue)
+            self._now = time_s
+            callback()
+            executed += 1
         self._now = max(self._now, stop_time_s)
         tracer = telemetry.ACTIVE
         if tracer:
@@ -222,12 +199,18 @@ class Simulator:
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue drains; return the number of executed events."""
-        executed, exceeded = _kernels.simulator_drain(
-            self, max_events, tier=self.kernel_tier)
-        if exceeded:
-            raise SimulationError(
-                f"exceeded {max_events} events without draining the queue"
-            )
+        queue = self._queue
+        pop = heapq.heappop
+        executed = 0
+        while queue:
+            if executed >= max_events:
+                raise SimulationError(
+                    f"exceeded {max_events} events without draining the queue"
+                )
+            time_s, _seq, callback = pop(queue)
+            self._now = time_s
+            callback()
+            executed += 1
         tracer = telemetry.ACTIVE
         if tracer:
             tracer.count("kernel.events", executed)

@@ -15,8 +15,9 @@ fully define a study, and one generic engine executes it::
     print(result.to_table().render())
     result.save("ber_vs_offset.json")         # lossless round-trip
 
-Execution runs on the deterministic :mod:`repro.sweep.runner` pool (same
-results at any worker count); the backend of every resolved point goes
+Execution runs on the deterministic
+:func:`repro.sweep.resilient.map_tasks_resilient` pool (same results at
+any worker count); the backend of every resolved point goes
 through the capability registry in :mod:`repro.fastpath.backends`, so
 ``backend="auto"`` picks the fastest exactly-equivalent engine per point.
 The seven public sweeps in :mod:`repro.sweep` are thin wrappers over this

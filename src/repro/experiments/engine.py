@@ -9,10 +9,11 @@ One engine replaces the per-sweep pipelines: a study is a base
   one extra axis that still passes an error-count criterion (the
   jitter-tolerance shape),
 
-both on the deterministic :func:`repro.sweep.runner.map_tasks` pool —
-per-point random streams come from a spawned SeedSequence tree, so any
-worker count produces identical results.  The backend of every resolved
-point goes through :func:`repro.fastpath.backends.resolve_backend`, so
+both on the deterministic
+:func:`repro.sweep.resilient.map_tasks_resilient` pool — per-point random
+streams come from a spawned SeedSequence tree, so any worker count
+produces identical results.  The backend of every resolved point goes
+through :func:`repro.fastpath.backends.resolve_backend`, so
 ``backend="auto"`` picks the fastest exactly-equivalent engine per point
 and a forced backend fails loudly when the configuration demands a
 capability it lacks.
@@ -76,10 +77,9 @@ def simulate_scenario(spec: ScenarioSpec, rng: np.random.Generator, backend: str
     if backend is None:
         backend = resolve_backend(spec.config, spec.backend).name
     bits = spec.stimulus.bits()
-    spec_backend = BACKENDS[backend]
-    channel = spec_backend.create(spec.config)
+    channel = BACKENDS[backend].create(spec.config)
     if spec.link is not None:
-        stream = LinkPath(spec.link, kernel_tier=spec_backend.kernel_tier).transmit(
+        stream = LinkPath(spec.link).transmit(
             bits,
             jitter=spec.jitter,
             data_rate_offset_ppm=spec.data_rate_offset_ppm,
@@ -370,10 +370,8 @@ def run_grid(
         for point in points
     ]
     study_key = content_key({"study": "run_grid", "spec": spec, "axes": axes, "seed": seed})
-    spec_backend = resolve_backend(spec.config, spec.backend)
     manifest = collect_manifest(
-        backend=spec_backend.name,
-        kernel_tier=spec_backend.kernel_tier,
+        backend=resolve_backend(spec.config, spec.backend).name,
         content_key=study_key,
         seed=seed,
     )
@@ -546,10 +544,8 @@ def run_tolerance_search(
             "search": search,
         }
     )
-    spec_backend = resolve_backend(spec.config, spec.backend)
     manifest = collect_manifest(
-        backend=spec_backend.name,
-        kernel_tier=spec_backend.kernel_tier,
+        backend=resolve_backend(spec.config, spec.backend).name,
         content_key=study_key,
         seed=seed,
     )

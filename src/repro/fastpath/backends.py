@@ -18,19 +18,7 @@ any per-gate delay jitter is configured), and resolution matches the two:
   returning non-equivalent results (the fast path's jitter draws agree with
   the event kernel only in distribution — see PERFORMANCE.md).
 
-Backends additionally declare *environment* requirements
-(:attr:`BackendSpec.env_requires`): capabilities the running process must
-provide, independent of any configuration.  Today that is only
-:data:`CAP_JIT_KERNELS` — the ``"fast+jit"`` backend is always registered
-but resolvable only where the numba kernel tier imported cleanly, so
-``backend="auto"`` upgrades to it exactly when the environment can honour
-it and forcing it elsewhere raises a ``ValueError`` naming the missing
-capability.  Each spec also carries the :attr:`BackendSpec.kernel_tier`
-its name promises (``"fast+jit"`` → the JIT tier, everything else the
-scalar ``"python"`` tier), which the engines hand to
-:class:`~repro.link.path.LinkPath` for DFE adaptation — so
-``resolved_backend`` audit trails pin down the exact kernels a result ran
-on.
+The built-in registry holds two backends, ``"fast"`` and ``"event"``.
 
 Constructing :class:`~repro.fastpath.engine.FastCdrChannel` directly remains
 the documented escape hatch for statistical studies that want the fast
@@ -39,21 +27,18 @@ path's jitter sampling anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .. import _kernels
 from ..core.cdr_channel import BehavioralCdrChannel
 from ..core.config import CdrChannelConfig
 from .engine import FastCdrChannel
 
 __all__ = [
     "CAP_GATE_JITTER",
-    "CAP_JIT_KERNELS",
     "AUTO_BACKEND",
     "BackendSpec",
     "BACKENDS",
-    "environment_capabilities",
     "register_backend",
     "required_capabilities",
     "resolve_backend",
@@ -66,24 +51,8 @@ __all__ = [
 #: per-event jitter draws must match the event kernel draw for draw.
 CAP_GATE_JITTER = "per-gate-delay-jitter"
 
-#: Environment capability provided when the numba kernel tier imported
-#: cleanly (:func:`repro._kernels.jit_available`); required by backends
-#: whose name promises compiled kernels (``"fast+jit"``).
-CAP_JIT_KERNELS = "compiled-jit-kernels"
-
 #: Pseudo backend name resolved per configuration at ``make_channel`` time.
 AUTO_BACKEND = "auto"
-
-
-def environment_capabilities() -> frozenset[str]:
-    """Capabilities the running environment provides (config-independent).
-
-    Tests monkeypatch this to simulate a numba-less (or numba-ful)
-    environment without touching installed packages.
-    """
-    if _kernels.jit_available():
-        return frozenset((CAP_JIT_KERNELS,))
-    return frozenset()
 
 
 @dataclass(frozen=True)
@@ -101,38 +70,21 @@ class BackendSpec:
         event-kernel-equivalent semantics).
     priority:
         Resolution order for ``backend="auto"``: among the backends whose
-        capabilities cover a config's demands (and whose environment
-        requirements are met), the lowest priority wins, so faster
-        backends get smaller numbers.
-    kernel_tier:
-        The :mod:`repro._kernels` tier this backend promises for the DFE /
-        adaptation recursions of link models built alongside it.
-    env_requires:
-        Environment capabilities the running process must provide
-        (see :func:`environment_capabilities`) for this backend to be
-        resolvable.
+        capabilities cover a config's demands, the lowest priority wins, so
+        faster backends get smaller numbers.
     """
 
     name: str
     factory: Callable[[CdrChannelConfig | None], object]
     capabilities: frozenset[str]
     priority: int
-    kernel_tier: str = _kernels.TIER_PYTHON
-    env_requires: frozenset[str] = field(default_factory=frozenset)
 
     def missing_capabilities(self, config: CdrChannelConfig | None) -> frozenset[str]:
         """Capabilities *config* demands that this backend does not provide."""
         return required_capabilities(config) - self.capabilities
 
-    def missing_environment(self) -> frozenset[str]:
-        """Environment capabilities this backend needs that are absent here."""
-        return self.env_requires - environment_capabilities()
-
     def create(self, config: CdrChannelConfig | None = None):
         """Instantiate the backend for *config*, enforcing its capabilities."""
-        missing_env = self.missing_environment()
-        if missing_env:
-            raise _environment_error(self.name, missing_env)
         missing = self.missing_capabilities(config)
         if missing:
             raise _capability_error(self.name, missing)
@@ -152,48 +104,28 @@ def _capability_error(name: str, missing: frozenset[str]) -> ValueError:
     )
 
 
-def _environment_error(name: str, missing: frozenset[str]) -> ValueError:
-    """The one place the environment-violation message is built."""
-    return ValueError(
-        f"backend {name!r} requires {sorted(missing)}, which this "
-        "environment does not provide; install the optional extra "
-        "(pip install .[fast]) "
-        'or use backend="auto" to resolve automatically'
-    )
-
-
 #: Channel simulation backends, by name (capability-aware registry).
 BACKENDS: dict[str, BackendSpec] = {}
 
 
 def register_backend(name: str, factory: Callable, *, capabilities=(),
-                     priority: int = 100,
-                     kernel_tier: str = _kernels.TIER_PYTHON,
-                     env_requires=()) -> BackendSpec:
+                     priority: int = 100) -> BackendSpec:
     """Register a channel backend; returns (and stores) its :class:`BackendSpec`.
 
     Register at *module scope* (not under an ``if __name__`` guard) if the
     backend will run through the parallel sweep pool: pool workers that are
     spawned rather than forked re-import modules and only see registrations
-    that happen at import time.  That is also why environment-gated
-    backends (``env_requires``) are registered unconditionally: the spec is
-    always present and identical in every process, and resolution — not
-    registration — decides whether the environment can honour it.
+    that happen at import time.
     """
     if name == AUTO_BACKEND:
         raise ValueError(f"{AUTO_BACKEND!r} is reserved for automatic resolution")
     spec = BackendSpec(name=name, factory=factory,
-                       capabilities=frozenset(capabilities), priority=priority,
-                       kernel_tier=kernel_tier,
-                       env_requires=frozenset(env_requires))
+                       capabilities=frozenset(capabilities), priority=priority)
     BACKENDS[name] = spec
     return spec
 
 
 register_backend("fast", FastCdrChannel, capabilities=(), priority=0)
-register_backend("fast+jit", FastCdrChannel, capabilities=(), priority=-10,
-                 kernel_tier=_kernels.TIER_JIT,
-                 env_requires=(CAP_JIT_KERNELS,))
 register_backend("event", BehavioralCdrChannel,
                  capabilities=(CAP_GATE_JITTER,), priority=10)
 
@@ -212,19 +144,14 @@ def resolve_backend(config: CdrChannelConfig | None = None,
     """Resolve *backend* for *config* to a concrete :class:`BackendSpec`.
 
     ``"auto"`` returns the fastest registered backend that covers every
-    capability the configuration demands *and* whose environment
-    requirements are met (so ``"fast+jit"`` wins exactly where numba
-    imported cleanly).  A named backend is returned as-is but raises a
-    ``ValueError`` naming the offending capability when the configuration
-    demands something it cannot provide exactly, or when the environment
-    lacks a capability it requires.
+    capability the configuration demands.  A named backend is returned as-is
+    but raises a ``ValueError`` naming the offending capability when the
+    configuration demands something it cannot provide exactly.
     """
     if backend == AUTO_BACKEND:
         required = required_capabilities(config)
-        provided = environment_capabilities()
         candidates = [spec for spec in BACKENDS.values()
-                      if required <= spec.capabilities
-                      and spec.env_requires <= provided]
+                      if required <= spec.capabilities]
         if not candidates:
             raise ValueError(
                 f"no registered backend provides {sorted(required)}")
@@ -234,11 +161,8 @@ def resolve_backend(config: CdrChannelConfig | None = None,
     except KeyError:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of "
-            f"{sorted(BACKENDS) + [AUTO_BACKEND]}"
+            f"{sorted([*BACKENDS, AUTO_BACKEND])}"
         ) from None
-    missing_env = spec.missing_environment()
-    if missing_env:
-        raise _environment_error(spec.name, missing_env)
     missing = spec.missing_capabilities(config)
     if missing:
         raise _capability_error(spec.name, missing)

@@ -22,10 +22,10 @@ Three standard serial-link equalizer stages, kept behavioural:
   corrections; :meth:`LmsDfe.error_propagation` models that burst (a
   forced slicer error must decay, not ring).
 
-The per-sample adaptation recursions dispatch through the kernel tiers of
-:mod:`repro._kernels` (``kernel="auto"`` on the public methods); the
-pinned pure-python loops stay here as the ``"reference"`` tier and every
-fast tier reproduces them bit for bit.
+The per-sample recursions behind :meth:`LmsDfe.adapt` and
+:meth:`LmsDfe.error_propagation` run on unboxed Python floats; the pinned
+numpy loops (``LmsDfe._adapt_reference`` and friends) stay beside them
+as the oracles they reproduce bit for bit.
 
 All three are frozen dataclasses and pickle across the sweep runner's
 process pool.
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .. import _kernels
 from .._validation import require_non_negative, require_positive, require_positive_int
 
 __all__ = ["TxFfe", "RxCtle", "LmsDfe", "DfeAdaptation", "ErrorPropagation"]
@@ -58,6 +57,122 @@ def _circular_shift_rows(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """
     positions = np.arange(values.size)
     return values[(positions - np.asarray(shifts)[:, None]) % values.size]
+
+
+# The DFE recursions are inherently sequential (every step reads the
+# previous step's decisions and weights), so they cannot become array
+# expressions without changing semantics.  What these loops drop is the
+# per-sample numpy overhead of the pinned reference loops on LmsDfe (an
+# index allocation, a fancy-index gather and boxed scalar arithmetic per
+# sample): they run the identical IEEE-754 operations in the identical
+# order on plain Python floats, so their results are bit-for-bit equal
+# (gated by ``tests/kernels/test_bit_identity.py``) at about a tenth of
+# the cost.
+
+
+def _lms_data_aided(
+    samples: np.ndarray, levels: np.ndarray, n_taps: int, step_size: float, n_epochs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Data-aided LMS → ``(weights, error_rms_per_epoch)``; see ``LmsDfe._adapt_reference``."""
+    sample_list = samples.tolist()
+    level_list = levels.tolist()
+    n = len(sample_list)
+    taps = range(n_taps)
+    # The training history is static in data-aided mode: precompute every
+    # sample's circular feedback register once, outside the epoch loop.
+    history = [tuple(level_list[(k - 1 - j) % n] for j in taps) for k in range(n)]
+    weights = [0.0] * n_taps
+    error_rms = np.zeros(n_epochs)
+    for epoch in range(n_epochs):
+        squared = 0.0
+        for k in range(n):
+            row = history[k]
+            acc = 0.0
+            for j in taps:
+                acc += weights[j] * row[j]
+            error = (sample_list[k] - acc) - level_list[k]
+            gain = step_size * error
+            for j in taps:
+                weights[j] += gain * row[j]
+            squared += error * error
+        error_rms[epoch] = math.sqrt(squared / n)
+    return np.array(weights), error_rms
+
+
+def _lms_decision_directed(
+    samples: np.ndarray, levels: np.ndarray, n_taps: int, step_size: float, n_epochs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blind LMS → ``(weights, error_rms, decision_error_rate)``.
+
+    Mirrors ``LmsDfe._adapt_decision_directed``: the decision register is
+    the live ``decisions`` list itself (bootstrapped by slicing the raw
+    samples), so the circular history read for sample ``k`` sees this
+    epoch's decisions below ``k`` and the previous epoch's (or the
+    bootstrap's) above it.
+    """
+    sample_list = samples.tolist()
+    level_list = levels.tolist()
+    n = len(sample_list)
+    taps = range(n_taps)
+    decisions = [1.0 if value >= 0.0 else -1.0 for value in sample_list]
+    weights = [0.0] * n_taps
+    row = [0.0] * n_taps
+    error_rms = np.zeros(n_epochs)
+    decision_errors = np.zeros(n_epochs)
+    for epoch in range(n_epochs):
+        squared = 0.0
+        wrong = 0
+        for k in range(n):
+            base = k - 1
+            acc = 0.0
+            for j in taps:
+                value = decisions[(base - j) % n]
+                row[j] = value
+                acc += weights[j] * value
+            corrected = sample_list[k] - acc
+            decision = 1.0 if corrected >= 0.0 else -1.0
+            decisions[k] = decision
+            error = corrected - decision
+            gain = step_size * error
+            for j in taps:
+                weights[j] += gain * row[j]
+            squared += error * error
+            wrong += decision != level_list[k]
+        error_rms[epoch] = math.sqrt(squared / n)
+        decision_errors[epoch] = wrong / n
+    return np.array(weights), error_rms, decision_errors
+
+
+def _feedback_burst(
+    waveform: np.ndarray, levels: np.ndarray, weights: np.ndarray, start: int, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slicer/feedback stepping after a forced error at *start*.
+
+    → ``(wrong_decisions, deviation_per_ui)``; see
+    ``LmsDfe._error_propagation_reference``.
+    """
+    sample_list = waveform.tolist()
+    level_list = levels.tolist()
+    weight_list = weights.tolist()
+    n = len(level_list)
+    taps = range(len(weight_list))
+    decisions = list(level_list)
+    decisions[start] = -level_list[start]
+    wrong = np.zeros(steps, dtype=bool)
+    deviation = np.zeros(steps)
+    for step in range(1, steps + 1):
+        k = (start + step) % n
+        base = k - 1
+        acc = 0.0
+        for j in taps:
+            acc += weight_list[j] * decisions[(base - j) % n]
+        corrected = sample_list[k] - acc
+        decision = 1.0 if corrected >= 0.0 else -1.0
+        decisions[k] = decision
+        wrong[step - 1] = decision != level_list[k]
+        gap = abs(corrected - level_list[k])
+        deviation[step - 1] = gap if gap > _DEVIATION_SNAP else 0.0
+    return wrong, deviation
 
 
 @dataclass(frozen=True)
@@ -265,10 +380,9 @@ class LmsDfe:
     per-epoch decision error rate against the (known, diagnostics-only)
     transmitted symbols.
 
-    Both adaptation modes and the error-propagation recursion accept a
-    ``kernel`` tier (:data:`repro._kernels.KERNEL_TIERS`): ``"auto"``
-    dispatches to the fastest available kernel, ``"reference"`` runs the
-    pinned loops below.  Results are bit-for-bit identical across tiers.
+    Both adaptation modes and the error-propagation recursion run the
+    scalar loops of this module, which are bit-for-bit identical to the
+    pinned reference loops kept below as test oracles.
     """
 
     n_taps: int = 2
@@ -281,13 +395,7 @@ class LmsDfe:
         require_positive("step_size", self.step_size)
         require_positive_int("n_epochs", self.n_epochs)
 
-    def adapt(
-        self,
-        ui_samples: np.ndarray,
-        symbols: np.ndarray,
-        *,
-        kernel: str = _kernels.TIER_AUTO,
-    ) -> DfeAdaptation:
+    def adapt(self, ui_samples: np.ndarray, symbols: np.ndarray) -> DfeAdaptation:
         """LMS-adapt the feedback taps on one period of training data.
 
         Parameters
@@ -300,10 +408,6 @@ class LmsDfe:
             decision-directed mode they steer nothing — the recursion runs
             on slicer decisions — and only score the per-epoch decision
             error rate.
-        kernel:
-            Kernel tier for the recursion (``"auto"``, ``"jit"``,
-            ``"python"`` or ``"reference"``); every tier returns
-            bit-identical results.
         """
         samples = np.asarray(ui_samples, dtype=float).ravel()
         levels = np.asarray(symbols, dtype=float).ravel()
@@ -312,30 +416,26 @@ class LmsDfe:
         if samples.size <= self.n_taps:
             raise ValueError("need more than n_taps training symbols")
         if self.decision_directed:
-            if kernel == _kernels.TIER_REFERENCE:
-                return self._adapt_decision_directed(samples, levels)
-            weights, error_rms, decision_errors = _kernels.dfe_adapt_decision_directed(
-                samples, levels, self.n_taps, self.step_size, self.n_epochs, tier=kernel
+            weights, error_rms, decision_errors = _lms_decision_directed(
+                samples, levels, self.n_taps, self.step_size, self.n_epochs
             )
             return DfeAdaptation(
                 weights=weights,
                 error_rms_per_epoch=error_rms,
                 decision_error_rate_per_epoch=decision_errors,
             )
-        if kernel == _kernels.TIER_REFERENCE:
-            return self._adapt_reference(samples, levels)
-        weights, error_rms = _kernels.dfe_adapt(
-            samples, levels, self.n_taps, self.step_size, self.n_epochs, tier=kernel
+        weights, error_rms = _lms_data_aided(
+            samples, levels, self.n_taps, self.step_size, self.n_epochs
         )
         return DfeAdaptation(weights=weights, error_rms_per_epoch=error_rms)
 
     def _adapt_reference(self, samples: np.ndarray, levels: np.ndarray) -> DfeAdaptation:
         """Pinned pure-python data-aided recursion — the semantic reference.
 
-        The operation order here is load-bearing: every fast kernel tier
-        in :mod:`repro._kernels` must perform these IEEE-754 operations in
-        this exact order so its results stay bit-for-bit identical (gated
-        by ``tests/kernels/test_bit_identity.py``).
+        The operation order here is load-bearing: :func:`_lms_data_aided`
+        must perform these IEEE-754 operations in this exact order so its
+        results stay bit-for-bit identical (gated by
+        ``tests/kernels/test_bit_identity.py``).
         """
         weights = np.zeros(self.n_taps)
         error_rms = np.zeros(self.n_epochs)
@@ -394,7 +494,6 @@ class LmsDfe:
         *,
         error_index: int = 0,
         horizon: int | None = None,
-        kernel: str = _kernels.TIER_AUTO,
     ) -> ErrorPropagation:
         """Force one slicer error and track the feedback burst it causes.
 
@@ -414,14 +513,7 @@ class LmsDfe:
         require_positive_int("horizon", steps)
         samples = self._ideal_postcursor_waveform(levels, weights)
         start = error_index % levels.size
-        if kernel == _kernels.TIER_REFERENCE:
-            wrong, deviation = self._error_propagation_reference(
-                samples, levels, weights, start, steps
-            )
-        else:
-            wrong, deviation = _kernels.dfe_error_propagation(
-                samples, levels, weights, start, steps, _DEVIATION_SNAP, tier=kernel
-            )
+        wrong, deviation = _feedback_burst(samples, levels, weights, start, steps)
         return ErrorPropagation(wrong_decisions=wrong, deviation_per_ui=deviation)
 
     @staticmethod

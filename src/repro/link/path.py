@@ -102,17 +102,10 @@ class LinkConfig:
 
 
 class LinkPath:
-    """Waveform-level link simulation producing CDR-ready edge streams.
+    """Waveform-level link simulation producing CDR-ready edge streams."""
 
-    *kernel_tier* selects the :mod:`repro._kernels` tier for the DFE
-    adaptation recursion (``"auto"``, ``"jit"``, ``"python"`` or
-    ``"reference"``).  Every tier is bit-for-bit identical, so the pulse
-    and pattern caches stay valid whatever tier served a run.
-    """
-
-    def __init__(self, config: LinkConfig | None = None, *, kernel_tier: str = "auto") -> None:
+    def __init__(self, config: LinkConfig | None = None) -> None:
         self.config = config or LinkConfig()
-        self.kernel_tier = kernel_tier
         self._pulse_cache: dict[int, np.ndarray] = {}
         self._pattern_cache: dict[bytes, tuple[np.ndarray, DfeAdaptation | None]] = {}
         self._crosstalk_cache: dict[int, np.ndarray] = {}
@@ -236,7 +229,7 @@ class LinkPath:
         if config.dfe is not None:
             spu = timebase.samples_per_ui
             centre_samples = waveform[spu // 2 :: spu]
-            adaptation = config.dfe.adapt(centre_samples, levels, kernel=self.kernel_tier)
+            adaptation = config.dfe.adapt(centre_samples, levels)
             waveform = waveform - config.dfe.feedback_waveform(levels, adaptation.weights, spu)
             self.last_dfe_adaptation = adaptation
         return timebase.time_axis_s(int(bits.size)), waveform
@@ -396,11 +389,8 @@ class LinkCdrChannel:
     def __init__(
         self, link: LinkConfig | LinkPath | None = None, config=None, backend: str = AUTO_BACKEND
     ) -> None:
+        self.path = link if isinstance(link, LinkPath) else LinkPath(link)
         spec = resolve_backend(config, backend)
-        if isinstance(link, LinkPath):
-            self.path = link  # caller-owned path keeps its own kernel tier
-        else:
-            self.path = LinkPath(link, kernel_tier=spec.kernel_tier)
         self.cdr = spec.factory(config)
         self.backend = spec.name
 

@@ -2,8 +2,8 @@
 
 A :class:`RunManifest` answers "what produced this artifact?" for every
 persisted result in the repository: interpreter and library versions, the
-platform, the capability-registry snapshot, and — once a study stamps it —
-the resolved backend, kernel tier, spec ``content_key`` and seed root.
+platform, the registered backend names, and — once a study stamps it —
+the resolved backend, spec ``content_key`` and seed root.
 The same manifest shape lands in three places:
 
 * ``SweepResult.metadata["manifest"]`` (:mod:`repro.experiments.engine`),
@@ -20,10 +20,12 @@ fact) and keeps the reads out of content hashes: manifest fields are
 *diagnostics*, never inputs, so two runs on different machines still
 produce byte-identical results and differ only in their manifests.
 
-The capability snapshot is read live from
-:func:`repro.fastpath.backends.environment_capabilities` on every call —
-never cached — so tests that monkeypatch the registry see their patched
-environment reflected in the manifest.
+The backend names are read live from
+:data:`repro.fastpath.backends.BACKENDS` on every call — never cached — so
+a backend registered at run time shows up in the manifest.
+
+Payloads written by earlier versions, which carried fields since retired,
+still load: :meth:`RunManifest.from_dict` ignores keys it does not know.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def _module_version(name: str) -> str | None:
     """``module.__version__`` for an importable module, else ``None``.
 
     Import errors mean the library is simply absent from this environment
-    (the pure-python CI leg has no numba; the lint job has no numpy) —
-    that absence *is* the provenance fact being recorded.
+    (the lint job has no numpy) — that absence *is* the provenance fact
+    being recorded.
     """
     try:
         module = __import__(name)
@@ -60,21 +62,18 @@ def _module_version(name: str) -> str | None:
     return getattr(module, "__version__", None)
 
 
-def _capability_snapshot() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(environment capabilities, registered backend names), both sorted.
+def _backend_names() -> tuple[str, ...]:
+    """Registered backend names, sorted.
 
     Imported lazily so manifests remain collectable in numpy-free
     processes (the watch CLI's environment): there the registry cannot
-    import and the snapshot is honestly empty.
+    import and the tuple is honestly empty.
     """
     try:
         from ..fastpath import backends
     except ImportError:
-        return (), ()
-    return (
-        tuple(sorted(backends.environment_capabilities())),
-        tuple(sorted(backends.BACKENDS)),
-    )
+        return ()
+    return tuple(sorted(backends.BACKENDS))
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,8 @@ class RunManifest:
     platform: str
     machine: str
     numpy: str | None
-    numba: str | None
-    capabilities: tuple[str, ...]
     backends: tuple[str, ...]
     backend: str | None = None
-    kernel_tier: str | None = None
     content_key: str | None = None
     seed: int | None = None
 
@@ -104,7 +100,6 @@ class RunManifest:
         self,
         *,
         backend: str | None = None,
-        kernel_tier: str | None = None,
         content_key: str | None = None,
         seed: int | None = None,
     ) -> "RunManifest":
@@ -112,7 +107,6 @@ class RunManifest:
         return replace(
             self,
             backend=backend if backend is not None else self.backend,
-            kernel_tier=kernel_tier if kernel_tier is not None else self.kernel_tier,
             content_key=content_key if content_key is not None else self.content_key,
             seed=seed if seed is not None else self.seed,
         )
@@ -121,7 +115,6 @@ class RunManifest:
         """Strict-JSON-safe dict with the ``kind``/``version`` envelope."""
         payload: dict = {"kind": MANIFEST_KIND, "version": MANIFEST_VERSION}
         fields = asdict(self)
-        fields["capabilities"] = list(self.capabilities)
         fields["backends"] = list(self.backends)
         payload.update(fields)
         return payload
@@ -133,7 +126,6 @@ class RunManifest:
             raise ValueError(f"not a {MANIFEST_KIND} payload: {payload.get('kind')!r}")
         field_names = {field for field in cls.__dataclass_fields__}
         values = {key: value for key, value in payload.items() if key in field_names}
-        values["capabilities"] = tuple(values.get("capabilities", ()))
         values["backends"] = tuple(values.get("backends", ()))
         return cls(**values)
 
@@ -141,27 +133,22 @@ class RunManifest:
 def collect_manifest(
     *,
     backend: str | None = None,
-    kernel_tier: str | None = None,
     content_key: str | None = None,
     seed: int | None = None,
 ) -> RunManifest:
     """Read the environment once and return a :class:`RunManifest`.
 
-    Study identity (*backend*, *kernel_tier*, *content_key*, *seed*) can
-    be stamped here directly or later via :meth:`RunManifest.stamped`.
+    Study identity (*backend*, *content_key*, *seed*) can be stamped here
+    directly or later via :meth:`RunManifest.stamped`.
     """
-    capabilities, backend_names = _capability_snapshot()
     return RunManifest(
         python=platform.python_version(),
         implementation=sys.implementation.name,
         platform=platform.system(),
         machine=platform.machine(),
         numpy=_module_version("numpy"),
-        numba=_module_version("numba"),
-        capabilities=capabilities,
-        backends=backend_names,
+        backends=_backend_names(),
         backend=backend,
-        kernel_tier=kernel_tier,
         content_key=content_key,
         seed=seed,
     )

@@ -239,7 +239,7 @@ def render_status(status: dict, trace: str | Path | None = None) -> str:
     manifest = status.get("manifest")
     if manifest:
         table = TextTable(headers=["field", "value"], title="provenance")
-        for name in ("backend", "kernel_tier", "python", "numpy", "numba", "platform", "seed"):
+        for name in ("backend", "python", "numpy", "platform", "seed"):
             if manifest.get(name) is not None:
                 table.add_row(name, manifest[name])
         parts.append(table.render())

@@ -76,6 +76,85 @@ class TestScheduling:
         assert Simulator().step() is False
 
 
+def step_drain(simulator, stop_time_s=None, max_events=None):
+    """The drain oracle: a plain :meth:`Simulator.step` loop.
+
+    Runs until the queue empties (``stop_time_s=None``) or its next event
+    lies past *stop_time_s*; returns ``(executed, budget_exhausted)``.
+    """
+    executed = 0
+    queue = simulator._queue
+    while queue and (stop_time_s is None or queue[0][0] <= stop_time_s):
+        if max_events is not None and executed >= max_events:
+            return executed, True
+        simulator.step()
+        executed += 1
+    return executed, False
+
+
+class TestDrainMatchesStepOracle:
+    """``run``/``run_until`` execute exactly what a ``step()`` loop would."""
+
+    @staticmethod
+    def _scheduled(simulator):
+        order = []
+        simulator.call_after(2.0e-9, lambda: order.append("late"))
+        simulator.call_after(1.0e-9, lambda: order.append("early"))
+        simulator.call_after(1.0e-9, lambda: order.append("tied"))
+        return order
+
+    def test_same_time_ties_match_step_order(self):
+        drained = Simulator()
+        order = self._scheduled(drained)
+        executed = drained.run()
+        oracle = Simulator()
+        oracle_order = self._scheduled(oracle)
+        assert step_drain(oracle) == (executed, False)
+        assert order == oracle_order == ["early", "tied", "late"]
+        assert drained.now == oracle.now
+
+    @staticmethod
+    def _runaway(delay_s):
+        """A simulator whose single callback reschedules itself forever."""
+        simulator = Simulator()
+        fired = []
+
+        def reschedule():
+            fired.append(simulator.now)
+            simulator.call_after(delay_s, reschedule)
+
+        simulator.call_after(0.0, reschedule)
+        return simulator, fired
+
+    def test_run_until_budget_error_matches_reference(self):
+        simulator, fired = self._runaway(0.0)
+        with pytest.raises(SimulationError, match="zero-delay loop"):
+            simulator.run_until(1.0e-9, max_events=25)
+        oracle, oracle_fired = self._runaway(0.0)
+        assert step_drain(oracle, 1.0e-9, max_events=25) == (25, True)
+        assert fired == oracle_fired
+        assert simulator.now == oracle.now
+
+    def test_run_budget_error_matches_reference(self):
+        simulator, fired = self._runaway(1.0e-12)
+        with pytest.raises(SimulationError, match="without draining"):
+            simulator.run(max_events=25)
+        oracle, oracle_fired = self._runaway(1.0e-12)
+        assert step_drain(oracle, max_events=25) == (25, True)
+        assert fired == oracle_fired
+        assert simulator.now == oracle.now
+
+    def test_run_until_advances_clock_to_stop_time(self):
+        simulator = Simulator()
+        simulator.call_after(1.0e-9, lambda: None)
+        assert simulator.run_until(5.0e-9) == 1
+        assert simulator.now == 5.0e-9
+        oracle = Simulator()
+        oracle.call_after(1.0e-9, lambda: None)
+        assert step_drain(oracle, 5.0e-9) == (1, False)
+        assert oracle.now == 1.0e-9  # the advance past the last event is run_until's own
+
+
 class TestProcesses:
     def test_wait_for_delays(self):
         simulator = Simulator()

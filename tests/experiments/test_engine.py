@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import _kernels
 from repro.core.config import CdrChannelConfig
 from repro.datapath.nrz import JitterSpec
 from repro.experiments import (
@@ -22,10 +21,6 @@ MILD = JitterSpec(dj_ui_pp=0.2, rj_ui_rms=0.01)
 BASE = ScenarioSpec(stimulus=StimulusSpec(n_bits=400), jitter=MILD)
 AMPLITUDE_AXIS = ParameterAxis("sj_amplitude_ui_pp", (0.1, 1.0))
 FREQUENCY_AXIS = ParameterAxis("sj_frequency_hz", (2.5e6, 7.5e8))
-
-#: Auto resolution on clean configs is environment-dependent: the compiled
-#: kernel tier outranks the plain fast path wherever numba is installed.
-FASTEST_CLEAN = "fast+jit" if _kernels.jit_available() else "fast"
 
 
 class TestResolveGrid:
@@ -70,16 +65,7 @@ class TestRunGrid:
     def test_auto_resolves_fastest_on_clean_config(self):
         result = run_grid(BASE, [FREQUENCY_AXIS], seed=0, workers=1)
         assert result.backend == "auto"
-        assert result.point_backends == (FASTEST_CLEAN, FASTEST_CLEAN)
-
-    def test_auto_records_jit_backend_in_audit_trail(self, monkeypatch):
-        """With the jit capability present, the resolved tier is auditable."""
-        from repro.fastpath import backends as backends_module
-        monkeypatch.setattr(
-            backends_module, "environment_capabilities",
-            lambda: frozenset({backends_module.CAP_JIT_KERNELS}))
-        result = run_grid(BASE, [FREQUENCY_AXIS], seed=0, workers=1)
-        assert result.point_backends == ("fast+jit", "fast+jit")
+        assert result.point_backends == ("fast", "fast")
 
     def test_auto_resolves_event_under_gate_jitter(self):
         spec = ScenarioSpec(
@@ -125,7 +111,7 @@ class TestRunGrid:
                 ScenarioSpec(stimulus=StimulusSpec(n_bits=200), jitter=MILD),
                 [ParameterAxis("gate_jitter_sigma_fraction", (0.0, 0.01))],
                 seed=0, workers=1)
-            assert result.point_backends == (FASTEST_CLEAN, "event")
+            assert result.point_backends == ("fast", "event")
         finally:
             del AXIS_APPLICATORS["gate_jitter_sigma_fraction"]
 
@@ -368,8 +354,7 @@ class TestProvenanceStamping:
 
         result = run_grid(BASE, [FREQUENCY_AXIS], seed=3, workers=1)
         manifest = RunManifest.from_dict(result.metadata["manifest"])
-        assert manifest.backend == FASTEST_CLEAN
-        assert manifest.kernel_tier in (None, "python", "jit")
+        assert manifest.backend == "fast"
         assert manifest.seed == 3
         assert manifest.content_key  # the study's content hash
 

@@ -15,7 +15,6 @@ Two layers of protection:
 import numpy as np
 import pytest
 
-from repro import _kernels
 from repro.core.config import CdrChannelConfig
 from repro.datapath.nrz import JitterSpec
 from repro.experiments import (
@@ -240,8 +239,7 @@ class TestWrapperSurface:
             np.array([0.0]), jitter=MILD, n_bits=300, seed=2, workers=1,
             backend="auto")
         assert result.backend == "auto"
-        fastest = "fast+jit" if _kernels.jit_available() else "fast"
-        assert result.source.point_backends == (fastest,)
+        assert result.source.point_backends == ("fast",)
 
     def test_forced_fast_with_gate_jitter_raises(self):
         config = CdrChannelConfig(gate_jitter_sigma_fraction=0.01)

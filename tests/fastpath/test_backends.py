@@ -1,20 +1,18 @@
 """Capability-aware backend registry: resolution, errors, extension."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro import _kernels
 from repro.core.cdr_channel import BehavioralCdrChannel
 from repro.core.config import CdrChannelConfig
 from repro.fastpath import FastCdrChannel
-from repro.fastpath import backends as backends_module
 from repro.fastpath.backends import (
     AUTO_BACKEND,
     BACKENDS,
     CAP_GATE_JITTER,
-    CAP_JIT_KERNELS,
     BackendSpec,
-    environment_capabilities,
     make_channel,
     register_backend,
     required_capabilities,
@@ -26,10 +24,6 @@ CLEAN = CdrChannelConfig()
 GATE_JITTER = CdrChannelConfig(gate_jitter_sigma_fraction=0.01)
 OSC_JITTER = CdrChannelConfig(
     oscillator=GccoParameters(jitter_sigma_fraction=0.01))
-
-#: What backend="auto" must resolve to on a clean config depends on the
-#: environment: the compiled tier wins exactly where numba is installed.
-FASTEST_CLEAN = "fast+jit" if _kernels.jit_available() else "fast"
 
 
 class TestRequiredCapabilities:
@@ -46,7 +40,7 @@ class TestRequiredCapabilities:
 
 class TestResolution:
     def test_auto_picks_fastest_on_clean_config(self):
-        assert resolve_backend(CLEAN, AUTO_BACKEND).name == FASTEST_CLEAN
+        assert resolve_backend(CLEAN, AUTO_BACKEND).name == "fast"
         assert isinstance(make_channel(CLEAN, "auto"), FastCdrChannel)
 
     def test_auto_picks_event_under_gate_jitter(self):
@@ -128,7 +122,7 @@ class TestRegistryExtension:
     def test_priority_orders_auto_resolution(self):
         # fast (priority 0) beats event (priority 10) whenever both qualify.
         assert BACKENDS["fast"].priority < BACKENDS["event"].priority
-        assert resolve_backend(CLEAN, "auto").name == FASTEST_CLEAN
+        assert resolve_backend(CLEAN, "auto").name == "fast"
 
     def test_no_backend_covers_unknown_capability(self):
         spec = BACKENDS["fast"]
@@ -136,49 +130,9 @@ class TestRegistryExtension:
         assert impossible - spec.capabilities == impossible
 
 
-class TestJitBackendTier:
-    """The environment-gated "fast+jit" backend and its kernel_tier field."""
-
-    def test_registered_unconditionally_with_jit_tier(self):
-        spec = BACKENDS["fast+jit"]
-        assert spec.kernel_tier == _kernels.TIER_JIT
-        assert spec.env_requires == {CAP_JIT_KERNELS}
-        assert BACKENDS["fast"].kernel_tier == _kernels.TIER_PYTHON
-        assert BACKENDS["event"].kernel_tier == _kernels.TIER_PYTHON
-
-    def test_environment_capabilities_track_numba(self):
-        expected = {CAP_JIT_KERNELS} if _kernels.jit_available() else set()
-        assert environment_capabilities() == frozenset(expected)
-
-    def test_auto_upgrades_when_environment_provides_jit(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "environment_capabilities",
-                            lambda: frozenset({CAP_JIT_KERNELS}))
-        assert resolve_backend(CLEAN, "auto").name == "fast+jit"
-        # Jittered configs still demand the event kernel.
-        assert resolve_backend(GATE_JITTER, "auto").name == "event"
-
-    def test_auto_skips_jit_tier_without_numba(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "environment_capabilities",
-                            lambda: frozenset())
-        assert resolve_backend(CLEAN, "auto").name == "fast"
-
-    def test_forcing_jit_without_numba_names_capability(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "environment_capabilities",
-                            lambda: frozenset())
-        with pytest.raises(ValueError, match=CAP_JIT_KERNELS):
+class TestRetiredJitBackend:
+    def test_fast_jit_is_an_unknown_backend(self):
+        assert set(BACKENDS) == {"event", "fast"}
+        message = re.escape("expected one of ['auto', 'event', 'fast']")
+        with pytest.raises(ValueError, match=message):
             resolve_backend(CLEAN, "fast+jit")
-        with pytest.raises(ValueError, match=CAP_JIT_KERNELS):
-            BACKENDS["fast+jit"].create(CLEAN)
-
-    def test_forcing_jit_with_numba_resolves(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "environment_capabilities",
-                            lambda: frozenset({CAP_JIT_KERNELS}))
-        spec = resolve_backend(CLEAN, "fast+jit")
-        assert spec.name == "fast+jit"
-        assert isinstance(spec.factory(CLEAN), FastCdrChannel)
-
-    def test_jit_backend_still_subject_to_config_capabilities(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "environment_capabilities",
-                            lambda: frozenset({CAP_JIT_KERNELS}))
-        with pytest.raises(ValueError, match=CAP_GATE_JITTER):
-            resolve_backend(GATE_JITTER, "fast+jit")

@@ -1,23 +1,31 @@
-"""Golden bit-identity pins: every kernel tier must match the reference.
+"""Golden bit-identity pins: every hot loop must match its reference.
 
-The pure-python loops in :mod:`repro.link.equalization` and
-:mod:`repro.events.kernel` are the pinned semantic reference; the scalar
-and (where installed) numba tiers must reproduce their results **byte for
-byte** on pinned PRBS7 configurations — adapted taps, per-epoch errors,
-decision-error diagnostics, error-propagation bursts, event counts and
-full trained-link sweeps at any worker count.  These tests byte-compare
-arrays (``.tobytes()``), not approximately.
+The pinned numpy loops on :class:`repro.link.LmsDfe`
+(``_adapt_reference``, ``_adapt_decision_directed``,
+``_error_propagation_reference``) and the :meth:`Simulator.step` loop
+are the semantic reference; the scalar DFE recursions behind
+``LmsDfe.adapt``/``error_propagation`` and the drain loop inside
+``Simulator.run_until`` must reproduce them **byte for byte** on pinned
+PRBS7 configurations — adapted taps, per-epoch errors, decision-error
+diagnostics, error-propagation bursts, event counts and full
+trained-link sweeps at any worker count.  Whole-channel comparisons
+monkeypatch the reference loop in.  These tests byte-compare arrays
+(``.tobytes()``), not approximately.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import _kernels
 from repro.core.cdr_channel import BehavioralCdrChannel
+from repro.core.config import CdrChannelConfig
 from repro.datapath.nrz import JitterSpec
 from repro.datapath.prbs import prbs_sequence
+from repro.events.kernel import Simulator
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.link import (
+    ErrorPropagation,
     LinkConfig,
     LinkPath,
     LmsDfe,
@@ -26,10 +34,6 @@ from repro.link import (
     TxFfe,
 )
 from repro.link.isi import nrz_symbol_levels
-
-#: Every dispatchable tier available in this environment ("auto" resolves
-#: to the fastest; "jit" is exercised only where numba is installed).
-TIERS = ["python", "auto"] + (["jit"] if _kernels.jit_available() else [])
 
 PRBS7_BITS = prbs_sequence(7)
 PRBS7_LEVELS = nrz_symbol_levels(PRBS7_BITS)
@@ -42,93 +46,112 @@ def _bytes_equal(left: np.ndarray, right: np.ndarray) -> bool:
     return left.dtype == right.dtype and left.tobytes() == right.tobytes()
 
 
+def _reference_adapt(self, ui_samples, symbols):
+    """``LmsDfe.adapt`` on the pinned numpy loops."""
+    samples = np.asarray(ui_samples, dtype=float).ravel()
+    levels = np.asarray(symbols, dtype=float).ravel()
+    if self.decision_directed:
+        return self._adapt_decision_directed(samples, levels)
+    return self._adapt_reference(samples, levels)
+
+
+def _reference_run_until(self, stop_time_s):
+    """``Simulator.run_until`` (no event budget) as a plain :meth:`Simulator.step` loop."""
+    executed = 0
+    while self._queue and self._queue[0][0] <= stop_time_s:
+        self.step()
+        executed += 1
+    self._now = max(self._now, stop_time_s)
+    return executed
+
+
 class TestDfeAdaptationBitIdentity:
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("n_taps", [1, 2, 3, 5])
-    def test_data_aided_matches_reference(self, tier, n_taps):
+    def test_data_aided_matches_reference(self, n_taps):
         dfe = LmsDfe(n_taps=n_taps, step_size=0.02, n_epochs=25)
-        reference = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS, kernel="reference")
-        fast = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS, kernel=tier)
+        reference = dfe._adapt_reference(PRBS7_SAMPLES, PRBS7_LEVELS)
+        fast = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS)
         assert _bytes_equal(fast.weights, reference.weights)
         assert _bytes_equal(fast.error_rms_per_epoch, reference.error_rms_per_epoch)
         assert fast.decision_error_rate_per_epoch is None
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("n_taps", [1, 2, 4])
-    def test_decision_directed_matches_reference(self, tier, n_taps):
+    def test_decision_directed_matches_reference(self, n_taps):
         dfe = LmsDfe(n_taps=n_taps, step_size=0.015, n_epochs=30,
                      decision_directed=True)
-        reference = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS, kernel="reference")
-        fast = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS, kernel=tier)
+        reference = dfe._adapt_decision_directed(PRBS7_SAMPLES, PRBS7_LEVELS)
+        fast = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS)
         assert _bytes_equal(fast.weights, reference.weights)
         assert _bytes_equal(fast.error_rms_per_epoch, reference.error_rms_per_epoch)
         assert _bytes_equal(fast.decision_error_rate_per_epoch,
                             reference.decision_error_rate_per_epoch)
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_default_kernel_is_bit_identical_to_reference(self, tier):
-        dfe = LmsDfe(n_taps=2, step_size=0.02, n_epochs=40)
+    def test_default_kernel_is_bit_identical_to_reference(self):
+        """The default ``LmsDfe()`` line-up (40 epochs) on the adapt loop."""
+        dfe = LmsDfe()
         default = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS)
-        reference = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS, kernel="reference")
+        reference = dfe._adapt_reference(PRBS7_SAMPLES, PRBS7_LEVELS)
         assert _bytes_equal(default.weights, reference.weights)
+        assert _bytes_equal(default.error_rms_per_epoch, reference.error_rms_per_epoch)
+
+
+def _reference_burst(weights, error_index=0, horizon=None):
+    """``LmsDfe.error_propagation`` on the pinned reference recursion."""
+    weights = np.asarray(weights, dtype=float)
+    samples = LmsDfe._ideal_postcursor_waveform(PRBS7_LEVELS, weights)
+    steps = 8 * weights.size if horizon is None else horizon
+    wrong, deviation = LmsDfe._error_propagation_reference(
+        samples, PRBS7_LEVELS, weights, error_index % PRBS7_LEVELS.size, steps)
+    return ErrorPropagation(wrong_decisions=wrong, deviation_per_ui=deviation)
 
 
 class TestErrorPropagationBitIdentity:
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("weights", [
         (0.3,),
         (0.3, -0.15),
         (0.45, -0.2, 0.1),
     ])
-    def test_burst_matches_reference(self, tier, weights):
+    def test_burst_matches_reference(self, weights):
         dfe = LmsDfe(n_taps=len(weights))
-        reference = dfe.error_propagation(np.array(weights), PRBS7_LEVELS,
-                                          error_index=5, kernel="reference")
-        fast = dfe.error_propagation(np.array(weights), PRBS7_LEVELS,
-                                     error_index=5, kernel=tier)
+        reference = _reference_burst(weights, error_index=5)
+        fast = dfe.error_propagation(np.array(weights), PRBS7_LEVELS, error_index=5)
         assert _bytes_equal(fast.wrong_decisions, reference.wrong_decisions)
         assert _bytes_equal(fast.deviation_per_ui, reference.deviation_per_ui)
         assert fast.burst_length == reference.burst_length
         assert fast.decays == reference.decays
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_unstable_weights_match_reference(self, tier):
+    def test_unstable_weights_match_reference(self):
         """Past the stability boundary the burst rings — still bit-identical."""
         dfe = LmsDfe(n_taps=2)
         weights = np.array([1.2, 0.6])
-        reference = dfe.error_propagation(weights, PRBS7_LEVELS, horizon=64,
-                                          kernel="reference")
-        fast = dfe.error_propagation(weights, PRBS7_LEVELS, horizon=64,
-                                     kernel=tier)
+        reference = _reference_burst(weights, horizon=64)
+        fast = dfe.error_propagation(weights, PRBS7_LEVELS, horizon=64)
         assert _bytes_equal(fast.wrong_decisions, reference.wrong_decisions)
         assert _bytes_equal(fast.deviation_per_ui, reference.deviation_per_ui)
 
 
 class TestEventKernelBitIdentity:
-    @pytest.mark.parametrize("tier", ["python", "auto"])
-    def test_behavioral_channel_matches_reference_drain(self, tier):
+    @staticmethod
+    def _runs(monkeypatch, config, seed):
+        """(drain run, step-loop run) of one behavioural channel."""
         bits = prbs_sequence(7, 220)
-        runs = {}
-        for kernel_tier in ("reference", tier):
-            channel = BehavioralCdrChannel(kernel_tier=kernel_tier)
-            result = channel.run(bits, rng=np.random.default_rng(7))
-            runs[kernel_tier] = result
-        reference, fast = runs["reference"], runs[tier]
+        fast = BehavioralCdrChannel(config).run(bits, rng=np.random.default_rng(seed))
+        monkeypatch.setattr(Simulator, "run_until", _reference_run_until)
+        reference = BehavioralCdrChannel(config).run(bits, rng=np.random.default_rng(seed))
+        return fast, reference
+
+    def test_behavioral_channel_matches_reference_drain(self, monkeypatch):
+        fast, reference = self._runs(monkeypatch, None, 7)
         assert _bytes_equal(fast.sampled_bits, reference.sampled_bits)
         assert _bytes_equal(fast.sample_times_s, reference.sample_times_s)
         assert fast.ber().errors == reference.ber().errors
         assert fast.ber().compared_bits == reference.ber().compared_bits
 
-    def test_jittered_channel_matches_reference_drain(self):
-        from repro.core.config import CdrChannelConfig
+    def test_jittered_channel_matches_reference_drain(self, monkeypatch):
         config = CdrChannelConfig(gate_jitter_sigma_fraction=0.01)
-        bits = prbs_sequence(7, 220)
-        runs = []
-        for kernel_tier in ("reference", "auto"):
-            channel = BehavioralCdrChannel(config, kernel_tier=kernel_tier)
-            runs.append(channel.run(bits, rng=np.random.default_rng(11)))
-        assert _bytes_equal(runs[0].sampled_bits, runs[1].sampled_bits)
-        assert _bytes_equal(runs[0].sample_times_s, runs[1].sample_times_s)
+        fast, reference = self._runs(monkeypatch, config, 11)
+        assert _bytes_equal(fast.sampled_bits, reference.sampled_bits)
+        assert _bytes_equal(fast.sample_times_s, reference.sample_times_s)
 
 
 LINK = LinkConfig(
@@ -138,30 +161,30 @@ LINK = LinkConfig(
     dfe=LmsDfe(n_taps=2, step_size=0.02, n_epochs=30),
 )
 
+DECISION_DIRECTED_LINK = replace(
+    LINK, dfe=LmsDfe(n_taps=2, step_size=0.015, n_epochs=30, decision_directed=True))
+
 
 class TestTrainedLinkBitIdentity:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_link_edge_stream_matches_reference(self, tier):
+    @staticmethod
+    def _edges(link, monkeypatch):
+        """(scalar-loop edges, reference-loop edges) of one trained link."""
         bits = prbs_sequence(7, 254)
-        reference = LinkPath(LINK, kernel_tier="reference").transmit(
-            bits, pattern_period=127)
-        fast = LinkPath(LINK, kernel_tier=tier).transmit(
-            bits, pattern_period=127)
-        assert _bytes_equal(fast.edge_times_s, reference.edge_times_s)
+        fast = LinkPath(link).transmit(bits, pattern_period=127)
+        monkeypatch.setattr(LmsDfe, "adapt", _reference_adapt)
+        reference = LinkPath(link).transmit(bits, pattern_period=127)
+        return fast.edge_times_s, reference.edge_times_s
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_decision_directed_link_matches_reference(self, tier):
-        from dataclasses import replace
-        link = replace(LINK, dfe=LmsDfe(n_taps=2, step_size=0.015, n_epochs=30,
-                                        decision_directed=True))
-        bits = prbs_sequence(7, 254)
-        reference = LinkPath(link, kernel_tier="reference").transmit(
-            bits, pattern_period=127)
-        fast = LinkPath(link, kernel_tier=tier).transmit(bits, pattern_period=127)
-        assert _bytes_equal(fast.edge_times_s, reference.edge_times_s)
+    def test_link_edge_stream_matches_reference(self, monkeypatch):
+        fast, reference = self._edges(LINK, monkeypatch)
+        assert _bytes_equal(fast, reference)
 
-    def test_trained_link_sweep_at_any_worker_count(self):
-        """Full link sweep: dispatched kernels == reference, worker-invariant."""
+    def test_decision_directed_link_matches_reference(self, monkeypatch):
+        fast, reference = self._edges(DECISION_DIRECTED_LINK, monkeypatch)
+        assert _bytes_equal(fast, reference)
+
+    def test_trained_link_sweep_at_any_worker_count(self, monkeypatch):
+        """Full link sweep: scalar loops == reference, worker-invariant."""
         spec = ScenarioSpec(
             stimulus=StimulusSpec(n_bits=254),
             jitter=JitterSpec(rj_ui_rms=0.01),
@@ -173,26 +196,12 @@ class TestTrainedLinkBitIdentity:
         assert _bytes_equal(serial.metric("errors"), pooled.metric("errors"))
         assert _bytes_equal(serial.metric("compared"), pooled.metric("compared"))
 
-        # Recompute every point manually on the pinned reference tier: the
-        # sweep's dispatched kernels must not have changed a single bit.
-        from repro.experiments import resolve_grid, simulate_scenario
-        from repro.fastpath.backends import BACKENDS, resolve_backend
-        children = np.random.SeedSequence(9).spawn(2)
-        for index, point in enumerate(resolve_grid(spec, (axis,))):
-            rng = np.random.default_rng(children[index])
-            backend = resolve_backend(point.config, point.backend)
-            bits = point.stimulus.bits()
-            stream = LinkPath(point.link, kernel_tier="reference").transmit(
-                bits,
-                jitter=point.jitter,
-                data_rate_offset_ppm=point.data_rate_offset_ppm,
-                rng=rng,
-                pattern_period=point.stimulus.pattern_period,
-            )
-            manual = backend.create(point.config).run(
-                bits, rng=rng, stream=stream).ber()
-            assert serial.metric("errors")[index] == manual.errors
-            assert serial.metric("compared")[index] == manual.compared_bits
+        # Rerun in-process on the pinned reference loops: the scalar
+        # recursion must not have changed a single bit of the sweep.
+        monkeypatch.setattr(LmsDfe, "adapt", _reference_adapt)
+        reference = run_grid(spec, [axis], seed=9, workers=1)
+        assert _bytes_equal(serial.metric("errors"), reference.metric("errors"))
+        assert _bytes_equal(serial.metric("compared"), reference.metric("compared"))
 
 
 class TestVectorizedTapArithmetic:

@@ -382,9 +382,7 @@ class TestBroadExcept:
         source = "try:\n    pass\nexcept ValueError:\n    pass\n"
         assert codes(source) == []
 
-    @pytest.mark.parametrize(
-        "relpath", ["src/repro/sweep/resilient.py", "src/repro/_kernels/dispatch.py"]
-    )
+    @pytest.mark.parametrize("relpath", ["src/repro/sweep/resilient.py"])
     def test_sanctioned_isolation_sites(self, relpath):
         assert codes(BROAD, relpath) == []
 

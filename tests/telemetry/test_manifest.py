@@ -23,30 +23,23 @@ class TestCollect:
         assert manifest.numpy is not None
 
     def test_capability_snapshot_matches_registry(self):
-        manifest = collect_manifest()
-        assert manifest.capabilities == tuple(
-            sorted(backend_registry.environment_capabilities())
-        )
-        assert manifest.backends == tuple(sorted(backend_registry.BACKENDS))
+        assert collect_manifest().backends == tuple(sorted(backend_registry.BACKENDS))
 
-    def test_capability_snapshot_is_live_not_cached(self, monkeypatch):
-        baseline = collect_manifest()
-        monkeypatch.setattr(
-            backend_registry, "environment_capabilities", lambda: frozenset()
-        )
-        assert collect_manifest().capabilities == ()
-        monkeypatch.undo()
-        assert collect_manifest().capabilities == baseline.capabilities
+    def test_capability_snapshot_is_live_not_cached(self):
+        backend_registry.register_backend("turbo", lambda config: None)
+        try:
+            assert "turbo" in collect_manifest().backends
+        finally:
+            del backend_registry.BACKENDS["turbo"]
+        assert "turbo" not in collect_manifest().backends
 
     def test_study_fields_default_to_none(self):
         manifest = collect_manifest()
-        assert (manifest.backend, manifest.kernel_tier) == (None, None)
-        assert (manifest.content_key, manifest.seed) == (None, None)
+        assert (manifest.backend, manifest.content_key, manifest.seed) == (None, None, None)
 
     def test_study_fields_can_be_collected_directly(self):
-        manifest = collect_manifest(backend="events", kernel_tier="python", seed=7)
+        manifest = collect_manifest(backend="events", seed=7)
         assert manifest.backend == "events"
-        assert manifest.kernel_tier == "python"
         assert manifest.seed == 7
 
 
@@ -55,7 +48,7 @@ class TestStamped:
         manifest = collect_manifest().stamped(backend="events", seed=3)
         assert manifest.backend == "events"
         assert manifest.seed == 3
-        assert manifest.kernel_tier is None
+        assert manifest.content_key is None
 
     def test_stamped_preserves_existing_values(self):
         manifest = collect_manifest(backend="events").stamped(seed=3)
@@ -71,11 +64,10 @@ class TestSerialization:
         payload = collect_manifest().to_dict()
         assert payload["kind"] == MANIFEST_KIND
         assert payload["version"] == MANIFEST_VERSION
-        assert isinstance(payload["capabilities"], list)
         assert isinstance(payload["backends"], list)
 
     def test_round_trip(self):
-        manifest = collect_manifest(backend="events", kernel_tier="jit", seed=11)
+        manifest = collect_manifest(backend="events", seed=11)
         assert RunManifest.from_dict(manifest.to_dict()) == manifest
 
     def test_strict_json_round_trip(self):
@@ -91,3 +83,13 @@ class TestSerialization:
         payload = collect_manifest().to_dict()
         payload["future_field"] = "ignored"
         RunManifest.from_dict(payload)
+
+    def test_from_dict_loads_payloads_with_retired_fields(self):
+        """Checkpoints and saved results written before the kernel-tier
+        fields were retired still carry them; loading drops them."""
+        payload = collect_manifest(backend="fast", seed=5).to_dict()
+        legacy = dict(payload, kernel_tier="python", numba=None,
+                      capabilities=["compiled-jit-kernels"])
+        manifest = RunManifest.from_dict(legacy)
+        assert manifest == RunManifest.from_dict(payload)
+        assert (manifest.backend, manifest.seed) == ("fast", 5)
