@@ -25,6 +25,7 @@ from repro.datapath.prbs import prbs_sequence
 from repro.events.kernel import Simulator
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.link import (
+    DfeAdaptation,
     ErrorPropagation,
     LinkConfig,
     LinkPath,
@@ -33,6 +34,7 @@ from repro.link import (
     RxCtle,
     TxFfe,
 )
+from repro.link.equalization import _lms_data_aided
 from repro.link.isi import nrz_symbol_levels
 
 PRBS7_BITS = prbs_sequence(7)
@@ -65,12 +67,28 @@ def _reference_run_until(self, stop_time_s):
     return executed
 
 
+def _scalar_data_aided(dfe, ui_samples, symbols):
+    """The scalar data-aided recursion called directly, outside ``adapt``."""
+    weights, error_rms = _lms_data_aided(
+        ui_samples, symbols, dfe.n_taps, dfe.step_size, dfe.n_epochs)
+    return DfeAdaptation(weights=weights, error_rms_per_epoch=error_rms)
+
+
+#: The two ways into the data-aided loop: the scalar recursion itself
+#: ("python") and the public ``LmsDfe.adapt`` that routes to it ("auto").
+DATA_AIDED_ENTRIES = {
+    "python": _scalar_data_aided,
+    "auto": LmsDfe.adapt,
+}
+
+
 class TestDfeAdaptationBitIdentity:
+    @pytest.mark.parametrize("entry", list(DATA_AIDED_ENTRIES))
     @pytest.mark.parametrize("n_taps", [1, 2, 3, 5])
-    def test_data_aided_matches_reference(self, n_taps):
+    def test_data_aided_matches_reference(self, entry, n_taps):
         dfe = LmsDfe(n_taps=n_taps, step_size=0.02, n_epochs=25)
         reference = dfe._adapt_reference(PRBS7_SAMPLES, PRBS7_LEVELS)
-        fast = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS)
+        fast = DATA_AIDED_ENTRIES[entry](dfe, PRBS7_SAMPLES, PRBS7_LEVELS)
         assert _bytes_equal(fast.weights, reference.weights)
         assert _bytes_equal(fast.error_rms_per_epoch, reference.error_rms_per_epoch)
         assert fast.decision_error_rate_per_epoch is None
