@@ -8,7 +8,7 @@ spawn-picklable.  This package turns those invariants (plus four
 supporting ones) into machine-checked rules, enforced as a blocking CI
 step::
 
-    PYTHONPATH=src python -m repro._lint src tests benchmarks examples
+    PYTHONPATH=src python -m repro._lint src tests benchmarks examples cdrbench
 
 Suppression is explicit and audited: inline
 ``# repro-lint: disable=RPLxxx`` pragmas with a justification

@@ -2,7 +2,7 @@
 
 Usage (CI runs exactly this, blocking)::
 
-    PYTHONPATH=src python -m repro._lint src tests benchmarks examples
+    PYTHONPATH=src python -m repro._lint src tests benchmarks examples cdrbench
 
 Exit codes: ``0`` clean, ``1`` findings or stale baseline entries, ``2``
 usage / environment errors.  ``--format json`` emits a machine-readable

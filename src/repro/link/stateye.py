@@ -12,7 +12,14 @@ approach gets there analytically:
 2. **Voltage-PDF convolution** — the per-cursor two-point distributions are
    convolved on a fixed voltage grid (the amplitude-domain analogue of the
    time-domain PDF calculus in :mod:`repro.jitter.pdf`), giving the exact
-   ISI amplitude distribution at each phase.
+   ISI amplitude distribution at each phase.  One kernel,
+   :func:`_cursor_pmfs`, convolves every phase at once: the phases'
+   cursors form the columns of a shift matrix, and each cursor row is a
+   slice operation over all columns that share its integer bin shift
+   (most rows have one or two such groups) on zero-padded ping-pong
+   buffers.  It performs each bin's float operations of the
+   one-PMF-at-a-time convolution chain, so its output is bit-identical
+   to that chain.
 3. **Crosstalk superposition** — each FEXT/NEXT aggressor
    (:mod:`repro.link.crosstalk`) contributes its own independent cursor
    set, convolved into the same PDF.  An aggressor's transmitter runs on
@@ -67,40 +74,121 @@ DEFAULT_SPAN_UI = 64
 _CURSOR_SNAP = 1.0e-9
 
 
-def _shifted(pmf: np.ndarray, bins: int) -> np.ndarray:
-    """*pmf* translated by *bins* grid cells (mass beyond the edge drops)."""
-    if bins == 0:
-        return pmf
-    result = np.zeros_like(pmf)
-    if bins > 0:
-        result[bins:] = pmf[:-bins]
-    else:
-        result[:bins] = pmf[-bins:]
-    return result
+def _grid_half_bins(
+    main_cursor: np.ndarray,
+    isi_rows: np.ndarray,
+    aggressors: list[np.ndarray],
+    step: float,
+    amplitude_noise_rms: float,
+) -> int:
+    """Half-width (cells) of a voltage grid no cursor PMF can spill off.
+
+    The grid spans the worst-case sum of every cursor magnitude, the rail
+    and ten noise sigmas.  Fractional-shift splitting can push each cursor
+    one bin past its magnitude, so it is padded by one cell per cursor
+    term, plus four: the outermost bins of every cursor PMF stay empty.
+    """
+    # Count only cursor terms that can shift mass at all — an all-zero
+    # row (e.g. a zero-amplitude aggressor) must leave the grid, and
+    # therefore the solved eye, bit-identical.
+    n_cursor_terms = int(np.count_nonzero(np.max(np.abs(isi_rows), axis=1))) + sum(
+        int(np.count_nonzero(np.max(np.abs(rows), axis=1))) for rows in aggressors
+    )
+    worst_case = (
+        np.max(np.abs(main_cursor))
+        + float(np.sum(np.max(np.abs(isi_rows), axis=1), initial=0.0))
+        + sum(float(np.sum(np.max(np.abs(rows), axis=1))) for rows in aggressors)
+        + 10.0 * amplitude_noise_rms
+    )
+    return int(np.ceil(worst_case / step)) + n_cursor_terms + 4
 
 
-def _two_point_convolve(pmf: np.ndarray, shift_bins: float) -> np.ndarray:
-    """Convolve *pmf* with ``0.5·δ(+c) + 0.5·δ(−c)`` for ``c = shift_bins``.
+def _cursor_shifts(cursors: np.ndarray, step: float) -> np.ndarray:
+    """Cursor magnitudes in grid cells, numerically-zero cursors snapped to 0.
 
-    *shift_bins* is a (non-negative) real number of grid cells.  An
-    off-grid impulse is split across the two adjacent bins with the weight
-    chosen to preserve its **second moment** exactly (the pair is
+    Snapping the FFT residue of clean channels (same idiom as the edge
+    extractor's ``snap_ui``) lets an ideal channel solve to an exactly
+    error-free amplitude eye.
+    """
+    magnitudes = np.abs(cursors)
+    magnitudes[magnitudes < _CURSOR_SNAP] = 0.0
+    return magnitudes / step
+
+
+def _cursor_pmfs(shifts: np.ndarray, n_bins: int, centre: int) -> np.ndarray:
+    """Convolve every column of a cursor-shift matrix into one PMF row each.
+
+    *shifts* is ``(n_cursors, n_columns)``: column ``j`` lists, in
+    convolution order, the non-negative cursor magnitudes of one PMF in
+    grid cells.  Row ``j`` of the ``(n_columns, n_bins)`` result starts as
+    a unit mass at *centre* and is convolved with the two-point
+    distribution ``0.5·δ(+c) + 0.5·δ(−c)`` of every cursor ``c`` in turn.
+
+    An off-grid impulse is split across the two adjacent bins with the
+    weight chosen to preserve its **second moment** exactly (the pair is
     symmetric, so the mean is zero by construction): with ``c`` between
     bins ``m`` and ``m+1``, weight ``w = (c² − m²) / (2m + 1)`` gives
     ``(1−w)·m² + w·(m+1)² = c²``.  Cursors far below the grid step thus
     contribute their exact mean-square spread instead of being rounded
-    away, and the total ISI variance is exact on any grid.
+    away, and the total ISI variance is exact on any grid.  Each step is
+    ``0.5·(1−w)·(p[i−m] + p[i+m]) + 0.5·w·(p[i−m−1] + p[i+m+1])`` per bin.
+
+    The PMFs live bins-major in two ping-pong ``(n_bins + 2·pad,
+    n_columns)`` buffers whose ``pad = max m + 1`` edge cells on each side
+    are zero and never written, so mass shifted past the grid edge drops.
+    One cursor row is one whole-buffer slice operation at the row's most
+    common ``m``; the few columns with another ``m`` are then recomputed
+    at their own.  Every bin sees exactly the float operations of the
+    one-PMF-at-a-time chain (a zero shift gives ``0.5·(p + p) = p`` and a
+    zero weight adds ``+0``), so the result is bit-identical to it.
     """
-    if shift_bins == 0.0:
-        return pmf
-    whole = int(np.floor(shift_bins))
-    weight = (shift_bins * shift_bins - whole * whole) / (2.0 * whole + 1.0)
-    result = np.zeros_like(pmf)
-    for bins, mass in ((whole, 1.0 - weight), (whole + 1, weight)):
-        if mass <= 0.0:
-            continue
-        result += (0.5 * mass) * (_shifted(pmf, bins) + _shifted(pmf, -bins))
-    return result
+    n_columns = shifts.shape[1]
+    whole = np.floor(shifts)
+    weights = (shifts * shifts - whole * whole) / (2.0 * whole + 1.0)
+    near = 0.5 * (1.0 - weights)
+    far = 0.5 * weights
+    whole = whole.astype(np.intp)
+    pad = int(whole.max(initial=0)) + 1
+    current = np.zeros((n_bins + 2 * pad, n_columns))
+    current[pad + centre] = 1.0
+    following = np.zeros_like(current)
+    spare = np.empty((n_bins, n_columns))
+
+    def convolve(source, m, near_row, far_row, out, scratch):
+        low, high = pad - m, pad + m
+        np.add(source[low : low + n_bins], source[high : high + n_bins], out=out)
+        out *= near_row
+        np.add(
+            source[low - 1 : low - 1 + n_bins],
+            source[high + 1 : high + 1 + n_bins],
+            out=scratch,
+        )
+        scratch *= far_row
+        out += scratch
+
+    for row in range(shifts.shape[0]):
+        if not shifts[row].any():
+            continue  # every column convolves with δ(0): unchanged
+        row_whole = whole[row]
+        counts = np.bincount(row_whole)
+        common = int(np.argmax(counts))
+        target = following[pad : pad + n_bins]
+        convolve(current, common, near[row], far[row], target, spare)
+        for m in np.flatnonzero(counts):
+            if m != common:
+                columns = np.flatnonzero(row_whole == m)
+                out = np.empty((n_bins, columns.size))
+                convolve(
+                    current[:, columns],
+                    int(m),
+                    near[row, columns],
+                    far[row, columns],
+                    out,
+                    np.empty_like(out),
+                )
+                target[:, columns] = out
+        current, following = following, current
+    return current[pad : pad + n_bins].T.copy()
 
 
 @dataclass(frozen=True)
@@ -139,7 +227,9 @@ class StatisticalEye:
 
     @property
     def phase_step_ui(self) -> float:
-        """Spacing of the phase scan."""
+        """Spacing of the phase scan (the whole UI for a one-phase eye)."""
+        if self.phases_ui.size < 2:
+            return 1.0
         return float(self.phases_ui[1] - self.phases_ui[0])
 
     def noise_pdf(self, phase_ui: float) -> Pdf:
@@ -349,21 +439,9 @@ class StatisticalEyeSolver:
         isi_rows = np.delete(cursors, main_row, axis=0)
 
         step = self.voltage_step
-        # Count only cursor terms that can shift mass at all — an all-zero
-        # row (e.g. a zero-amplitude aggressor) must leave the grid, and
-        # therefore the solved eye, bit-identical.
-        n_cursor_terms = int(np.count_nonzero(np.max(np.abs(isi_rows), axis=1))) + sum(
-            int(np.count_nonzero(np.max(np.abs(rows), axis=1))) for rows in aggressors
+        half_bins = _grid_half_bins(
+            main_cursor, isi_rows, aggressors, step, self.amplitude_noise_rms
         )
-        worst_case = (
-            np.max(np.abs(main_cursor))
-            + float(np.sum(np.max(np.abs(isi_rows), axis=1), initial=0.0))
-            + sum(float(np.sum(np.max(np.abs(rows), axis=1))) for rows in aggressors)
-            + 10.0 * self.amplitude_noise_rms
-        )
-        # Fractional-shift splitting can push each cursor one bin past its
-        # magnitude, so pad the grid by one cell per cursor term.
-        half_bins = int(np.ceil(worst_case / step)) + n_cursor_terms + 4
         thresholds = np.arange(-half_bins, half_bins + 1, dtype=float) * step
         n_bins = thresholds.size
         centre = half_bins
@@ -391,25 +469,16 @@ class StatisticalEyeSolver:
                     else np.convolve(aggressor_kernel, pmf, mode="same")
                 )
 
-        noise_pmf = np.zeros((spu, n_bins))
-        for phase_index in range(spu):
-            pmf = np.zeros(n_bins)
-            pmf[centre] = 1.0
-            cursors_here = np.abs(isi_rows[:, phase_index])
-            if self.aggressor_phase == "synchronous":
-                for rows in live_aggressors:
-                    cursors_here = np.concatenate((cursors_here, np.abs(rows[:, phase_index])))
-            # Snap numerically-zero cursors (FFT residue on clean channels,
-            # same idiom as the edge extractor's snap_ui) so an ideal
-            # channel solves to an exactly error-free amplitude eye.
-            cursors_here[cursors_here < _CURSOR_SNAP] = 0.0
-            for shift in cursors_here / step:
-                pmf = _two_point_convolve(pmf, float(shift))
-            if aggressor_kernel is not None:
-                pmf = np.convolve(pmf, aggressor_kernel, mode="same")
-            if gaussian is not None:
-                pmf = np.convolve(pmf, gaussian, mode="same")
-            noise_pmf[phase_index] = pmf
+        # Column i lists the cursors seen at sampling phase i: the victim's
+        # ISI, then (synchronous mode) every live aggressor's.
+        phase_cursors = isi_rows
+        if self.aggressor_phase == "synchronous":
+            phase_cursors = np.concatenate((isi_rows, *live_aggressors))
+        noise_pmf = _cursor_pmfs(_cursor_shifts(phase_cursors, step), n_bins, centre)
+        for kernel in (aggressor_kernel, gaussian):
+            if kernel is not None:
+                for pmf in noise_pmf:
+                    pmf[:] = np.convolve(pmf, kernel, mode="same")
 
         # Amplitude error probability: a transmitted one samples below the
         # threshold, a transmitted zero above it (equiprobable bits).
@@ -462,17 +531,10 @@ class StatisticalEyeSolver:
         the PDF level (a mixture over offsets) is exact, not an
         approximation.
         """
-        columns = rows.shape[1]
         average = np.zeros(n_bins)
-        for column in range(columns):
-            pmf = np.zeros(n_bins)
-            pmf[centre] = 1.0
-            cursors = np.abs(rows[:, column])
-            cursors[cursors < _CURSOR_SNAP] = 0.0
-            for shift in cursors / step:
-                pmf = _two_point_convolve(pmf, float(shift))
+        for pmf in _cursor_pmfs(_cursor_shifts(rows, step), n_bins, centre):
             average += pmf
-        return average / columns
+        return average / rows.shape[1]
 
 
 def statistical_eye(link: LinkConfig | LinkPath | None = None, **parameters) -> StatisticalEye:

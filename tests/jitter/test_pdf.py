@@ -13,6 +13,60 @@ from repro.jitter.pdf import (
     sinusoidal_pdf,
     uniform_pdf,
 )
+from repro.jitter.pdf import _STEP_RTOL, _uniform_steps
+
+
+def _allclose_steps(steps):
+    """The former uniformity check, kept as the predicate's reference."""
+    return bool(np.allclose(steps, steps[0], rtol=_STEP_RTOL, atol=0.0))
+
+
+_INSIDE = 1.0 + 0.5 * _STEP_RTOL
+_OUTSIDE = 1.0 + 2.0 * _STEP_RTOL
+
+#: Grids on both sides of the spacing tolerance and with non-finite points.
+SPACING_GRIDS = {
+    "linspace": np.linspace(-3.0, 3.0, 601),
+    "arange": np.arange(-400, 401) * 2.0e-3,
+    "two_points": np.array([0.0, 0.25]),
+    "tiny_step": np.arange(8) * 1.0e-300,
+    "large_step": np.arange(8) * 1.0e300,
+    "inside_rtol": np.cumsum([0.0, 1.0, 1.0, _INSIDE, 1.0]),
+    "inside_rtol_below": np.cumsum([0.0, 1.0, 1.0, 2.0 - _INSIDE, 1.0]),
+    "outside_rtol": np.cumsum([0.0, 1.0, 1.0, _OUTSIDE, 1.0]),
+    "outside_rtol_below": np.cumsum([0.0, 1.0, 1.0, 2.0 - _OUTSIDE, 1.0]),
+    "outside_rtol_first": np.cumsum([0.0, _OUTSIDE, 1.0, 1.0]),
+    "non_uniform": np.array([0.0, 1.0, 3.0]),
+    "nan_inside": np.array([0.0, 1.0, np.nan, 3.0]),
+    "nan_first": np.array([np.nan, 1.0, 2.0]),
+    "all_nan": np.full(3, np.nan),
+    "inf_last": np.array([0.0, 1.0, np.inf]),
+    "neg_inf_first": np.array([-np.inf, 0.0, 1.0]),
+    "inf_both_ends_long": np.array([-np.inf, 0.0, 1.0, np.inf]),
+}
+
+
+class TestGridSpacingPredicate:
+    @pytest.mark.parametrize("name", list(SPACING_GRIDS))
+    def test_matches_allclose(self, name):
+        steps = np.diff(SPACING_GRIDS[name])
+        assert _uniform_steps(steps) == _allclose_steps(steps)
+
+    @pytest.mark.parametrize("grid", [[-np.inf, 0.0, np.inf], [-np.inf, np.inf]])
+    def test_rejects_infinite_step_grid_allclose_accepted(self, grid):
+        # Deliberate divergence: allclose counts equal infinite steps as
+        # close, but a grid with an infinite step supports no finite moment.
+        steps = np.diff(np.array(grid))
+        assert _allclose_steps(steps)
+        assert not _uniform_steps(steps)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            Pdf(np.array(grid), np.ones(len(grid)))
+
+    @pytest.mark.parametrize("name", [name for name in SPACING_GRIDS if "nan" in name])
+    def test_pdf_rejects_nan_grids(self, name):
+        grid = SPACING_GRIDS[name]
+        with pytest.raises(ValueError):
+            Pdf(grid, np.ones(grid.size))
 
 
 class TestPdfConstruction:

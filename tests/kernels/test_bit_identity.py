@@ -8,15 +8,19 @@ are the semantic reference; the scalar DFE recursions behind
 ``Simulator.run_until`` must reproduce them **byte for byte** on pinned
 PRBS7 configurations — adapted taps, per-epoch errors, decision-error
 diagnostics, error-propagation bursts, event counts and full
-trained-link sweeps at any worker count.  Whole-channel comparisons
-monkeypatch the reference loop in.  These tests byte-compare arrays
-(``.tobytes()``), not approximately.
+trained-link sweeps at any worker count.  The statistical eye's
+grouped cursor-PMF kernel is pinned the same way against the
+one-PMF-at-a-time two-point convolution chain kept here as its oracle:
+on generated shift matrices, on whole solves and on a training run.
+Whole-channel comparisons monkeypatch the reference loop in.  These
+tests byte-compare arrays (``.tobytes()``), not approximately.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cdr_channel import BehavioralCdrChannel
 from repro.core.config import CdrChannelConfig
@@ -25,6 +29,7 @@ from repro.datapath.prbs import prbs_sequence
 from repro.events.kernel import Simulator
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.link import (
+    CrosstalkSpec,
     DfeAdaptation,
     ErrorPropagation,
     LinkConfig,
@@ -32,10 +37,13 @@ from repro.link import (
     LmsDfe,
     LossyLineChannel,
     RxCtle,
+    StatisticalEyeSolver,
     TxFfe,
 )
+from repro.link import stateye
 from repro.link.equalization import _lms_data_aided
 from repro.link.isi import nrz_symbol_levels
+from repro.link.training import LinkTrainer, TrainingBudget
 
 PRBS7_BITS = prbs_sequence(7)
 PRBS7_LEVELS = nrz_symbol_levels(PRBS7_BITS)
@@ -262,3 +270,146 @@ class TestVectorizedTapArithmetic:
         waveform = dfe.feedback_waveform(PRBS7_LEVELS, np.array([]), 4)
         assert waveform.shape == (PRBS7_LEVELS.size * 4,)
         assert not waveform.any()
+
+
+def _shifted(pmf, bins):
+    """*pmf* translated by *bins* grid cells (mass beyond the edge drops)."""
+    if bins == 0:
+        return pmf
+    result = np.zeros_like(pmf)
+    if bins > 0:
+        result[bins:] = pmf[:-bins]
+    else:
+        result[:bins] = pmf[-bins:]
+    return result
+
+
+def _two_point_convolve(pmf, shift_bins):
+    """Convolve *pmf* with ``0.5·δ(+c) + 0.5·δ(−c)``, ``c = shift_bins`` cells.
+
+    The off-grid impulse is split across bins ``m`` and ``m+1`` with the
+    second-moment-preserving weight ``w = (c² − m²) / (2m + 1)``.
+    """
+    if shift_bins == 0.0:
+        return pmf
+    whole = int(np.floor(shift_bins))
+    weight = (shift_bins * shift_bins - whole * whole) / (2.0 * whole + 1.0)
+    result = np.zeros_like(pmf)
+    for bins, mass in ((whole, 1.0 - weight), (whole + 1, weight)):
+        if mass <= 0.0:
+            continue
+        result += (0.5 * mass) * (_shifted(pmf, bins) + _shifted(pmf, -bins))
+    return result
+
+
+def _reference_cursor_pmfs(shifts, n_bins, centre):
+    """The cursor-PMF oracle: one column at a time, one cursor at a time."""
+    pmfs = np.zeros((shifts.shape[1], n_bins))
+    for column in range(shifts.shape[1]):
+        pmf = np.zeros(n_bins)
+        pmf[centre] = 1.0
+        for shift in shifts[:, column]:
+            pmf = _two_point_convolve(pmf, float(shift))
+        pmfs[column] = pmf
+    return pmfs
+
+
+#: Cursor shifts (grid cells) of every kind the kernel must handle: zero,
+#: exact integers, sub-bin residue and general off-grid values.
+SHIFTS = st.one_of(
+    st.just(0.0),
+    st.integers(0, 6).map(float),
+    st.floats(0.0, 1.0e-3),
+    st.floats(0.0, 7.5),
+)
+
+
+@st.composite
+def shift_matrices(draw):
+    """``(shifts, n_bins, centre)``; the grid may be smaller than the support."""
+    n_cursors = draw(st.integers(0, 9))
+    n_columns = draw(st.integers(1, 7))
+    size = n_cursors * n_columns
+    values = draw(st.lists(SHIFTS, min_size=size, max_size=size))
+    shifts = np.array(values, dtype=float).reshape(n_cursors, n_columns)
+    n_bins = draw(st.integers(1, 48))
+    centre = draw(st.integers(0, n_bins - 1))
+    return shifts, n_bins, centre
+
+
+class TestCursorPmfKernelBitIdentity:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shift_matrices())
+    def test_generated_shift_matrices_match_reference(self, case):
+        shifts, n_bins, centre = case
+        fast = stateye._cursor_pmfs(shifts, n_bins, centre)
+        assert _bytes_equal(fast, _reference_cursor_pmfs(shifts, n_bins, centre))
+
+    def test_mixed_integer_shifts_in_one_row(self):
+        """One cursor row whose columns span four integer shifts."""
+        shifts = np.array(
+            [
+                [0.0, 0.4, 1.0, 1.7, 3.25, 0.4],
+                [2.5, 0.0, 0.0, 2.5, 0.01, 5.0],
+                [1.0e-6, 3.0, 0.9999999999999999, 0.5, 0.0, 2.0],
+            ]
+        )
+        fast = stateye._cursor_pmfs(shifts, 31, 15)
+        assert _bytes_equal(fast, _reference_cursor_pmfs(shifts, 31, 15))
+
+    def test_truncating_grid_matches_reference(self):
+        """Support far wider than the grid: mass drops at both edges alike."""
+        shifts = np.full((6, 3), 4.6)
+        fast = stateye._cursor_pmfs(shifts, 9, 2)
+        reference = _reference_cursor_pmfs(shifts, 9, 2)
+        assert _bytes_equal(fast, reference)
+        assert reference.sum() < 3.0
+
+
+_STATEYE_CHANNEL = LossyLineChannel.for_loss_at_nyquist(12.0, LinkConfig().timebase.bit_rate_hz)
+
+#: The solve configurations pinned against the oracle: every path through
+#: the cursor-PMF stage (victim ISI, trained DFE, asynchronous aggressor
+#: averaging, synchronous aggressor concatenation, Gaussian noise).
+STATEYE_CASES = {
+    "default": (LinkConfig(), {}),
+    "ffe_ctle": (
+        LinkConfig(
+            channel=_STATEYE_CHANNEL,
+            tx_ffe=TxFfe.de_emphasis(post_db=3.0),
+            rx_ctle=RxCtle(peaking_db=6.0),
+        ),
+        {},
+    ),
+    "dfe": (LinkConfig(channel=_STATEYE_CHANNEL, dfe=LmsDfe(n_taps=3)), {}),
+    "async_crosstalk": (
+        LinkConfig(channel=_STATEYE_CHANNEL, crosstalk=CrosstalkSpec.uniform(2, 0.05)),
+        {},
+    ),
+    "sync_crosstalk": (
+        LinkConfig(channel=_STATEYE_CHANNEL, crosstalk=CrosstalkSpec.single_next(0.08)),
+        {"aggressor_phase": "synchronous"},
+    ),
+    "amplitude_noise": (LinkConfig(channel=_STATEYE_CHANNEL), {"amplitude_noise_rms": 0.01}),
+}
+
+
+class TestStatisticalEyeBitIdentity:
+    @pytest.mark.parametrize("case", list(STATEYE_CASES))
+    def test_solve_matches_reference_chain(self, case, monkeypatch):
+        link, options = STATEYE_CASES[case]
+        fast = StatisticalEyeSolver(link, **options).solve()
+        monkeypatch.setattr(stateye, "_cursor_pmfs", _reference_cursor_pmfs)
+        reference = StatisticalEyeSolver(link, **options).solve()
+        for name in ("noise_pmf", "ber", "amplitude_ber", "timing_ber"):
+            assert _bytes_equal(getattr(fast, name), getattr(reference, name)), name
+
+    def test_training_matches_reference_chain(self, monkeypatch):
+        training = TrainingBudget(
+            tx_post_db=(0.0, 3.5), ctle_peaking_db=(3.0, 6.0), refine_rounds=1
+        )
+        link = LinkConfig(channel=_STATEYE_CHANNEL)
+        fast = LinkTrainer(link, training=training).train()
+        monkeypatch.setattr(stateye, "_cursor_pmfs", _reference_cursor_pmfs)
+        reference = LinkTrainer(link, training=training).train()
+        assert fast == reference

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CdrChannelConfig
 from repro.datapath.cid import measured_run_distribution
@@ -11,6 +12,7 @@ from repro.link import (
     IdealChannel,
     LinkCdrChannel,
     LinkConfig,
+    LinkTimebase,
     LinkPath,
     LmsDfe,
     LossyLineChannel,
@@ -19,6 +21,8 @@ from repro.link import (
     TxFfe,
     statistical_eye,
 )
+from repro.link.stateye import _cursor_pmfs, _cursor_shifts, _grid_half_bins
+from repro.link.training import StatEyeObjective
 from repro.statistical.ber_model import CdrJitterBudget
 
 
@@ -205,3 +209,70 @@ class TestSolverDetails:
                                       voltage_step=0.04).solve()
         assert coarse.noise_pdf(0.5).std() \
             == pytest.approx(fine.noise_pdf(0.5).std(), rel=0.1)
+
+
+#: Cursor voltages (victim swing units) of every scale the solver meets:
+#: zero, FFT residue below the snap, sub-step ISI tails and whole cursors.
+CURSOR_VOLTAGES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0e-9),
+    st.floats(0.0, 0.01),
+    st.floats(-0.6, 0.6),
+)
+
+
+@st.composite
+def cursor_populations(draw):
+    """``(isi_rows, aggressor blocks, voltage_step)`` of one generated solve."""
+    n_columns = draw(st.integers(1, 6))
+
+    def block(max_rows):
+        n_rows = draw(st.integers(0, max_rows))
+        values = draw(st.lists(CURSOR_VOLTAGES, min_size=n_rows * n_columns,
+                               max_size=n_rows * n_columns))
+        return np.array(values, dtype=float).reshape(n_rows, n_columns)
+
+    isi_rows = block(12)
+    aggressors = [block(6) for _ in range(draw(st.integers(0, 2)))]
+    step = draw(st.sampled_from([0.002, 0.01, 0.04]))
+    return isi_rows, aggressors, step
+
+
+class TestPmfMassConservation:
+    """The grid rule leaves room for every cursor: no mass reaches the edge."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(cursor_populations())
+    def test_pmfs_sum_to_one_with_empty_edges(self, population):
+        isi_rows, aggressors, step = population
+        main_cursor = np.ones(isi_rows.shape[1])
+        half_bins = _grid_half_bins(main_cursor, isi_rows, aggressors, step, 0.0)
+        # Synchronous concatenation: every cursor block lands in one column.
+        shifts = _cursor_shifts(np.concatenate((isi_rows, *aggressors)), step)
+        pmfs = _cursor_pmfs(shifts, 2 * half_bins + 1, half_bins)
+        assert np.all(np.abs(pmfs.sum(axis=1) - 1.0) <= 1.0e-12)
+        assert not pmfs[:, 0].any()
+        assert not pmfs[:, -1].any()
+
+    def test_solved_noise_pmf_conserves_mass(self):
+        eye = StatisticalEyeSolver(_equalized_link(14.0)).solve()
+        assert np.all(np.abs(eye.noise_pmf.sum(axis=1) - 1.0) <= 1.0e-12)
+        assert not eye.noise_pmf[:, 0].any()
+        assert not eye.noise_pmf[:, -1].any()
+
+
+class TestOnePhaseEye:
+    """Regression: a one-phase timebase used to crash ``phase_step_ui``."""
+
+    LINK = LinkConfig(timebase=LinkTimebase(samples_per_ui=1))
+
+    def test_solve_has_one_phase_spanning_the_ui(self):
+        eye = statistical_eye(self.LINK)
+        assert eye.phases_ui.tolist() == [0.5]
+        assert eye.phase_step_ui == 1.0
+        assert eye.horizontal_opening_ui() == 1.0
+
+    def test_objective_scores_a_one_phase_link(self):
+        score = StatEyeObjective(self.LINK).evaluate(None, None, None)
+        assert score.horizontal_ui == 1.0
+        assert score.best_phase_ui == 0.5

@@ -13,7 +13,7 @@ from pathlib import Path
 from repro._lint import Baseline, DEFAULT_BASELINE_NAME, lint_paths, rule_codes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-LINT_TARGETS = ["src", "tests", "benchmarks", "examples"]
+LINT_TARGETS = ["src", "tests", "benchmarks", "examples", "cdrbench"]
 
 
 def test_repo_lints_clean():
