@@ -18,7 +18,8 @@ breakdowns alone are also written to
 Every entry is stamped with the run's provenance manifest
 (:func:`repro.telemetry.manifest.collect_manifest` — the sanctioned
 place for environment reads), and each run appends one manifest-stamped
-record of all speedups to ``benchmarks/results/bench_history.jsonl``.
+record of all speedups, with the absolute ``fast_s``/``event_s`` seconds
+where a benchmark has them, to ``benchmarks/results/bench_history.jsonl``.
 ``BENCH_fastpath.json`` is overwritten per run; the history ledger only
 grows, so ``python -m repro.telemetry.report --history`` can render the
 speedup trajectory and flag trend regressions that the hard floors are
@@ -71,7 +72,7 @@ from repro.sweep import (
 from repro._jsonio import dumps_compact
 from repro.fastpath.backends import resolve_backend
 from repro.telemetry.manifest import collect_manifest
-from repro.telemetry.report import HISTORY_KIND, HISTORY_VERSION, stage_breakdown
+from repro.telemetry.report import HISTORY_KIND, HISTORY_VERSION, history_entry, stage_breakdown
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastpath.json"
 BREAKDOWN_PATH = (Path(__file__).resolve().parent
@@ -466,7 +467,7 @@ def main() -> int:
         json.dumps({"benchmarks": breakdowns}, indent=2) + "\n")
     print(f"wrote {BREAKDOWN_PATH}")
 
-    # Append this run to the persistent speedup ledger (the trend input
+    # Append this run to the persistent speed ledger (the trend input
     # of `python -m repro.telemetry.report --history`).
     history_record = {
         "kind": HISTORY_KIND,
@@ -474,7 +475,7 @@ def main() -> int:
         "quick": bool(arguments.quick),
         "floor": arguments.floor,
         "manifest": manifest.to_dict(),
-        "entries": {name: {"speedup": entry["speedup"]}
+        "entries": {name: history_entry(entry)
                     for name, entry in payload["benchmarks"].items()},
     }
     HISTORY_PATH.parent.mkdir(parents=True, exist_ok=True)

@@ -19,11 +19,14 @@ output.  Instead of dispatching per-edge events through the
 * The gated ring collapses to a recurrence on the **first stage only**: the
   inverter chain re-times stage-0 transitions by one stage delay each, so the
   feedback and both clock taps are shifted copies of the stage-0 change
-  stream.  A tight three-stream merge loop (EDET toggles, ring feedback,
-  pending stage-0 applies) reproduces the kernel's scheduling — including
-  transport cancellation, which *can* fire on stage 0 when a gating-input
-  skew is configured — at a few machine operations per event instead of a
-  heap transaction.
+  stream.  One closure-free loop, shared by jittered and jitter-free runs,
+  merges three streams (EDET toggles, ring feedback, pending stage-0
+  applies) and reproduces the kernel's scheduling — including transport
+  cancellation, which *can* fire on stage 0 when a gating-input skew is
+  configured — at a few machine operations per event instead of a heap
+  transaction.  While the gate is high and nothing else is pending, the
+  ring free-runs: the loop then steps feedback and stage-0 apply directly,
+  skipping the merge, until the next EDET toggle or the run horizon.
 * The decision flip-flop samples the delayed data at every rising clock
   edge, so the decisions are one ``searchsorted`` away.
 
@@ -104,110 +107,163 @@ def _ring_recurrence(
       re-timed through ``n_stages - 1`` inverters),
     * pending stage-0 transport applies.
 
-    Each EDET or feedback event re-evaluates ``AND(feedback, EDET)`` and
-    schedules a stage-0 apply one (gating- or feedback-input) delay later,
-    cancelling any pending apply at or after that time — exact transport
-    semantics.  A stage-0 apply that actually changes the value emits the
-    inverter-chain events and the clock-tap samples.
+    At equal times a stage-0 apply runs first, then feedback, then the EDET
+    toggle.  Each EDET or feedback event re-evaluates ``AND(feedback, EDET)``
+    and schedules a stage-0 apply one (gating- or feedback-input) delay
+    later, cancelling any pending apply at or after that time — exact
+    transport semantics.  A stage-0 apply that actually changes the value
+    emits the inverter-chain events and the clock-tap samples.
+
+    While the ring free-runs — gate high, nothing else pending — the next
+    two events are known: the change's own feedback, then the stage-0 apply
+    it schedules.  The inner loop runs them directly, without the merge,
+    until one would fall after the next EDET toggle or after *duration_s*.
+
+    With ``sigma > 0`` every delay is scaled by ``1 + sigma·N(0, 1)``
+    (clipped at 1 fs), drawn in event order from 4096-draw blocks of *rng*.
     """
     n_inverters = n_stages - 1
     # Tap positions along the chain (number of inversions in front of them).
     improved_hops = n_stages - 2
+    tap_hop = improved_hops - 1 if improved_tap else -1
     last_parity = n_inverters & 1
     improved_parity = improved_hops & 1
+    hops = range(n_inverters)
 
     edet = edet_times.tolist()
-    n_edet = len(edet)
+    edet.append(_INF)
     i_edet = 0
+    t_e = edet[0]
     gate_level = 1
-
-    # Pending stage-0 applies (parallel time/value lists, FIFO head pointer).
-    p0_t: list[float] = []
-    p0_v: list[int] = []
-    h0 = 0
-    # Feedback (last-stage) events.
-    fb_t: list[float] = []
-    fb_v: list[int] = []
-    hf = 0
 
     clock_t: list[float] = []
     clock_v: list[int] = []
 
     v0 = 0
-    v_last = (n_stages - 1) & 1
+    v_last = last_parity
 
     jitter = sigma > 0.0 and rng is not None
-    if jitter:
-        buffer = rng.standard_normal(4096)
-        buf_i = 0
-
-        def draw() -> float:
-            nonlocal buffer, buf_i
-            if buf_i >= buffer.size:
-                buffer = rng.standard_normal(4096)
-                buf_i = 0
-            value = buffer[buf_i]
-            buf_i += 1
-            return value
-
-        def delay(base: float) -> float:
-            scaled = base * (1.0 + sigma * draw())
-            return scaled if scaled > 1.0e-15 else 1.0e-15
-    else:
-        def delay(base: float) -> float:
-            return base
-
-    def push0(time_s: float, value: int) -> None:
-        # Transport semantics: cancel pending applies at or after time_s.
-        nonlocal h0
-        while len(p0_t) > h0 and p0_t[-1] >= time_s:
-            p0_t.pop()
-            p0_v.pop()
-        p0_t.append(time_s)
-        p0_v.append(value)
+    draws = rng.standard_normal(4096).tolist() if jitter else []
+    i_draw = 0
 
     # Time zero: every ring gate is kicked via evaluate_now(); only the first
     # stage produces a change (the inverters are already consistent).
-    push0(0.0 + delay(t_feedback), v_last & gate_level)
+    if jitter:
+        scaled = t_feedback * (1.0 + sigma * draws[0])
+        i_draw = 1
+        t_0 = 0.0 + (scaled if scaled > 1.0e-15 else 1.0e-15)
+    else:
+        t_0 = 0.0 + t_feedback
+
+    # Pending stage-0 applies (parallel time/value lists, FIFO head pointer
+    # h0, length n0) and feedback (last-stage) events (head hf, length nf);
+    # t_0 and t_f cache the head times (inf when empty).
+    p0_t = [t_0]
+    p0_v = [v_last & gate_level]
+    h0, n0 = 0, 1
+    fb_t: list[float] = []
+    fb_v: list[int] = []
+    hf = nf = 0
+    t_f = _INF
 
     while True:
-        t_e = edet[i_edet] if i_edet < n_edet else _INF
-        t_0 = p0_t[h0] if h0 < len(p0_t) else _INF
-        t_f = fb_t[hf] if hf < len(fb_t) else _INF
-
         if t_0 <= t_e and t_0 <= t_f:
             if t_0 > duration_s:
                 break
             value = p0_v[h0]
+            time_s = t_0
             h0 += 1
-            if value != v0:
+            t_0 = p0_t[h0] if h0 < n0 else _INF
+            if value == v0:
+                continue
+            # Free run: gate high, no other apply or feedback pending.  Ring
+            # events up to the next toggle (ties included) and the run
+            # horizon are then next in merge order.
+            free = gate_level and t_0 == _INF and t_f == _INF
+            horizon = t_e if t_e < duration_s else duration_s
+            while True:
                 v0 = value
                 # Propagate through the inverter chain; record the tap.
-                time_s = t_0
-                for hop in range(n_inverters):
-                    time_s = time_s + delay(t_stage)
-                    if improved_tap and hop == improved_hops - 1:
+                for hop in hops:
+                    if jitter:
+                        if i_draw == 4096:
+                            draws = rng.standard_normal(4096).tolist()
+                            i_draw = 0
+                        scaled = t_stage * (1.0 + sigma * draws[i_draw])
+                        i_draw += 1
+                        time_s = time_s + (scaled if scaled > 1.0e-15 else 1.0e-15)
+                    else:
+                        time_s = time_s + t_stage
+                    if hop == tap_hop:
                         clock_t.append(time_s)
                         clock_v.append(value ^ improved_parity)
-                new_last = value ^ last_parity
+                value ^= last_parity
                 if not improved_tap:
                     # Nominal tap: inverted last stage.
                     clock_t.append(time_s)
-                    clock_v.append(1 - new_last)
-                fb_t.append(time_s)
-                fb_v.append(new_last)
-        elif t_f <= t_e:
-            if t_f > duration_s:
-                break
-            v_last = fb_v[hf]
-            hf += 1
-            push0(t_f + delay(t_feedback), v_last & gate_level)
+                    clock_v.append(1 - value)
+                if not (free and time_s <= horizon):
+                    fb_t.append(time_s)
+                    fb_v.append(value)
+                    nf += 1
+                    if hf == nf - 1:
+                        t_f = time_s
+                    break
+                # This feedback event is next; it schedules the stage-0
+                # apply of the same value (the gate is high).
+                v_last = value
+                if jitter:
+                    if i_draw == 4096:
+                        draws = rng.standard_normal(4096).tolist()
+                        i_draw = 0
+                    scaled = t_feedback * (1.0 + sigma * draws[i_draw])
+                    i_draw += 1
+                    time_s = time_s + (scaled if scaled > 1.0e-15 else 1.0e-15)
+                else:
+                    time_s = time_s + t_feedback
+                # The apply rejoins the merge if it lands past the horizon
+                # or changes nothing (an odd, latching ring).
+                if time_s > horizon or value == v0:
+                    p0_t.append(time_s)
+                    p0_v.append(value)
+                    n0 += 1
+                    t_0 = time_s
+                    break
         else:
-            if t_e > duration_s or t_e == _INF:
-                break
-            gate_level = 1 - gate_level
-            i_edet += 1
-            push0(t_e + delay(t_gate), v_last & gate_level)
+            if t_f <= t_e:
+                if t_f > duration_s:
+                    break
+                v_last = fb_v[hf]
+                time_s = t_f
+                hf += 1
+                t_f = fb_t[hf] if hf < nf else _INF
+                base = t_feedback
+            else:
+                if t_e > duration_s:
+                    break
+                gate_level = 1 - gate_level
+                time_s = t_e
+                i_edet += 1
+                t_e = edet[i_edet]
+                base = t_gate
+            if jitter:
+                if i_draw == 4096:
+                    draws = rng.standard_normal(4096).tolist()
+                    i_draw = 0
+                scaled = base * (1.0 + sigma * draws[i_draw])
+                i_draw += 1
+                time_s = time_s + (scaled if scaled > 1.0e-15 else 1.0e-15)
+            else:
+                time_s = time_s + base
+            # Transport semantics: cancel pending applies at or after time_s.
+            while n0 > h0 and p0_t[n0 - 1] >= time_s:
+                p0_t.pop()
+                p0_v.pop()
+                n0 -= 1
+            p0_t.append(time_s)
+            p0_v.append(v_last & gate_level)
+            n0 += 1
+            t_0 = p0_t[h0]
 
     return clock_t, clock_v
 

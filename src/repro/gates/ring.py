@@ -55,7 +55,7 @@ class GccoParameters:
         Per-stage Gaussian delay jitter, as a fraction of the stage delay
         (``cdr_gcco_jit_sigma``).
     n_stages:
-        Number of ring stages (the paper uses four).
+        Number of ring stages (the paper uses four); even and at least four.
     gating_input_skew_s:
         Extra delay of the gating (EDET) input of the first stage relative to
         the ring feedback input — the stacked-pair delay mismatch that the
@@ -78,6 +78,14 @@ class GccoParameters:
         require_non_negative("gating_input_skew_s", self.gating_input_skew_s)
         if self.n_stages < 3:
             raise ValueError("the ring oscillator needs at least three stages")
+        if self.n_stages % 2:
+            # Stage 0 is a non-inverting AND, so the loop inverts n_stages - 1
+            # times: an odd count makes that even and the ring latches.
+            raise ValueError(
+                f"n_stages must be even, got {self.n_stages}: the ring is an AND "
+                "stage followed by n_stages - 1 inverters, so an odd count has an "
+                "even number of inversions and latches instead of oscillating"
+            )
 
     def frequency_at(self, control_current_a: float) -> float:
         """Oscillation frequency for a given control current."""

@@ -26,10 +26,12 @@ embeds in ``BENCH_fastpath.json``.  Command line::
 
 The ``--history`` mode reads the append-only bench-history ledger
 (``benchmarks/run_bench.py`` appends one manifest-stamped record per
-run) and renders each benchmark's speedup trend; an entry whose latest
-speedup drops below ``--tolerance`` times its rolling median (over the
-previous ``--window`` runs) is flagged as a regression and the exit
-code is 1 — the soft trend gate beside the hard ``--floor`` one.
+run) and renders each benchmark's speedup trend beside its latest
+absolute fast-path seconds (``fast_s``, where the benchmark records
+them); an entry whose latest speedup drops below ``--tolerance`` times
+its rolling median (over the previous ``--window`` runs) is flagged as a
+regression and the exit code is 1 — the soft trend gate beside the hard
+``--floor`` one.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "counter_table",
     "stage_breakdown",
     "summarize",
+    "history_entry",
     "load_history",
     "history_summary",
     "history_table",
@@ -68,6 +71,12 @@ HISTORY_KIND = "repro-bench-history"
 
 #: Bench-history record format version.
 HISTORY_VERSION = 1
+
+#: Fields of a benchmark entry that its history record keeps: the speedup
+#: always, the absolute fast-path and event-kernel seconds where the
+#: benchmark measures them.  Records written before the seconds were
+#: added carry ``speedup`` only and still load.
+HISTORY_FIELDS = ("speedup", "fast_s", "event_s")
 
 
 def load_trace(source: "str | Path | Tracer | dict") -> dict:
@@ -225,6 +234,11 @@ def summarize(source: "str | Path | Tracer | dict") -> str:
 # --- bench history ------------------------------------------------------------
 
 
+def history_entry(entry: dict) -> dict:
+    """The :data:`HISTORY_FIELDS` of one ``BENCH_fastpath.json`` benchmark entry."""
+    return {key: entry[key] for key in HISTORY_FIELDS if key in entry}
+
+
 def load_history(path: str | Path) -> list[dict]:
     """All complete :data:`HISTORY_KIND` records of a bench-history ledger.
 
@@ -254,16 +268,20 @@ def history_summary(
     """JSON-safe speedup-trend summary of a bench-history ledger.
 
     Per benchmark name: every recorded speedup in run order, the rolling
-    median of the up-to-*window* runs preceding the latest, and a
+    median of the up-to-*window* runs preceding the latest, a
     ``regression`` flag set when the latest speedup drops below
-    *tolerance* times that median.  A benchmark needs at least two prior
-    runs before it can be flagged — a fresh ledger is never a regression.
+    *tolerance* times that median, and ``latest_fast_s``, the latest
+    record's absolute fast-path seconds (``None`` when that record has
+    none).  A benchmark needs at least two prior runs before it can be
+    flagged — a fresh ledger is never a regression.
     """
     records = load_history(path)
     speedups: dict[str, list[float]] = {}
+    latest_fast_s: dict[str, float | None] = {}
     for record in records:
         for name, entry in record.get("entries", {}).items():
             speedups.setdefault(name, []).append(float(entry["speedup"]))
+            latest_fast_s[name] = entry.get("fast_s")
     benchmarks: dict[str, dict] = {}
     regressions: list[str] = []
     for name in sorted(speedups):
@@ -283,6 +301,7 @@ def history_summary(
             "median": median,
             "ratio": ratio,
             "regression": regression,
+            "latest_fast_s": latest_fast_s[name],
         }
     return {
         "kind": HISTORY_KIND,
@@ -297,15 +316,19 @@ def history_summary(
 def history_table(summary: dict) -> TextTable:
     """Render a :func:`history_summary` dict as one trend row per benchmark."""
     table = TextTable(
-        headers=["benchmark", "runs", "median", "latest", "ratio", "status"],
+        headers=["benchmark", "runs", "median", "latest", "fast_s", "ratio", "status"],
         title=f"bench history ({summary['runs']} runs, "
         f"window {summary['window']}, tolerance {summary['tolerance']})",
     )
     for name, entry in summary["benchmarks"].items():
         median = f"{entry['median']:g}x" if entry["median"] is not None else "-"
         ratio = f"{entry['ratio']:.2f}" if entry["ratio"] is not None else "-"
+        fast_s = entry["latest_fast_s"]
+        fast_s = f"{fast_s:g}s" if fast_s is not None else "-"
         status = "REGRESSION" if entry["regression"] else "ok"
-        table.add_row(name, len(entry["speedups"]), median, f"{entry['latest']:g}x", ratio, status)
+        table.add_row(
+            name, len(entry["speedups"]), median, f"{entry['latest']:g}x", fast_s, ratio, status
+        )
     return table
 
 

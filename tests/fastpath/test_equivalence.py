@@ -5,7 +5,8 @@ On configurations without per-gate delay jitter the fast path must be an
 identical bit decisions, identical BER counts, identical traces and eye
 metrics, on every seeded run of the corpus — across data-jitter mixes
 (DJ / RJ / SJ), transmitter ppm offsets, channel frequency offsets, both
-sampling taps and the edge-detector blanking corner.
+sampling taps and the edge-detector blanking corner.  A generated suite
+extends the hand-picked corpus to random zero-gate-jitter configurations.
 
 With gate jitter enabled the fast path draws statistically identical but
 not draw-for-draw identical jitter, so only distribution-level agreement is
@@ -14,6 +15,7 @@ asserted there.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cdr_channel import BehavioralCdrChannel
 from repro.core.config import CdrChannelConfig
@@ -108,6 +110,44 @@ class TestExactEquivalence:
         _, fast_a = run_both(BASE, DJ_RJ, 0.0, seed=1)
         _, fast_b = run_both(BASE, DJ_RJ, 0.0, seed=2)
         assert not np.array_equal(fast_a.sample_times_s, fast_b.sample_times_s)
+
+
+@st.composite
+def zero_gate_jitter_cases(draw):
+    """``(config, jitter, transmitter ppm, seed)`` without per-gate jitter."""
+    oscillator = GccoParameters(
+        jitter_sigma_fraction=0.0,
+        gating_input_skew_s=draw(st.sampled_from([0.0, 5.0e-12, 20.0e-12])),
+    )
+    config = CdrChannelConfig(
+        oscillator=oscillator,
+        # 0.85 UI with a slow oscillator is the edge-detector blanking corner.
+        edge_detector_delay_ui=draw(st.one_of(st.just(0.85), st.floats(0.5, 0.95))),
+        improved_sampling=draw(st.booleans()),
+        frequency_offset=draw(st.one_of(st.just(FIG14_OFFSET), st.floats(-0.05, 0.05))),
+    )
+    jitter = JitterSpec(
+        dj_ui_pp=draw(st.floats(0.0, 0.4)),
+        rj_ui_rms=draw(st.floats(0.0, 0.03)),
+        sj_amplitude_ui_pp=draw(st.floats(0.0, 0.4)),
+        sj_frequency_hz=draw(st.sampled_from([25.0e6, 250.0e6, 1.25e9])),
+    )
+    ppm = draw(st.floats(-300.0, 300.0))
+    return config, jitter, ppm, draw(st.integers(0, 2**32 - 1))
+
+
+class TestGeneratedExactEquivalence:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(zero_gate_jitter_cases())
+    def test_generated_configs_match_exactly(self, case):
+        config, jitter, ppm, seed = case
+        event, fast = run_both(config, jitter, ppm, seed=seed, n=200)
+        np.testing.assert_array_equal(event.sample_times_s, fast.sample_times_s)
+        np.testing.assert_array_equal(event.sampled_bits, fast.sampled_bits)
+        for name in ("din", "ddin", "edet", "clock", "dout"):
+            np.testing.assert_array_equal(
+                event.trace(name).edges("any"), fast.trace(name).edges("any"),
+                err_msg=f"trace {name!r} diverged")
 
 
 class TestJitteredStatisticalAgreement:

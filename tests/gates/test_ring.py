@@ -48,6 +48,16 @@ class TestParameters:
         with pytest.raises(ValueError):
             GccoParameters(n_stages=2)
 
+    @pytest.mark.parametrize("n_stages", [3, 5, 7])
+    def test_odd_stage_count_rejected(self, n_stages):
+        """An odd ring (AND + an even number of inverters) would latch."""
+        with pytest.raises(ValueError, match="even"):
+            GccoParameters(n_stages=n_stages)
+
+    @pytest.mark.parametrize("n_stages", [4, 6])
+    def test_even_stage_count_accepted(self, n_stages):
+        assert GccoParameters(n_stages=n_stages).n_stages == n_stages
+
 
 class TestFreeRunning:
     def test_oscillates_at_nominal_frequency(self):

@@ -11,12 +11,18 @@ diagnostics, error-propagation bursts, event counts and full
 trained-link sweeps at any worker count.  The statistical eye's
 grouped cursor-PMF kernel is pinned the same way against the
 one-PMF-at-a-time two-point convolution chain kept here as its oracle:
-on generated shift matrices, on whole solves and on a training run.
-Whole-channel comparisons monkeypatch the reference loop in.  These
-tests byte-compare arrays (``.tobytes()``), not approximately.
+on generated shift matrices, on whole solves and on a training run.  The
+fast path's gated-ring recurrence is pinned against the closure-based
+three-way merge loop it replaced (``_ring_recurrence_reference``): on
+generated EDET streams, jittered and not, including the ``rng`` draws it
+consumes, and on whole ``FastCdrChannel`` runs.  Whole-channel
+comparisons monkeypatch the reference loop in.  These tests byte-compare
+arrays (``.tobytes()``), not approximately.
 """
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +34,9 @@ from repro.datapath.nrz import JitterSpec
 from repro.datapath.prbs import prbs_sequence
 from repro.events.kernel import Simulator
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
+from repro.fastpath import FastCdrChannel
+from repro.fastpath import engine as fast_engine
+from repro.gates.ring import GccoParameters
 from repro.link import (
     CrosstalkSpec,
     DfeAdaptation,
@@ -413,3 +422,269 @@ class TestStatisticalEyeBitIdentity:
         monkeypatch.setattr(stateye, "_cursor_pmfs", _reference_cursor_pmfs)
         reference = LinkTrainer(link, training=training).train()
         assert fast == reference
+
+
+def _ring_recurrence_reference(
+    edet_times,
+    *,
+    t_gate,
+    t_feedback,
+    t_stage,
+    duration_s,
+    n_stages,
+    sigma,
+    rng,
+    improved_tap,
+):
+    """The gated-ring oracle: a three-way merge with ``delay``/``push0`` closures.
+
+    Every event — EDET toggle, ring feedback or pending stage-0 apply — goes
+    through the merge; jitter is drawn one ``delay()`` call at a time from
+    4096-draw blocks of *rng*.
+    """
+    inf = float("inf")
+    n_inverters = n_stages - 1
+    improved_hops = n_stages - 2
+    last_parity = n_inverters & 1
+    improved_parity = improved_hops & 1
+
+    edet = edet_times.tolist()
+    n_edet = len(edet)
+    i_edet = 0
+    gate_level = 1
+
+    p0_t, p0_v = [], []
+    h0 = 0
+    fb_t, fb_v = [], []
+    hf = 0
+
+    clock_t, clock_v = [], []
+
+    v0 = 0
+    v_last = (n_stages - 1) & 1
+
+    jitter = sigma > 0.0 and rng is not None
+    if jitter:
+        buffer = rng.standard_normal(4096)
+        buf_i = 0
+
+        def draw():
+            nonlocal buffer, buf_i
+            if buf_i >= buffer.size:
+                buffer = rng.standard_normal(4096)
+                buf_i = 0
+            value = buffer[buf_i]
+            buf_i += 1
+            return value
+
+        def delay(base):
+            scaled = base * (1.0 + sigma * draw())
+            return scaled if scaled > 1.0e-15 else 1.0e-15
+    else:
+        def delay(base):
+            return base
+
+    def push0(time_s, value):
+        # Transport semantics: cancel pending applies at or after time_s.
+        nonlocal h0
+        while len(p0_t) > h0 and p0_t[-1] >= time_s:
+            p0_t.pop()
+            p0_v.pop()
+        p0_t.append(time_s)
+        p0_v.append(value)
+
+    push0(0.0 + delay(t_feedback), v_last & gate_level)
+
+    while True:
+        t_e = edet[i_edet] if i_edet < n_edet else inf
+        t_0 = p0_t[h0] if h0 < len(p0_t) else inf
+        t_f = fb_t[hf] if hf < len(fb_t) else inf
+
+        if t_0 <= t_e and t_0 <= t_f:
+            if t_0 > duration_s:
+                break
+            value = p0_v[h0]
+            h0 += 1
+            if value != v0:
+                v0 = value
+                time_s = t_0
+                for hop in range(n_inverters):
+                    time_s = time_s + delay(t_stage)
+                    if improved_tap and hop == improved_hops - 1:
+                        clock_t.append(time_s)
+                        clock_v.append(value ^ improved_parity)
+                new_last = value ^ last_parity
+                if not improved_tap:
+                    clock_t.append(time_s)
+                    clock_v.append(1 - new_last)
+                fb_t.append(time_s)
+                fb_v.append(new_last)
+        elif t_f <= t_e:
+            if t_f > duration_s:
+                break
+            v_last = fb_v[hf]
+            hf += 1
+            push0(t_f + delay(t_feedback), v_last & gate_level)
+        else:
+            if t_e > duration_s or t_e == inf:
+                break
+            gate_level = 1 - gate_level
+            i_edet += 1
+            push0(t_e + delay(t_gate), v_last & gate_level)
+
+    return clock_t, clock_v
+
+
+#: Stage delay of the paper's 2.5 GHz four-stage ring.
+STAGE_DELAY_S = 50.0e-12
+
+#: Gaps between consecutive EDET toggles: coincident, closer than one stage
+#: delay, and the free-running spans between data edges.
+EDET_GAPS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, STAGE_DELAY_S),
+    st.floats(STAGE_DELAY_S, 24.0 * STAGE_DELAY_S),
+)
+
+
+@st.composite
+def ring_kwargs(draw):
+    """Recurrence keyword arguments without ``duration_s``."""
+    n_stages = draw(st.sampled_from([4, 6]))
+    scale = draw(st.sampled_from([1.0, 1.03, 0.97]))
+    stage = STAGE_DELAY_S * 4 / n_stages
+    skew = draw(st.sampled_from([0.0, 5.0e-12, 1.6 * STAGE_DELAY_S]))
+    return {
+        "t_gate": (stage + skew) * scale,
+        "t_feedback": (stage + 0.0) * scale,
+        "t_stage": stage * scale,
+        "n_stages": n_stages,
+        "sigma": draw(st.sampled_from([0.0, 0.01, 0.6, 3.0])),
+        "improved_tap": draw(st.booleans()),
+    }
+
+
+@st.composite
+def ring_cases(draw):
+    """``(edet_times, recurrence keyword arguments, rng seed)``."""
+    gaps = draw(st.lists(EDET_GAPS, max_size=40))
+    edet = draw(st.floats(0.0, 2.0e-9)) + np.cumsum(np.array(gaps, dtype=float))
+    last = float(edet[-1]) if edet.size else 0.0
+    if edet.size and draw(st.booleans()):
+        # The toggle stream runs past the horizon.
+        duration = draw(st.floats(0.0, 1.0)) * last
+    else:
+        duration = last + draw(st.floats(0.0, 4.0e-9))
+    kwargs = {**draw(ring_kwargs()), "duration_s": duration}
+    return edet, kwargs, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def tie_cases(draw):
+    """Generated cases plus EDET toggles placed exactly on ring event times.
+
+    A run of the oracle on the generated toggles (same seed, so the same
+    draws up to the first added toggle) gives the feedback times ``F``;
+    added toggles land on ``F[k]`` (a feedback tie), ``F[k] + t_feedback``
+    (an unjittered stage-0 apply tie) or ``F[k] + 1 fs`` (the apply time
+    after a clipped jitter draw), in free-running and gated states alike.
+    """
+    edet, kwargs, seed = draw(ring_cases())
+    feedback, _ = _ring_recurrence_reference(
+        edet, rng=np.random.default_rng(seed), **{**kwargs, "improved_tap": False}
+    )
+    if not feedback:
+        return edet, kwargs, seed
+    indices = st.integers(0, len(feedback) - 1)
+    offsets = st.sampled_from([0.0, kwargs["t_feedback"], 1.0e-15])
+    picks = draw(st.lists(st.tuples(indices, offsets), min_size=1, max_size=4))
+    ties = [feedback[index] + offset for index, offset in picks]
+    return np.sort(np.concatenate((edet, ties))), kwargs, seed
+
+
+def _ring_pair(edet, kwargs, seed):
+    """Run the recurrence and its oracle on equal seeds; check both agree."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    clock_t, clock_v = fast_engine._ring_recurrence(edet, rng=rng, **kwargs)
+    ref_t, ref_v = _ring_recurrence_reference(edet, rng=reference_rng, **kwargs)
+    assert _bytes_equal(np.asarray(clock_t, dtype=float), np.asarray(ref_t, dtype=float))
+    assert _bytes_equal(np.asarray(clock_v, dtype=np.int64), np.asarray(ref_v, dtype=np.int64))
+    # Same draws consumed: the next draw of each generator matches.
+    assert rng.random() == reference_rng.random()
+    return clock_t
+
+
+class TestRingRecurrenceBitIdentity:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(ring_cases())
+    def test_generated_edet_streams_match_reference(self, case):
+        _ring_pair(*case)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_free_run_past_one_draw_block(self, sigma):
+        """A long free run with no toggles refills the draw buffer."""
+        clock_t = _ring_pair(
+            np.zeros(0),
+            {
+                "t_gate": STAGE_DELAY_S,
+                "t_feedback": STAGE_DELAY_S,
+                "t_stage": STAGE_DELAY_S,
+                "duration_s": 300.0e-9,
+                "n_stages": 4,
+                "sigma": sigma,
+                "improved_tap": False,
+            },
+            seed=3,
+        )
+        assert len(clock_t) > 4096 // 3
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tie_cases())
+    def test_toggles_on_ring_event_times_match_reference(self, case):
+        _ring_pair(*case)
+
+
+def _load_equivalence_corpus():
+    """``CORPUS`` of ``tests/fastpath/test_equivalence.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "fastpath" / "test_equivalence.py"
+    spec = importlib.util.spec_from_file_location("_fastpath_equivalence_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CORPUS
+
+
+#: A jittered ring with gating-input skew, sampled on the improved tap.
+JITTERED_SKEWED_IMPROVED = CdrChannelConfig(
+    oscillator=GccoParameters(jitter_sigma_fraction=0.02, gating_input_skew_s=8.0e-12),
+    improved_sampling=True,
+    gate_jitter_sigma_fraction=0.02,
+)
+
+#: (label, config, jitter, transmitter ppm): two jittered rings plus the
+#: zero-gate-jitter equivalence corpus.
+RING_CHANNEL_CASES = [
+    ("paper_nominal", CdrChannelConfig.paper_nominal(), JitterSpec(), 0.0),
+    ("jittered_skewed_improved", JITTERED_SKEWED_IMPROVED, JitterSpec(sj_amplitude_ui_pp=0.2), 0.0),
+    *_load_equivalence_corpus(),
+]
+RING_CHANNEL_IDS = [case[0] for case in RING_CHANNEL_CASES]
+
+
+class TestFastChannelRingBitIdentity:
+    @pytest.mark.parametrize("label,config,jitter,ppm", RING_CHANNEL_CASES, ids=RING_CHANNEL_IDS)
+    def test_run_matches_reference_recurrence(self, label, config, jitter, ppm, monkeypatch):
+        bits = prbs_sequence(7, 400)
+
+        def run():
+            return FastCdrChannel(config).run(
+                bits, jitter=jitter, data_rate_offset_ppm=ppm, rng=np.random.default_rng(17)
+            )
+
+        fast = run()
+        monkeypatch.setattr(fast_engine, "_ring_recurrence", _ring_recurrence_reference)
+        reference = run()
+        assert _bytes_equal(fast.sample_times_s, reference.sample_times_s)
+        assert _bytes_equal(fast.sampled_bits, reference.sampled_bits)
+        for name in ("edet", "clock", "dout"):
+            edges = fast.trace(name).edges("any")
+            assert _bytes_equal(edges, reference.trace(name).edges("any")), name

@@ -11,6 +11,7 @@ from repro.telemetry.report import (
     HISTORY_VERSION,
     cache_table,
     counter_table,
+    history_entry,
     history_summary,
     history_table,
     load_history,
@@ -191,6 +192,33 @@ class TestHistory:
     def test_history_table_lists_benchmarks(self, tmp_path):
         summary = history_summary(_history_file(tmp_path, [2.0, 2.1]))
         assert "loop" in history_table(summary).render()
+
+    def test_history_entry_keeps_absolute_seconds_where_present(self):
+        bittrue = {"event_s": 2.5, "fast_s": 0.1, "speedup": 25.0, "errors": [0, 1]}
+        stateye = {"stateye_s": 0.01, "speedup": 1.0e9}
+        assert history_entry(bittrue) == {"speedup": 25.0, "fast_s": 0.1, "event_s": 2.5}
+        assert history_entry(stateye) == {"speedup": 1.0e9}
+
+    def test_latest_fast_s_beside_speedup(self, tmp_path):
+        path = _history_file(tmp_path, [2.0, 2.1])
+        with path.open("a") as handle:
+            record = {
+                "kind": HISTORY_KIND,
+                "version": HISTORY_VERSION,
+                "entries": {"loop": {"speedup": 2.2, "fast_s": 0.125, "event_s": 0.275}},
+            }
+            handle.write(dumps_compact(record) + "\n")
+        summary = history_summary(path)
+        assert summary["benchmarks"]["loop"]["latest_fast_s"] == 0.125
+        assert summary["benchmarks"]["loop"]["speedups"] == [2.0, 2.1, 2.2]
+        assert "0.125s" in history_table(summary).render()
+
+    def test_records_without_seconds_still_load(self, tmp_path):
+        # Ledgers written before fast_s/event_s existed carry speedup only.
+        summary = history_summary(_history_file(tmp_path, [2.0, 2.1, 1.9, 1.0]))
+        assert summary["benchmarks"]["loop"]["latest_fast_s"] is None
+        assert summary["regressions"] == ["loop"]
+        assert history_table(summary).render()
 
 
 class TestCli:
