@@ -62,6 +62,7 @@ from repro.link import (
     statistical_eye,
 )
 from repro.link.isi import nrz_symbol_levels
+from repro.link.memo import clear_link_memo
 from repro.statistical.ber_model import CdrJitterBudget
 from repro.sweep import (
     BACKENDS,
@@ -86,6 +87,13 @@ SJ_FIG14 = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0,
 
 
 def _timed(function):
+    """Time one call of *function* from an empty link memo.
+
+    Each timed leg pays for its own pulse responses and displacement
+    tables, so a backend comparison (``fast_s`` against ``event_s``)
+    measures the same work on both sides.
+    """
+    clear_link_memo()
     start = time.perf_counter()
     value = function()
     return value, time.perf_counter() - start
@@ -180,8 +188,9 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
     Exercises the full waveform pipeline (pulse-response FFT, circular ISI
     superposition, crossing extraction, residual-jitter composition) in
     front of both CDR backends; the pre-built edge stream keeps them
-    bit-identical, and the per-point pulse/displacement caches mean each
-    extra bit costs only the CDR simulation itself.
+    bit-identical, and the memoized pulse/displacement tables mean each
+    extra bit costs only the CDR simulation itself.  Each backend leg
+    starts from an empty link memo (:func:`_timed`).
     """
     losses = np.array([6.0, 12.0, 16.0, 18.0])
     link = LinkConfig(tx_ffe=TxFfe.de_emphasis(post_db=3.5),

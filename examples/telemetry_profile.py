@@ -9,7 +9,7 @@ axis, bit-true fixed-lineup cross-check per point) under a
 * the **stage breakdown** — sweep chunks, statistical-eye solves,
   training loops, fastpath batch runs, event-kernel runs — with counts,
   totals and share of traced time;
-* the **cache hit rates** — :class:`repro.link.LinkPath` pulse-response /
+* the **cache hit rates** — the :mod:`repro.link.memo` pulse-response /
   pattern-displacement caches and the
   :class:`~repro.link.training.objective.StatEyeObjective` memo (how many
   budget-charged solves memoisation saved);

@@ -16,7 +16,9 @@ channel models whose pulse responses drive :mod:`repro.link.isi`:
 Every model exposes ``frequency_response`` on an arbitrary frequency grid
 plus impulse/step/pulse responses on a shared :class:`LinkTimebase` grid.
 All models are frozen dataclasses, so they pickle across the sweep runner's
-process pool.
+process pool and serve as content keys of :mod:`repro.link.memo`.  A new
+model must be a frozen dataclass too, with fields that fully determine its
+response: two models comparing equal share one memoized pulse response.
 """
 
 from __future__ import annotations

@@ -2,17 +2,20 @@
 
 :class:`LinkPath` ties the pieces of :mod:`repro.link` together and is the
 object the sweep layer drives.  Its cost model (see PERFORMANCE.md) rests
-on two caches:
+on the process-wide memo of :mod:`repro.link.memo`, keyed by content, so
+every path of an equal configuration — each sweep point, each training
+candidate — shares:
 
-* the **equalized pulse response** — one channel/CTLE FFT per grid length,
-  reused for every pattern on that grid;
+* the **equalized pulse response** — one channel/CTLE FFT per
+  ``(channel, rx_ctle, timebase, n_ui)``, whatever the TX FFE (it applies
+  in the symbol domain); the crosstalk waveform is keyed the same way
+  plus the aggressor population;
 * the **pattern displacement table** — one circular ISI superposition plus
-  crossing extraction per transmitted pattern, reused for every repetition
-  of the pattern inside a long stream (and across repeated ``transmit``
-  calls, e.g. the per-frequency trials of a jitter-tolerance search).
+  crossing extraction per ``(LinkConfig, pattern)``, reused for every
+  repetition of the pattern and every repeated ``transmit``.
 
-``transmit`` then reduces to an ideal-edge construction plus two vectorized
-displacement adds — the same cost as the channel-less stimulus path.
+``transmit`` then reduces to an ideal-edge construction plus two
+vectorized displacement adds — the same cost as the channel-less path.
 
 :class:`LinkCdrChannel` wraps a link path around either CDR backend
 (``"event"`` or ``"fast"``), preserving their ``run`` contract, so every
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .. import telemetry, units
+from .. import units
 from .._validation import require_positive_int
 from ..analysis.eye import EyeDiagram
 from ..datapath.nrz import JitterSpec, NrzEdgeStream, ideal_edge_times, jitter_displacements_ui
@@ -38,6 +41,7 @@ from .crosstalk import CrosstalkSpec
 from .edges import circular_transition_positions, pattern_displacements_ui
 from .equalization import DfeAdaptation, LmsDfe, RxCtle, TxFfe
 from .isi import nrz_symbol_levels, superpose_circular
+from .memo import memoized
 from .timebase import LinkTimebase
 
 __all__ = [
@@ -106,11 +110,8 @@ class LinkPath:
 
     def __init__(self, config: LinkConfig | None = None) -> None:
         self.config = config or LinkConfig()
-        self._pulse_cache: dict[int, np.ndarray] = {}
-        self._pattern_cache: dict[bytes, tuple[np.ndarray, DfeAdaptation | None]] = {}
-        self._crosstalk_cache: dict[int, np.ndarray] = {}
         #: DFE training state behind the most recent displacement-table
-        #: lookup (cached alongside the table, so it tracks cache hits too).
+        #: lookup (memoized alongside the table, so it tracks hits too).
         self.last_dfe_adaptation: DfeAdaptation | None = None
 
     # -- frequency/time-domain views ----------------------------------------
@@ -132,29 +133,19 @@ class LinkPath:
     def equalized_pulse_response(self, n_ui: int) -> np.ndarray:
         """Single-bit response through channel and CTLE on an *n_ui* grid.
 
-        Cached per grid length: every pattern of that length (and every
-        sweep trial at this link configuration) reuses the same FFT work.
+        Memoized by ``(channel, rx_ctle, timebase, n_ui)``: every pattern of
+        that length, every sweep trial and every TX-FFE candidate on this
+        channel × CTLE pair reuses the same FFT work.
         """
-        timebase = self.config.timebase
-        count = timebase.n_samples(n_ui)
-        tracer = telemetry.ACTIVE
-        cached = self._pulse_cache.get(count)
-        if cached is not None:
-            if tracer:
-                tracer.count("link.pulse_cache.hits")
-            return cached
-        if tracer:
-            tracer.count("link.pulse_cache.misses")
-        response = self.system_frequency_response(timebase.frequencies_hz(count), include_ffe=False)
-        pulse = pulse_through_response(response, timebase, n_ui)
-        self._pulse_cache[count] = pulse
-        return pulse
+        config = self.config
+        count = config.timebase.n_samples(n_ui)
 
-    def _rx_linear_response(self, count: int) -> np.ndarray | None:
-        """The receiver's linear (CTLE) response on the *count*-sample grid."""
-        if self.config.rx_ctle is None:
-            return None
-        return self.config.rx_ctle.frequency_response(self.config.timebase.frequencies_hz(count))
+        def compute():
+            frequencies = config.timebase.frequencies_hz(count)
+            response = self.system_frequency_response(frequencies, include_ffe=False)
+            return pulse_through_response(response, config.timebase, n_ui)
+
+        return memoized(("pulse", config.channel, config.rx_ctle, config.timebase, n_ui), compute)
 
     def aggressor_pulse_responses(self, n_ui: int) -> list[np.ndarray]:
         """Coupled single-bit pulse of every aggressor at the victim sampler.
@@ -167,8 +158,9 @@ class LinkPath:
         config = self.config
         if config.crosstalk is None:
             return []
-        count = config.timebase.n_samples(n_ui)
-        rx_response = self._rx_linear_response(count)
+        frequencies = config.timebase.frequencies_hz(config.timebase.n_samples(n_ui))
+        rx_ctle = config.rx_ctle
+        rx_response = None if rx_ctle is None else rx_ctle.frequency_response(frequencies)
         return [
             aggressor.pulse_response(
                 config.timebase, n_ui, victim_channel=config.channel, rx_response=rx_response
@@ -181,26 +173,21 @@ class LinkPath:
 
         Every aggressor transmits its own decorrelated PRBS pattern (tiled
         to the victim pattern period, so the circular steady-state model
-        stays exact); cached per grid length like the pulse response.
+        stays exact); memoized by the pulse-response key plus the aggressors.
         """
-        tracer = telemetry.ACTIVE
-        cached = self._crosstalk_cache.get(n_ui)
-        if cached is not None:
-            if tracer:
-                tracer.count("link.crosstalk_cache.hits")
-            return cached
-        if tracer:
-            tracer.count("link.crosstalk_cache.misses")
         config = self.config
-        waveform = np.zeros(config.timebase.n_samples(n_ui))
-        if config.crosstalk is not None and not config.crosstalk.is_silent:
-            pulses = self.aggressor_pulse_responses(n_ui)
-            for aggressor, pulse in zip(config.crosstalk.aggressors, pulses):
-                waveform += superpose_circular(
-                    aggressor.symbol_levels(n_ui), pulse, config.timebase.samples_per_ui
-                )
-        self._crosstalk_cache[n_ui] = waveform
-        return waveform
+
+        def compute():
+            waveform = np.zeros(config.timebase.n_samples(n_ui))
+            if config.crosstalk is not None and not config.crosstalk.is_silent:
+                pulses = self.aggressor_pulse_responses(n_ui)
+                for aggressor, pulse in zip(config.crosstalk.aggressors, pulses):
+                    levels = aggressor.symbol_levels(n_ui)
+                    waveform += superpose_circular(levels, pulse, config.timebase.samples_per_ui)
+            return waveform
+
+        key = ("crosstalk", config.channel, config.rx_ctle, config.crosstalk, config.timebase, n_ui)
+        return memoized(key, compute)
 
     # -- waveform synthesis ---------------------------------------------------
 
@@ -237,25 +224,21 @@ class LinkPath:
     def pattern_displacements(self, pattern_bits: np.ndarray) -> np.ndarray:
         """Per-position edge-displacement table (UI) of a circular pattern.
 
-        Cached by pattern content — the second half of the cost model: long
-        streams and repeated trials reuse one superposition + extraction.
+        Memoized by ``(LinkConfig, pattern content)`` with its DFE
+        adaptation — the second half of the cost model: long streams,
+        repeated trials and sweep points on one link reuse one
+        superposition + extraction.
         """
         bits = np.asarray(pattern_bits, dtype=np.uint8).ravel()
-        key = bits.tobytes()
-        tracer = telemetry.ACTIVE
-        cached = self._pattern_cache.get(key)
-        if cached is not None:
-            if tracer:
-                tracer.count("link.pattern_cache.hits")
-            table, self.last_dfe_adaptation = cached
-            return table
-        if tracer:
-            tracer.count("link.pattern_cache.misses")
-        time_axis, waveform = self.received_pattern_waveform(bits)
-        table = pattern_displacements_ui(
-            time_axis, waveform, bits, self.config.timebase.unit_interval_s
-        )
-        self._pattern_cache[key] = (table, self.last_dfe_adaptation)
+
+        def compute():
+            time_axis, waveform = self.received_pattern_waveform(bits)
+            unit_interval = self.config.timebase.unit_interval_s
+            table = pattern_displacements_ui(time_axis, waveform, bits, unit_interval)
+            return table, self.last_dfe_adaptation
+
+        key = ("pattern", self.config, bits.tobytes())
+        table, self.last_dfe_adaptation = memoized(key, compute)
         return table
 
     def ddj_population_ui(self, pattern_bits: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Every layer of the stack — event kernel, fastpath, link front end,
 statistical-eye training, resilient sweep service — carries load-bearing
 caches and loops whose behaviour the runtime otherwise cannot see: where
-a slow sweep spends its time, whether the :class:`repro.link.LinkPath`
+a slow sweep spends its time, whether the :mod:`repro.link.memo`
 pulse-response cache actually hits, how often the process pool degraded
 mid-run.  This package provides the measurement substrate without ever
 feeding back into numerics:

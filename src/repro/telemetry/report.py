@@ -8,7 +8,7 @@ exists for:
   wall-clock time, share of the total traced time (where does a slow
   sweep spend its time?);
 * **cache report** — every ``<name>.hits`` / ``<name>.misses`` counter
-  pair as a hit rate (is the :class:`repro.link.LinkPath` pulse-response
+  pair as a hit rate (is the :mod:`repro.link.memo` pulse-response
   cache actually hitting?  how many budget-charged
   :class:`~repro.link.training.objective.StatEyeObjective` solves did
   memoisation save?);

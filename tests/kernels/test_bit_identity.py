@@ -16,8 +16,9 @@ fast path's gated-ring recurrence is pinned against the closure-based
 three-way merge loop it replaced (``_ring_recurrence_reference``): on
 generated EDET streams, jittered and not, including the ``rng`` draws it
 consumes, and on whole ``FastCdrChannel`` runs.  Whole-channel
-comparisons monkeypatch the reference loop in.  These tests byte-compare
-arrays (``.tobytes()``), not approximately.
+comparisons monkeypatch the reference loop in, on an empty link memo, and
+assert it ran — a memoized displacement table would skip it.  These tests
+byte-compare arrays (``.tobytes()``), not approximately.
 """
 
 import importlib.util
@@ -52,6 +53,7 @@ from repro.link import (
 from repro.link import stateye
 from repro.link.equalization import _lms_data_aided
 from repro.link.isi import nrz_symbol_levels
+from repro.link.memo import clear_link_memo
 from repro.link.training import LinkTrainer, TrainingBudget
 
 PRBS7_BITS = prbs_sequence(7)
@@ -72,6 +74,24 @@ def _reference_adapt(self, ui_samples, symbols):
     if self.decision_directed:
         return self._adapt_decision_directed(samples, levels)
     return self._adapt_reference(samples, levels)
+
+
+def _patch_reference_adapt(monkeypatch) -> list:
+    """Route ``LmsDfe.adapt`` to the pinned loops from an empty link memo.
+
+    Returns the list of configurations the reference loop ran for, so a
+    test can assert the oracle was exercised rather than served a
+    memoized table.
+    """
+    calls = []
+
+    def reference_adapt(self, ui_samples, symbols):
+        calls.append(self)
+        return _reference_adapt(self, ui_samples, symbols)
+
+    monkeypatch.setattr(LmsDfe, "adapt", reference_adapt)
+    clear_link_memo()
+    return calls
 
 
 def _reference_run_until(self, stop_time_s):
@@ -206,8 +226,9 @@ class TestTrainedLinkBitIdentity:
         """(scalar-loop edges, reference-loop edges) of one trained link."""
         bits = prbs_sequence(7, 254)
         fast = LinkPath(link).transmit(bits, pattern_period=127)
-        monkeypatch.setattr(LmsDfe, "adapt", _reference_adapt)
+        calls = _patch_reference_adapt(monkeypatch)
         reference = LinkPath(link).transmit(bits, pattern_period=127)
+        assert calls == [link.dfe], "the reference DFE loop never ran"
         return fast.edge_times_s, reference.edge_times_s
 
     def test_link_edge_stream_matches_reference(self, monkeypatch):
@@ -233,8 +254,9 @@ class TestTrainedLinkBitIdentity:
 
         # Rerun in-process on the pinned reference loops: the scalar
         # recursion must not have changed a single bit of the sweep.
-        monkeypatch.setattr(LmsDfe, "adapt", _reference_adapt)
+        calls = _patch_reference_adapt(monkeypatch)
         reference = run_grid(spec, [axis], seed=9, workers=1)
+        assert calls, "the reference DFE loop never ran"
         assert _bytes_equal(serial.metric("errors"), reference.metric("errors"))
         assert _bytes_equal(serial.metric("compared"), reference.metric("compared"))
 

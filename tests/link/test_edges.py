@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.datapath import JitterSpec, generate_edge_times, prbs_sequence, waveform_from_edges
 from repro.link import (
     IdealChannel,
@@ -120,10 +121,13 @@ class TestLinkPathTransmit:
     def test_pattern_table_reused_across_calls(self):
         path = LinkPath(LinkConfig(channel=LossyLineChannel.for_loss_at_nyquist(8.0)))
         bits = prbs_sequence(7, 254)
-        path.transmit(bits, pattern_period=127)
-        assert len(path._pattern_cache) == 1
-        path.transmit(prbs_sequence(7, 508), pattern_period=127)
-        assert len(path._pattern_cache) == 1  # same pattern, no recompute
+        with telemetry.trace() as tracer:
+            path.transmit(bits, pattern_period=127)
+            assert tracer.counters["link.pattern_cache.misses"] == 1
+            path.transmit(prbs_sequence(7, 508), pattern_period=127)
+        # Same pattern: the second call reuses the table, no recompute.
+        assert tracer.counters["link.pattern_cache.misses"] == 1
+        assert tracer.counters["link.pattern_cache.hits"] == 1
 
     def test_pattern_period_must_tile(self):
         path = LinkPath(LinkConfig())

@@ -1,8 +1,10 @@
 """The repository satisfies its own determinism & spawn-safety contract.
 
 This is the test-suite twin of the blocking CI step: repro-lint over the
-full tree must be clean against the committed (empty-for-RPL001..003)
-baseline.  A new violation fails here first, with the rule's message.
+full tree must be clean against the committed (empty) baseline.  A new
+violation fails here first, with the rule's message.  The whole-tree lint
+runs once per module, as exactly the CI invocation, and every contract
+below reads that one run.
 """
 
 import os
@@ -10,18 +12,34 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro._lint import Baseline, DEFAULT_BASELINE_NAME, lint_paths, rule_codes
+import pytest
+
+from repro._lint import Baseline, DEFAULT_BASELINE_NAME, rule_codes
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 LINT_TARGETS = ["src", "tests", "benchmarks", "examples", "cdrbench"]
 
 
-def test_repo_lints_clean():
-    findings = lint_paths(LINT_TARGETS, REPO_ROOT)
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    kept, stale = baseline.apply(findings)
-    assert kept == [], "\n".join(finding.render() for finding in kept)
-    assert stale == [], stale
+@pytest.fixture(scope="module")
+def repo_lint_run() -> subprocess.CompletedProcess:
+    """Exactly the blocking CI invocation, importable without numpy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro._lint", *LINT_TARGETS],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_repo_lints_clean(repo_lint_run):
+    # Nothing grandfathered, and the run reports no finding (each would be
+    # rendered above the summary line) and no stale baseline entry.
+    assert Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME).entries == {}
+    assert repo_lint_run.stdout.splitlines()[-1:] == ["0 findings"], repo_lint_run.stdout
 
 
 def test_committed_baseline_is_empty_for_core_invariants():
@@ -34,20 +52,9 @@ def test_committed_baseline_is_empty_for_core_invariants():
     assert offenders == [], offenders
 
 
-def test_cli_module_exits_zero_from_repo_root():
-    # Exactly the blocking CI invocation, importable without numpy.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "-m", "repro._lint", *LINT_TARGETS],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "0 findings" in result.stdout
+def test_cli_module_exits_zero_from_repo_root(repo_lint_run):
+    assert repo_lint_run.returncode == 0, repo_lint_run.stdout + repo_lint_run.stderr
+    assert "0 findings" in repo_lint_run.stdout
 
 
 def test_every_rule_is_registered():

@@ -18,6 +18,7 @@ from repro.datapath.nrz import JitterSpec
 from repro.datapath.prbs import prbs_sequence
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.link import LinkConfig, LinkPath, RxCtle, TxFfe
+from repro.link.memo import clear_link_memo
 from repro.link.training import StatEyeObjective
 
 MILD = JitterSpec(dj_ui_pp=0.2, rj_ui_rms=0.01)
@@ -45,8 +46,10 @@ class TestBitIdentity:
             tx_ffe=TxFfe.de_emphasis(post_db=3.5), rx_ctle=RxCtle(peaking_db=6.0)
         )
         baseline = LinkPath(link).transmit(bits)
-        with telemetry.trace():
+        clear_link_memo()  # the traced leg must recompute, not reuse the table
+        with telemetry.trace() as tracer:
             traced = LinkPath(link).transmit(bits)
+        assert tracer.counters["link.pattern_cache.misses"] == 1
         np.testing.assert_array_equal(traced.edge_times_s, baseline.edge_times_s)
         np.testing.assert_array_equal(traced.bits, baseline.bits)
 
@@ -91,12 +94,14 @@ class TestInstrumentationPresence:
             path.equalized_pulse_response(64)
             path.transmit(bits)
             path.transmit(bits)
-        # transmit() pulls the pulse response on its own grid length, so
-        # expect one miss per distinct grid and at least the explicit hit.
-        assert tracer.counters["link.pulse_cache.misses"] >= 1
-        assert tracer.counters["link.pulse_cache.hits"] >= 1
+        # transmit() pulls the pulse response on its own grid length: one
+        # miss per distinct grid, the explicit repeat hits, and the second
+        # transmit reuses the pattern table without touching the pulse.
+        # The memo starts empty in every test, so the counts are exact.
+        assert tracer.counters["link.pulse_cache.misses"] == 2
+        assert tracer.counters["link.pulse_cache.hits"] == 1
         assert tracer.counters["link.pattern_cache.misses"] == 1
-        assert tracer.counters["link.pattern_cache.hits"] >= 1
+        assert tracer.counters["link.pattern_cache.hits"] == 1
 
     def test_objective_memo_counters_and_solve_span(self):
         with telemetry.trace() as tracer:
