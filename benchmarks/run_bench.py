@@ -118,7 +118,7 @@ def bench_fig09_sj_sweep(n_bits: int) -> dict:
 
     fast, fast_s = _timed(lambda: sweep("fast"))
     event, event_s = _timed(lambda: sweep("event"))
-    assert np.array_equal(fast.errors, event.errors), "backend divergence!"
+    assert np.array_equal(fast.metrics["errors"], event.metrics["errors"]), "backend divergence!"
     return {
         "grid_points": int(frequencies.size * amplitudes.size),
         "n_bits_per_point": n_bits,
@@ -126,8 +126,8 @@ def bench_fig09_sj_sweep(n_bits: int) -> dict:
         "fast_s": round(fast_s, 3),
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
-        "total_errors": int(fast.total_errors),
-        "sweep_result": fast.source.to_dict(),
+        "total_errors": int(fast.metrics["errors"].sum()),
+        "sweep_result": fast.to_dict(),
     }
 
 
@@ -142,16 +142,16 @@ def bench_fig10_offset_sweep(n_bits: int) -> dict:
 
     fast, fast_s = _timed(lambda: sweep("fast"))
     event, event_s = _timed(lambda: sweep("event"))
-    assert np.array_equal(fast.errors, event.errors), "backend divergence!"
+    assert np.array_equal(fast.metrics["errors"], event.metrics["errors"]), "backend divergence!"
     return {
         "grid_points": int(offsets.size),
         "n_bits_per_point": n_bits,
-        "sweep_result": fast.source.to_dict(),
+        "sweep_result": fast.to_dict(),
         "event_s": round(event_s, 3),
         "fast_s": round(fast_s, 3),
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
-        "total_errors": int(fast.total_errors),
+        "total_errors": int(fast.metrics["errors"].sum()),
     }
 
 
@@ -202,16 +202,16 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
 
     fast, fast_s = _timed(lambda: sweep("fast"))
     event, event_s = _timed(lambda: sweep("event"))
-    assert np.array_equal(fast.errors, event.errors), "backend divergence!"
+    assert np.array_equal(fast.metrics["errors"], event.metrics["errors"]), "backend divergence!"
     return {
         "grid_points": int(losses.size),
         "n_bits_per_point": n_bits,
-        "sweep_result": fast.source.to_dict(),
+        "sweep_result": fast.to_dict(),
         "event_s": round(event_s, 3),
         "fast_s": round(fast_s, 3),
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
-        "total_errors": int(fast.total_errors),
+        "total_errors": int(fast.metrics["errors"].sum()),
     }
 
 

@@ -37,18 +37,19 @@ def test_bench_fastpath_ber_vs_sj(benchmark, save_sweep_result):
             FREQUENCIES, AMPLITUDES_UI_PP, base_jitter=BASE_JITTER,
             n_bits=N_BITS, backend="fast", seed=9, workers=1),
         rounds=1, iterations=1)
-    path = save_sweep_result(result.source, "fastpath_ber_vs_sj")
-    assert SweepResult.load(path).equals(result.source)
+    path = save_sweep_result(result, "fastpath_ber_vs_sj")
+    assert SweepResult.load(path).equals(result)
 
     # Low-frequency SJ is common mode: the re-phased oscillator tracks it
     # error-free.  (At 1.0 UIpp the displacement peaks at exactly +/-0.5 UI,
     # where the per-bit timing attribution of ber() flips unit intervals, so
     # the error-free claim is asserted on the unambiguous amplitudes.)
-    assert np.all(result.errors[:2, 0] == 0)
+    errors = result.metrics["errors"]
+    assert np.all(errors[:2, 0] == 0)
     # Near the data rate, large amplitudes break the run.
-    assert result.errors[-1, -1] > 0
+    assert errors[-1, -1] > 0
     # Errors never decrease with amplitude at the near-rate frequency.
-    assert np.all(np.diff(result.errors[:, -1]) >= 0)
+    assert np.all(np.diff(errors[:, -1]) >= 0)
 
 
 def test_bench_fastpath_ber_vs_offset(benchmark, save_sweep_result):
@@ -57,11 +58,11 @@ def test_bench_fastpath_ber_vs_offset(benchmark, save_sweep_result):
             OFFSETS, jitter=BASE_JITTER, n_bits=N_BITS,
             backend="fast", seed=9, workers=1),
         rounds=1, iterations=1)
-    save_sweep_result(result.source, "fastpath_ber_vs_offset")
+    save_sweep_result(result, "fastpath_ber_vs_offset")
 
     # A 5 % slow oscillator erodes the late side of long runs: strictly
     # worse than the on-frequency case.
-    assert result.errors[0, -1] >= result.errors[0, 0]
+    assert result.metrics["errors"][-1] >= result.metrics["errors"][0]
 
 
 def test_bench_fastpath_matches_event_backend(benchmark, save_sweep_result):
@@ -76,8 +77,8 @@ def test_bench_fastpath_matches_event_backend(benchmark, save_sweep_result):
         return fast, event
 
     fast, event = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert np.array_equal(fast.errors, event.errors)
-    assert np.array_equal(fast.compared, event.compared)
-    assert fast.source.point_backends == ("fast",)
-    assert event.source.point_backends == ("event",)
-    save_sweep_result(fast.source, "fastpath_backend_crosscheck")
+    assert np.array_equal(fast.metrics["errors"], event.metrics["errors"])
+    assert np.array_equal(fast.metrics["compared"], event.metrics["compared"])
+    assert fast.point_backends == ("fast",)
+    assert event.point_backends == ("event",)
+    save_sweep_result(fast, "fastpath_backend_crosscheck")

@@ -57,12 +57,13 @@ def ber_vs_loss_study() -> None:
     table = TextTable(["loss @ Nyquist", "unequalized BER", "FFE+CTLE BER"])
     for index, loss in enumerate(LOSSES_DB):
         table.add_row(f"{loss:.0f} dB",
-                      f"{raw.ber[0, index]:.2e}",
-                      f"{equalized.ber[0, index]:.2e}")
+                      f"{raw.ber[index]:.2e}",
+                      f"{equalized.ber[index]:.2e}")
     print(table.render())
-    improvement = np.all(equalized.errors <= raw.errors)
+    raw_errors, equalized_errors = raw.metrics["errors"], equalized.metrics["errors"]
+    improvement = np.all(equalized_errors <= raw_errors)
     print(f"equalization never degrades a point: {improvement}")
-    print(f"total errors: raw {raw.total_errors}, equalized {equalized.total_errors}\n")
+    print(f"total errors: raw {raw_errors.sum()}, equalized {equalized_errors.sum()}\n")
 
 
 def ablation_study() -> None:
@@ -70,7 +71,8 @@ def ablation_study() -> None:
     result = equalization_ablation_sweep(HARSH_LOSS_DB, n_bits=N_BITS, seed=7,
                                          dfe=LmsDfe())
     table = TextTable(["line-up", "errors", "BER"])
-    for label, errors, ber in zip(result.labels, result.errors, result.ber):
+    for label, errors, ber in zip(result.axes[0].labels, result.metrics["errors"],
+                                  result.ber):
         table.add_row(label, str(int(errors)), f"{ber:.2e}")
     print(table.render())
     print()

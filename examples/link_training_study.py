@@ -115,19 +115,20 @@ def sweep_study() -> None:
         "loss @ Nyquist", "fixed BER", "fixed V", "trained V",
         "trained lineup", "solves",
     ])
+    metrics = result.metrics
     for index, loss in enumerate(losses):
-        lineup = (f"post={result.trained_tx_post_db[index]:g} dB, "
-                  f"peak={result.trained_ctle_peaking_db[index]:g} dB")
+        lineup = (f"post={metrics['trained_tx_post_db'][index]:g} dB, "
+                  f"peak={metrics['trained_ctle_peaking_db'][index]:g} dB")
         table.add_row(
             f"{loss:.0f} dB",
             f"{result.ber[index]:.2e}",
-            f"{result.fixed_vertical[index]:.3f}",
-            f"{result.trained_vertical[index]:.3f}",
+            f"{metrics['fixed_vertical'][index]:.3f}",
+            f"{metrics['trained_vertical'][index]:.3f}",
             lineup,
-            f"{result.training_evaluations[index]:.0f}",
+            f"{metrics['training_evaluations'][index]:.0f}",
         )
     print(table.render())
-    never_worse = bool(np.all(result.vertical_gain >= 0.0))
+    never_worse = bool(np.all(metrics["trained_vertical"] >= metrics["fixed_vertical"]))
     print(f"training never shrinks the vertical opening: {never_worse}")
 
 

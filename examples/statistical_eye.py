@@ -73,12 +73,13 @@ def crosstalk_study() -> None:
                                     n_bits=4000, seed=7)
     table = TextTable(["aggressor", "bit-true errors", "stateye BER",
                        "H opening", "V opening"])
+    metrics = result.metrics
     for index, amplitude in enumerate(amplitudes):
         table.add_row(f"{amplitude:.2f}",
-                      str(int(result.errors[index])),
-                      f"{result.stateye_ber[index]:.2e}",
-                      f"{result.stateye_horizontal_ui[index]:.3f} UI",
-                      f"{result.stateye_vertical[index]:.2f}")
+                      str(int(metrics["errors"][index])),
+                      f"{metrics['stateye_ber'][index]:.2e}",
+                      f"{metrics['stateye_horizontal_ui'][index]:.3f} UI",
+                      f"{metrics['stateye_vertical'][index]:.2f}")
     print(table.render())
     print("openings shrink monotonically; bit-true errors appear "
           "once the statistical eye collapses\n")

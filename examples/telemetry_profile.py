@@ -47,7 +47,9 @@ def main() -> None:
         )
 
     for loss_db, trained, fixed in zip(
-        result.loss_db_values, result.trained_vertical, result.fixed_vertical
+        LOSS_DB_VALUES,
+        result.metrics["trained_vertical"],
+        result.metrics["fixed_vertical"],
     ):
         print(
             f"  loss {loss_db:4.1f} dB: trained vertical opening "

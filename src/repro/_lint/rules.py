@@ -262,7 +262,7 @@ class RawJsonRule(Rule):
 # --- RPL004 ------------------------------------------------------------------
 
 #: Call targets that ship their callable arguments to pool workers.
-_SPAWN_SINKS = {"map_tasks", "map_tasks_resilient", "submit", "apply_async"}
+_SPAWN_SINKS = {"map_tasks_resilient", "submit", "apply_async"}
 
 
 @register
@@ -271,7 +271,7 @@ class SpawnUnsafeCallableRule(Rule):
     name = "spawn-unsafe-callable"
     summary = (
         "lambdas, closures and locally-defined functions are not picklable "
-        "under the spawn start method — workers shipped to map_tasks/"
+        "under the spawn start method — workers shipped to "
         "map_tasks_resilient/submit must be module-level functions"
     )
 

@@ -38,8 +38,8 @@ __all__ = ["AxisResult", "PointFailure", "SweepResult", "measured_ber"]
 def measured_ber(errors: np.ndarray, compared: np.ndarray) -> np.ndarray:
     """Element-wise measured BER with NaN where nothing was compared.
 
-    The one shared guard for every errors/compared grid pair — the engine
-    result and the legacy sweep result classes all delegate here.
+    The guard behind :attr:`SweepResult.ber` for every errors/compared
+    grid pair.
     """
     errors = np.asarray(errors)
     compared = np.asarray(compared)

@@ -1,14 +1,14 @@
 """Parallel, deterministically seeded time-domain sweeps over CDR channels.
 
-* :mod:`repro.sweep.runner` — a process-pool task runner whose per-task
-  random streams come from ``np.random.SeedSequence.spawn``, so results are
-  identical for any worker count (including serial execution).
-* :mod:`repro.sweep.resilient` — the fault-tolerant streaming layer on the
-  same seeding contract: per-task failure isolation with structured
-  :class:`TaskFailure` records, deterministic bounded retry, chunked
-  execution with JSONL checkpoint/resume (bit-identical merged results),
-  pool-breakage/timeout degradation and a per-task audit trail.  It is the
-  execution substrate of the :mod:`repro.experiments` engine.
+* :mod:`repro.sweep.resilient` — the process-pool task runner.  Task
+  *i*'s random stream comes from ``np.random.SeedSequence(seed).spawn``,
+  so results are identical for any worker count (including serial
+  execution).  On that seeding contract it adds per-task failure
+  isolation with structured :class:`TaskFailure` records, deterministic
+  bounded retry, chunked execution with JSONL checkpoint/resume
+  (bit-identical merged results), pool-breakage/timeout degradation and a
+  per-task audit trail.  It is the execution substrate of the
+  :mod:`repro.experiments` engine.
 * :mod:`repro.sweep.faults` — deterministic fault-injection worker wrappers
   (fail-every-Nth, fail-once-then-succeed, hang/crash-in-pool) plus an
   ``"inject_fault"`` scenario axis, for resilience tests and downstream
@@ -17,21 +17,20 @@
   sinusoidal jitter / frequency offset / channel loss / CTLE peaking,
   equalization ablation, time-domain jitter tolerance, multi-channel
   receiver), each a thin wrapper building a declarative
-  :class:`~repro.experiments.ScenarioSpec` study and running it on the
-  generic engine.  The ``backend`` argument (``"event"``, ``"fast"`` or
-  ``"auto"``) resolves through the capability registry in
-  :mod:`repro.fastpath.backends`.
+  :class:`~repro.experiments.ScenarioSpec` study, running it on the
+  generic engine and returning the engine's
+  :class:`~repro.experiments.SweepResult`.  The ``backend`` argument
+  (``"event"``, ``"fast"`` or ``"auto"``) resolves through the capability
+  registry in :mod:`repro.fastpath.backends`.
 
 New studies should target :mod:`repro.experiments` directly; these
 wrappers exist for the paper's named figures and for API stability.
 """
 
-from .runner import SweepRunner, map_tasks
 from .resilient import (
     FAILURE_POLICIES,
     CheckpointMismatchError,
     ResilientMap,
-    ResilientRunner,
     SweepTaskError,
     TaskAudit,
     TaskFailure,
@@ -40,12 +39,6 @@ from .resilient import (
 from .sweeps import (
     BACKENDS,
     LINK_RESIDUAL_JITTER_SPEC,
-    AggressorSweepResult,
-    BerSurfaceResult,
-    EqualizationAblationResult,
-    JitterToleranceResult,
-    LinkTrainingSweepResult,
-    MultichannelSweepResult,
     ber_vs_aggressor_sweep,
     ber_vs_channel_loss_sweep,
     ber_vs_ctle_peaking_sweep,
@@ -59,24 +52,15 @@ from .sweeps import (
 )
 
 __all__ = [
-    "SweepRunner",
-    "map_tasks",
     "FAILURE_POLICIES",
     "CheckpointMismatchError",
     "ResilientMap",
-    "ResilientRunner",
     "SweepTaskError",
     "TaskAudit",
     "TaskFailure",
     "map_tasks_resilient",
     "BACKENDS",
     "LINK_RESIDUAL_JITTER_SPEC",
-    "AggressorSweepResult",
-    "BerSurfaceResult",
-    "EqualizationAblationResult",
-    "JitterToleranceResult",
-    "LinkTrainingSweepResult",
-    "MultichannelSweepResult",
     "ber_vs_aggressor_sweep",
     "ber_vs_channel_loss_sweep",
     "ber_vs_ctle_peaking_sweep",

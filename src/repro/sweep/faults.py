@@ -62,10 +62,10 @@ class InjectedFault(RuntimeError):
 def task_index(rng: np.random.Generator) -> int:
     """The flat task index encoded in the runner's spawned seed tree.
 
-    ``map_tasks`` / ``map_tasks_resilient`` build task *i*'s generator
-    from ``SeedSequence(seed).spawn(n)[i]``, whose spawn key ends in
-    ``i`` — so a worker can recover its own index from nothing but the
-    generator it was handed.
+    ``map_tasks_resilient`` builds task *i*'s generator from
+    ``SeedSequence(seed).spawn(n)[i]``, whose spawn key ends in ``i`` —
+    so a worker can recover its own index from nothing but the generator
+    it was handed.
     """
     return int(rng.bit_generator.seed_seq.spawn_key[-1])
 

@@ -1,9 +1,10 @@
 """Fault-tolerant, checkpointed, chunked execution of sweep tasks.
 
-:func:`repro.sweep.runner.map_tasks` is the deterministic substrate —
-task *i*'s random stream is spawned from ``SeedSequence(seed)`` and never
-depends on the worker count.  This module keeps that contract and adds
-the three properties a *service* needs that a one-shot map does not:
+Deterministic seeding is the contract: task *i*'s random stream is
+``np.random.default_rng(SeedSequence(seed).spawn(n)[i])``, so it depends
+only on ``(seed, i)`` — never on the worker count, the chunking, or
+whether the task ran in a pool process, serially, or after a resume.
+On that contract :func:`map_tasks_resilient` adds three properties:
 
 **Failure isolation.**  Every task runs inside a per-task ``try`` /
 ``except`` boundary (:func:`_guarded`, executed identically in-pool and
@@ -46,27 +47,27 @@ count.  The parent additionally records ``sweep.chunk`` spans and
 pool breakages/abandonment/spawn fallbacks, checkpoint restores).
 Durations never enter the checkpoint or any content hash.
 
-**Audit sidecar.**  With ``audit_sidecar=True`` (the default) a
-checkpointed run also appends each task's deterministic audit fields
-(mode, attempts — never wall-clock durations) to a ``<checkpoint>.audit``
-JSONL sidecar.  On resume, restored points keep ``mode="checkpoint"``
-but carry the original execution's ``source_mode`` / ``source_attempts``
-from the sidecar, so a resumed study retains its full execution history.
+**Audit sidecar.**  A checkpointed run also appends each task's
+deterministic audit fields (mode, attempts — never wall-clock durations)
+to a ``<checkpoint>.audit`` JSONL sidecar.  On resume, restored points
+keep ``mode="checkpoint"`` but carry the original execution's
+``source_mode`` / ``source_attempts`` from the sidecar, so a resumed
+study retains its full execution history.
 
-**Progress sidecar.**  With ``progress_sidecar=True`` (the default) a
-checkpointed run additionally streams live progress events to a
-``<checkpoint>.progress`` JSONL sidecar under the same study-identity
-discipline: a run ``start`` record (task/restored/pending counts),
-``chunk-start`` / ``chunk-end`` records with cumulative done / failed /
-restored / retry counts, ``pool`` records for pool-health transitions
-(spawn fallback, rebuild, abandonment), and an ``end`` record written
-only on normal completion — its absence marks a run as live or
-interrupted.  All wall-clock quantities (elapsed seconds, throughput,
-ETA — monotonic ``perf_counter`` durations) live under each record's
-``"timing"`` key, so the remaining fields are byte-identical across
-worker counts for healthy runs, exactly like the checkpoint itself.
-The numpy-free ``python -m repro.telemetry.watch`` CLI renders these
-sidecars offline or live.
+**Progress sidecar.**  A checkpointed run additionally streams live
+progress events to a ``<checkpoint>.progress`` JSONL sidecar under the
+same study-identity discipline: a run ``start`` record
+(task/restored/pending counts), ``chunk-start`` / ``chunk-end`` records
+with cumulative done / failed / restored / retry counts, ``pool``
+records for pool-health transitions (spawn fallback, rebuild,
+abandonment), and an ``end`` record written only on normal completion —
+its absence marks a run as live or interrupted.  All wall-clock
+quantities (elapsed seconds, throughput, ETA — monotonic
+``perf_counter`` durations) live under each record's ``"timing"`` key,
+so the remaining fields are byte-identical across worker counts for
+healthy runs, exactly like the checkpoint itself.  The numpy-free
+``python -m repro.telemetry.watch`` CLI renders these sidecars offline
+or live.
 
 **Provenance.**  A ``manifest`` mapping (see
 :func:`repro.telemetry.manifest.collect_manifest`) passed by the caller
@@ -78,6 +79,7 @@ seed only, so a checkpoint written on one machine restores on another.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import traceback
@@ -104,7 +106,6 @@ __all__ = [
     "ResilientMap",
     "SweepTaskError",
     "CheckpointMismatchError",
-    "ResilientRunner",
     "map_tasks_resilient",
 ]
 
@@ -481,7 +482,7 @@ def _load_checkpoint(path: Path, header: dict) -> dict[int, Any]:
 # --- audit sidecar ------------------------------------------------------------
 
 
-def _audit_sidecar_path(checkpoint_path: Path) -> Path:
+def _audit_path(checkpoint_path: Path) -> Path:
     """The audit sidecar living next to *checkpoint_path* (``<name>.audit``)."""
     return checkpoint_path.with_name(checkpoint_path.name + ".audit")
 
@@ -496,7 +497,7 @@ def _audit_header(key: str, n_tasks: int, seed: int | None) -> dict:
     }
 
 
-def _load_audit_sidecar(path: Path, header: dict) -> dict[int, tuple[str, int]]:
+def _load_audit(path: Path, header: dict) -> dict[int, tuple[str, int]]:
     """``{index: (mode, attempts)}`` from an audit sidecar file.
 
     Same study-identity discipline as :func:`_load_checkpoint`: the
@@ -539,7 +540,7 @@ def _load_audit_sidecar(path: Path, header: dict) -> dict[int, tuple[str, int]]:
 # --- progress sidecar ---------------------------------------------------------
 
 
-def _progress_sidecar_path(checkpoint_path: Path) -> Path:
+def _progress_path(checkpoint_path: Path) -> Path:
     """The progress sidecar living next to *checkpoint_path* (``<name>.progress``)."""
     return checkpoint_path.with_name(checkpoint_path.name + ".progress")
 
@@ -680,8 +681,6 @@ def map_tasks_resilient(
     chunk_timeout_s: float | None = None,
     checkpoint: str | Path | None = None,
     checkpoint_key: str | None = None,
-    audit_sidecar: bool = True,
-    progress_sidecar: bool = True,
     manifest: dict | None = None,
 ) -> ResilientMap:
     """Run ``worker(task, rng)`` over *tasks* with isolation and checkpoints.
@@ -714,29 +713,21 @@ def map_tasks_resilient(
     chunk_timeout_s:
         Wall-clock budget per pooled chunk; on expiry the pool is
         abandoned and the chunk (and all later chunks) complete serially.
-        ``None`` disables the timeout.  Serial execution is not limited.
+        ``None`` disables the timeout; any other value must be finite and
+        positive.  Serial execution is not limited.
     checkpoint:
         JSONL checkpoint path.  An existing file must match the study
         key (or :class:`CheckpointMismatchError` is raised) and its
         completed points are not re-run; the worker's return values must
         be JSON-representable (numbers, strings, ``None``, lists/tuples,
-        dicts — restored values come back with lists for tuples).
+        dicts — restored values come back with lists for tuples).  The
+        run also writes the ``<checkpoint>.audit`` and
+        ``<checkpoint>.progress`` sidecars next to it (see the module
+        docstring); on resume, restored points' :class:`TaskAudit` carry
+        the original execution's ``source_mode`` / ``source_attempts``.
     checkpoint_key:
         Explicit study identity; default is a content hash of the task
         list and seed via :func:`repro._jsonio.content_key`.
-    audit_sidecar:
-        With a checkpoint, also persist each task's deterministic audit
-        fields (mode, attempts — never durations) to a
-        ``<checkpoint>.audit`` sidecar, and on resume surface the
-        original execution's fields as ``source_mode`` /
-        ``source_attempts`` on restored points' :class:`TaskAudit`.
-        Ignored without a checkpoint.
-    progress_sidecar:
-        With a checkpoint, stream live progress events (run start,
-        chunk start/end with cumulative counts, pool-health transitions,
-        normal-completion end) to a ``<checkpoint>.progress`` sidecar
-        for the ``python -m repro.telemetry.watch`` CLI.  Ignored
-        without a checkpoint.
     manifest:
         Optional provenance mapping (a
         :meth:`repro.telemetry.manifest.RunManifest.to_dict` payload)
@@ -753,6 +744,10 @@ def map_tasks_resilient(
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be non-negative, got {max_retries}")
+    if chunk_timeout_s is not None and not 0.0 < chunk_timeout_s < math.inf:
+        raise ValueError(
+            f"chunk_timeout_s must be None or finite and positive, got {chunk_timeout_s}"
+        )
     n_tasks = len(tasks)
     children = list(np.random.SeedSequence(seed).spawn(n_tasks)) if n_tasks else []
     retries = max_retries if failure_policy == "retry" else 0
@@ -772,18 +767,11 @@ def map_tasks_resilient(
         if checkpoint_key is None:
             checkpoint_key = content_key({"tasks": tasks, "seed": seed})
         header = _checkpoint_header(checkpoint_key, n_tasks, seed, manifest)
-        if audit_sidecar:
-            sidecar_path = _audit_sidecar_path(checkpoint_path)
+        sidecar_path = _audit_path(checkpoint_path)
         if checkpoint_path.exists() and checkpoint_path.stat().st_size > 0:
             sources: dict[int, tuple[str, int]] = {}
-            if (
-                sidecar_path is not None
-                and sidecar_path.exists()
-                and sidecar_path.stat().st_size > 0
-            ):
-                sources = _load_audit_sidecar(
-                    sidecar_path, _audit_header(checkpoint_key, n_tasks, seed)
-                )
+            if sidecar_path.exists() and sidecar_path.stat().st_size > 0:
+                sources = _load_audit(sidecar_path, _audit_header(checkpoint_key, n_tasks, seed))
             for index, value in _load_checkpoint(checkpoint_path, header).items():
                 values[index] = value
                 source_mode, source_attempts = sources.get(index, (None, None))
@@ -800,18 +788,16 @@ def map_tasks_resilient(
             if checkpoint_path.parent != Path(""):
                 checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
             _append_records(checkpoint_path, [header])
-        if sidecar_path is not None and (
-            not sidecar_path.exists() or sidecar_path.stat().st_size == 0
-        ):
+        if not sidecar_path.exists() or sidecar_path.stat().st_size == 0:
             _append_records(sidecar_path, [_audit_header(checkpoint_key, n_tasks, seed)])
 
     pending = [index for index in range(n_tasks) if audits[index] is None]
     size = chunk_size if chunk_size is not None else max(n_tasks, 1)
 
     progress = None
-    if checkpoint_path is not None and progress_sidecar:
+    if checkpoint_path is not None:
         progress = _ProgressWriter(
-            _progress_sidecar_path(checkpoint_path),
+            _progress_path(checkpoint_path),
             _progress_header(checkpoint_key, n_tasks, seed, manifest),
         )
         progress.restored = n_restored
@@ -910,49 +896,3 @@ def map_tasks_resilient(
 
     ordered = tuple(failures[index] for index in sorted(failures))
     return ResilientMap(values=values, failures=ordered, audit=tuple(audits))
-
-
-@dataclass(frozen=True)
-class ResilientRunner:
-    """Reusable resilient-runner configuration (see :func:`map_tasks_resilient`).
-
-    The resilient sibling of :class:`repro.sweep.runner.SweepRunner`:
-    same seeding contract, plus chunking, failure policy, bounded retry
-    and per-chunk timeout.  Checkpointing stays per-call (`run`), since
-    the checkpoint identity belongs to a study, not a runner.
-    """
-
-    workers: int | None = None
-    seed: int | None = 0
-    chunk_size: int | None = None
-    failure_policy: str = "collect"
-    max_retries: int = 1
-    chunk_timeout_s: float | None = None
-
-    def run(
-        self,
-        worker: Callable,
-        tasks: Sequence[Any],
-        *,
-        checkpoint: str | Path | None = None,
-        checkpoint_key: str | None = None,
-        audit_sidecar: bool = True,
-        progress_sidecar: bool = True,
-        manifest: dict | None = None,
-    ) -> ResilientMap:
-        """Map *worker* over *tasks* with this runner's configuration."""
-        return map_tasks_resilient(
-            worker,
-            tasks,
-            seed=self.seed,
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            failure_policy=self.failure_policy,
-            max_retries=self.max_retries,
-            chunk_timeout_s=self.chunk_timeout_s,
-            checkpoint=checkpoint,
-            checkpoint_key=checkpoint_key,
-            audit_sidecar=audit_sidecar,
-            progress_sidecar=progress_sidecar,
-            manifest=manifest,
-        )

@@ -6,11 +6,12 @@ Every public sweep here is now a declarative study: it builds a frozen
 generic engine (:func:`repro.experiments.run_grid` /
 :func:`repro.experiments.run_tolerance_search`), which executes the grid on
 the deterministic parallel runner and resolves the backend per point
-through the capability registry.  Signatures and numeric results are
-unchanged from the hand-rolled pipelines they replace (covered by
-``tests/experiments/test_wrappers.py``); the familiar result classes are
-kept, each carrying the engine's serializable
-:class:`~repro.experiments.SweepResult` in its ``source`` field.
+through the capability registry.  Each wrapper returns the engine's
+serializable :class:`~repro.experiments.SweepResult` unchanged: read
+``result.metrics[...]`` (grid-shaped, one dimension per swept axis) or
+``result.ber``; fixed study parameters ride in ``result.metadata``.
+Numeric results are unchanged from the hand-rolled pipelines these
+wrappers replaced (covered by ``tests/experiments/test_wrappers.py``).
 
 The statistical counterparts (analytic BER at 1e-12 and below) live in
 :mod:`repro.statistical`; these time-domain sweeps complement them exactly
@@ -19,8 +20,6 @@ moderate-BER region and produce waveform-level diagnostics.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from ..experiments import (
     run_grid,
     run_tolerance_search,
 )
-from ..experiments.results import measured_ber
 from ..fastpath.backends import BACKENDS, make_channel
 from ..link import LinkConfig, LmsDfe, LossyLineChannel, RxCtle, TxFfe
 
@@ -50,12 +48,6 @@ __all__ = [
     "BACKENDS",
     "make_channel",
     "LINK_RESIDUAL_JITTER_SPEC",
-    "AggressorSweepResult",
-    "BerSurfaceResult",
-    "JitterToleranceResult",
-    "LinkTrainingSweepResult",
-    "MultichannelSweepResult",
-    "EqualizationAblationResult",
     "ber_vs_sj_sweep",
     "ber_vs_frequency_offset_sweep",
     "ber_vs_channel_loss_sweep",
@@ -73,157 +65,6 @@ __all__ = [
 LINK_RESIDUAL_JITTER_SPEC = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.021, sj_amplitude_ui_pp=0.0)
 
 
-# --- result classes -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BerSurfaceResult:
-    """Measured BER surface over a 2-D sweep grid.
-
-    ``errors[row, col]`` / ``compared[row, col]`` hold the error and
-    compared-bit counts of grid point ``(rows[row], columns[col])``.
-    ``source`` is the engine's serializable result (JSON/CSV export,
-    per-point backend resolution).
-    """
-
-    rows: np.ndarray
-    columns: np.ndarray
-    errors: np.ndarray
-    compared: np.ndarray
-    backend: str
-    n_bits: int
-    source: SweepResult | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def ber(self) -> np.ndarray:
-        """Measured BER per grid point (NaN where nothing was compared)."""
-        return measured_ber(self.errors, self.compared)
-
-    @property
-    def total_errors(self) -> int:
-        """Total error count over the grid."""
-        return int(self.errors.sum())
-
-
-@dataclass(frozen=True)
-class JitterToleranceResult:
-    """Measured (error-free) sinusoidal-jitter tolerance per frequency."""
-
-    frequencies_hz: np.ndarray
-    amplitudes_ui_pp: np.ndarray
-    n_bits: int
-    backend: str
-    source: SweepResult | None = field(default=None, repr=False, compare=False)
-
-    def passes_mask(self, mask_amplitudes_ui_pp: np.ndarray) -> bool:
-        """True when the tolerance clears a mask evaluated at the same frequencies."""
-        mask = np.asarray(mask_amplitudes_ui_pp, dtype=float)
-        return bool(np.all(self.amplitudes_ui_pp >= mask))
-
-
-@dataclass(frozen=True)
-class MultichannelSweepResult:
-    """Per-lane error counts of a parallel multi-channel receiver run."""
-
-    frequency_offsets: np.ndarray
-    lane_skews_ui: np.ndarray
-    errors: np.ndarray
-    compared: np.ndarray
-    backend: str
-    source: SweepResult | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def aggregate_ber(self) -> float:
-        """Aggregate BER over all lanes."""
-        total = int(self.compared.sum())
-        return float(self.errors.sum()) / total if total else float("nan")
-
-
-@dataclass(frozen=True)
-class AggressorSweepResult:
-    """Bit-true error counts plus statistical-eye metrics versus crosstalk.
-
-    One row per aggressor amplitude: measured ``errors`` / ``compared``
-    from the bit-true backend (aggressor waveforms superposed before edge
-    extraction) next to the analytic statistical eye's BER and eye
-    openings at the study's target BER — the two views the cross-validation
-    tests pin against each other.
-    """
-
-    aggressor_amplitudes: np.ndarray
-    errors: np.ndarray
-    compared: np.ndarray
-    stateye_ber: np.ndarray
-    stateye_horizontal_ui: np.ndarray
-    stateye_vertical: np.ndarray
-    loss_db: float
-    target_ber: float
-    backend: str
-    source: SweepResult | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def ber(self) -> np.ndarray:
-        """Measured BER per amplitude (NaN where nothing was compared)."""
-        return measured_ber(self.errors, self.compared)
-
-
-@dataclass(frozen=True)
-class LinkTrainingSweepResult:
-    """Trained-versus-fixed equalization across a channel-loss sweep.
-
-    One row per loss value: the bit-true error counts of the *fixed*
-    template lineup next to the statistical-eye openings of that fixed
-    lineup and of the lineup link training converged to, plus the trained
-    coordinates in the de-emphasis × peaking plane and the number of
-    statistical-eye solves each point spent.
-    """
-
-    loss_db_values: np.ndarray
-    errors: np.ndarray
-    compared: np.ndarray
-    trained_horizontal_ui: np.ndarray
-    trained_vertical: np.ndarray
-    fixed_horizontal_ui: np.ndarray
-    fixed_vertical: np.ndarray
-    trained_tx_post_db: np.ndarray
-    trained_ctle_peaking_db: np.ndarray
-    training_evaluations: np.ndarray
-    target_ber: float
-    backend: str
-    source: SweepResult | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def ber(self) -> np.ndarray:
-        """Measured BER of the fixed lineup per loss (NaN when uncompared)."""
-        return measured_ber(self.errors, self.compared)
-
-    @property
-    def vertical_gain(self) -> np.ndarray:
-        """Trained minus fixed vertical opening per loss value."""
-        return self.trained_vertical - self.fixed_vertical
-
-
-@dataclass(frozen=True)
-class EqualizationAblationResult:
-    """Error counts of the same channel under different equalizer line-ups."""
-
-    labels: tuple[str, ...]
-    loss_db: float
-    errors: np.ndarray
-    compared: np.ndarray
-    backend: str
-    source: SweepResult | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def ber(self) -> np.ndarray:
-        """Measured BER per line-up (NaN where nothing was compared)."""
-        return measured_ber(self.errors, self.compared)
-
-    def as_dict(self) -> dict[str, float]:
-        """``{line-up label: BER}`` for reporting."""
-        return {label: float(value) for label, value in zip(self.labels, self.ber)}
-
-
 # --- scenario assembly helpers ------------------------------------------------
 
 
@@ -236,22 +77,6 @@ def _sinusoidal_base(jitter: JitterSpec) -> JitterSpec:
     the axes, and the phase resets to zero exactly as
     :meth:`~repro.datapath.nrz.JitterSpec.with_sinusoidal` does."""
     return jitter.with_sinusoidal(0.0, 0.0)
-
-
-def _surface(
-    result: SweepResult, rows: np.ndarray, columns: np.ndarray, backend: str, n_bits: int
-) -> BerSurfaceResult:
-    """Reshape an engine result onto the legacy (rows, columns) grid."""
-    shape = (rows.size, columns.size)
-    return BerSurfaceResult(
-        rows=rows,
-        columns=columns,
-        errors=result.metric("errors").reshape(shape),
-        compared=result.metric("compared").reshape(shape),
-        backend=backend,
-        n_bits=n_bits,
-        source=result,
-    )
 
 
 # --- BER surfaces -------------------------------------------------------------
@@ -268,11 +93,11 @@ def ber_vs_sj_sweep(
     backend: str = "fast",
     seed: int | None = 0,
     workers: int | None = None,
-) -> BerSurfaceResult:
+) -> SweepResult:
     """Time-domain BER versus sinusoidal-jitter frequency and amplitude.
 
     The time-domain companion of the paper's Figure 9/10 statistical surface:
-    rows are amplitudes, columns frequencies, exactly as plotted there.
+    metric rows are amplitudes, columns frequencies, exactly as plotted there.
     """
     config = config or CdrChannelConfig()
     base_jitter = base_jitter or PAPER_JITTER_SPEC
@@ -285,7 +110,7 @@ def ber_vs_sj_sweep(
         config=config,
         backend=backend,
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [
             ParameterAxis("sj_amplitude_ui_pp", amplitudes_ui_pp),
@@ -295,7 +120,6 @@ def ber_vs_sj_sweep(
         seed=seed,
         workers=workers,
     )
-    return _surface(result, amplitudes_ui_pp, frequencies_hz, backend, n_bits)
 
 
 def ber_vs_frequency_offset_sweep(
@@ -308,11 +132,11 @@ def ber_vs_frequency_offset_sweep(
     backend: str = "fast",
     seed: int | None = 0,
     workers: int | None = None,
-) -> BerSurfaceResult:
+) -> SweepResult:
     """Time-domain BER versus channel-oscillator frequency offset (Figure 10).
 
-    *frequency_offsets* are relative offsets (0.01 = 1 %); the result grid is
-    one row (a single jitter condition) by ``len(frequency_offsets)`` columns.
+    *frequency_offsets* are relative offsets (0.01 = 1 %); the metric grids
+    have shape ``(len(frequency_offsets),)``.
     """
     config = config or CdrChannelConfig()
     jitter = jitter or PAPER_JITTER_SPEC
@@ -324,14 +148,13 @@ def ber_vs_frequency_offset_sweep(
         config=config,
         backend=backend,
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [ParameterAxis("frequency_offset", frequency_offsets)],
         name="ber_vs_frequency_offset",
         seed=seed,
         workers=workers,
     )
-    return _surface(result, np.array([0.0]), frequency_offsets, backend, n_bits)
 
 
 # --- jitter tolerance ---------------------------------------------------------
@@ -350,7 +173,7 @@ def jitter_tolerance_sweep(
     max_amplitude_ui_pp: float = 20.0,
     tolerance_ui: float = 0.05,
     target_errors: int = 0,
-) -> JitterToleranceResult:
+) -> SweepResult:
     """Time-domain jitter-tolerance curve (error-count criterion at *n_bits*).
 
     The measured analogue of :func:`repro.statistical.jitter_tolerance_curve`:
@@ -360,6 +183,7 @@ def jitter_tolerance_sweep(
     sinusoidal jitter occasionally truncates a synchronisation pulse, so a
     strict zero-error criterion can report zero tolerance — pass a milder
     *base_jitter* or a small *target_errors* allowance for curve shapes.
+    The tolerance per frequency is ``result.metrics["sj_amplitude_ui_pp"]``.
     """
     config = config or CdrChannelConfig()
     base_jitter = base_jitter or PAPER_JITTER_SPEC
@@ -372,7 +196,7 @@ def jitter_tolerance_sweep(
         config=config,
         backend=backend,
     )
-    result = run_tolerance_search(
+    return run_tolerance_search(
         spec,
         [ParameterAxis("sj_frequency_hz", frequencies_hz)],
         ToleranceSearch(
@@ -384,13 +208,6 @@ def jitter_tolerance_sweep(
         name="jitter_tolerance",
         seed=seed,
         workers=workers,
-    )
-    return JitterToleranceResult(
-        frequencies_hz=frequencies_hz,
-        amplitudes_ui_pp=result.metric("sj_amplitude_ui_pp").reshape(-1),
-        n_bits=n_bits,
-        backend=backend,
-        source=result,
     )
 
 
@@ -406,12 +223,14 @@ def multichannel_sweep(
     backend: str = "fast",
     seed: int | None = 0,
     workers: int | None = None,
-) -> MultichannelSweepResult:
+) -> SweepResult:
     """Simulate every lane of the multi-channel receiver, one task per lane.
 
     The shared-PLL bias distribution and lane-mismatch sampling happen once
     in the parent (seeded from the root seed) so the per-lane tasks are
-    plain channel simulations that parallelise freely.
+    plain channel simulations that parallelise freely.  The drawn per-lane
+    offsets and skews are recorded as ``result.metadata["frequency_offsets"]``
+    and ``result.metadata["lane_skews_ui"]``.
     """
     config = config or MultiChannelConfig()
     jitter = jitter or PAPER_JITTER_SPEC
@@ -437,20 +256,13 @@ def multichannel_sweep(
         )
         for index in range(config.n_channels)
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [ParameterAxis("lane", lanes)],
         name="multichannel",
         seed=seed,
         workers=workers,
-    )
-    return MultichannelSweepResult(
-        frequency_offsets=np.asarray(offsets, dtype=float),
-        lane_skews_ui=np.asarray(skews, dtype=float),
-        errors=result.metric("errors").reshape(-1),
-        compared=result.metric("compared").reshape(-1),
-        backend=backend,
-        source=result,
+        metadata={"frequency_offsets": offsets.tolist(), "lane_skews_ui": skews.tolist()},
     )
 
 
@@ -473,14 +285,14 @@ def ber_vs_channel_loss_sweep(
     backend: str = "fast",
     seed: int | None = 0,
     workers: int | None = None,
-) -> BerSurfaceResult:
+) -> SweepResult:
     """Time-domain BER versus channel loss at Nyquist (dB).
 
     Each sweep point rebuilds the *link* template around a
     :class:`~repro.link.LossyLineChannel` scaled to the requested Nyquist
     loss; the per-point pulse response and pattern displacement table are
-    computed once and reused for the whole bit stream.  The result grid is
-    one row by ``len(loss_db_values)`` columns.
+    computed once and reused for the whole bit stream.  The metric grids
+    have shape ``(len(loss_db_values),)``.
     """
     config = config or CdrChannelConfig()
     link = link or LinkConfig()
@@ -494,14 +306,13 @@ def ber_vs_channel_loss_sweep(
         link=link,
         backend=backend,
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [ParameterAxis("channel_loss_db", loss_db_values)],
         name="ber_vs_channel_loss",
         seed=seed,
         workers=workers,
     )
-    return _surface(result, np.array([0.0]), loss_db_values, backend, n_bits)
 
 
 def ber_vs_ctle_peaking_sweep(
@@ -516,7 +327,7 @@ def ber_vs_ctle_peaking_sweep(
     backend: str = "fast",
     seed: int | None = 0,
     workers: int | None = None,
-) -> BerSurfaceResult:
+) -> SweepResult:
     """Time-domain BER versus CTLE peaking (dB) at a fixed channel loss.
 
     The equalizer-design companion of the loss sweep: the channel is fixed
@@ -536,7 +347,7 @@ def ber_vs_ctle_peaking_sweep(
         link=link.with_channel(channel),
         backend=backend,
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [ParameterAxis("ctle_peaking_db", peaking_db_values)],
         name="ber_vs_ctle_peaking",
@@ -544,7 +355,6 @@ def ber_vs_ctle_peaking_sweep(
         workers=workers,
         metadata={"loss_db": float(loss_db)},
     )
-    return _surface(result, np.array([float(loss_db)]), peaking_db_values, backend, n_bits)
 
 
 def ber_vs_aggressor_sweep(
@@ -560,7 +370,7 @@ def ber_vs_aggressor_sweep(
     seed: int | None = 0,
     workers: int | None = None,
     target_ber: float = 1.0e-12,
-) -> AggressorSweepResult:
+) -> SweepResult:
     """BER and statistical eye versus crosstalk aggressor amplitude.
 
     A declarative study, not a new pipeline: the base scenario is the
@@ -587,25 +397,13 @@ def ber_vs_aggressor_sweep(
         measurement=MeasurementPlan(statistical_eye=True, target_ber=target_ber),
         backend=backend,
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [ParameterAxis("aggressor_amplitude", aggressor_amplitudes)],
         name="ber_vs_aggressor",
         seed=seed,
         workers=workers,
         metadata={"loss_db": float(loss_db), "target_ber": float(target_ber)},
-    )
-    return AggressorSweepResult(
-        aggressor_amplitudes=aggressor_amplitudes,
-        errors=result.metric("errors").reshape(-1),
-        compared=result.metric("compared").reshape(-1),
-        stateye_ber=result.metric("stateye_ber").reshape(-1),
-        stateye_horizontal_ui=result.metric("stateye_horizontal_ui").reshape(-1),
-        stateye_vertical=result.metric("stateye_vertical").reshape(-1),
-        loss_db=float(loss_db),
-        target_ber=float(target_ber),
-        backend=backend,
-        source=result,
     )
 
 
@@ -621,12 +419,13 @@ def equalization_ablation_sweep(
     backend: str = "fast",
     seed: int | None = 0,
     workers: int | None = None,
-) -> EqualizationAblationResult:
+) -> SweepResult:
     """BER of one lossy channel under progressively richer equalization.
 
     Runs the same channel unequalized, FFE-only, CTLE-only, FFE+CTLE and
     (when *dfe* is given) FFE+CTLE+DFE — one parallel task per line-up —
-    demonstrating the eye reopening stage by stage.
+    demonstrating the eye reopening stage by stage.  The line-up labels are
+    ``result.axes[0].labels``.
     """
     config = config or CdrChannelConfig()
     template = link or _default_equalized_link()
@@ -651,21 +450,13 @@ def equalization_ablation_sweep(
         link=template.with_channel(channel),
         backend=backend,
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [ParameterAxis("equalization", tuple(lineups))],
         name="equalization_ablation",
         seed=seed,
         workers=workers,
         metadata={"loss_db": float(loss_db)},
-    )
-    return EqualizationAblationResult(
-        labels=tuple(lineup.label for lineup in lineups),
-        loss_db=float(loss_db),
-        errors=result.metric("errors").reshape(-1),
-        compared=result.metric("compared").reshape(-1),
-        backend=backend,
-        source=result,
     )
 
 
@@ -682,7 +473,7 @@ def link_training_sweep(
     seed: int | None = 0,
     workers: int | None = None,
     target_ber: float = 1.0e-12,
-) -> LinkTrainingSweepResult:
+) -> SweepResult:
     """Link training across a channel-loss axis, trained versus fixed.
 
     A declarative study, not a new pipeline: the base scenario is the
@@ -707,26 +498,11 @@ def link_training_sweep(
         training=training,
         backend=backend,
     )
-    result = run_grid(
+    return run_grid(
         spec,
         [ParameterAxis("channel_loss_db", loss_db_values)],
         name="link_training",
         seed=seed,
         workers=workers,
         metadata={"target_ber": float(target_ber)},
-    )
-    return LinkTrainingSweepResult(
-        loss_db_values=loss_db_values,
-        errors=result.metric("errors").reshape(-1),
-        compared=result.metric("compared").reshape(-1),
-        trained_horizontal_ui=result.metric("trained_horizontal_ui").reshape(-1),
-        trained_vertical=result.metric("trained_vertical").reshape(-1),
-        fixed_horizontal_ui=result.metric("fixed_horizontal_ui").reshape(-1),
-        fixed_vertical=result.metric("fixed_vertical").reshape(-1),
-        trained_tx_post_db=result.metric("trained_tx_post_db").reshape(-1),
-        trained_ctle_peaking_db=result.metric("trained_ctle_peaking_db").reshape(-1),
-        training_evaluations=result.metric("training_evaluations").reshape(-1),
-        target_ber=float(target_ber),
-        backend=backend,
-        source=result,
     )

@@ -53,6 +53,11 @@ class TestFailureCollection:
         with pytest.raises(SweepTaskError, match="InjectedFault"):
             run_grid(BASE, [FAULT_AXIS], seed=0, workers=1)
 
+    def test_invalid_chunk_timeout_passes_through(self):
+        with pytest.raises(ValueError, match="chunk_timeout_s"):
+            run_grid(BASE, [FAULT_AXIS], seed=0, workers=2,
+                     chunk_timeout_s=0.0)
+
     def test_audit_trail_covers_every_point(self):
         result = run_grid(BASE, [FAULT_AXIS], seed=0, workers=1,
                           failure_policy="collect")

@@ -1,4 +1,4 @@
-"""The seven public sweeps are thin, bit-identical wrappers over the engine.
+"""The public sweeps are thin, bit-identical wrappers over the engine.
 
 Two layers of protection:
 
@@ -59,48 +59,53 @@ class TestGoldenPins:
         result = ber_vs_sj_sweep(
             np.array([2.5e6, 7.5e8]), np.array([0.1, 1.0]),
             base_jitter=MILD, n_bits=600, backend="fast", seed=7, workers=1)
-        assert result.errors.tolist() == [[0, 0], [36, 73]]
-        assert result.compared.tolist() == [[598, 598], [598, 598]]
+        assert result.metrics["errors"].tolist() == [[0, 0], [36, 73]]
+        assert result.metrics["compared"].tolist() == [[598, 598], [598, 598]]
 
     def test_ber_vs_frequency_offset(self):
         result = ber_vs_frequency_offset_sweep(
             np.array([0.0, 0.02, 0.05]), jitter=MILD, n_bits=600,
             seed=2, workers=1)
-        assert result.errors.tolist() == [[0, 1, 1]]
+        assert result.metrics["errors"].tolist() == [0, 1, 1]
 
     def test_jitter_tolerance(self):
         result = jitter_tolerance_sweep(
             np.array([2.5e5, 7.5e8]), base_jitter=MILD, n_bits=400,
             seed=5, workers=1, max_amplitude_ui_pp=4.0, target_errors=1)
-        np.testing.assert_allclose(result.amplitudes_ui_pp,
+        np.testing.assert_allclose(result.metrics["sj_amplitude_ui_pp"],
                                    [3.45, 0.35], atol=1e-12)
 
     def test_multichannel(self):
         result = multichannel_sweep(n_bits=400, jitter=MILD, seed=11,
                                     workers=1)
-        assert result.errors.tolist() == [0, 0, 1, 1]
+        assert result.metrics["errors"].tolist() == [0, 0, 1, 1]
+        pinned = [-0.0014625340953382492, -0.001551991370356369,
+                  0.003831199674245071, -0.0006884534163383483]
         np.testing.assert_allclose(
-            result.frequency_offsets,
-            [-0.0014625340953382492, -0.001551991370356369,
-             0.003831199674245071, -0.0006884534163383483], rtol=1e-12)
+            result.metadata["frequency_offsets"], pinned, rtol=1e-12)
+        receiver = MultiChannelReceiver(
+            MultiChannelConfig(),
+            rng=np.random.default_rng(np.random.SeedSequence(11)))
+        np.testing.assert_allclose(
+            receiver.channel_frequency_offsets(), pinned, rtol=1e-12)
 
     def test_ber_vs_channel_loss(self):
         result = ber_vs_channel_loss_sweep(
             np.array([6.0, 14.0]), n_bits=500, seed=3, workers=1)
-        assert result.errors.tolist() == [[0, 3]]
+        assert result.metrics["errors"].tolist() == [0, 3]
 
     def test_ber_vs_ctle_peaking(self):
         result = ber_vs_ctle_peaking_sweep(
             np.array([0.0, 6.0]), loss_db=14.0, n_bits=500, seed=3,
             workers=1)
-        assert result.errors.tolist() == [[7, 0]]
+        assert result.metrics["errors"].tolist() == [7, 0]
 
     def test_equalization_ablation(self):
         result = equalization_ablation_sweep(
             14.0, n_bits=500, seed=3, workers=1, dfe=LmsDfe())
-        assert result.labels == ("unequalized", "ffe", "ctle", "ffe+ctle",
-                                 "ffe+ctle+dfe")
-        assert result.errors.tolist() == [6, 0, 0, 0, 0]
+        assert result.axes[0].labels == ("unequalized", "ffe", "ctle",
+                                         "ffe+ctle", "ffe+ctle+dfe")
+        assert result.metrics["errors"].tolist() == [6, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("seed,n_bits", [(7, 500), (21, 350)])
@@ -118,9 +123,9 @@ class TestWrapperEqualsSpec:
              ParameterAxis("sj_frequency_hz", frequencies)],
             seed=seed, workers=1)
         np.testing.assert_array_equal(
-            wrapper.errors, spec_run.metric("errors"))
+            wrapper.metrics["errors"], spec_run.metric("errors"))
         np.testing.assert_array_equal(
-            wrapper.compared, spec_run.metric("compared"))
+            wrapper.metrics["compared"], spec_run.metric("compared"))
 
     def test_ber_vs_frequency_offset(self, seed, n_bits):
         offsets = np.array([0.0, 0.03])
@@ -131,7 +136,7 @@ class TestWrapperEqualsSpec:
             [ParameterAxis("frequency_offset", offsets)],
             seed=seed, workers=1)
         np.testing.assert_array_equal(
-            wrapper.errors.ravel(), spec_run.metric("errors"))
+            wrapper.metrics["errors"], spec_run.metric("errors"))
 
     def test_jitter_tolerance(self, seed, n_bits):
         frequencies = np.array([2.5e6, 7.5e8])
@@ -144,7 +149,8 @@ class TestWrapperEqualsSpec:
             ToleranceSearch(maximum=2.0, resolution=0.05, target_errors=1),
             seed=seed, workers=1)
         np.testing.assert_array_equal(
-            wrapper.amplitudes_ui_pp, spec_run.metric("sj_amplitude_ui_pp"))
+            wrapper.metrics["sj_amplitude_ui_pp"],
+            spec_run.metric("sj_amplitude_ui_pp"))
 
     def test_multichannel(self, seed, n_bits):
         config = MultiChannelConfig()
@@ -162,7 +168,7 @@ class TestWrapperEqualsSpec:
             _spec(n_bits, MILD, config=config.channel),
             [ParameterAxis("lane", lanes)],
             seed=seed, workers=1)
-        np.testing.assert_array_equal(wrapper.errors,
+        np.testing.assert_array_equal(wrapper.metrics["errors"],
                                       spec_run.metric("errors"))
 
     def test_ber_vs_channel_loss(self, seed, n_bits):
@@ -177,7 +183,7 @@ class TestWrapperEqualsSpec:
             [ParameterAxis("channel_loss_db", losses)],
             seed=seed, workers=1)
         np.testing.assert_array_equal(
-            wrapper.errors.ravel(), spec_run.metric("errors"))
+            wrapper.metrics["errors"], spec_run.metric("errors"))
 
     def test_ber_vs_ctle_peaking(self, seed, n_bits):
         peakings = np.array([0.0, 6.0])
@@ -193,7 +199,7 @@ class TestWrapperEqualsSpec:
             [ParameterAxis("ctle_peaking_db", peakings)],
             seed=seed, workers=1)
         np.testing.assert_array_equal(
-            wrapper.errors.ravel(), spec_run.metric("errors"))
+            wrapper.metrics["errors"], spec_run.metric("errors"))
 
     def test_equalization_ablation(self, seed, n_bits):
         wrapper = equalization_ablation_sweep(
@@ -215,31 +221,27 @@ class TestWrapperEqualsSpec:
             _spec(n_bits, jitter, link=link),
             [ParameterAxis("equalization", lineups)],
             seed=seed, workers=1)
-        np.testing.assert_array_equal(wrapper.errors,
+        np.testing.assert_array_equal(wrapper.metrics["errors"],
                                       spec_run.metric("errors"))
 
 
 class TestWrapperSurface:
     """The wrappers expose the engine result without re-running anything."""
 
-    def test_source_round_trips(self):
+    def test_result_round_trips(self):
         result = ber_vs_frequency_offset_sweep(
             np.array([0.0, 0.02]), jitter=MILD, n_bits=300, seed=2,
             workers=1)
         from repro.experiments import SweepResult
-        assert result.source is not None
-        assert SweepResult.from_json(result.source.to_json()).equals(
-            result.source)
-        np.testing.assert_array_equal(
-            result.source.metric("errors").reshape(result.errors.shape),
-            result.errors)
+        assert isinstance(result, SweepResult)
+        assert SweepResult.from_json(result.to_json()).equals(result)
 
     def test_auto_backend_through_wrapper(self):
         result = ber_vs_frequency_offset_sweep(
             np.array([0.0]), jitter=MILD, n_bits=300, seed=2, workers=1,
             backend="auto")
         assert result.backend == "auto"
-        assert result.source.point_backends == ("fast",)
+        assert result.point_backends == ("fast",)
 
     def test_forced_fast_with_gate_jitter_raises(self):
         config = CdrChannelConfig(gate_jitter_sigma_fraction=0.01)
@@ -253,4 +255,4 @@ class TestWrapperSurface:
         result = ber_vs_frequency_offset_sweep(
             np.array([0.0]), config=config, jitter=MILD, n_bits=300,
             seed=2, workers=1, backend="auto")
-        assert result.source.point_backends == ("event",)
+        assert result.point_backends == ("event",)

@@ -75,8 +75,8 @@ class TestLinkSweeps:
         losses = np.array([6.0, 12.0, 16.0])
         serial = ber_vs_channel_loss_sweep(losses, n_bits=600, seed=4, workers=1)
         parallel = ber_vs_channel_loss_sweep(losses, n_bits=600, seed=4, workers=3)
-        assert np.array_equal(serial.errors, parallel.errors)
-        assert np.array_equal(serial.compared, parallel.compared)
+        assert np.array_equal(serial.metrics["errors"], parallel.metrics["errors"])
+        assert np.array_equal(serial.metrics["compared"], parallel.metrics["compared"])
 
     def test_loss_sweep_backend_equivalence(self):
         losses = np.array([8.0, 16.0])
@@ -84,12 +84,12 @@ class TestLinkSweeps:
                                          workers=1, backend="fast")
         event = ber_vs_channel_loss_sweep(losses, n_bits=600, seed=4,
                                           workers=1, backend="event")
-        assert np.array_equal(fast.errors, event.errors)
+        assert np.array_equal(fast.metrics["errors"], event.metrics["errors"])
 
     def test_loss_sweep_degrades_monotonically(self):
         losses = np.array([6.0, 14.0, 18.0])
         result = ber_vs_channel_loss_sweep(losses, n_bits=1500, seed=0, workers=1)
-        errors = result.errors.ravel()
+        errors = result.metrics["errors"]
         assert errors[0] == 0
         assert errors[1] < errors[2]
         assert errors[2] > 0
@@ -100,22 +100,22 @@ class TestLinkSweeps:
         equalized = ber_vs_channel_loss_sweep(
             losses, link=_equalized(LossyLineChannel()), n_bits=1200,
             seed=1, workers=1)
-        assert equalized.total_errors < raw.total_errors
+        assert equalized.metrics["errors"].sum() < raw.metrics["errors"].sum()
 
     def test_ctle_peaking_sweep_improves_from_zero(self):
         result = ber_vs_ctle_peaking_sweep(
             np.array([0.0, 6.0]), loss_db=15.0, n_bits=1200, seed=2, workers=1)
-        errors = result.errors.ravel()
+        errors = result.metrics["errors"]
         assert errors[0] > errors[1]
 
     def test_ablation_orders_lineups(self):
         result = equalization_ablation_sweep(
             15.0, n_bits=1200, seed=2, workers=1, dfe=LmsDfe())
-        table = result.as_dict()
-        assert set(table) == {"unequalized", "ffe", "ctle", "ffe+ctle",
-                              "ffe+ctle+dfe"}
-        assert result.errors[0] == result.errors.max()
-        assert result.errors[3] <= result.errors[0]
+        assert set(result.axes[0].labels) == {"unequalized", "ffe", "ctle",
+                                              "ffe+ctle", "ffe+ctle+dfe"}
+        errors = result.metrics["errors"]
+        assert errors[0] == errors.max()
+        assert errors[3] <= errors[0]
 
 
 class TestStatisticalHandoff:

@@ -182,10 +182,10 @@ class TestSpawnUnsafeCallable:
     def test_lambda_worker(self):
         finding = single(
             """
-            from repro.sweep import map_tasks
+            from repro.sweep import map_tasks_resilient
 
             def run(tasks):
-                return map_tasks(lambda task, rng: task, tasks, seed=0)
+                return map_tasks_resilient(lambda task, rng: task, tasks, seed=0)
             """
         )
         assert finding.code == "RPL004"
@@ -221,13 +221,13 @@ class TestSpawnUnsafeCallable:
         assert (
             codes(
                 """
-                from repro.sweep import map_tasks
+                from repro.sweep import map_tasks_resilient
 
                 def worker(task, rng):
                     return task
 
                 def run(tasks):
-                    return map_tasks(worker, tasks, seed=0)
+                    return map_tasks_resilient(worker, tasks, seed=0)
                 """
             )
             == []
@@ -237,7 +237,7 @@ class TestSpawnUnsafeCallable:
         assert (
             codes(
                 """
-                from repro.sweep import map_tasks
+                from repro.sweep import map_tasks_resilient
 
                 def worker(task, rng):
                     return task
@@ -246,7 +246,7 @@ class TestSpawnUnsafeCallable:
                     class Helper:
                         def worker(self, task, rng):
                             return task
-                    return map_tasks(worker, tasks, seed=0)
+                    return map_tasks_resilient(worker, tasks, seed=0)
                 """
             )
             == []
@@ -255,11 +255,11 @@ class TestSpawnUnsafeCallable:
     def test_pragma_suppresses(self):
         source = textwrap.dedent(
             """
-            from repro.sweep import map_tasks
+            from repro.sweep import map_tasks_resilient
 
             def run(tasks):
                 # repro-lint: disable=RPL004 — fixture, serial-only test helper
-                return map_tasks(lambda task, rng: task, tasks, seed=0, workers=1)
+                return map_tasks_resilient(lambda task, rng: task, tasks, seed=0, workers=1)
             """
         )
         assert [finding.code for finding in lint_source(source, SRC)] == []
@@ -267,10 +267,10 @@ class TestSpawnUnsafeCallable:
     def test_baseline_suppresses(self, tmp_path):
         source = textwrap.dedent(
             """
-            from repro.sweep import map_tasks
+            from repro.sweep import map_tasks_resilient
 
             def run(tasks):
-                return map_tasks(lambda task, rng: task, tasks, seed=0)
+                return map_tasks_resilient(lambda task, rng: task, tasks, seed=0)
             """
         )
         findings = lint_source(source, SRC)

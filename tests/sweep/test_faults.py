@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import ScenarioSpec, apply_axis
-from repro.sweep import map_tasks
+from repro.sweep import map_tasks_resilient
 from repro.sweep.faults import (
     FailEveryNth,
     FailOnceThenSucceed,
@@ -30,8 +30,11 @@ class TestTaskIndex:
             assert task_index(np.random.default_rng(child)) == expected
 
     def test_matches_runner_task_order(self):
-        indices = map_tasks(_own_task_index, list("abcd"), seed=0, workers=1)
-        assert indices == [0, 1, 2, 3]
+        tasks = list("abcd")
+        children = np.random.SeedSequence(0).spawn(len(tasks))
+        oracle = [_own_task_index(t, np.random.default_rng(c)) for t, c in zip(tasks, children)]
+        result = map_tasks_resilient(_own_task_index, tasks, seed=0, workers=1)
+        assert result.values == oracle == [0, 1, 2, 3]
 
 
 class TestFailEveryNth:

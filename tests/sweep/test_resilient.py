@@ -1,8 +1,8 @@
 """Failure isolation, checkpoint/resume and pool robustness of the resilient runner."""
 
+import numpy as np
 import pytest
 
-from repro.sweep import map_tasks
 from repro.sweep.faults import (
     CrashInPool,
     FailEveryNth,
@@ -12,7 +12,6 @@ from repro.sweep.faults import (
 )
 from repro.sweep.resilient import (
     CheckpointMismatchError,
-    ResilientRunner,
     SweepTaskError,
     map_tasks_resilient,
 )
@@ -26,30 +25,78 @@ def _draw(task, rng):
 TASKS = list(range(10))
 
 
+def _structured(task, rng):
+    return {"task": task, "draws": rng.normal(size=3).tolist()}
+
+
 def _reference(seed=42):
-    return map_tasks(_draw, TASKS, seed=seed, workers=1)
+    """The seeding contract itself: task *i* draws from ``SeedSequence(seed).spawn(n)[i]``."""
+    children = np.random.SeedSequence(seed).spawn(len(TASKS))
+    return [_draw(task, np.random.default_rng(child)) for task, child in zip(TASKS, children)]
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("chunk_size", [None, 1, 3, 100])
-    def test_matches_plain_runner_at_any_worker_and_chunk_count(self, workers, chunk_size):
+    def test_matches_seeding_oracle_at_any_worker_and_chunk_count(self, workers, chunk_size):
         result = map_tasks_resilient(_draw, TASKS, seed=42, workers=workers, chunk_size=chunk_size)
         assert result.values == _reference()
         assert result.failures == ()
         assert [audit.index for audit in result.audit] == TASKS
 
-    def test_empty_tasks(self):
-        result = map_tasks_resilient(_draw, [], seed=0, workers=2)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_empty_tasks(self, workers):
+        result = map_tasks_resilient(_draw, [], seed=0, workers=workers)
         assert result.values == []
         assert result.failures == ()
         assert result.audit == ()
 
-    def test_runner_dataclass(self):
-        runner = ResilientRunner(workers=1, seed=3, chunk_size=2)
-        assert runner.run(_draw, [1.0, 2.0]).values == map_tasks(
-            _draw, [1.0, 2.0], seed=3, workers=1
-        )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_in_task_order(self, workers):
+        result = map_tasks_resilient(_draw, [10.0, 20.0, 30.0], seed=1, workers=workers)
+        assert [int(value) for value in result.values] == [10, 20, 30]
+
+    def test_different_seeds_differ(self):
+        first = map_tasks_resilient(_draw, TASKS, seed=1, workers=1)
+        second = map_tasks_resilient(_draw, TASKS, seed=2, workers=1)
+        assert first.values != second.values
+
+    def test_task_streams_depend_only_on_seed_and_index(self):
+        full = map_tasks_resilient(_structured, ["a", "b", "c"], seed=7, workers=1)
+        other = map_tasks_resilient(_structured, ["x", "y", "z"], seed=7, workers=1)
+        for first, second in zip(full.values, other.values):
+            assert first["draws"] == second["draws"]
+
+
+def _raise_os_error(task, rng):
+    raise OSError(f"worker-level failure for task {task!r}")
+
+
+_CALLS = []
+
+
+def _counting_raiser(task, rng):
+    _CALLS.append(task)
+    raise ValueError(f"bad task {task!r}")
+
+
+class TestWorkerExceptions:
+    """A worker's own exception is a task failure, never a pool-layer fallback."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_os_error_surfaces_with_its_type(self, workers):
+        with pytest.raises(SweepTaskError, match="worker-level failure for task 0") as excinfo:
+            map_tasks_resilient(
+                _raise_os_error, [0, 1], seed=0, workers=workers, failure_policy="raise"
+            )
+        assert excinfo.value.failure.exception_type == "OSError"
+
+    def test_worker_exception_runs_exactly_once(self):
+        _CALLS.clear()
+        with pytest.raises(SweepTaskError, match="bad task") as excinfo:
+            map_tasks_resilient(_counting_raiser, [0], seed=0, workers=1, failure_policy="raise")
+        assert excinfo.value.failure.exception_type == "ValueError"
+        assert _CALLS == [0]
 
 
 class TestFailureIsolation:
@@ -118,6 +165,9 @@ class TestFailureIsolation:
             map_tasks_resilient(_draw, TASKS, chunk_size=0)
         with pytest.raises(ValueError, match="max_retries"):
             map_tasks_resilient(_draw, TASKS, max_retries=-1)
+        for timeout in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="chunk_timeout_s"):
+                map_tasks_resilient(_draw, TASKS, workers=2, chunk_timeout_s=timeout)
 
 
 class TestCheckpointResume:
@@ -308,30 +358,16 @@ class TestAuditSidecar:
             assert audit.mode == "checkpoint"
             assert audit.source_mode == "serial"
 
-    def test_disabled_sidecar_leaves_no_file_and_no_sources(self, tmp_path):
+    def test_resume_without_sidecar_still_works(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, audit_sidecar=False
-        )
-        assert not (tmp_path / "sweep.jsonl.audit").exists()
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, audit_sidecar=False
-        )
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+        (tmp_path / "sweep.jsonl.audit").unlink()
+        resumed = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+        assert resumed.values == _reference()
         for audit in resumed.audit:
             assert audit.mode == "checkpoint"
             assert audit.source_mode is None
             assert audit.source_attempts is None
-
-    def test_resume_without_sidecar_still_works(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, audit_sidecar=False
-        )
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
-        )
-        assert resumed.values == _reference()
-        assert all(audit.source_mode is None for audit in resumed.audit)
 
     def test_corrupt_sidecar_is_rejected(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
@@ -457,14 +493,6 @@ class TestProgressSidecar:
         assert starts[1]["restored"] == len(TASKS)
         assert starts[1]["pending"] == 0
         assert records[-1]["kind"] == "end"
-
-    def test_disabled_sidecar_leaves_no_file(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint,
-            progress_sidecar=False,
-        )
-        assert not (tmp_path / "sweep.jsonl.progress").exists()
 
     def test_no_checkpoint_means_no_sidecar(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -36,42 +36,43 @@ class TestBackendSwitch:
                                backend="fast", seed=7, workers=1)
         event = ber_vs_sj_sweep(FREQS, AMPS, base_jitter=MILD, n_bits=600,
                                 backend="event", seed=7, workers=1)
-        np.testing.assert_array_equal(fast.errors, event.errors)
-        np.testing.assert_array_equal(fast.compared, event.compared)
+        np.testing.assert_array_equal(fast.metrics["errors"], event.metrics["errors"])
+        np.testing.assert_array_equal(fast.metrics["compared"], event.metrics["compared"])
 
 
 class TestBerSurfaces:
     def test_surface_shape_and_counts(self):
         result = ber_vs_sj_sweep(FREQS, AMPS, base_jitter=MILD, n_bits=500,
                                  seed=0, workers=1)
-        assert result.errors.shape == (AMPS.size, FREQS.size)
-        assert np.all(result.compared > 400)
-        assert np.all(result.errors >= 0)
+        assert result.metrics["errors"].shape == (AMPS.size, FREQS.size)
+        assert np.all(result.metrics["compared"] > 400)
+        assert np.all(result.metrics["errors"] >= 0)
 
     def test_worker_count_does_not_change_results(self):
         serial = ber_vs_sj_sweep(FREQS, AMPS, base_jitter=MILD, n_bits=500,
                                  seed=3, workers=1)
         pooled = ber_vs_sj_sweep(FREQS, AMPS, base_jitter=MILD, n_bits=500,
                                  seed=3, workers=3)
-        np.testing.assert_array_equal(serial.errors, pooled.errors)
+        np.testing.assert_array_equal(serial.metrics["errors"], pooled.metrics["errors"])
 
     def test_large_near_rate_sj_errors(self):
         """1.0 UIpp SJ at 0.3 fb must break a 500-bit run; 0.1 UIpp must not."""
         result = ber_vs_sj_sweep(np.array([7.5e8]), np.array([0.1, 1.0]),
                                  base_jitter=MILD, n_bits=500, seed=1, workers=1)
-        assert result.errors[1, 0] > result.errors[0, 0]
+        assert result.metrics["errors"][1, 0] > result.metrics["errors"][0, 0]
 
     def test_frequency_offset_sweep_degrades_with_offset(self):
         result = ber_vs_frequency_offset_sweep(
             np.array([0.0, 0.05]), jitter=MILD, n_bits=600, seed=2, workers=1)
-        assert result.errors.shape == (1, 2)
-        assert result.errors[0, 1] >= result.errors[0, 0]
+        errors = result.metrics["errors"]
+        assert errors.shape == (2,)
+        assert errors[1] >= errors[0]
 
     def test_ber_property(self):
         result = ber_vs_frequency_offset_sweep(
             np.array([0.0]), jitter=MILD, n_bits=400, seed=2, workers=1)
-        assert result.ber.shape == (1, 1)
-        assert 0.0 <= result.ber[0, 0] <= 1.0
+        assert result.ber.shape == (1,)
+        assert 0.0 <= result.ber[0] <= 1.0
 
 
 class TestJitterTolerance:
@@ -80,7 +81,7 @@ class TestJitterTolerance:
         result = jitter_tolerance_sweep(
             np.array([2.5e5, 7.5e8]), base_jitter=MILD, n_bits=400,
             seed=5, workers=1, max_amplitude_ui_pp=4.0, target_errors=1)
-        low, near_rate = result.amplitudes_ui_pp
+        low, near_rate = result.metrics["sj_amplitude_ui_pp"]
         assert low > near_rate
 
     def test_deterministic_across_workers(self):
@@ -88,26 +89,28 @@ class TestJitterTolerance:
                       max_amplitude_ui_pp=2.0, target_errors=1)
         serial = jitter_tolerance_sweep(np.array([2.5e6]), workers=1, **kwargs)
         pooled = jitter_tolerance_sweep(np.array([2.5e6]), workers=2, **kwargs)
-        np.testing.assert_array_equal(serial.amplitudes_ui_pp,
-                                      pooled.amplitudes_ui_pp)
+        np.testing.assert_array_equal(serial.metrics["sj_amplitude_ui_pp"],
+                                      pooled.metrics["sj_amplitude_ui_pp"])
 
 
 class TestMultichannel:
     def test_lane_counts_and_determinism(self):
         result = multichannel_sweep(n_bits=400, jitter=MILD, seed=11, workers=1)
         again = multichannel_sweep(n_bits=400, jitter=MILD, seed=11, workers=2)
-        assert result.errors.shape == (4,)
-        np.testing.assert_array_equal(result.errors, again.errors)
-        np.testing.assert_array_equal(result.frequency_offsets,
-                                      again.frequency_offsets)
-        assert 0.0 <= result.aggregate_ber <= 1.0
+        assert result.metrics["errors"].shape == (4,)
+        np.testing.assert_array_equal(result.metrics["errors"], again.metrics["errors"])
+        assert (result.metadata["frequency_offsets"]
+                == again.metadata["frequency_offsets"])
+        aggregate = (result.metrics["errors"].sum()
+                     / result.metrics["compared"].sum())
+        assert 0.0 <= aggregate <= 1.0
 
     def test_backends_agree(self):
         fast = multichannel_sweep(n_bits=400, jitter=MILD, seed=11,
                                   workers=1, backend="fast")
         event = multichannel_sweep(n_bits=400, jitter=MILD, seed=11,
                                    workers=1, backend="event")
-        np.testing.assert_array_equal(fast.errors, event.errors)
+        np.testing.assert_array_equal(fast.metrics["errors"], event.metrics["errors"])
 
 
 class TestAggressorSweep:
@@ -118,36 +121,36 @@ class TestAggressorSweep:
                                         seed=7, workers=1)
         # Bit-true errors are non-decreasing and the statistical eye
         # openings non-increasing as the aggressor strengthens.
-        assert result.errors[0] <= result.errors[-1]
-        assert np.all(np.diff(result.stateye_vertical) <= 0.0)
-        assert np.all(np.diff(result.stateye_horizontal_ui) <= 0.0)
+        assert result.metrics["errors"][0] <= result.metrics["errors"][-1]
+        assert np.all(np.diff(result.metrics["stateye_vertical"]) <= 0.0)
+        assert np.all(np.diff(result.metrics["stateye_horizontal_ui"]) <= 0.0)
         # The strongest aggressor visibly disturbs both views.
-        assert result.errors[-1] > 0
-        assert result.stateye_vertical[-1] < result.stateye_vertical[0]
+        assert result.metrics["errors"][-1] > 0
+        assert result.metrics["stateye_vertical"][-1] < result.metrics["stateye_vertical"][0]
 
     def test_deterministic_across_workers(self):
         serial = ber_vs_aggressor_sweep(self.AMPLITUDES, n_bits=600,
                                         seed=3, workers=1)
         pooled = ber_vs_aggressor_sweep(self.AMPLITUDES, n_bits=600,
                                         seed=3, workers=2)
-        np.testing.assert_array_equal(serial.errors, pooled.errors)
-        np.testing.assert_array_equal(serial.stateye_ber, pooled.stateye_ber)
+        np.testing.assert_array_equal(serial.metrics["errors"], pooled.metrics["errors"])
+        np.testing.assert_array_equal(serial.metrics["stateye_ber"], pooled.metrics["stateye_ber"])
 
     def test_backends_agree(self):
         fast = ber_vs_aggressor_sweep(self.AMPLITUDES, n_bits=600, seed=3,
                                       workers=1, backend="fast")
         event = ber_vs_aggressor_sweep(self.AMPLITUDES, n_bits=600, seed=3,
                                        workers=1, backend="event")
-        np.testing.assert_array_equal(fast.errors, event.errors)
-        np.testing.assert_array_equal(fast.stateye_ber, event.stateye_ber)
+        np.testing.assert_array_equal(fast.metrics["errors"], event.metrics["errors"])
+        np.testing.assert_array_equal(fast.metrics["stateye_ber"], event.metrics["stateye_ber"])
 
-    def test_source_round_trips(self):
+    def test_result_round_trips(self):
         from repro.experiments import SweepResult
         result = ber_vs_aggressor_sweep(self.AMPLITUDES, n_bits=600,
                                         seed=3, workers=1)
-        restored = SweepResult.from_json(result.source.to_json())
-        assert restored.equals(result.source)
-        assert restored.metadata["loss_db"] == result.loss_db
+        restored = SweepResult.from_json(result.to_json())
+        assert restored.equals(result)
+        assert restored.metadata["loss_db"] == 10.0
 
 
 class TestLinkTrainingSweep:
@@ -166,31 +169,30 @@ class TestLinkTrainingSweep:
 
     def test_trained_never_scores_below_fixed(self):
         result = self._sweep()
-        assert np.all(result.trained_vertical >= result.fixed_vertical)
-        assert np.all(result.vertical_gain >= 0.0)
+        assert np.all(result.metrics["trained_vertical"] >= result.metrics["fixed_vertical"])
         # The harsh loss point is where training visibly helps.
-        assert result.trained_vertical[-1] > result.fixed_vertical[-1]
+        assert result.metrics["trained_vertical"][-1] > result.metrics["fixed_vertical"][-1]
 
     def test_trained_coordinates_and_costs_recorded(self):
         result = self._sweep()
-        assert result.trained_ctle_peaking_db.shape == self.LOSSES.shape
+        assert result.metrics["trained_ctle_peaking_db"].shape == self.LOSSES.shape
         # Budget 8 searched solves plus the exempt baseline seed.
-        assert np.all(result.training_evaluations <= 9)
-        assert np.all(result.training_evaluations >= 2)
+        assert np.all(result.metrics["training_evaluations"] <= 9)
+        assert np.all(result.metrics["training_evaluations"] >= 2)
 
     def test_deterministic_across_workers(self):
         serial = self._sweep(workers=1)
         pooled = self._sweep(workers=2)
-        np.testing.assert_array_equal(serial.errors, pooled.errors)
-        np.testing.assert_array_equal(serial.trained_vertical,
-                                      pooled.trained_vertical)
-        np.testing.assert_array_equal(serial.trained_ctle_peaking_db,
-                                      pooled.trained_ctle_peaking_db)
+        np.testing.assert_array_equal(serial.metrics["errors"], pooled.metrics["errors"])
+        np.testing.assert_array_equal(serial.metrics["trained_vertical"],
+                                      pooled.metrics["trained_vertical"])
+        np.testing.assert_array_equal(serial.metrics["trained_ctle_peaking_db"],
+                                      pooled.metrics["trained_ctle_peaking_db"])
 
-    def test_source_round_trips(self):
+    def test_result_round_trips(self):
         from repro.experiments import SweepResult
 
         result = self._sweep()
-        restored = SweepResult.from_json(result.source.to_json())
-        assert restored.equals(result.source)
-        assert restored.metadata["target_ber"] == result.target_ber
+        restored = SweepResult.from_json(result.to_json())
+        assert restored.equals(result)
+        assert restored.metadata["target_ber"] == 1.0e-12
