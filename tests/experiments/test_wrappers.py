@@ -236,6 +236,20 @@ class TestWrapperSurface:
         assert isinstance(result, SweepResult)
         assert SweepResult.from_json(result.to_json()).equals(result)
 
+    @pytest.mark.parametrize("sweep", [
+        lambda values: ber_vs_frequency_offset_sweep(
+            values * 0.01, jitter=MILD, n_bits=300, seed=2, workers=1),
+        lambda values: ber_vs_channel_loss_sweep(
+            values * 4.0, n_bits=300, seed=3, workers=1),
+        lambda values: ber_vs_ctle_peaking_sweep(
+            values * 3.0, loss_db=14.0, n_bits=300, seed=3, workers=1),
+    ], ids=["frequency_offset", "channel_loss", "ctle_peaking"])
+    def test_one_axis_sweeps_are_one_dimensional(self, sweep):
+        result = sweep(np.arange(3.0))
+        assert len(result.axes) == 1
+        assert result.metrics["errors"].shape == (3,)
+        assert result.ber.shape == (3,)
+
     def test_auto_backend_through_wrapper(self):
         result = ber_vs_frequency_offset_sweep(
             np.array([0.0]), jitter=MILD, n_bits=300, seed=2, workers=1,

@@ -369,6 +369,19 @@ class TestAuditSidecar:
             assert audit.source_mode is None
             assert audit.source_attempts is None
 
+    @pytest.mark.parametrize("switch", ["audit_sidecar", "progress_sidecar"])
+    def test_sidecar_switches_are_gone(self, tmp_path, switch):
+        """A checkpointed run always writes both sidecars; the old opt-outs fail loudly."""
+        checkpoint = tmp_path / "sweep.jsonl"
+        with pytest.raises(TypeError, match=switch):
+            map_tasks_resilient(
+                _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, **{switch: False}
+            )
+        assert list(tmp_path.iterdir()) == []
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+        assert (tmp_path / "sweep.jsonl.audit").exists()
+        assert (tmp_path / "sweep.jsonl.progress").exists()
+
     def test_corrupt_sidecar_is_rejected(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
