@@ -9,7 +9,9 @@ subset of VHDL semantics the gated-oscillator model in Figure 12 relies on:
   are cancelled when an earlier one is scheduled, exactly like VHDL
   ``transport`` assignments),
 * processes written either as plain callbacks or as generators that ``yield``
-  wait statements (:class:`WaitFor` a delay / :class:`WaitOn` a signal event).
+  wait statements (:class:`WaitFor` a delay / :class:`WaitOn` a signal event),
+* a :class:`NormalStream` per random generator, which the gate models draw
+  their delay jitter from.
 
 The kernel is deliberately single-threaded and deterministic: given the same
 seeded random generators in the gate models, two runs produce identical
@@ -32,6 +34,8 @@ __all__ = [
     "WaitOn",
     "Process",
     "SimulationError",
+    "NormalStream",
+    "NORMAL_BLOCK",
 ]
 
 
@@ -115,26 +119,121 @@ class Process:
         )
 
 
+_INF = float("inf")
+
+#: Draws per :class:`NormalStream` block.
+NORMAL_BLOCK = 256
+
+
+def _invoke(callback: Callable[[], None]) -> None:
+    """Heap-entry adapter for the zero-argument callbacks of :meth:`Simulator.call_at`."""
+    callback()
+
+
+class NormalStream:
+    """Standard-normal draws from one generator, taken in blocks during a drain.
+
+    Scalar ``rng.normal`` calls cost about a microsecond each, which is most
+    of a jittered gate event.  Inside :meth:`Simulator.run` and
+    :meth:`Simulator.run_until` the stream draws ``standard_normal`` in
+    blocks of :data:`NORMAL_BLOCK` and hands the values out one by one;
+    when the drain ends (or raises) it rewinds the generator to the start
+    of the open block and re-draws only the values that were handed out.
+    The generator therefore leaves every drain in exactly the state the
+    same number of scalar draws would leave it in, and the values are the
+    ones those scalar draws would have returned: ``1.0 + sigma * draw()``
+    is bit-equal to ``1.0 + rng.normal(0.0, sigma)``.  Outside a drain
+    every draw is a scalar draw.
+
+    The contract: while a drain runs, the generator belongs to the
+    simulator — nothing may draw from it except through this stream.
+    """
+
+    __slots__ = ("_simulator", "_rng", "_block", "_index", "_block_state")
+
+    def __init__(self, simulator: "Simulator", rng) -> None:
+        self._simulator = simulator
+        self._rng = rng
+        self._block: list[float] = []
+        self._index = 0
+        self._block_state: dict | None = None
+
+    def draw(self) -> float:
+        """The next standard-normal value of the generator."""
+        index = self._index
+        try:
+            value = self._block[index]
+        except IndexError:
+            return self._refill()
+        self._index = index + 1
+        return value
+
+    def _refill(self) -> float:
+        rng = self._rng
+        if not self._simulator._draining:
+            return rng.standard_normal()
+        # Only a used-up block gets here, and it needs no rewind: the
+        # generator sits where NORMAL_BLOCK scalar draws would leave it.
+        self._block_state = rng.bit_generator.state
+        self._block = rng.standard_normal(NORMAL_BLOCK).tolist()
+        self._index = 1
+        return self._block[0]
+
+    def rewind(self) -> None:
+        """Return the generator to the scalar-draw state and drop the open block."""
+        state = self._block_state
+        if state is None:
+            return
+        rng = self._rng
+        rng.bit_generator.state = state
+        rng.standard_normal(self._index)
+        self._block = []
+        self._index = 0
+        self._block_state = None
+
+
 class Simulator:
     """Event-driven simulator with an absolute-time event queue.
+
+    A queue entry is ``(time, sequence, fn, arg)``; executing it calls
+    ``fn(arg)``.  Signal transactions push their apply method and the
+    transaction itself, so scheduling allocates no closure;
+    :meth:`call_at` pushes zero-argument callbacks through a shared
+    adapter.
 
     :meth:`step` is the event-order reference: :meth:`run` and
     :meth:`run_until` drain the queue with the heap and the pop hoisted
     into locals, but execute exactly the events a :meth:`step` loop
-    would, in the same order and with the same clock updates.
+    would, in the same order, with the same clock updates and the same
+    :class:`NormalStream` values.
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        self._queue: list[tuple] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._processes: list[Process] = []
         self._started = False
+        #: The active tracer read at the start of the running drain (or
+        #: step, or force outside a drain), or None.
+        self._tracer = None
+        #: Subscriber dispatches of the running drain while traced; flushed
+        #: to ``kernel.gate_evaluations`` when it ends.
+        self._evaluations = 0
+        self._draining = False
+        self._streams: dict[int, NormalStream] = {}
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    def normal_stream(self, rng) -> NormalStream:
+        """The simulator's :class:`NormalStream` over *rng* (one per generator)."""
+        stream = self._streams.get(id(rng))
+        if stream is None:
+            stream = self._streams[id(rng)] = NormalStream(self, rng)
+        return stream
 
     # -- scheduling ----------------------------------------------------------
 
@@ -144,7 +243,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule an event at {time_s!r}s, current time is {self._now!r}s"
             )
-        heapq.heappush(self._queue, (max(time_s, self._now), next(self._sequence), callback))
+        heapq.heappush(
+            self._queue, (max(time_s, self._now), next(self._sequence), _invoke, callback)
+        )
 
     def call_after(self, delay_s: float, callback: Callable[[], None]) -> None:
         """Schedule *callback* after *delay_s* seconds of simulated time."""
@@ -163,13 +264,48 @@ class Simulator:
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
-        """Execute the next pending event; return False when the queue is empty."""
+        """Execute the next pending event; return False when the queue is empty.
+
+        A single step takes its normal draws one scalar at a time, so it
+        leaves no stream block to rewind.
+        """
         if not self._queue:
             return False
-        time_s, _seq, callback = heapq.heappop(self._queue)
+        time_s, _seq, fn, arg = heapq.heappop(self._queue)
         self._now = time_s
-        callback()
+        self._execute(fn, arg)
         return True
+
+    def _execute(self, fn, arg) -> None:
+        """Call ``fn(arg)`` outside a drain, with the telemetry of a one-event drain.
+
+        :meth:`step` runs its event through here, and so does a
+        :meth:`Signal.force <repro.events.signal.Signal.force>` made
+        outside a drain.
+        """
+        self._tracer = telemetry.ACTIVE or None
+        try:
+            fn(arg)
+        finally:
+            self._flush_evaluations()
+
+    def _begin_drain(self):
+        # The one telemetry read of the drain: signals test _tracer against
+        # None, which costs no NullTracer.__bool__ call per event.
+        tracer = self._tracer = telemetry.ACTIVE or None
+        self._draining = True
+        return tracer
+
+    def _end_drain(self) -> None:
+        self._draining = False
+        for stream in self._streams.values():
+            stream.rewind()
+        self._flush_evaluations()
+
+    def _flush_evaluations(self) -> None:
+        if self._evaluations:
+            self._tracer.count("kernel.gate_evaluations", self._evaluations)
+            self._evaluations = 0
 
     def run_until(self, stop_time_s: float, max_events: int | None = None) -> int:
         """Run until simulated time reaches *stop_time_s*; return the event count.
@@ -179,21 +315,24 @@ class Simulator:
         """
         queue = self._queue
         pop = heapq.heappop
+        limit = _INF if max_events is None else max_events
         executed = 0
-        bounded = max_events is not None
-        while queue and queue[0][0] <= stop_time_s:
-            if bounded and executed >= max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events before reaching {stop_time_s!r}s "
-                    "(possible zero-delay loop)"
-                )
-            time_s, _seq, callback = pop(queue)
-            self._now = time_s
-            callback()
-            executed += 1
+        tracer = self._begin_drain()
+        try:
+            while queue and queue[0][0] <= stop_time_s:
+                if executed >= limit:
+                    raise SimulationError(
+                        f"exceeded {max_events} events before reaching {stop_time_s!r}s "
+                        "(possible zero-delay loop)"
+                    )
+                time_s, _seq, fn, arg = pop(queue)
+                self._now = time_s
+                fn(arg)
+                executed += 1
+        finally:
+            self._end_drain()
         self._now = max(self._now, stop_time_s)
-        tracer = telemetry.ACTIVE
-        if tracer:
+        if tracer is not None:
             tracer.count("kernel.events", executed)
         return executed
 
@@ -202,17 +341,20 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         executed = 0
-        while queue:
-            if executed >= max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events without draining the queue"
-                )
-            time_s, _seq, callback = pop(queue)
-            self._now = time_s
-            callback()
-            executed += 1
-        tracer = telemetry.ACTIVE
-        if tracer:
+        tracer = self._begin_drain()
+        try:
+            while queue:
+                if executed >= max_events:
+                    raise SimulationError(
+                        f"exceeded {max_events} events without draining the queue"
+                    )
+                time_s, _seq, fn, arg = pop(queue)
+                self._now = time_s
+                fn(arg)
+                executed += 1
+        finally:
+            self._end_drain()
+        if tracer is not None:
             tracer.count("kernel.events", executed)
         return executed
 

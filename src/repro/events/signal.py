@@ -10,13 +10,16 @@ model of the gated CCO (Figure 12).
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappush
 from typing import Callable
 
-from .. import telemetry
 from .._validation import require_non_negative
 from .kernel import SimulationError, Simulator
 
 __all__ = ["Signal", "Edge"]
+
+_INF = float("inf")
 
 
 class Edge:
@@ -27,35 +30,33 @@ class Edge:
     ANY = "any"
 
 
-class _Transaction:
-    """A pending scheduled value change on a signal."""
-
-    __slots__ = ("time_s", "value", "cancelled")
-
-    def __init__(self, time_s: float, value) -> None:
-        self.time_s = time_s
-        self.value = value
-        self.cancelled = False
-
-
 class Signal:
     """A simulated signal (wire) with transport-delay scheduling.
 
-    Subscribers are stored as a tuple: dispatch in :meth:`_notify` iterates
-    the immutable snapshot directly (no defensive copy per event), and
-    subscription changes replace the tuple — the hot path is ``_notify``,
-    which runs on every value change of every signal in a simulation.
+    Subscribers are stored as a tuple: dispatch iterates the immutable
+    snapshot directly (no defensive copy per event), and subscription
+    changes replace the tuple.
+
+    A transaction is a ``(time, value)`` tuple.  The live ones wait in a
+    deque in strictly increasing time order — transport cancellation
+    removes every live transaction at or after a new one's time, and
+    those are always at the tail.  The queue entry of a transaction
+    carries the tuple itself; when it fires, the transaction applies only
+    if it is still the head of the deque, so a cancelled transaction is
+    simply one that is no longer there.
     """
 
     __slots__ = ("_simulator", "name", "_value", "_subscribers", "_pending",
-                 "last_event_time_s")
+                 "_apply_entry", "last_event_time_s")
 
     def __init__(self, simulator: Simulator, name: str, initial=0) -> None:
         self._simulator = simulator
         self.name = name
         self._value = initial
         self._subscribers: tuple[Callable[["Signal", float], None], ...] = ()
-        self._pending: list[_Transaction] = []
+        self._pending: deque[tuple[float, object]] = deque()
+        # The bound method is built once, not once per transaction.
+        self._apply_entry = self._apply
         self.last_event_time_s: float | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -98,21 +99,25 @@ class Signal:
         Any previously scheduled transaction at the same or a later time is
         cancelled (VHDL transport semantics).
         """
-        require_non_negative("delay_s", delay_s)
-        target_time = self._simulator.now + delay_s
-        for transaction in self._pending:
-            if not transaction.cancelled and transaction.time_s >= target_time:
-                transaction.cancelled = True
-        transaction = _Transaction(target_time, value)
-        self._pending.append(transaction)
-        self._simulator.call_at(target_time, lambda: self._apply(transaction))
+        if not 0.0 <= delay_s < _INF:
+            require_non_negative("delay_s", delay_s)
+        simulator = self._simulator
+        target_time = simulator._now + delay_s
+        pending = self._pending
+        while pending and pending[-1][0] >= target_time:
+            pending.pop()
+        transaction = (target_time, value)
+        pending.append(transaction)
+        heappush(simulator._queue,
+                 (target_time, next(simulator._sequence), self._apply_entry, transaction))
 
     def force(self, value) -> None:
         """Immediately set the signal value (used for initial conditions)."""
-        if value != self._value:
-            self._value = value
-            self.last_event_time_s = self._simulator.now
-            self._notify()
+        simulator = self._simulator
+        if simulator._draining:
+            self._change(value)
+        else:
+            simulator._execute(self._change, value)
 
     def drive(self, times_s, values) -> None:
         """Batch stimulus injection: force each value at its absolute time.
@@ -143,27 +148,32 @@ class Signal:
 
         self._simulator.call_at(times_list[0], fire)
 
-    def _apply(self, transaction: _Transaction) -> None:
-        if transaction in self._pending:
-            self._pending.remove(transaction)
-        if transaction.cancelled:
-            return
-        if transaction.value == self._value:
-            return
-        self._value = transaction.value
-        self.last_event_time_s = self._simulator.now
-        self._notify()
+    def _apply(self, transaction: tuple[float, object]) -> None:
+        pending = self._pending
+        if not pending or pending[0] is not transaction:
+            return  # cancelled by a later assignment
+        pending.popleft()
+        self._change(transaction[1])
 
-    def _notify(self) -> None:
-        # The tuple is an immutable snapshot: callbacks that (un)subscribe
-        # during dispatch replace it without affecting this iteration.
-        # Each dispatched callback is one gate/process evaluation; the
-        # disabled-telemetry cost is the single truthiness check below.
-        tracer = telemetry.ACTIVE
-        if tracer:
-            tracer.count("kernel.gate_evaluations", len(self._subscribers))
-        now = self._simulator.now
-        for callback in self._subscribers:
+    def _change(self, value) -> None:
+        """Take *value* and, if it is new, dispatch the event to the subscribers.
+
+        The one dispatch of the kernel.  Each dispatched callback is one
+        gate/process evaluation: while the running drain or step is traced
+        they are summed in the simulator, which counts them as
+        ``kernel.gate_evaluations`` when it ends.  The subscriber tuple is
+        an immutable snapshot, so callbacks that (un)subscribe during
+        dispatch do not affect this iteration.
+        """
+        if value == self._value:
+            return
+        self._value = value
+        simulator = self._simulator
+        now = self.last_event_time_s = simulator._now
+        subscribers = self._subscribers
+        if simulator._tracer is not None:
+            simulator._evaluations += len(subscribers)
+        for callback in subscribers:
             callback(self, now)
 
     # -- helpers -------------------------------------------------------------
@@ -186,7 +196,7 @@ class Signal:
 
     def pending_transactions(self) -> list[tuple[float, object]]:
         """Return the (time, value) pairs currently scheduled (for inspection)."""
-        return [(t.time_s, t.value) for t in self._pending if not t.cancelled]
+        return list(self._pending)
 
 
 def bus(simulator: Simulator, prefix: str, width: int, initial=0) -> list[Signal]:

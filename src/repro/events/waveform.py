@@ -104,8 +104,12 @@ class WaveformRecorder:
         trace.append(signal.simulator.now, signal.value)
         self._traces[key] = trace
 
+        append_time = trace.times_s.append
+        append_value = trace.values.append
+
         def on_change(changed: Signal, time_s: float) -> None:
-            trace.append(time_s, changed.value)
+            append_time(time_s)
+            append_value(changed.value)
 
         signal.subscribe(on_change)
         return trace

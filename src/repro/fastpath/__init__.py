@@ -1,12 +1,12 @@
 """Vectorized fast-path simulation of the gated-oscillator CDR channel.
 
 The event-driven model in :mod:`repro.core.cdr_channel` pays pure-Python
-prices on every signal edge (heap events, closures, subscriber dispatch).
+prices on every signal edge (heap events, subscriber dispatch, gate lookups).
 Because the CDR topology is *fixed* — jittered NRZ edge stream, delay-line +
 XNOR edge detector, gated four-stage ring, decision flip-flop — its behaviour
 can be computed as numpy array passes plus one tight re-phasing recurrence,
 producing the same :class:`~repro.core.cdr_channel.BehavioralSimulationResult`
-surface 10-50x faster.
+surface 10-20x faster.
 
 On configurations without per-gate delay jitter the fast path is equivalent
 to the event kernel down to the exact floating-point sample times (see

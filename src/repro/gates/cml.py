@@ -21,6 +21,7 @@ rather than separate inverter cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .._validation import require_non_negative, require_positive
 from ..events.signal import Signal
 
-__all__ = ["CmlTiming", "CmlGate"]
+__all__ = ["CmlTiming", "CmlGate", "MIN_DELAY_S"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,31 @@ class CmlTiming:
         return replace(self, nominal_delay_s=nominal_delay_s)
 
 
+#: Floor of every gate delay, so a large negative jitter draw cannot
+#: schedule an output before its cause.
+MIN_DELAY_S = 1.0e-15
+
+
+class _PackedInputs:
+    """Several signals read as one: ``_value`` packs input ``i`` into bit ``i``."""
+
+    __slots__ = ("_signals",)
+
+    def __init__(self, signals: Sequence[Signal]) -> None:
+        self._signals = tuple(signals)
+
+    @property
+    def _value(self) -> int:
+        index = 0
+        for bit, signal in enumerate(self._signals):
+            index |= signal._value << bit
+        return index
+
+
+#: The rest of a one-input gate: a constant packed value of 0.
+_NO_INPUTS = SimpleNamespace(_value=0)
+
+
 class CmlGate:
     """Behavioural combinational CML gate.
 
@@ -81,6 +107,20 @@ class CmlGate:
     output value with the per-input delay, the optional rise/fall mismatch and
     a fresh Gaussian jitter draw — the same recipe as the VHDL processes of
     Figure 12.
+
+    ``evaluate`` runs once per input combination at construction, into a
+    truth table with the output inversion folded in; an input event and
+    :meth:`settle` index that table with the raw input values (input ``i``
+    is bit ``i`` of the index).  Input values must therefore be the Python
+    ints 0 and 1 (or bools), as every gate output and
+    :meth:`Signal.drive <repro.events.signal.Signal.drive>` produce; they
+    are not coerced, so a float, a numpy boolean or an int above 1 is
+    outside the contract.  The delays are precomputed per input and
+    output value as ``delay_for_input(i) * delay_scale``, plus the rise/fall
+    mismatch on falling outputs, so an event costs a table lookup, a jitter
+    draw from the simulator's :class:`~repro.events.kernel.NormalStream`
+    and one assignment.  The timing is therefore fixed at construction;
+    ``delay_scale`` is the one delay knob that may change at run time.
     """
 
     def __init__(
@@ -93,7 +133,6 @@ class CmlGate:
         *,
         invert_output: bool = False,
         rng: np.random.Generator | None = None,
-        delay_scale: Callable[[], float] | None = None,
     ) -> None:
         if not inputs:
             raise ValueError(f"gate {name!r} needs at least one input")
@@ -102,45 +141,68 @@ class CmlGate:
         self.output = output
         self.timing = timing
         self.invert_output = invert_output
-        self._evaluate = evaluate
         self._rng = rng or np.random.default_rng()  # repro-lint: disable=RPL001 — opt-in entropy: reproducible callers pass a seeded Generator
-        self._delay_scale = delay_scale
         self.event_count = 0
-        for index, signal in enumerate(self.inputs):
-            signal.subscribe(self._make_listener(index))
+        n_inputs = len(self.inputs)
+        invert = int(invert_output)
+        self._table = tuple(
+            (int(evaluate([(index >> bit) & 1 for bit in range(n_inputs)])) & 1) ^ invert
+            for index in range(1 << n_inputs)
+        )
+        #: ``_delays[i][v]``: delay from input ``i`` to output value ``v``.
+        self._delays = [[0.0, 0.0] for _ in range(n_inputs)]
+        # The table index is ``first._value | rest._value << 1``: input 0,
+        # then the other inputs as one packed value.
+        self._first = self.inputs[0]
+        if n_inputs == 1:
+            self._rest = _NO_INPUTS
+        elif n_inputs == 2:
+            self._rest = self.inputs[1]
+        else:
+            self._rest = _PackedInputs(self.inputs[1:])
+        self.delay_scale = 1.0
+        self._listeners = [self._make_listener(index) for index in range(n_inputs)]
+        for signal, listener in zip(self.inputs, self._listeners):
+            signal.subscribe(listener)
+
+    @property
+    def delay_scale(self) -> float:
+        """Multiplicative factor on every nominal delay (the ring's control current)."""
+        return self._delay_scale
+
+    @delay_scale.setter
+    def delay_scale(self, scale: float) -> None:
+        self._delay_scale = scale = float(scale)
+        mismatch = self.timing.rise_fall_mismatch_s
+        for index, delays in enumerate(self._delays):
+            delay = self.timing.delay_for_input(index) * scale
+            # In place: the listeners hold these lists.
+            delays[:] = [delay + mismatch if mismatch else delay, delay]
 
     def _make_listener(self, input_index: int) -> Callable[[Signal, float], None]:
+        """The input-*input_index* listener: look up, delay, draw, assign."""
+        table = self._table
+        first = self._first
+        rest = self._rest
+        delays = self._delays[input_index]
+        sigma = self.timing.jitter_sigma_fraction
+        draw = self.output.simulator.normal_stream(self._rng).draw if sigma > 0.0 else None
+        assign = self.output.assign
+        gate = self
+
         def on_input_event(_signal: Signal, _time_s: float) -> None:
-            self._schedule_output(input_index)
+            value = table[first._value | rest._value << 1]
+            delay = delays[value]
+            if draw is not None:
+                delay = delay * (1.0 + sigma * draw())
+            if delay < MIN_DELAY_S:
+                delay = MIN_DELAY_S
+            assign(value, delay)
+            gate.event_count += 1
 
         return on_input_event
 
     # -- evaluation ----------------------------------------------------------
-
-    def current_output_value(self) -> int:
-        """Combinationally evaluate the output for the present input values."""
-        values = [int(signal.value) for signal in self.inputs]
-        result = int(self._evaluate(values)) & 1
-        if self.invert_output:
-            result ^= 1
-        return result
-
-    def propagation_delay(self, input_index: int, new_value: int) -> float:
-        """Delay used for the next output event triggered from *input_index*."""
-        delay = self.timing.delay_for_input(input_index)
-        if self._delay_scale is not None:
-            delay = delay * float(self._delay_scale())
-        if new_value == 0 and self.timing.rise_fall_mismatch_s:
-            delay = delay + self.timing.rise_fall_mismatch_s
-        if self.timing.jitter_sigma_fraction > 0.0:
-            delay = delay * (1.0 + self._rng.normal(0.0, self.timing.jitter_sigma_fraction))
-        return max(delay, 1.0e-15)
-
-    def _schedule_output(self, input_index: int) -> None:
-        new_value = self.current_output_value()
-        delay = self.propagation_delay(input_index, new_value)
-        self.output.assign(new_value, delay)
-        self.event_count += 1
 
     def evaluate_now(self) -> None:
         """Schedule an output update as if input 0 had just changed.
@@ -148,8 +210,8 @@ class CmlGate:
         Used to kick feedback loops (ring oscillators) at time zero, when no
         external input event exists yet.
         """
-        self._schedule_output(0)
+        self._listeners[0](self.inputs[0], self.output.simulator.now)
 
     def settle(self) -> None:
         """Force the output to its combinational value immediately (initialisation)."""
-        self.output.force(self.current_output_value())
+        self.output.force(self._table[self._first._value | self._rest._value << 1])

@@ -32,14 +32,10 @@ class DelayLine:
         ``n_cells * timing.nominal_delay_s``.
     timing:
         Per-cell timing (delay, jitter, skew).
-    delay_scale:
-        Optional callable returning a multiplicative delay factor, shared with
-        the ring oscillator so both track the same control current.
     """
 
     def __init__(self, simulator: Simulator, name: str, data: Signal, n_cells: int,
-                 timing: CmlTiming, *, rng: np.random.Generator | None = None,
-                 delay_scale=None) -> None:
+                 timing: CmlTiming, *, rng: np.random.Generator | None = None) -> None:
         if n_cells < 1:
             raise ValueError("a delay line needs at least one cell")
         self.simulator = simulator
@@ -53,8 +49,7 @@ class DelayLine:
         previous = data
         for index in range(n_cells):
             tap = Signal(simulator, f"{name}.tap{index}", initial=previous.value)
-            cell = BufferGate(f"{name}.cell{index}", previous, tap, timing,
-                              rng=rng, delay_scale=delay_scale)
+            cell = BufferGate(f"{name}.cell{index}", previous, tap, timing, rng=rng)
             self.taps.append(tap)
             self.cells.append(cell)
             previous = tap

@@ -31,20 +31,17 @@ class BufferGate(CmlGate):
     """Single-input delay cell (CML buffer)."""
 
     def __init__(self, name: str, data: Signal, output: Signal, timing: CmlTiming,
-                 *, rng: np.random.Generator | None = None,
-                 delay_scale=None) -> None:
-        super().__init__(name, [data], output, lambda v: v[0], timing,
-                         rng=rng, delay_scale=delay_scale)
+                 *, rng: np.random.Generator | None = None) -> None:
+        super().__init__(name, [data], output, lambda v: v[0], timing, rng=rng)
 
 
 class InverterGate(CmlGate):
     """Inverting delay cell (free output inversion of a differential buffer)."""
 
     def __init__(self, name: str, data: Signal, output: Signal, timing: CmlTiming,
-                 *, rng: np.random.Generator | None = None,
-                 delay_scale=None) -> None:
+                 *, rng: np.random.Generator | None = None) -> None:
         super().__init__(name, [data], output, lambda v: v[0], timing,
-                         invert_output=True, rng=rng, delay_scale=delay_scale)
+                         invert_output=True, rng=rng)
 
 
 class And2Gate(CmlGate):
@@ -52,20 +49,18 @@ class And2Gate(CmlGate):
 
     def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
                  timing: CmlTiming, *, invert_output: bool = False,
-                 rng: np.random.Generator | None = None, delay_scale=None) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         super().__init__(name, [in_a, in_b], output,
                          lambda v: v[0] & v[1], timing,
-                         invert_output=invert_output, rng=rng, delay_scale=delay_scale)
+                         invert_output=invert_output, rng=rng)
 
 
 class Nand2Gate(And2Gate):
     """Two-input NAND gate (AND with the differential output swapped)."""
 
     def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
-                 timing: CmlTiming, *, rng: np.random.Generator | None = None,
-                 delay_scale=None) -> None:
-        super().__init__(name, in_a, in_b, output, timing, invert_output=True,
-                         rng=rng, delay_scale=delay_scale)
+                 timing: CmlTiming, *, rng: np.random.Generator | None = None) -> None:
+        super().__init__(name, in_a, in_b, output, timing, invert_output=True, rng=rng)
 
 
 class Or2Gate(CmlGate):
@@ -73,10 +68,10 @@ class Or2Gate(CmlGate):
 
     def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
                  timing: CmlTiming, *, invert_output: bool = False,
-                 rng: np.random.Generator | None = None, delay_scale=None) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         super().__init__(name, [in_a, in_b], output,
                          lambda v: v[0] | v[1], timing,
-                         invert_output=invert_output, rng=rng, delay_scale=delay_scale)
+                         invert_output=invert_output, rng=rng)
 
 
 class Xor2Gate(CmlGate):
@@ -84,10 +79,10 @@ class Xor2Gate(CmlGate):
 
     def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
                  timing: CmlTiming, *, invert_output: bool = False,
-                 rng: np.random.Generator | None = None, delay_scale=None) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         super().__init__(name, [in_a, in_b], output,
                          lambda v: v[0] ^ v[1], timing,
-                         invert_output=invert_output, rng=rng, delay_scale=delay_scale)
+                         invert_output=invert_output, rng=rng)
 
 
 class Xnor2Gate(Xor2Gate):
@@ -98,10 +93,8 @@ class Xnor2Gate(Xor2Gate):
     """
 
     def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
-                 timing: CmlTiming, *, rng: np.random.Generator | None = None,
-                 delay_scale=None) -> None:
-        super().__init__(name, in_a, in_b, output, timing, invert_output=True,
-                         rng=rng, delay_scale=delay_scale)
+                 timing: CmlTiming, *, rng: np.random.Generator | None = None) -> None:
+        super().__init__(name, in_a, in_b, output, timing, invert_output=True, rng=rng)
 
 
 class Mux2Gate(CmlGate):
@@ -109,10 +102,9 @@ class Mux2Gate(CmlGate):
 
     def __init__(self, name: str, in_a: Signal, in_b: Signal, select: Signal,
                  output: Signal, timing: CmlTiming, *,
-                 rng: np.random.Generator | None = None, delay_scale=None) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         def evaluate(values: Sequence[int]) -> int:
             a, b, sel = values
             return b if sel else a
 
-        super().__init__(name, [in_a, in_b, select], output, evaluate, timing,
-                         rng=rng, delay_scale=delay_scale)
+        super().__init__(name, [in_a, in_b, select], output, evaluate, timing, rng=rng)

@@ -129,8 +129,9 @@ class GatedRingOscillator:
 
         n_stages = self.parameters.n_stages
         # The CmlTiming carries the mid-point delay; the actual control current
-        # is applied through the shared delay_scale factor so it can be changed
-        # at run time (CCO behaviour).
+        # is applied through every ring gate's delay_scale, which
+        # set_control_current updates, so it can change at run time (CCO
+        # behaviour).
         stage_delay = self.parameters.stage_delay_at(
             self.parameters.control_current_midpoint_a
         )
@@ -152,10 +153,6 @@ class GatedRingOscillator:
             jitter_sigma_fraction=self.parameters.jitter_sigma_fraction,
         )
 
-        def delay_scale() -> float:
-            nominal = self.parameters.stage_delay_at(self.parameters.control_current_midpoint_a)
-            return self.parameters.stage_delay_at(self._control_current_a) / nominal
-
         # Stage 0: AND of the ring feedback with the gating signal (EDET).
         self.first_stage = And2Gate(
             f"{name}.stage0_and",
@@ -164,7 +161,6 @@ class GatedRingOscillator:
             self.stages[0],
             timing_first,
             rng=rng,
-            delay_scale=delay_scale,
         )
         # Stages 1..N-1: inverting delay cells.
         self.ring_gates = [self.first_stage]
@@ -175,9 +171,9 @@ class GatedRingOscillator:
                 self.stages[index],
                 timing_stage,
                 rng=rng,
-                delay_scale=delay_scale,
             )
             self.ring_gates.append(gate)
+        self.set_control_current(self._control_current_a)
 
         # Output taps: nominal = inverted last stage (Figure 7), improved =
         # third stage with opposite polarity (Figure 15), whose rising edge is
@@ -193,14 +189,14 @@ class GatedRingOscillator:
     # -- taps ----------------------------------------------------------------
 
     def _update_nominal_tap(self, signal: Signal, _time_s: float) -> None:
-        self.clock_nominal.assign(1 - int(signal.value), 0.0)
+        self.clock_nominal.assign(1 - signal.value, 0.0)
 
     def _update_improved_tap(self, signal: Signal, _time_s: float) -> None:
         # Taking the third stage with the opposite differential polarity to the
         # nominal (inverted fourth-stage) tap places the rising sampling edge
         # one stage delay (T/8) *earlier* in the bit — the paper's improved
         # sampling point.  Differential inversion costs no extra gate.
-        self.clock_improved.assign(int(signal.value), 0.0)
+        self.clock_improved.assign(signal.value, 0.0)
 
     # -- control -------------------------------------------------------------
 
@@ -211,9 +207,15 @@ class GatedRingOscillator:
 
     def set_control_current(self, control_current_a: float) -> None:
         """Change the control current (takes effect on subsequent stage events)."""
-        # Validate by computing the implied frequency (raises if non-positive).
-        self.parameters.frequency_at(control_current_a)
-        self._control_current_a = float(control_current_a)
+        control_current_a = float(control_current_a)
+        parameters = self.parameters
+        # Validates too: stage_delay_at raises if the frequency is non-positive.
+        scale = parameters.stage_delay_at(control_current_a) / parameters.stage_delay_at(
+            parameters.control_current_midpoint_a
+        )
+        self._control_current_a = control_current_a
+        for gate in self.ring_gates:
+            gate.delay_scale = scale
 
     @property
     def oscillation_frequency_hz(self) -> float:

@@ -11,16 +11,27 @@ import numpy as np
 
 from ..events.kernel import Simulator
 from ..events.signal import Signal
-from .cml import CmlTiming
+from .cml import MIN_DELAY_S, CmlTiming
 
 __all__ = ["CmlLatch", "CmlFlipFlop"]
+
+
+def _jittered_delay(timing: CmlTiming, draw) -> float:
+    """The nominal delay times ``1 + sigma * z``, floored at :data:`MIN_DELAY_S`."""
+    delay = timing.nominal_delay_s
+    sigma = timing.jitter_sigma_fraction
+    if sigma > 0.0:
+        delay = delay * (1.0 + sigma * draw())
+    return max(delay, MIN_DELAY_S)
 
 
 class CmlLatch:
     """Level-sensitive CML latch: transparent while ``enable`` is high.
 
     While transparent the output follows the data input with the gate delay;
-    when ``enable`` falls the last captured value is held.
+    when ``enable`` falls the last captured value is held.  Jitter comes from
+    the simulator's :class:`~repro.events.kernel.NormalStream` over *rng*, so
+    a latch can share its generator with gates and flip-flops.
     """
 
     def __init__(self, name: str, data: Signal, enable: Signal, output: Signal,
@@ -31,18 +42,13 @@ class CmlLatch:
         self.output = output
         self.timing = timing
         self._rng = rng or np.random.default_rng()  # repro-lint: disable=RPL001 — opt-in entropy: reproducible callers pass a seeded Generator
+        self._draw = output.simulator.normal_stream(self._rng).draw
         data.subscribe(self._on_event)
         enable.subscribe(self._on_event)
 
-    def _propagation_delay(self) -> float:
-        delay = self.timing.nominal_delay_s
-        if self.timing.jitter_sigma_fraction > 0.0:
-            delay = delay * (1.0 + self._rng.normal(0.0, self.timing.jitter_sigma_fraction))
-        return max(delay, 1.0e-15)
-
     def _on_event(self, _signal: Signal, _time_s: float) -> None:
         if int(self.enable.value) == 1:
-            self.output.assign(int(self.data.value), self._propagation_delay())
+            self.output.assign(int(self.data.value), _jittered_delay(self.timing, self._draw))
 
 
 class CmlFlipFlop:
@@ -51,7 +57,8 @@ class CmlFlipFlop:
     The sampler of the CDR: on every rising clock edge the data value is
     transferred to the output after one clock-to-Q delay.  The flip-flop also
     records ``(time, value)`` pairs of its decisions, which is what the BER
-    counter consumes.
+    counter consumes.  Its clock-to-Q jitter draws through the simulator's
+    :class:`~repro.events.kernel.NormalStream`, like the latch's.
     """
 
     def __init__(self, simulator: Simulator, name: str, data: Signal, clock: Signal,
@@ -64,18 +71,13 @@ class CmlFlipFlop:
         self.output = output
         self.timing = timing
         self._rng = rng or np.random.default_rng()  # repro-lint: disable=RPL001 — opt-in entropy: reproducible callers pass a seeded Generator
+        self._draw = simulator.normal_stream(self._rng).draw
         self.decisions: list[tuple[float, int]] = []
         self._master = Signal(simulator, f"{name}.master", initial=int(data.value))
         # Master latch is transparent while the clock is LOW, slave while HIGH,
         # giving a rising-edge-triggered flip-flop overall.
         clock.subscribe(self._on_clock)
         data.subscribe(self._on_data)
-
-    def _clock_to_q_delay(self) -> float:
-        delay = self.timing.nominal_delay_s
-        if self.timing.jitter_sigma_fraction > 0.0:
-            delay = delay * (1.0 + self._rng.normal(0.0, self.timing.jitter_sigma_fraction))
-        return max(delay, 1.0e-15)
 
     def _on_data(self, _signal: Signal, _time_s: float) -> None:
         if int(self.clock.value) == 0:
@@ -86,7 +88,7 @@ class CmlFlipFlop:
         if int(self.clock.value) == 1:
             captured = int(self._master.value)
             self.decisions.append((time_s, captured))
-            self.output.assign(captured, self._clock_to_q_delay())
+            self.output.assign(captured, _jittered_delay(self.timing, self._draw))
         else:
             # Clock low: master becomes transparent again and tracks the data.
             self._master.assign(int(self.data.value), 0.0)

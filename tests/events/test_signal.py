@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.events.kernel import Simulator
 from repro.events.signal import Edge, Signal, bus
 
@@ -63,6 +64,28 @@ class TestAssignment:
         assert len(pending) == 1
         assert pending[0][1] == 1
 
+    @pytest.mark.parametrize("delay", [-1.0e-12, float("nan"), float("inf")])
+    def test_invalid_delay_rejected(self, delay):
+        simulator = Simulator()
+        signal = Signal(simulator, "s", initial=0)
+        with pytest.raises(ValueError):
+            signal.assign(1, delay)
+        assert signal.pending_transactions() == []
+        assert simulator.pending_events() == 0
+
+    def test_equal_time_assignment_replaces_pending(self):
+        # A transaction at the same time as a pending one cancels it too.
+        simulator = Simulator()
+        signal = Signal(simulator, "s", initial=0)
+        history = []
+        signal.subscribe(lambda s, t: history.append((t, s.value)))
+        signal.assign(1, 2.0e-9)
+        signal.assign(0, 1.0e-9)
+        signal.assign(1, 1.0e-9)
+        assert signal.pending_transactions() == [(1.0e-9, 1)]
+        simulator.run()
+        assert history == [(1.0e-9, 1)]
+
     def test_last_event_time(self):
         simulator = Simulator()
         signal = Signal(simulator, "s", initial=0)
@@ -102,6 +125,27 @@ class TestSubscription:
         signal = Signal(simulator, "s")
         with pytest.raises(Exception):
             signal.on_edge(lambda s, t: None, "sideways")
+
+
+class TestTelemetry:
+    def test_every_dispatch_counts_once_in_and_outside_drains(self):
+        simulator = Simulator()
+        signal = Signal(simulator, "s", initial=0)
+        signal.subscribe(lambda s, t: None)
+        signal.subscribe(lambda s, t: None)
+        with telemetry.trace("signal") as tracer:
+            signal.force(1)  # outside a drain: counted at once
+            assert tracer.counters["kernel.gate_evaluations"] == 2
+            signal.assign(0, 1.0e-12)
+            simulator.step()
+            assert tracer.counters["kernel.gate_evaluations"] == 4
+            simulator.call_after(1.0e-12, lambda: signal.force(1))  # inside a drain
+            signal.assign(0, 2.0e-12)
+            simulator.run()
+            assert tracer.counters["kernel.gate_evaluations"] == 8
+        signal.force(1)
+        simulator.run()
+        assert tracer.counters["kernel.gate_evaluations"] == 8
 
 
 class TestBus:

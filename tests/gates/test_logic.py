@@ -132,9 +132,10 @@ class TestPropagation:
         spread = np.std(delays)
         assert spread == pytest.approx(0.05 * DELAY, rel=0.5)
 
-    def test_delay_scale_callable(self):
+    def test_delay_scale_factor(self):
         simulator, (data,), output = setup(1)
-        BufferGate("buf", data, output, CmlTiming(DELAY), delay_scale=lambda: 2.0)
+        gate = BufferGate("buf", data, output, CmlTiming(DELAY))
+        gate.delay_scale = 2.0
         data.force(1)
         simulator.run()
         assert simulator.now == pytest.approx(2.0 * DELAY)
@@ -159,3 +160,21 @@ class TestPropagation:
         gate = And2Gate("and", in_a, in_b, output, CmlTiming(DELAY))
         gate.settle()
         assert output.value == 1
+
+    @pytest.mark.parametrize("n_inputs", [1, 2, 3, 4])
+    def test_settle_and_input_events_agree_for_every_arity(self, n_inputs):
+        """Both paths index the truth table the same way, bools read as 0/1."""
+        def parity(values):
+            return sum(values) & 1
+
+        for index in range(1 << n_inputs):
+            values = [(index >> bit) & 1 for bit in range(n_inputs)]
+            simulator, inputs, settled = setup(n_inputs)
+            evented = Signal(simulator, "evented", initial=0)
+            for signal, value in zip(inputs, values):
+                signal.force(bool(value))
+            gate = CmlGate("settled", inputs, settled, parity, CmlTiming(DELAY))
+            CmlGate("evented", inputs, evented, parity, CmlTiming(DELAY)).evaluate_now()
+            gate.settle()
+            simulator.run()
+            assert settled.value == evented.value == parity(values), values

@@ -95,6 +95,14 @@ class TestFreeRunning:
         simulator.run_until(50.0e-9)
         osc.set_control_current(osc.parameters.control_current_midpoint_a + 50e-6)
         assert osc.oscillation_frequency_hz > 2.5e9
+        simulator.run_until(100.0e-9)
+        late = nominal.edges("rising")
+        assert measure_frequency(late[late > 55.0e-9]) == pytest.approx(
+            osc.oscillation_frequency_hz, rel=1e-9)
+
+    def test_invalid_control_current_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            build_oscillator(control_current=-10.0)
 
 
 class TestGating:

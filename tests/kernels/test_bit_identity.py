@@ -18,7 +18,9 @@ generated EDET streams, jittered and not, including the ``rng`` draws it
 consumes, and on whole ``FastCdrChannel`` runs.  Whole-channel
 comparisons monkeypatch the reference loop in, on an empty link memo, and
 assert it ran — a memoized displacement table would skip it.  These tests
-byte-compare arrays (``.tobytes()``), not approximately.
+byte-compare arrays (``.tobytes()``), not approximately.  The event
+kernel's own oracle — the reference transport queue, gates and scalar
+draws — lives in ``test_event_kernel_oracle.py``.
 """
 
 import importlib.util
