@@ -14,6 +14,7 @@ simulations to report their jitter in the same terms as Table 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +91,12 @@ class JitterDecomposition:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _tail_z_values(tail_quantile: float) -> tuple[float, float]:
+    """Standard-normal quantiles at ``tail_quantile`` and ``4 * tail_quantile``."""
+    return float(stats.norm.ppf(tail_quantile)), float(stats.norm.ppf(4.0 * tail_quantile))
+
+
 def decompose_dual_dirac(samples_ui: np.ndarray, tail_quantile: float = 0.005
                          ) -> JitterDecomposition:
     """Fit the dual-Dirac model to a jitter sample population.
@@ -110,13 +117,11 @@ def decompose_dual_dirac(samples_ui: np.ndarray, tail_quantile: float = 0.005
     if not 0.0 < tail_quantile < 0.1:
         raise ValueError("tail_quantile must be in (0, 0.1)")
 
-    q_lo_a = np.quantile(samples, tail_quantile)
-    q_lo_b = np.quantile(samples, 4.0 * tail_quantile)
-    q_hi_a = np.quantile(samples, 1.0 - tail_quantile)
-    q_hi_b = np.quantile(samples, 1.0 - 4.0 * tail_quantile)
-
-    z_a = stats.norm.ppf(tail_quantile)
-    z_b = stats.norm.ppf(4.0 * tail_quantile)
+    q_lo_a, q_lo_b, q_hi_a, q_hi_b = np.quantile(
+        samples,
+        [tail_quantile, 4.0 * tail_quantile, 1.0 - tail_quantile, 1.0 - 4.0 * tail_quantile],
+    )
+    z_a, z_b = _tail_z_values(tail_quantile)
 
     # Left tail: q = mu_l + sigma_l * z  evaluated at the two quantiles.
     denom = z_a - z_b

@@ -16,10 +16,16 @@ approach gets there analytically:
    :func:`_cursor_pmfs`, convolves every phase at once: the phases'
    cursors form the columns of a shift matrix, and each cursor row is a
    slice operation over all columns that share its integer bin shift
-   (most rows have one or two such groups) on zero-padded ping-pong
-   buffers.  It performs each bin's float operations of the
+   (most rows have one or two such groups) on padded ping-pong buffers.
+   The grid is centred and every step is a symmetric two-point
+   convolution, so each PMF is bitwise mirror-symmetric: the kernel
+   computes only the bins from the centre to the upper edge, reading
+   below the centre through a mirrored margin, and mirrors the result
+   once at the end.  It performs each bin's float operations of the
    one-PMF-at-a-time convolution chain, so its output is bit-identical
-   to that chain.
+   to that chain.  The solve records this stage as the
+   ``stateye.pmf`` span and the timing model (step 4) as
+   ``stateye.timing``.
 3. **Crosstalk superposition** — each FEXT/NEXT aggressor
    (:mod:`repro.link.crosstalk`) contributes its own independent cursor
    set, convolved into the same PDF.  An aggressor's transmitter runs on
@@ -44,7 +50,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .._validation import require_positive, require_positive_int, require_probability
+from .. import telemetry
+from .._validation import (
+    require_non_negative,
+    require_positive,
+    require_positive_int,
+    require_probability,
+)
 from ..datapath.cid import RunLengthDistribution
 from ..jitter.pdf import Pdf
 from ..statistical.ber_model import CdrJitterBudget, GatedOscillatorBerModel
@@ -115,14 +127,15 @@ def _cursor_shifts(cursors: np.ndarray, step: float) -> np.ndarray:
     return magnitudes / step
 
 
-def _cursor_pmfs(shifts: np.ndarray, n_bins: int, centre: int) -> np.ndarray:
+def _cursor_pmfs(shifts: np.ndarray, half_bins: int) -> np.ndarray:
     """Convolve every column of a cursor-shift matrix into one PMF row each.
 
     *shifts* is ``(n_cursors, n_columns)``: column ``j`` lists, in
     convolution order, the non-negative cursor magnitudes of one PMF in
-    grid cells.  Row ``j`` of the ``(n_columns, n_bins)`` result starts as
-    a unit mass at *centre* and is convolved with the two-point
-    distribution ``0.5·δ(+c) + 0.5·δ(−c)`` of every cursor ``c`` in turn.
+    grid cells.  Row ``j`` of the ``(n_columns, 2·half_bins + 1)`` result
+    starts as a unit mass at the centre bin ``half_bins`` and is convolved
+    with the two-point distribution ``0.5·δ(+c) + 0.5·δ(−c)`` of every
+    cursor ``c`` in turn.
 
     An off-grid impulse is split across the two adjacent bins with the
     weight chosen to preserve its **second moment** exactly (the pair is
@@ -133,62 +146,88 @@ def _cursor_pmfs(shifts: np.ndarray, n_bins: int, centre: int) -> np.ndarray:
     away, and the total ISI variance is exact on any grid.  Each step is
     ``0.5·(1−w)·(p[i−m] + p[i+m]) + 0.5·w·(p[i−m−1] + p[i+m+1])`` per bin.
 
-    The PMFs live bins-major in two ping-pong ``(n_bins + 2·pad,
-    n_columns)`` buffers whose ``pad = max m + 1`` edge cells on each side
-    are zero and never written, so mass shifted past the grid edge drops.
-    One cursor row is one whole-buffer slice operation at the row's most
-    common ``m``; the few columns with another ``m`` are then recomputed
-    at their own.  Every bin sees exactly the float operations of the
-    one-PMF-at-a-time chain (a zero shift gives ``0.5·(p + p) = p`` and a
-    zero weight adds ``+0``), so the result is bit-identical to it.
+    Every PMF is bitwise mirror-symmetric about the centre: it starts
+    symmetric, each step reads the same pair of bins at ``centre ± d``
+    (IEEE addition commutes), and the grid drops mass alike at both
+    edges.  So only bins ``centre … edge`` are computed.  They live
+    bins-major in two ping-pong ``(pad + half_bins + 1 + pad, n_columns)``
+    buffers, ``pad = max m + 1``: below the centre sits a ``pad``-cell
+    margin refreshed as the mirror image of the computed bins after each
+    row, and past the edge ``pad`` zero cells that are never written, so
+    mass shifted off the grid drops.  One cursor row is one whole-buffer
+    slice operation at the row's most common ``m`` (lowest on ties); the
+    few columns with another ``m`` are then recomputed at their own.  The
+    rows to skip (all shifts zero), each row's common ``m`` and its
+    off-``m`` column groups are found for all rows in one vectorised pass.
+    Every bin sees exactly the float operations of the one-PMF-at-a-time
+    chain (a zero shift gives ``0.5·(p + p) = p`` and a zero weight adds
+    ``+0``), so the result is bit-identical to it.
     """
-    n_columns = shifts.shape[1]
+    if half_bins < 0:
+        raise ValueError(f"half_bins must be >= 0, got {half_bins!r}")
+    n_rows, n_columns = shifts.shape
     whole = np.floor(shifts)
     weights = (shifts * shifts - whole * whole) / (2.0 * whole + 1.0)
     near = 0.5 * (1.0 - weights)
     far = 0.5 * weights
     whole = whole.astype(np.intp)
     pad = int(whole.max(initial=0)) + 1
-    current = np.zeros((n_bins + 2 * pad, n_columns))
-    current[pad + centre] = 1.0
+    n_half = half_bins + 1
+
+    # Per-row bookkeeping in one pass: the most common integer shift of
+    # every row, the (row, m) groups of columns at another shift, and the
+    # live rows (a row of zero shifts convolves every column with δ(0)).
+    counts = np.bincount(
+        (np.arange(n_rows)[:, None] * pad + whole).ravel(), minlength=n_rows * pad
+    ).reshape(n_rows, pad)
+    common = counts.argmax(axis=1)
+    live = shifts.any(axis=1)
+    off_rows, off_columns = np.nonzero((whole != common[:, None]) & live[:, None])
+    keys = off_rows * pad + whole[off_rows, off_columns]
+    order = np.argsort(keys, kind="stable")
+    keys, off_columns = keys[order], off_columns[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    others: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for key, columns in zip(keys[starts].tolist(), np.split(off_columns, starts[1:])):
+        others.setdefault(key // pad, []).append((key % pad, columns))
+
+    current = np.zeros((n_half + 2 * pad, n_columns))
+    current[pad] = 1.0
     following = np.zeros_like(current)
-    spare = np.empty((n_bins, n_columns))
+    spare = np.empty((n_half, n_columns))
 
     def convolve(source, m, near_row, far_row, out, scratch):
         low, high = pad - m, pad + m
-        np.add(source[low : low + n_bins], source[high : high + n_bins], out=out)
+        np.add(source[low : low + n_half], source[high : high + n_half], out=out)
         out *= near_row
         np.add(
-            source[low - 1 : low - 1 + n_bins],
-            source[high + 1 : high + 1 + n_bins],
+            source[low - 1 : low - 1 + n_half],
+            source[high + 1 : high + 1 + n_half],
             out=scratch,
         )
         scratch *= far_row
         out += scratch
 
-    for row in range(shifts.shape[0]):
-        if not shifts[row].any():
-            continue  # every column convolves with δ(0): unchanged
-        row_whole = whole[row]
-        counts = np.bincount(row_whole)
-        common = int(np.argmax(counts))
-        target = following[pad : pad + n_bins]
-        convolve(current, common, near[row], far[row], target, spare)
-        for m in np.flatnonzero(counts):
-            if m != common:
-                columns = np.flatnonzero(row_whole == m)
-                out = np.empty((n_bins, columns.size))
-                convolve(
-                    current[:, columns],
-                    int(m),
-                    near[row, columns],
-                    far[row, columns],
-                    out,
-                    np.empty_like(out),
-                )
-                target[:, columns] = out
+    for row in np.flatnonzero(live).tolist():
+        target = following[pad : pad + n_half]
+        convolve(current, int(common[row]), near[row], far[row], target, spare)
+        for m, columns in others.get(row, ()):
+            out = np.empty((n_half, columns.size))
+            convolve(
+                current[:, columns],
+                m,
+                near[row, columns],
+                far[row, columns],
+                out,
+                np.empty_like(out),
+            )
+            target[:, columns] = out
+        following[:pad] = following[2 * pad : pad : -1]
         current, following = following, current
-    return current[pad : pad + n_bins].T.copy()
+    pmfs = np.empty((n_columns, 2 * half_bins + 1))
+    pmfs[:, half_bins:] = current[pad : pad + n_half].T
+    pmfs[:, :half_bins] = pmfs[:, : half_bins : -1]
+    return pmfs
 
 
 @dataclass(frozen=True)
@@ -363,7 +402,7 @@ class StatisticalEyeSolver:
         self.run_lengths = run_lengths
         self.span_ui = require_positive_int("span_ui", span_ui)
         self.voltage_step = require_positive("voltage_step", voltage_step)
-        self.amplitude_noise_rms = float(amplitude_noise_rms)
+        self.amplitude_noise_rms = require_non_negative("amplitude_noise_rms", amplitude_noise_rms)
         self.grid_step_ui = require_positive("grid_step_ui", grid_step_ui)
         if aggressor_phase not in AGGRESSOR_PHASE_MODES:
             raise ValueError(
@@ -444,41 +483,42 @@ class StatisticalEyeSolver:
         )
         thresholds = np.arange(-half_bins, half_bins + 1, dtype=float) * step
         n_bins = thresholds.size
-        centre = half_bins
 
         gaussian = None
         if self.amplitude_noise_rms > 0.0:
             weights = np.exp(-0.5 * (thresholds / self.amplitude_noise_rms) ** 2)
             gaussian = weights / weights.sum()
 
-        # Aggressors whose cursor rows are all zero shift no probability
-        # mass in either phase mode — skipping them keeps zero-amplitude
-        # populations bit-identical to the crosstalk-free solve.
-        live_aggressors = [
-            rows for rows in aggressors if np.count_nonzero(np.max(np.abs(rows), axis=1))
-        ]
-        # The averaged PMFs are phase-independent, so the whole population
-        # pre-combines into one convolution kernel outside the phase loop.
-        aggressor_kernel = None
-        if self.aggressor_phase == "asynchronous":
-            for rows in live_aggressors:
-                pmf = self._phase_averaged_pmf(rows, step, n_bins, centre)
-                aggressor_kernel = (
-                    pmf
-                    if aggressor_kernel is None
-                    else np.convolve(aggressor_kernel, pmf, mode="same")
-                )
+        tracer = telemetry.ACTIVE
+        with tracer.span("stateye.pmf"):
+            # Aggressors whose cursor rows are all zero shift no probability
+            # mass in either phase mode — skipping them keeps zero-amplitude
+            # populations bit-identical to the crosstalk-free solve.
+            live_aggressors = [
+                rows for rows in aggressors if np.count_nonzero(np.max(np.abs(rows), axis=1))
+            ]
+            # The averaged PMFs are phase-independent, so the whole population
+            # pre-combines into one convolution kernel outside the phase loop.
+            aggressor_kernel = None
+            if self.aggressor_phase == "asynchronous":
+                for rows in live_aggressors:
+                    pmf = self._phase_averaged_pmf(rows, step, half_bins)
+                    aggressor_kernel = (
+                        pmf
+                        if aggressor_kernel is None
+                        else np.convolve(aggressor_kernel, pmf, mode="same")
+                    )
 
-        # Column i lists the cursors seen at sampling phase i: the victim's
-        # ISI, then (synchronous mode) every live aggressor's.
-        phase_cursors = isi_rows
-        if self.aggressor_phase == "synchronous":
-            phase_cursors = np.concatenate((isi_rows, *live_aggressors))
-        noise_pmf = _cursor_pmfs(_cursor_shifts(phase_cursors, step), n_bins, centre)
-        for kernel in (aggressor_kernel, gaussian):
-            if kernel is not None:
-                for pmf in noise_pmf:
-                    pmf[:] = np.convolve(pmf, kernel, mode="same")
+            # Column i lists the cursors seen at sampling phase i: the victim's
+            # ISI, then (synchronous mode) every live aggressor's.
+            phase_cursors = isi_rows
+            if self.aggressor_phase == "synchronous":
+                phase_cursors = np.concatenate((isi_rows, *live_aggressors))
+            noise_pmf = _cursor_pmfs(_cursor_shifts(phase_cursors, step), half_bins)
+            for kernel in (aggressor_kernel, gaussian):
+                if kernel is not None:
+                    for pmf in noise_pmf:
+                        pmf[:] = np.convolve(pmf, kernel, mode="same")
 
         # Amplitude error probability: a transmitted one samples below the
         # threshold, a transmitted zero above it (equiprobable bits).
@@ -495,14 +535,15 @@ class StatisticalEyeSolver:
             amplitude_ber[phase_index] = 0.5 * (below_one + (1.0 - below_zero))
 
         phases_ui = (np.arange(spu) + 0.5) / spu
-        model = self.timing_model
-        if model is None:
-            model = GatedOscillatorBerModel(
-                self.budget,
-                run_lengths=self.run_lengths,
-                grid_step_ui=self.grid_step_ui,
-            )
-        timing_ber = model.ber_at_phases(phases_ui)
+        with tracer.span("stateye.timing"):
+            model = self.timing_model
+            if model is None:
+                model = GatedOscillatorBerModel(
+                    self.budget,
+                    run_lengths=self.run_lengths,
+                    grid_step_ui=self.grid_step_ui,
+                )
+            timing_ber = model.ber_at_phases(phases_ui)
 
         total = np.clip(timing_ber[:, None] + amplitude_ber, 0.0, 1.0)
         return StatisticalEye(
@@ -515,9 +556,7 @@ class StatisticalEyeSolver:
             noise_pmf=noise_pmf,
         )
 
-    def _phase_averaged_pmf(
-        self, rows: np.ndarray, step: float, n_bins: int, centre: int
-    ) -> np.ndarray:
+    def _phase_averaged_pmf(self, rows: np.ndarray, step: float, half_bins: int) -> np.ndarray:
         """One aggressor's cursor PMF averaged over a uniform in-UI offset.
 
         The aggressor's transmitter is asynchronous to the victim, so the
@@ -531,8 +570,8 @@ class StatisticalEyeSolver:
         the PDF level (a mixture over offsets) is exact, not an
         approximation.
         """
-        average = np.zeros(n_bins)
-        for pmf in _cursor_pmfs(_cursor_shifts(rows, step), n_bins, centre):
+        average = np.zeros(2 * half_bins + 1)
+        for pmf in _cursor_pmfs(_cursor_shifts(rows, step), half_bins):
             average += pmf
         return average / rows.shape[1]
 

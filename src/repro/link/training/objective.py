@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ... import telemetry
-from ..._validation import require_in_range, require_non_negative
+from ..._validation import require_in_range, require_non_negative, require_positive
 from ...datapath.cid import RunLengthDistribution
 from ...datapath.prbs import prbs_sequence
 from ...statistical.ber_model import CdrJitterBudget, GatedOscillatorBerModel
@@ -51,6 +51,10 @@ __all__ = ["EyeScore", "StatEyeObjective"]
 
 #: BER below this contributes no further score — the -log10 term saturates.
 _BER_FLOOR = 1.0e-30
+
+#: :class:`StatisticalEyeSolver` keywords a caller may set through
+#: ``solver_options``; the timing environment is the objective's own.
+_SOLVER_OPTIONS = ("span_ui", "voltage_step", "amplitude_noise_rms", "aggressor_phase")
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,12 @@ class StatEyeObjective:
         Extra keyword arguments forwarded to every
         :class:`StatisticalEyeSolver` (``span_ui``, ``voltage_step``,
         ``amplitude_noise_rms``, ``aggressor_phase``).
+
+    Raises
+    ------
+    ValueError
+        At construction, for a non-positive or non-finite *grid_step_ui*,
+        an unknown *solver_options* key or a value the solver rejects.
     """
 
     def __init__(
@@ -149,8 +159,16 @@ class StatEyeObjective:
             if ddj_pattern_bits is None
             else np.asarray(ddj_pattern_bits, dtype=np.uint8).ravel()
         )
-        self.grid_step_ui = grid_step_ui
+        self.grid_step_ui = require_positive("grid_step_ui", grid_step_ui)
         self.solver_options = dict(solver_options or {})
+        unknown = sorted(set(self.solver_options) - set(_SOLVER_OPTIONS))
+        if unknown:
+            raise ValueError(
+                f"unknown solver_options {unknown}; expected some of {list(_SOLVER_OPTIONS)}"
+            )
+        # The solver's own checks, run once here so a bad spec is rejected
+        # before any candidate is scored.
+        StatisticalEyeSolver(self.link, **self.solver_options)
         self._timing_model: GatedOscillatorBerModel | None = None
         self._cache: dict[tuple, EyeScore] = {}
         self._evaluations = 0

@@ -228,7 +228,10 @@ class GatedOscillatorBerModel:
         #: PDFs depend only on the jitter budget and the run length — never on
         #: the sampling phase — so phase scans (bathtubs, eye margins, the
         #: statistical eye solver) reuse them instead of re-convolving per probe.
+        #: Run lengths share one gap-independent DJ ⊛ RJ prefix; without SJ
+        #: every entry is that same prefix object.
         self._boundary_pdf_cache: dict[int, Pdf] = {}
+        self._edge_prefix_pdf: Pdf | None = None
 
     # -- internal building blocks ------------------------------------------
 
@@ -241,16 +244,23 @@ class GatedOscillatorBerModel:
         edges and enters once.  Random jitter is independent per edge and
         enters with sqrt(2) times its per-edge sigma; sinusoidal jitter enters
         through its differential amplitude over the *gap_ui* separation.
+
+        The ``delta ⊛ uniform(DJ) ⊛ gaussian(√2·RJ)`` prefix does not depend
+        on the gap, so it is built once per model; only the SJ term, when
+        present, is convolved per gap.  Each gap's PDF is the result of the
+        same convolution sequence as building the whole chain per gap.
         """
         budget = self.budget
         step = self.grid_step_ui
-
-        pdf = delta_pdf(0.0, step)
-        if budget.dj_ui_pp > 0.0:
-            pdf = pdf.convolve(uniform_pdf(budget.dj_ui_pp, step))
-        if budget.rj_ui_rms > 0.0:
-            rj_diff = gaussian_pdf(budget.rj_ui_rms * math.sqrt(2.0), step)
-            pdf = pdf.convolve(rj_diff)
+        pdf = self._edge_prefix_pdf
+        if pdf is None:
+            pdf = delta_pdf(0.0, step)
+            if budget.dj_ui_pp > 0.0:
+                pdf = pdf.convolve(uniform_pdf(budget.dj_ui_pp, step))
+            if budget.rj_ui_rms > 0.0:
+                rj_diff = gaussian_pdf(budget.rj_ui_rms * math.sqrt(2.0), step)
+                pdf = pdf.convolve(rj_diff)
+            self._edge_prefix_pdf = pdf
         relative_sj = budget.relative_sj_pp_over_gap(gap_ui)
         if relative_sj > 0.0:
             pdf = pdf.convolve(sinusoidal_pdf(relative_sj, step))

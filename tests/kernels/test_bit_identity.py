@@ -335,12 +335,17 @@ def _two_point_convolve(pmf, shift_bins):
     return result
 
 
-def _reference_cursor_pmfs(shifts, n_bins, centre):
-    """The cursor-PMF oracle: one column at a time, one cursor at a time."""
+def _reference_cursor_pmfs(shifts, half_bins):
+    """The cursor-PMF oracle: one column at a time, one cursor at a time.
+
+    Every bin of the centred ``2·half_bins + 1`` grid is computed; nothing
+    relies on mirror symmetry.
+    """
+    n_bins = 2 * half_bins + 1
     pmfs = np.zeros((shifts.shape[1], n_bins))
     for column in range(shifts.shape[1]):
         pmf = np.zeros(n_bins)
-        pmf[centre] = 1.0
+        pmf[half_bins] = 1.0
         for shift in shifts[:, column]:
             pmf = _two_point_convolve(pmf, float(shift))
         pmfs[column] = pmf
@@ -359,24 +364,32 @@ SHIFTS = st.one_of(
 
 @st.composite
 def shift_matrices(draw):
-    """``(shifts, n_bins, centre)``; the grid may be smaller than the support."""
+    """``(shifts, half_bins)``; the grid may be smaller than the support.
+
+    ``half_bins`` 0–24 spans centred grids of 1–49 bins.
+    """
     n_cursors = draw(st.integers(0, 9))
     n_columns = draw(st.integers(1, 7))
     size = n_cursors * n_columns
     values = draw(st.lists(SHIFTS, min_size=size, max_size=size))
     shifts = np.array(values, dtype=float).reshape(n_cursors, n_columns)
-    n_bins = draw(st.integers(1, 48))
-    centre = draw(st.integers(0, n_bins - 1))
-    return shifts, n_bins, centre
+    return shifts, draw(st.integers(0, 24))
 
 
 class TestCursorPmfKernelBitIdentity:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(shift_matrices())
     def test_generated_shift_matrices_match_reference(self, case):
-        shifts, n_bins, centre = case
-        fast = stateye._cursor_pmfs(shifts, n_bins, centre)
-        assert _bytes_equal(fast, _reference_cursor_pmfs(shifts, n_bins, centre))
+        shifts, half_bins = case
+        fast = stateye._cursor_pmfs(shifts, half_bins)
+        assert _bytes_equal(fast, _reference_cursor_pmfs(shifts, half_bins))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shift_matrices())
+    def test_reference_pmfs_are_bitwise_mirror_symmetric(self, case):
+        """The property the half-grid kernel rests on, checked on the oracle."""
+        reference = _reference_cursor_pmfs(*case)
+        assert _bytes_equal(reference, np.ascontiguousarray(reference[:, ::-1]))
 
     def test_mixed_integer_shifts_in_one_row(self):
         """One cursor row whose columns span four integer shifts."""
@@ -387,16 +400,24 @@ class TestCursorPmfKernelBitIdentity:
                 [1.0e-6, 3.0, 0.9999999999999999, 0.5, 0.0, 2.0],
             ]
         )
-        fast = stateye._cursor_pmfs(shifts, 31, 15)
-        assert _bytes_equal(fast, _reference_cursor_pmfs(shifts, 31, 15))
+        fast = stateye._cursor_pmfs(shifts, 15)
+        assert _bytes_equal(fast, _reference_cursor_pmfs(shifts, 15))
 
     def test_truncating_grid_matches_reference(self):
-        """Support far wider than the grid: mass drops at both edges alike."""
+        """Support far wider than the grid: mass drops at both edges alike.
+
+        The shifts reach past the 5-bin grid and past the mirrored margin
+        below its centre.
+        """
         shifts = np.full((6, 3), 4.6)
-        fast = stateye._cursor_pmfs(shifts, 9, 2)
-        reference = _reference_cursor_pmfs(shifts, 9, 2)
+        fast = stateye._cursor_pmfs(shifts, 2)
+        reference = _reference_cursor_pmfs(shifts, 2)
         assert _bytes_equal(fast, reference)
         assert reference.sum() < 3.0
+
+    def test_negative_half_bins_is_rejected(self):
+        with pytest.raises(ValueError, match="half_bins"):
+            stateye._cursor_pmfs(np.ones((2, 3)), -1)
 
 
 _STATEYE_CHANNEL = LossyLineChannel.for_loss_at_nyquist(12.0, LinkConfig().timebase.bit_rate_hz)

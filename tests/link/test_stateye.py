@@ -249,7 +249,7 @@ class TestPmfMassConservation:
         half_bins = _grid_half_bins(main_cursor, isi_rows, aggressors, step, 0.0)
         # Synchronous concatenation: every cursor block lands in one column.
         shifts = _cursor_shifts(np.concatenate((isi_rows, *aggressors)), step)
-        pmfs = _cursor_pmfs(shifts, 2 * half_bins + 1, half_bins)
+        pmfs = _cursor_pmfs(shifts, half_bins)
         assert np.all(np.abs(pmfs.sum(axis=1) - 1.0) <= 1.0e-12)
         assert not pmfs[:, 0].any()
         assert not pmfs[:, -1].any()
@@ -259,6 +259,15 @@ class TestPmfMassConservation:
         assert np.all(np.abs(eye.noise_pmf.sum(axis=1) - 1.0) <= 1.0e-12)
         assert not eye.noise_pmf[:, 0].any()
         assert not eye.noise_pmf[:, -1].any()
+
+
+class TestSolverValidation:
+    @pytest.mark.parametrize("noise", [-0.01, float("nan"), float("inf")])
+    def test_bad_amplitude_noise_is_rejected_at_construction(self, noise):
+        # A negative value used to shrink the grid by ten "sigmas" and a
+        # NaN failed only inside the solve.
+        with pytest.raises(ValueError, match="amplitude_noise_rms"):
+            StatisticalEyeSolver(LinkConfig(), amplitude_noise_rms=noise)
 
 
 class TestOnePhaseEye:

@@ -83,6 +83,34 @@ class TestObjective:
         with pytest.raises(ValueError):
             StatEyeObjective(pinned_link(), horizontal_weight=-1.0)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"grid_step_ui": 0.0}, "grid_step_ui"),
+            ({"grid_step_ui": float("nan")}, "grid_step_ui"),
+            ({"solver_options": {"voltage_stp": 0.01}}, "voltage_stp"),
+            ({"solver_options": {"budget": CdrJitterBudget()}}, "budget"),
+            ({"solver_options": {"voltage_step": 0.0}}, "voltage_step"),
+            ({"solver_options": {"span_ui": 0}}, "span_ui"),
+            ({"solver_options": {"aggressor_phase": "sync"}}, "aggressor_phase"),
+            ({"solver_options": {"amplitude_noise_rms": -0.01}}, "amplitude_noise_rms"),
+            ({"solver_options": {"amplitude_noise_rms": float("nan")}}, "amplitude_noise_rms"),
+        ],
+    )
+    def test_bad_spec_is_rejected_at_construction(self, options, message):
+        """Rejected before any solve, not at every sweep point's first evaluate."""
+        with pytest.raises(ValueError, match=message):
+            StatEyeObjective(pinned_link(), **options)
+        with pytest.raises(ValueError, match=message):
+            LinkTrainer(pinned_link(), objective_options=options)
+
+    def test_valid_solver_options_are_forwarded(self):
+        objective = StatEyeObjective(
+            pinned_link(), solver_options={"voltage_step": 0.02, "span_ui": 32}
+        )
+        eye = objective.solve(None, None, None)
+        assert eye.thresholds[1] - eye.thresholds[0] == pytest.approx(0.02)
+
 
 class TestTrainingBudget:
     def test_validation(self):

@@ -114,6 +114,9 @@ class TestInstrumentationPresence:
         assert objective.evaluations == 1
         solves = [span for span in tracer.spans if span.name == "stateye.solve"]
         assert len(solves) == 1
+        # The solve splits into its PMF and timing-model stages.
+        inner = sorted(span.path for span in tracer.spans if span.path.startswith("stateye.solve/"))
+        assert inner == ["stateye.solve/stateye.pmf", "stateye.solve/stateye.timing"]
 
     def test_disabled_tracer_records_nothing(self):
         assert telemetry.ACTIVE is telemetry.NULL_TRACER
