@@ -46,7 +46,7 @@ from ..core.cdr_channel import BehavioralSimulationResult
 from ..core.config import CdrChannelConfig
 from ..core.edge_detector import GATE_DELAY_S
 from ..datapath.nrz import JitterSpec, NrzEdgeStream, generate_edge_times
-from .traces import ArrayRecorder, array_trace
+from .traces import ArrayRecorder, EdgeArrays
 
 __all__ = ["FastCdrChannel"]
 
@@ -409,23 +409,20 @@ class FastCdrChannel:
         sampled[in_range] = prop_values[indices[in_range]].astype(np.uint8)
 
         # --- traces (match the event recorder, clipped to the run horizon) --
+        # The recorder builds each trace on first access.  The jittered DOUT
+        # re-timing draws from rng, so it runs here, in draw order.
         initial_clock = (parameters.n_stages - 2) & 1 if config.improved_sampling \
             else 1 - ((parameters.n_stages - 1) & 1)
         dout_times, dout_values = self._dout_events(
             sample_times, sampled, config.sampler_delay_s, gate_sigma, gate_rng)
         recorder = ArrayRecorder({
-            "din": array_trace("din", edge_times, edge_values),
-            "ddin": self._clipped("ddin", ddin_times, prop_values, duration),
-            "edet": array_trace(
-                "edet",
-                edet_times[edet_times <= duration],
-                # Value after the i-th toggle, alternating from the initial 1.
-                np.arange(np.count_nonzero(edet_times <= duration)) & 1,
-                initial_value=1,
-            ),
-            "clock": self._clipped("clock", clock_times, clock_values, duration,
-                                   initial_value=initial_clock),
-            "dout": self._clipped("dout", dout_times, dout_values, duration),
+            "din": EdgeArrays(edge_times, edge_values),
+            "ddin": EdgeArrays(ddin_times, prop_values, horizon_s=duration),
+            # EDET toggles at every edge, from its initial high level.
+            "edet": EdgeArrays(edet_times, initial_value=1, horizon_s=duration),
+            "clock": EdgeArrays(clock_times, clock_values, initial_value=initial_clock,
+                                horizon_s=duration),
+            "dout": EdgeArrays(dout_times, dout_values, horizon_s=duration),
         })
 
         valid = sample_times >= start_time
@@ -438,12 +435,6 @@ class FastCdrChannel:
             sampled_bits=sampled[valid],
             duration_s=duration,
         )
-
-    @staticmethod
-    def _clipped(name: str, times: np.ndarray, values: np.ndarray,
-                 duration_s: float, *, initial_value: int = 0):
-        mask = times <= duration_s
-        return array_trace(name, times[mask], values[mask], initial_value=initial_value)
 
     @staticmethod
     def _dout_events(sample_times: np.ndarray, sampled: np.ndarray,

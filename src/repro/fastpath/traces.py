@@ -7,15 +7,25 @@ arrays in the same :class:`~repro.events.waveform.Trace` objects (whose
 analysis helpers all go through ``as_arrays`` and therefore accept ndarray
 storage) and exposes them through a recorder with the same ``trace(name)``
 surface.
+
+A sweep point reads its decisions, not its waveforms, so the fast path
+hands the recorder :class:`EdgeArrays` — the edge arrays plus how to clip
+and label them — and the recorder builds each ``Trace`` the first time it
+is asked for.  Nothing random happens at build time (every jitter draw was
+taken when the arrays were made), so a trace built late is byte-equal to
+one built at once, and the recorder holds only arrays and plain records:
+it pickles across a process pool like any result.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..events.waveform import Trace
 
-__all__ = ["array_trace", "ArrayRecorder"]
+__all__ = ["array_trace", "EdgeArrays", "ArrayRecorder"]
 
 
 def array_trace(name: str, times_s: np.ndarray, values: np.ndarray,
@@ -32,18 +42,61 @@ def array_trace(name: str, times_s: np.ndarray, values: np.ndarray,
     return Trace(name=name, times_s=times, values=vals)
 
 
-class ArrayRecorder:
-    """Duck-typed stand-in for :class:`WaveformRecorder` holding fixed traces."""
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """The edges of one signal, not yet wrapped in a :class:`Trace`.
 
-    def __init__(self, traces: dict[str, Trace]) -> None:
+    Attributes
+    ----------
+    times_s:
+        Edge times, in time order.
+    values:
+        Signal value after each edge; ``None`` for a signal that toggles
+        at every edge, starting from *initial_value*.
+    initial_value:
+        Value at time zero (the trace's first point).
+    horizon_s:
+        Edges after this time are dropped (``None`` keeps them all) — the
+        event kernel's ``run_until`` never executes them.
+    """
+
+    times_s: np.ndarray
+    values: np.ndarray | None = None
+    initial_value: int = 0
+    horizon_s: float | None = None
+
+    def build(self, name: str) -> Trace:
+        """The :class:`Trace` named *name* (see :func:`array_trace`)."""
+        times, values = self.times_s, self.values
+        if self.horizon_s is not None:
+            keep = times <= self.horizon_s
+            times = times[keep]
+            if values is not None:
+                values = values[keep]
+        if values is None:
+            values = (np.arange(times.size) + self.initial_value + 1) & 1
+        return array_trace(name, times, values, initial_value=self.initial_value)
+
+
+class ArrayRecorder:
+    """Duck-typed stand-in for :class:`WaveformRecorder` holding fixed traces.
+
+    Each entry is a ready :class:`Trace` or :class:`EdgeArrays`; the latter
+    is built on first access and kept.
+    """
+
+    def __init__(self, traces: dict[str, Trace | EdgeArrays]) -> None:
         self._traces = dict(traces)
 
     def trace(self, name: str) -> Trace:
         """Return the trace recorded under *name* (KeyError if unknown)."""
-        return self._traces[name]
+        trace = self._traces[name]
+        if isinstance(trace, EdgeArrays):
+            trace = self._traces[name] = trace.build(name)
+        return trace
 
     def __getitem__(self, name: str) -> Trace:
-        return self._traces[name]
+        return self.trace(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._traces

@@ -22,6 +22,7 @@ against counted errors.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,6 +201,16 @@ class TrainingCrossCheck:
         return self.event_rate / band <= self.predicted_ber <= self.event_rate * band
 
 
+#: :class:`StatEyeObjective` arguments the trainer passes itself; the rest
+#: of its keywords are what a caller may add through ``objective_options``.
+_TRAINER_OBJECTIVE_ARGUMENTS = ("link", "budget", "run_lengths", "target_ber")
+_OBJECTIVE_OPTIONS = tuple(
+    name
+    for name in inspect.signature(StatEyeObjective).parameters
+    if name not in _TRAINER_OBJECTIVE_ARGUMENTS
+)
+
+
 class LinkTrainer:
     """Train TX-FFE / RX-CTLE / DFE for one channel environment.
 
@@ -217,6 +228,14 @@ class LinkTrainer:
         blind adaptation).  Defaults to the link's own DFE stage.
     budget / run_lengths / target_ber / objective_options:
         Forwarded to :class:`StatEyeObjective`.
+
+    Raises
+    ------
+    ValueError
+        At construction, for an *objective_options* key the objective
+        does not take or one that repeats a trainer argument (``budget``,
+        ``run_lengths``, ``target_ber``, ``link``), and for anything the
+        objective itself rejects.
     """
 
     def __init__(
@@ -233,12 +252,24 @@ class LinkTrainer:
         self.link = link if link is not None else LinkConfig()
         self.training = training if training is not None else TrainingBudget()
         self.dfe = dfe if dfe is not None else self.link.dfe
+        objective_options = dict(objective_options or {})
+        for key in objective_options:
+            if key in _TRAINER_OBJECTIVE_ARGUMENTS:
+                raise ValueError(
+                    f"objective_options key {key!r} collides with the trainer's own "
+                    f"{key!r} argument; pass it to LinkTrainer directly"
+                )
+            if key not in _OBJECTIVE_OPTIONS:
+                raise ValueError(
+                    f"unknown objective_options key {key!r}; expected some of "
+                    f"{list(_OBJECTIVE_OPTIONS)}"
+                )
         self.objective = StatEyeObjective(
             self.link,
             budget=budget,
             run_lengths=run_lengths,
             target_ber=target_ber,
-            **(objective_options or {}),
+            **objective_options,
         )
         # The CTLE's peak frequency / bandwidth come from the link's own
         # stage when it has one, so training only moves the peaking knob.

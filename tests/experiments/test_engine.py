@@ -1,7 +1,10 @@
 """Generic engine behaviour: grids, searches, backend resolution, plans."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CdrChannelConfig
 from repro.datapath.nrz import JitterSpec
@@ -16,11 +19,57 @@ from repro.experiments import (
     run_tolerance_search,
     simulate_scenario,
 )
+from repro.experiments import engine
+from repro.experiments.spec import apply_axis
+from repro.link import LinkConfig, RxCtle, TxFfe
+# Importing repro.sweep.faults also registers the "inject_fault" axis.
+from repro.sweep.faults import FaultyStimulus, InjectedFault
 
 MILD = JitterSpec(dj_ui_pp=0.2, rj_ui_rms=0.01)
 BASE = ScenarioSpec(stimulus=StimulusSpec(n_bits=400), jitter=MILD)
 AMPLITUDE_AXIS = ParameterAxis("sj_amplitude_ui_pp", (0.1, 1.0))
 FREQUENCY_AXIS = ParameterAxis("sj_frequency_hz", (2.5e6, 7.5e8))
+
+
+def _reference_resolve_grid(spec, axes):
+    """The previous resolution, kept as the oracle: every grid point applies
+    every axis value to the base spec, over the nested cartesian product."""
+    axes = tuple(axes)
+    points = []
+    for combination in itertools.product(*(axis.values for axis in axes)):
+        point = spec
+        for axis, value in zip(axes, combination):
+            point = apply_axis(point, axis.name, value)
+        points.append(point)
+    return points
+
+
+LINK_BASE = ScenarioSpec(
+    stimulus=StimulusSpec(n_bits=64),
+    link=LinkConfig(tx_ffe=TxFfe.de_emphasis(post_db=3.5), rx_ctle=RxCtle(peaking_db=6.0)),
+    jitter=JitterSpec(sj_frequency_hz=5.0e6),
+)
+
+#: Axis values the generated grids draw from: link, SJ and fault axes.
+AXIS_VALUES = {
+    "channel_loss_db": (4.0, 6.0, 9.5),
+    "ctle_peaking_db": (3.0, 6.0),
+    "aggressor_amplitude": (0.0, 0.02),
+    "sj_amplitude_ui_pp": (0.0, 0.1, 0.3),
+    "sj_frequency_hz": (2.5e6, 1.0e8),
+    "inject_fault": (False, True),
+}
+
+
+@st.composite
+def grid_axes(draw):
+    """0–3 axes; values may repeat within an axis, and an axis may repeat."""
+    axes = []
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(AXIS_VALUES)))
+        values = draw(st.lists(st.sampled_from(AXIS_VALUES[name]), min_size=1, max_size=3))
+        axes.append(ParameterAxis(name, tuple(values)))
+    return tuple(axes)
 
 
 class TestResolveGrid:
@@ -34,6 +83,89 @@ class TestResolveGrid:
 
     def test_no_axes_is_single_point(self):
         assert resolve_grid(BASE, ()) == [BASE]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_axes())
+    def test_matches_the_nested_product_point_for_point(self, axes):
+        points = resolve_grid(LINK_BASE, axes)
+        expected = _reference_resolve_grid(LINK_BASE, axes)
+        assert len(points) == len(expected) == int(np.prod([len(a) for a in axes]))
+        for point, reference in zip(points, expected):
+            assert point == reference
+            assert repr(point) == repr(reference)
+            assert type(point.stimulus) is type(reference.stimulus)
+
+    def test_applies_each_axis_value_once_per_prefix(self, monkeypatch):
+        calls = []
+
+        def counting(spec, name, value):
+            calls.append(name)
+            return apply_axis(spec, name, value)
+
+        monkeypatch.setattr(engine, "apply_axis", counting)
+        losses = ParameterAxis("channel_loss_db", (4.0, 6.0, 9.5))
+        points = resolve_grid(LINK_BASE, (losses, AMPLITUDE_AXIS))
+        assert len(points) == 6
+        assert calls.count("channel_loss_db") == 3
+        assert calls.count("sj_amplitude_ui_pp") == 6
+        # Points that share a loss share the link it produced.
+        assert points[0].link is points[1].link
+
+    def test_run_grid_json_is_unchanged(self, monkeypatch):
+        axes = (
+            ParameterAxis("channel_loss_db", (4.0, 6.0)),
+            ParameterAxis("sj_amplitude_ui_pp", (0.0, 0.2, 0.2)),
+        )
+        from dataclasses import replace
+
+        # Eye metrics differ at every point, so a reordered grid shows.
+        spec = replace(LINK_BASE, measurement=MeasurementPlan(eye=True))
+        current = run_grid(spec, axes, seed=4, workers=1).to_json()
+        monkeypatch.setattr(engine, "resolve_grid", _reference_resolve_grid)
+        assert run_grid(spec, axes, seed=4, workers=1).to_json() == current
+
+
+class TestStimulusMemo:
+    def test_bits_are_made_once_and_read_only(self):
+        stimulus = StimulusSpec(n_bits=300, prbs_order=9, seed=5)
+        bits = engine._stimulus_bits(stimulus)
+        assert engine._stimulus_bits(stimulus) is bits
+        assert engine._stimulus_bits(StimulusSpec(n_bits=300, prbs_order=9, seed=5)) is bits
+        np.testing.assert_array_equal(bits, stimulus.bits())
+        assert bits.dtype == stimulus.bits().dtype
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[0] = 1
+
+    def test_results_carry_the_read_only_bits(self):
+        result = simulate_scenario(BASE, np.random.default_rng(0))
+        assert not result.transmitted_bits.flags.writeable
+        assert result.ber().compared_bits > 0
+
+    def test_memo_is_bounded(self):
+        for n_bits in range(10, 10 + 2 * engine._STIMULUS_MEMO_SIZE):
+            engine._stimulus_bits(StimulusSpec(n_bits=n_bits))
+        assert len(engine._STIMULUS_BITS) <= engine._STIMULUS_MEMO_SIZE
+
+    def test_a_raising_stimulus_is_never_cached(self):
+        faulty = FaultyStimulus(n_bits=64, fail=True)
+        for _ in range(2):
+            with pytest.raises(InjectedFault):
+                engine._stimulus_bits(faulty)
+        assert faulty not in engine._STIMULUS_BITS
+
+    def test_faulty_stimulus_fails_in_the_worker_on_every_attempt(self):
+        axes = [ParameterAxis("inject_fault", (False, True))]
+        result = run_grid(
+            ScenarioSpec(stimulus=StimulusSpec(n_bits=200)), axes, seed=0, workers=1,
+            failure_policy="retry", max_retries=2,
+        )
+        (failure,) = result.failures
+        assert failure.index == 1
+        assert failure.exception_type == "InjectedFault"
+        assert failure.attempts == 3
+        assert {audit.index: audit.attempts for audit in result.audit} == {0: 1, 1: 3}
+        assert result.metric("compared")[0] > 0
 
 
 class TestRunGrid:
