@@ -1,9 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper.  Besides the
-pytest-benchmark timing, each benchmark writes the regenerated series/table as
-plain text into ``benchmarks/results/`` so the numbers behind EXPERIMENTS.md
-can be inspected and re-plotted without re-running anything.
+Every benchmark regenerates one table or figure of the paper: it runs the
+computation once, asserts its shape, and writes the regenerated series/table
+as plain text into ``benchmarks/results/`` so the numbers behind
+EXPERIMENTS.md can be inspected and re-plotted without re-running anything.
+These are plain tests; timings live in ``run_bench.py``'s ledger
+(``benchmarks/results/bench_history.jsonl``).
 """
 
 import sys

@@ -49,7 +49,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.config import CdrChannelConfig
 from repro.datapath.cid import measured_run_distribution
-from repro.datapath.nrz import JitterSpec
+from repro.datapath.nrz import JitterSpec, generate_edge_times
 from repro.datapath.prbs import prbs7, prbs_sequence
 from repro.gates.ring import GccoParameters
 from repro.link import (
@@ -72,6 +72,7 @@ from repro.sweep import (
     ber_vs_sj_sweep,
 )
 from repro._jsonio import dumps_compact
+from repro.fastpath import engine as fast_engine
 from repro.fastpath.backends import resolve_backend
 from repro.telemetry.manifest import collect_manifest
 from repro.telemetry.report import HISTORY_KIND, HISTORY_VERSION, history_entry, stage_breakdown
@@ -350,6 +351,41 @@ def bench_link_training(n_bits: int) -> dict:
     }
 
 
+#: Bits of the fixed PRBS7 stimulus behind ``ring_bits_per_s``.
+RING_BITS = 36_000
+
+
+def bench_ring_rates(n_bits: int = RING_BITS) -> dict:
+    """Warm bits/s of the fast path's gated ring on one fixed EDET stream.
+
+    The stream is the paper channel's edge-detector output for a
+    jitter-free PRBS7 pattern of *n_bits* bits.  ``jitter_free`` runs the
+    ring without oscillator jitter, so the settled-span bulk step takes
+    its gate-high spans; ``jittered`` adds 2 % oscillator jitter, which
+    keeps every event on the scalar loop.  Each is the best of
+    :data:`TIMED_REPEATS` warm calls (``_timed``).
+    """
+    config = CdrChannelConfig()
+    unit_interval = config.unit_interval_s
+    stream = generate_edge_times(
+        prbs_sequence(7, n_bits), bit_rate_hz=config.bit_rate_hz,
+        jitter=JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0, sj_amplitude_ui_pp=0.0),
+        start_time_s=4 * unit_interval, rng=np.random.default_rng(0))
+    _, edet = fast_engine._edge_detector(stream.edge_times_s, config, 0.0, None)
+    ring = {
+        **fast_engine._ring_delays(config),
+        "duration_s": stream.start_time_s + stream.duration_s + 4.0 * unit_interval,
+        "n_stages": config.oscillator.n_stages,
+        "improved_tap": False,
+    }
+    _, jitter_free_s = _timed(lambda: fast_engine._ring_recurrence(
+        edet, sigma=0.0, rng=None, **ring))
+    _, jittered_s = _timed(lambda: fast_engine._ring_recurrence(
+        edet, sigma=0.02, rng=np.random.default_rng(5), **ring))
+    return {"jitter_free": round(n_bits / jitter_free_s),
+            "jittered": round(n_bits / jittered_s)}
+
+
 def bench_bittrue_kernels(n_bits: int) -> dict:
     """Bit-true gate: the DFE-equalized link on the event kernel vs the fast path.
 
@@ -360,7 +396,9 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
     bit-identity pin — and the fast path must clear a 10x floor
     (``EXTRA_FLOORS``).  The isolated DFE-adaptation speedup of the scalar
     recursion over the pinned numpy reference loop
-    (``LmsDfe._adapt_reference``) is reported alongside.
+    (``LmsDfe._adapt_reference``) and the fast path's absolute ring rates
+    (:func:`bench_ring_rates`, a fixed stimulus whatever *n_bits*) are
+    reported alongside.
     """
     link = LinkConfig(
         channel=LossyLineChannel.for_loss_at_nyquist(12.0),
@@ -403,6 +441,7 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
         "dfe_adapt_reference_s": round(adapt_reference_s, 4),
         "dfe_adapt_s": round(adapt_s, 4),
         "dfe_adapt_speedup": round(adapt_reference_s / adapt_s, 2),
+        "ring_bits_per_s": bench_ring_rates(),
     }
 
 
@@ -471,6 +510,9 @@ def main() -> int:
           f"({kernels['resolved_backend']})  "
           f"speedup {kernels['speedup']}x  "
           f"(isolated DFE adapt {kernels['dfe_adapt_speedup']}x)")
+    ring_rates = kernels["ring_bits_per_s"]
+    print(f"  gated ring {ring_rates['jitter_free']} bits/s jitter-free, "
+          f"{ring_rates['jittered']} bits/s jittered")
 
     payload = {
         "python": manifest.python,

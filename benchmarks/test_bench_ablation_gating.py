@@ -42,8 +42,8 @@ def render(rows) -> str:
     return table.render()
 
 
-def test_bench_ablation_gating(benchmark, save_result):
-    rows = benchmark.pedantic(evaluate_scenarios, rounds=1, iterations=1)
+def test_bench_ablation_gating(save_result):
+    rows = evaluate_scenarios()
     save_result("ablation_gating", render(rows))
 
     results = {name: (gcco, ungated, pll) for name, gcco, ungated, pll in rows}

@@ -42,8 +42,8 @@ def render(rows) -> str:
     return table.render()
 
 
-def test_bench_ablation_sampling_tap(benchmark, save_result):
-    rows = benchmark.pedantic(sweep_taps, rounds=1, iterations=1)
+def test_bench_ablation_sampling_tap(save_result):
+    rows = sweep_taps()
     save_result("ablation_sampling_tap", render(rows))
 
     by_offset = {offset: (nominal, improved) for offset, nominal, improved in rows}

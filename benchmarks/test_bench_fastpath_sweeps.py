@@ -31,12 +31,10 @@ OFFSETS = np.array([0.0, 0.01, 0.05])
 N_BITS = 1500
 
 
-def test_bench_fastpath_ber_vs_sj(benchmark, save_sweep_result):
-    result = benchmark.pedantic(
-        lambda: ber_vs_sj_sweep(
-            FREQUENCIES, AMPLITUDES_UI_PP, base_jitter=BASE_JITTER,
-            n_bits=N_BITS, backend="fast", seed=9, workers=1),
-        rounds=1, iterations=1)
+def test_bench_fastpath_ber_vs_sj(save_sweep_result):
+    result = ber_vs_sj_sweep(
+        FREQUENCIES, AMPLITUDES_UI_PP, base_jitter=BASE_JITTER,
+        n_bits=N_BITS, backend="fast", seed=9, workers=1)
     path = save_sweep_result(result, "fastpath_ber_vs_sj")
     assert SweepResult.load(path).equals(result)
 
@@ -52,12 +50,10 @@ def test_bench_fastpath_ber_vs_sj(benchmark, save_sweep_result):
     assert np.all(np.diff(errors[:, -1]) >= 0)
 
 
-def test_bench_fastpath_ber_vs_offset(benchmark, save_sweep_result):
-    result = benchmark.pedantic(
-        lambda: ber_vs_frequency_offset_sweep(
-            OFFSETS, jitter=BASE_JITTER, n_bits=N_BITS,
-            backend="fast", seed=9, workers=1),
-        rounds=1, iterations=1)
+def test_bench_fastpath_ber_vs_offset(save_sweep_result):
+    result = ber_vs_frequency_offset_sweep(
+        OFFSETS, jitter=BASE_JITTER, n_bits=N_BITS,
+        backend="fast", seed=9, workers=1)
     save_sweep_result(result, "fastpath_ber_vs_offset")
 
     # A 5 % slow oscillator erodes the late side of long runs: strictly
@@ -65,7 +61,7 @@ def test_bench_fastpath_ber_vs_offset(benchmark, save_sweep_result):
     assert result.metrics["errors"][-1] >= result.metrics["errors"][0]
 
 
-def test_bench_fastpath_matches_event_backend(benchmark, save_sweep_result):
+def test_bench_fastpath_matches_event_backend(save_sweep_result):
     """One grid point cross-checked against the event kernel, end to end."""
     def both():
         fast = ber_vs_sj_sweep(
@@ -76,7 +72,7 @@ def test_bench_fastpath_matches_event_backend(benchmark, save_sweep_result):
             n_bits=800, backend="event", seed=4, workers=1)
         return fast, event
 
-    fast, event = benchmark.pedantic(both, rounds=1, iterations=1)
+    fast, event = both()
     assert np.array_equal(fast.metrics["errors"], event.metrics["errors"])
     assert np.array_equal(fast.metrics["compared"], event.metrics["compared"])
     assert fast.point_backends == ("fast",)

@@ -31,8 +31,8 @@ def render(curve) -> str:
     return series.render() + footer
 
 
-def test_bench_fig03_data_eye(benchmark, save_result):
-    curve = benchmark.pedantic(compute_bathtub, rounds=1, iterations=1)
+def test_bench_fig03_data_eye(save_result):
+    curve = compute_bathtub()
     save_result("fig03_data_eye_bathtub", render(curve))
 
     # The eye is open at the target BER with the Table 1 jitter budget.

@@ -20,8 +20,8 @@ def build_mask_series() -> Series:
     return series
 
 
-def test_bench_fig05_mask(benchmark, save_result):
-    series = benchmark(build_mask_series)
+def test_bench_fig05_mask(save_result):
+    series = build_mask_series()
     save_result("fig05_jtol_mask", series.render())
 
     mask = infiniband_mask()

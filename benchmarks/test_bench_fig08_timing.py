@@ -52,8 +52,8 @@ def render(config, result) -> str:
     return table.render()
 
 
-def test_bench_fig08_timing(benchmark, save_result):
-    config, result = benchmark.pedantic(simulate_single_edge, rounds=1, iterations=1)
+def test_bench_fig08_timing(save_result):
+    config, result = simulate_single_edge()
     save_result("fig08_gcco_timing", render(config, result))
 
     ui = config.unit_interval_s

@@ -43,8 +43,8 @@ def render(surface: np.ndarray) -> str:
     return table.render()
 
 
-def test_bench_fig09_ber_vs_sj(benchmark, save_result):
-    surface = benchmark.pedantic(compute_surface, rounds=1, iterations=1)
+def test_bench_fig09_ber_vs_sj(save_result):
+    surface = compute_surface()
     save_result("fig09_ber_vs_sj", render(surface))
 
     # Shape check 1: low-frequency jitter is tolerated regardless of amplitude

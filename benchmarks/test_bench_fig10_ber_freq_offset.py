@@ -40,8 +40,8 @@ def render(with_offset: np.ndarray) -> str:
     return table.render()
 
 
-def test_bench_fig10_ber_with_offset(benchmark, save_result):
-    without, with_offset = benchmark.pedantic(compute_surfaces, rounds=1, iterations=1)
+def test_bench_fig10_ber_with_offset(save_result):
+    without, with_offset = compute_surfaces()
     save_result("fig10_ber_freq_offset", render(with_offset))
 
     # The offset never helps: every point is at least as bad as without it.

@@ -37,8 +37,8 @@ def render(curve, budget) -> str:
     return table.render()
 
 
-def test_bench_fig11_tradeoff(benchmark, save_result):
-    curve = benchmark(compute_tradeoff)
+def test_bench_fig11_tradeoff(save_result):
+    curve = compute_tradeoff()
     budget = OscillatorJitterBudget()
     save_result("fig11_phase_noise_power", render(curve, budget))
 

@@ -49,8 +49,8 @@ def render(rows) -> str:
     return table.render()
 
 
-def test_bench_fig13_edge_detector_delay(benchmark, save_result):
-    rows = benchmark.pedantic(sweep_delay, rounds=1, iterations=1)
+def test_bench_fig13_edge_detector_delay(save_result):
+    rows = sweep_delay()
     save_result("fig13_edge_detector_delay", render(rows))
 
     by_delay = {delay: errors for delay, errors, _bits, _missed, _spb in rows}

@@ -46,8 +46,8 @@ def render(result, eye) -> str:
     return table.render() + "\n" + histogram.render()
 
 
-def test_bench_fig14_eye_nominal_tap(benchmark, save_result):
-    result, eye = benchmark.pedantic(simulate_eye, rounds=1, iterations=1)
+def test_bench_fig14_eye_nominal_tap(save_result):
+    result, eye = simulate_eye()
     save_result("fig14_eye_prbs7_nominal", render(result, eye))
 
     metrics = eye.metrics()

@@ -48,8 +48,8 @@ def render(nominal: np.ndarray, improved: np.ndarray) -> str:
     return table.render()
 
 
-def test_bench_fig17_improved_sampling(benchmark, save_result):
-    nominal, improved = benchmark.pedantic(compute_surfaces, rounds=1, iterations=1)
+def test_bench_fig17_improved_sampling(save_result):
+    nominal, improved = compute_surfaces()
     save_result("fig17_ber_improved_sampling", render(nominal, improved))
 
     # The improved tap never makes things worse under a slow-oscillator offset...

@@ -41,8 +41,8 @@ def render(config, result) -> str:
     return table.render()
 
 
-def test_bench_fig18_transistor_eye(benchmark, save_result):
-    config, result = benchmark.pedantic(simulate_circuit_eye, rounds=1, iterations=1)
+def test_bench_fig18_transistor_eye(save_result):
+    config, result = simulate_circuit_eye()
     save_result("fig18_transistor_eye", render(config, result))
 
     metrics = result.eye_diagram().metrics()

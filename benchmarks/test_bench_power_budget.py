@@ -35,8 +35,8 @@ def render(design, report) -> str:
     return table.render()
 
 
-def test_bench_power_budget(benchmark, save_result):
-    design, report = benchmark(compute_report)
+def test_bench_power_budget(save_result):
+    design, report = compute_report()
     save_result("power_budget", render(design, report))
 
     # The paper's headline: at or below 5 mW/Gbit/s.

@@ -31,8 +31,8 @@ def build_table1() -> TextTable:
     return table
 
 
-def test_bench_table1(benchmark, save_result):
-    table = benchmark(build_table1)
+def test_bench_table1(save_result):
+    table = build_table1()
     text = table.render()
     save_result("table1_jitter_spec", text)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .._validation import require_positive_int
 
@@ -36,14 +37,18 @@ class BerMeasurement:
         """Upper bound on the true BER at the given confidence level.
 
         For zero observed errors this is the standard ``-ln(1 - confidence) / N``
-        bound; otherwise a normal approximation around the estimate is used.
+        bound; otherwise a one-sided normal approximation around the
+        estimate is used, with ``z`` the standard-normal quantile of
+        *confidence*.  *confidence* must lie strictly between 0 and 1.
         """
+        if not 0.0 < confidence < 1.0:
+            raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
         if self.compared_bits == 0:
             return float("nan")
         if self.errors == 0:
             return float(-np.log(1.0 - confidence) / self.compared_bits)
         p = self.ber
-        z = {0.9: 1.2816, 0.95: 1.6449, 0.99: 2.3263}.get(round(confidence, 2), 1.6449)
+        z = special.ndtri(confidence)
         return float(min(1.0, p + z * np.sqrt(p * (1.0 - p) / self.compared_bits)))
 
 

@@ -27,6 +27,11 @@ output.  Instead of dispatching per-edge events through the
   transaction.  While the gate is high and nothing else is pending, the
   ring free-runs: the loop then steps feedback and stage-0 apply directly,
   skipping the merge, until the next EDET toggle or the run horizon.
+* Without oscillator jitter, every EDET rise that finds the ring quiescent
+  restarts it from the same state, so the gate-high spans are independent:
+  :func:`_settled_spans` advances all of them together, one sequential
+  ``np.add.accumulate`` row per span, and the loop fast-forwards over each
+  run of spans whose outcome it proves (see PERFORMANCE.md).
 * The decision flip-flop samples the delayed data at every rising clock
   edge, so the decisions are one ``searchsorted`` away.
 
@@ -86,6 +91,147 @@ def _drop_coincident(times: np.ndarray, *companions: np.ndarray) -> tuple[np.nda
     return (times[keep], *[c[keep] for c in companions])
 
 
+#: Stage-0 changes per block of :func:`_settled_spans`: bounds its
+#: (spans x increments) matrix to a few MB, however long the run.
+_BLOCK_CHANGES = 1 << 12
+
+
+def _settled_spans(
+    edet: np.ndarray,
+    *,
+    t_gate: float,
+    t_feedback: float,
+    t_stage: float,
+    duration_s: float,
+    n_stages: int,
+    improved_tap: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clock-tap times of every settled gate-high span of a jitter-free ring.
+
+    EDET starts high, so its toggles alternate fall, rise, fall, ...  Span
+    ``k`` starts with a stage-0 change at ``S_k`` (``0.0 + t_feedback`` for
+    the first span, ``rises[k-1] + t_gate`` after), ends at the fall
+    ``d = falls[k]`` and is followed by the rise ``rises[k]``.  From a
+    quiescent ring (``v0 = 0``, last stage 1, nothing pending or in flight)
+    an odd inverter chain free-runs: the stage-0 changes ``A_j`` alternate
+    rise, fall, ... with feedback ``F_j = A_j + t_stage + ... + t_stage``
+    and ``A_{j+1} = F_j + t_feedback``.  Each span's times are one
+    sequential IEEE sum, taken here as one ``np.add.accumulate`` row, so
+    they are the recurrence's own adds.  With ``J`` the first ``j`` with
+    ``F_j > d`` and ``D = d + t_gate``, a span is *settled* when
+
+    (i)   no ``A_j`` or ``F_j`` equals ``d``, and ``A_J != D`` (no
+          merge-order ties);
+    (ii)  if ``A_J < D``, then ``D < F_J + t_feedback`` (the apply that
+          ``F_J`` schedules does not cancel the fall's);
+    (iii) its last feedback — the forced fall's own, if there is one —
+          lands strictly before the next rise;
+    (iv)  the toggles around it strictly increase and the next rise is at
+          or before *duration_s*.
+
+    A settled span changes stage 0 at ``A_0 ... A_{J-1}``, at ``A_J`` if
+    ``A_J < D`` (the fall's apply cancels it otherwise), then at ``D`` if
+    the last change was a rise, and leaves the ring quiescent.
+
+    ``J`` is estimated from the span length and then checked against the
+    row (``F_{J-1} < d < F_J``); a wrong estimate leaves the span
+    unsettled.  Spans are sorted by the estimate, so the rows of a block
+    have about the same length.
+
+    Returns ``(settled, offsets, times)``: one flag per span whose next
+    rise is within *duration_s*, and the clock-tap times of the settled
+    spans in time order, span ``k``'s at ``times[offsets[k]:offsets[k + 1]]``.
+    """
+    rises = edet[1::2]
+    n_spans = int(np.searchsorted(rises, duration_s, side="right"))
+    rises = rises[:n_spans]
+    falls = edet[0:2 * n_spans:2]
+    previous = np.empty(n_spans)
+    previous[:1] = -_INF
+    previous[1:] = rises[:-1]
+    starts = previous + t_gate
+    starts[:1] = 0.0 + t_feedback
+    forced_at = falls + t_gate
+    around = (previous < falls) & (falls < rises) & (rises <= duration_s)
+
+    n_inverters = n_stages - 1
+    tap = n_stages - 2 if improved_tap else n_inverters
+    # The forced fall's trip through the inverter chain.
+    chain = [forced_at]
+    for _hop in range(n_inverters):
+        chain.append(chain[-1] + t_stage)
+
+    period = n_inverters * t_stage + t_feedback
+    estimate = np.maximum((falls - starts - n_inverters * t_stage) / period + 1.0, 0.0)
+    # A 16-bit key sorts fast; the cumulative maximum below keeps block
+    # widths right past its range.
+    order = np.argsort(np.minimum(estimate, 0x7FFF).astype(np.int16), kind="stable")
+    estimate = estimate[order].astype(np.int64)
+
+    oks, n_taps, values = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    first = 0
+    while first < n_spans:
+        # Rows hold changes 0..J: as many rows as fit _BLOCK_CHANGES at
+        # the block's widest row.
+        changes = np.maximum.accumulate(estimate[first:first + _BLOCK_CHANGES] + 1)
+        rows = max(1, int(np.count_nonzero(
+            changes * np.arange(1, changes.size + 1) <= _BLOCK_CHANGES)))
+        width = int(changes[rows - 1])
+        spans = order[first:first + rows]
+        j = estimate[first:first + rows]
+        fall, fall_at = falls[spans], forced_at[spans]
+
+        # Row k: S_k, then t_stage x n_inverters, t_feedback, t_stage, ...
+        columns = width * n_stages
+        steps = np.full(columns, t_stage)
+        steps[n_stages::n_stages] = t_feedback
+        ring = np.empty((rows, columns))
+        ring[:, 0] = starts[spans]
+        ring[:, 1:] = steps[1:]
+        np.add.accumulate(ring, axis=1, out=ring)
+        ring = ring.reshape(rows, width, n_stages)
+
+        index = np.arange(rows)
+        a_j = ring[index, j, 0]
+        f_j = ring[index, j, n_inverters]
+        f_before = ring[index, j - 1, n_inverters]
+        emit_j = a_j < fall_at
+        n_changes = j + emit_j
+        forced = (n_changes & 1).astype(bool)
+        last_feedback = np.where(forced, chain[n_inverters][spans],
+                                 np.where(emit_j, f_j, -_INF))
+
+        ok = (around[spans]
+              & ((j == 0) | (f_before < fall)) & (fall < f_j)
+              & (a_j != fall) & (a_j != fall_at)
+              & (~emit_j | (fall_at < f_j + t_feedback))
+              & (last_feedback < rises[spans]))
+
+        taps = np.empty((rows, width + 1))
+        taps[:, :width] = ring[:, :, tap]
+        taps[index, n_changes] = chain[tap][spans]
+        count = np.where(ok, n_changes + forced, 0)
+        oks.append(ok)
+        n_taps.append(count)
+        values.append(taps[np.arange(width + 1) < count[:, None]])
+        first += rows
+
+    # The blocks' taps are in sorted-span order: gather them into time order.
+    settled = np.empty(n_spans, dtype=bool)
+    settled[order] = np.concatenate(oks)
+    sorted_counts = np.concatenate(n_taps)
+    counts = np.empty(n_spans, dtype=np.int64)
+    counts[order] = sorted_counts
+    values = np.concatenate(values)
+    sorted_starts = np.empty(n_spans, dtype=np.int64)
+    sorted_starts[order] = np.cumsum(sorted_counts) - sorted_counts
+    offsets = np.zeros(n_spans + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    times = values[np.repeat(sorted_starts - offsets[:-1], counts)
+                   + np.arange(offsets[-1])]
+    return settled, offsets, times
+
+
 def _ring_recurrence(
     edet_times: np.ndarray,
     *,
@@ -97,8 +243,11 @@ def _ring_recurrence(
     sigma: float,
     rng: np.random.Generator | None,
     improved_tap: bool,
-) -> tuple[list[float], list[int]]:
-    """Run the gated-ring recurrence; return the selected clock-tap events.
+) -> np.ndarray:
+    """Run the gated-ring recurrence; return the selected clock-tap times.
+
+    Every stage-0 change flips the stage, so the tap values strictly
+    alternate from the first change's; the caller derives them.
 
     Three event sources are merged in time order, mirroring the kernel:
 
@@ -111,13 +260,20 @@ def _ring_recurrence(
     toggle.  Each EDET or feedback event re-evaluates ``AND(feedback, EDET)``
     and schedules a stage-0 apply one (gating- or feedback-input) delay
     later, cancelling any pending apply at or after that time — exact
-    transport semantics.  A stage-0 apply that actually changes the value
-    emits the inverter-chain events and the clock-tap samples.
+    transport semantics; an apply that cannot change anything (nothing
+    pending, value equal to stage 0's) is not scheduled.  A stage-0 apply
+    that actually changes the value emits the inverter-chain events and the
+    clock-tap samples.
 
     While the ring free-runs — gate high, nothing else pending — the next
     two events are known: the change's own feedback, then the stage-0 apply
     it schedules.  The inner loop runs them directly, without the merge,
     until one would fall after the next EDET toggle or after *duration_s*.
+
+    Without jitter and with an odd inverter count, an EDET rise that finds
+    the ring quiescent starts a span :func:`_settled_spans` may have solved:
+    the loop then takes the clock times of the whole run of settled spans
+    from it and resumes, quiescent, at the rise that follows them.
 
     With ``sigma > 0`` every delay is scaled by ``1 + sigma·N(0, 1)``
     (clipped at 1 fs), drawn in event order from 4096-draw blocks of *rng*.
@@ -127,7 +283,6 @@ def _ring_recurrence(
     improved_hops = n_stages - 2
     tap_hop = improved_hops - 1 if improved_tap else -1
     last_parity = n_inverters & 1
-    improved_parity = improved_hops & 1
     hops = range(n_inverters)
 
     edet = edet_times.tolist()
@@ -137,7 +292,7 @@ def _ring_recurrence(
     gate_level = 1
 
     clock_t: list[float] = []
-    clock_v: list[int] = []
+    pieces: list = []
 
     v0 = 0
     v_last = last_parity
@@ -165,6 +320,27 @@ def _ring_recurrence(
     fb_v: list[int] = []
     hf = nf = 0
     t_f = _INF
+
+    # Settled spans (the rise at edet[2k - 1] opens span k): settled[k]
+    # flags them, resume[k] is the first unsettled span at or after k.
+    settled: list[bool] = []
+    if not jitter and last_parity and len(edet) > 2:
+        flags, offsets, span_times = _settled_spans(
+            edet_times, t_gate=t_gate, t_feedback=t_feedback, t_stage=t_stage,
+            duration_s=duration_s, n_stages=n_stages, improved_tap=improved_tap)
+        n_spans = flags.size
+        resume = np.minimum.accumulate(
+            np.where(flags, n_spans, np.arange(n_spans))[::-1])[::-1].tolist()
+        resume.append(n_spans)
+        settled = flags.tolist()
+        settled += [False] * (len(edet) // 2 + 1 - n_spans)
+        if settled[0]:
+            # The first span starts from the time-zero kick.
+            end = resume[0]
+            pieces.append(span_times[:offsets[end]])
+            h0, t_0, gate_level = 1, _INF, 0
+            i_edet = 2 * end - 1
+            t_e = edet[i_edet]
 
     while True:
         if t_0 <= t_e and t_0 <= t_f:
@@ -196,12 +372,10 @@ def _ring_recurrence(
                         time_s = time_s + t_stage
                     if hop == tap_hop:
                         clock_t.append(time_s)
-                        clock_v.append(value ^ improved_parity)
                 value ^= last_parity
                 if not improved_tap:
                     # Nominal tap: inverted last stage.
                     clock_t.append(time_s)
-                    clock_v.append(1 - value)
                 if not (free and time_s <= horizon):
                     fb_t.append(time_s)
                     fb_v.append(value)
@@ -221,9 +395,11 @@ def _ring_recurrence(
                     time_s = time_s + (scaled if scaled > 1.0e-15 else 1.0e-15)
                 else:
                     time_s = time_s + t_feedback
-                # The apply rejoins the merge if it lands past the horizon
-                # or changes nothing (an odd, latching ring).
-                if time_s > horizon or value == v0:
+                if value == v0:
+                    # An even inverter count latches: the apply changes nothing.
+                    break
+                if time_s > horizon:
+                    # The apply rejoins the merge past the horizon.
                     p0_t.append(time_s)
                     p0_v.append(value)
                     n0 += 1
@@ -241,6 +417,18 @@ def _ring_recurrence(
             else:
                 if t_e > duration_s:
                     break
+                if settled and gate_level == 0 and t_0 == _INF and t_f == _INF \
+                        and settled[(i_edet + 1) >> 1]:
+                    # A quiescent rise opens a settled span: take the run
+                    # of settled spans whole, up to the rise after it.
+                    span = (i_edet + 1) >> 1
+                    end = resume[span]
+                    pieces.append(clock_t)
+                    pieces.append(span_times[offsets[span]:offsets[end]])
+                    clock_t = []
+                    i_edet = 2 * end - 1
+                    t_e = edet[i_edet]
+                    continue
                 gate_level = 1 - gate_level
                 time_s = t_e
                 i_edet += 1
@@ -260,12 +448,64 @@ def _ring_recurrence(
                 p0_t.pop()
                 p0_v.pop()
                 n0 -= 1
-            p0_t.append(time_s)
-            p0_v.append(v_last & gate_level)
-            n0 += 1
-            t_0 = p0_t[h0]
+            value = v_last & gate_level
+            if n0 > h0 or value != v0:
+                p0_t.append(time_s)
+                p0_v.append(value)
+                n0 += 1
+                t_0 = p0_t[h0]
+            else:
+                t_0 = _INF
 
-    return clock_t, clock_v
+    pieces.append(clock_t)
+    return np.concatenate(pieces)
+
+
+def _edge_detector(prop_times: np.ndarray, config: CdrChannelConfig, sigma: float,
+                   rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """Delay line, XNOR and dummy gate: the DDIN and EDET event times.
+
+    EDET toggles at every event of either XNOR input, so its toggles are
+    the sorted merge of the two inputs.  Jittered delays draw from *rng*
+    in the order of the gates here.
+    """
+    cell_delay = config.edge_detector_delay_s / config.edge_detector_cells
+    line_times = prop_times
+    for _cell in range(config.edge_detector_cells):
+        line_times = _jittered(line_times, cell_delay, sigma, rng)
+    ddin_times = _jittered(line_times, GATE_DELAY_S, sigma, rng)
+    edet_side_a = _jittered(prop_times, GATE_DELAY_S, sigma, rng)
+    edet_side_b = _jittered(line_times, GATE_DELAY_S, sigma, rng)
+    return ddin_times, np.sort(np.concatenate((edet_side_a, edet_side_b)))
+
+
+def _ring_delays(config: CdrChannelConfig) -> dict[str, float]:
+    """The ring's gating-input, feedback-input and stage delays at the set frequency."""
+    parameters = config.oscillator
+    control_current = parameters.control_current_midpoint_a
+    if parameters.gain_hz_per_a > 0.0:
+        control_current = parameters.control_current_midpoint_a + (
+            config.oscillator_frequency_hz
+            - parameters.free_running_frequency_hz
+        ) / parameters.gain_hz_per_a
+    stage_delay = parameters.stage_delay_at(parameters.control_current_midpoint_a)
+    scale = parameters.stage_delay_at(control_current) / stage_delay
+    # Same op order as CmlTiming.delay_for_input followed by delay_scale.
+    return {
+        "t_gate": (stage_delay + parameters.gating_input_skew_s) * scale,
+        "t_feedback": (stage_delay + 0.0) * scale,
+        "t_stage": stage_delay * scale,
+    }
+
+
+def _clock_levels(count: int, n_stages: int, improved_tap: bool) -> tuple[int, np.ndarray]:
+    """The selected clock tap's initial level and its values at *count* events.
+
+    Every stage-0 change flips the tap, so the values alternate, starting
+    from the complement of the initial level.
+    """
+    initial = (n_stages - 2) & 1 if improved_tap else 1 - ((n_stages - 1) & 1)
+    return initial, (np.arange(count) & 1) ^ (1 - initial)
 
 
 class FastCdrChannel:
@@ -357,43 +597,21 @@ class FastCdrChannel:
         prop_times, prop_values = _drop_coincident(edge_times, edge_values)
 
         # --- edge detector: delay line, XNOR, dummy gate --------------------
-        cell_delay = config.edge_detector_delay_s / config.edge_detector_cells
-        line_times = prop_times
-        for _cell in range(config.edge_detector_cells):
-            line_times = _jittered(line_times, cell_delay, gate_sigma, gate_rng)
-        ddin_times = _jittered(line_times, GATE_DELAY_S, gate_sigma, gate_rng)
-        edet_side_a = _jittered(prop_times, GATE_DELAY_S, gate_sigma, gate_rng)
-        edet_side_b = _jittered(line_times, GATE_DELAY_S, gate_sigma, gate_rng)
-        edet_times = np.sort(np.concatenate((edet_side_a, edet_side_b)))
+        ddin_times, edet_times = _edge_detector(prop_times, config, gate_sigma, gate_rng)
 
         # --- gated ring oscillator -----------------------------------------
         parameters = config.oscillator
-        control_current = parameters.control_current_midpoint_a
-        if parameters.gain_hz_per_a > 0.0:
-            control_current = parameters.control_current_midpoint_a + (
-                config.oscillator_frequency_hz
-                - parameters.free_running_frequency_hz
-            ) / parameters.gain_hz_per_a
-        stage_delay = parameters.stage_delay_at(parameters.control_current_midpoint_a)
-        scale = parameters.stage_delay_at(control_current) / stage_delay
-        # Same op order as CmlTiming.delay_for_input followed by delay_scale.
-        t_feedback = (stage_delay + 0.0) * scale
-        t_gate = (stage_delay + parameters.gating_input_skew_s) * scale
-        t_stage = stage_delay * scale
-
-        clock_t, clock_v = _ring_recurrence(
+        clock_times = _ring_recurrence(
             edet_times,
-            t_gate=t_gate,
-            t_feedback=t_feedback,
-            t_stage=t_stage,
+            **_ring_delays(config),
             duration_s=duration,
             n_stages=parameters.n_stages,
             sigma=parameters.jitter_sigma_fraction,
             rng=rng if parameters.jitter_sigma_fraction > 0.0 else None,
             improved_tap=config.improved_sampling,
         )
-        clock_times = np.asarray(clock_t, dtype=float)
-        clock_values = np.asarray(clock_v, dtype=np.int64)
+        initial_clock, clock_values = _clock_levels(
+            clock_times.size, parameters.n_stages, config.improved_sampling)
         # Inverter-chain events past the run horizon never execute in the
         # event kernel (run_until stops there), so they produce no decision.
         horizon = clock_times <= duration
@@ -411,8 +629,6 @@ class FastCdrChannel:
         # --- traces (match the event recorder, clipped to the run horizon) --
         # The recorder builds each trace on first access.  The jittered DOUT
         # re-timing draws from rng, so it runs here, in draw order.
-        initial_clock = (parameters.n_stages - 2) & 1 if config.improved_sampling \
-            else 1 - ((parameters.n_stages - 1) & 1)
         dout_times, dout_values = self._dout_events(
             sample_times, sampled, config.sampler_delay_s, gate_sigma, gate_rng)
         recorder = ArrayRecorder({

@@ -74,9 +74,10 @@ HISTORY_VERSION = 1
 
 #: Fields of a benchmark entry that its history record keeps: the speedup
 #: always, the absolute fast-path and event-kernel seconds where the
-#: benchmark measures them.  Records written before the seconds were
-#: added carry ``speedup`` only and still load.
-HISTORY_FIELDS = ("speedup", "fast_s", "event_s")
+#: benchmark measures them, and the fast path's gated-ring bits/s
+#: (``bittrue_kernels``).  Older records lack the later fields and still
+#: load.
+HISTORY_FIELDS = ("speedup", "fast_s", "event_s", "ring_bits_per_s")
 
 
 def load_trace(source: "str | Path | Tracer | dict") -> dict:

@@ -79,3 +79,21 @@ class TestConfidence:
 
     def test_nan_for_empty(self):
         assert np.isnan(BerMeasurement(errors=0, compared_bits=0).confidence_upper_bound())
+
+    @pytest.mark.parametrize("errors", [0, 10])
+    def test_bound_grows_with_confidence(self, errors):
+        """Every confidence gets its own quantile (0.975 and 0.999 once fell back to 0.95)."""
+        result = BerMeasurement(errors=errors, compared_bits=1000)
+        bounds = [result.confidence_upper_bound(c) for c in (0.9, 0.95, 0.975, 0.999)]
+        assert all(low < high for low, high in zip(bounds, bounds[1:])), bounds
+
+    def test_nonzero_error_bound_uses_normal_quantile(self):
+        result = BerMeasurement(errors=10, compared_bits=1000)
+        spread = np.sqrt(0.01 * 0.99 / 1000)
+        assert result.confidence_upper_bound(0.975) == pytest.approx(0.01 + 1.959964 * spread)
+        assert result.confidence_upper_bound(0.999) == pytest.approx(0.01 + 3.090232 * spread)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_confidence_outside_unit_interval_is_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            BerMeasurement(errors=10, compared_bits=1000).confidence_upper_bound(confidence)

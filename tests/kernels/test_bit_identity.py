@@ -15,7 +15,10 @@ on generated shift matrices, on whole solves and on a training run.  The
 fast path's gated-ring recurrence is pinned against the closure-based
 three-way merge loop it replaced (``_ring_recurrence_reference``): on
 generated EDET streams, jittered and not, including the ``rng`` draws it
-consumes, and on whole ``FastCdrChannel`` runs.  Whole-channel
+consumes and the clock values derived from its times, on long streams
+whose settled gate-high spans the bulk step takes and whose unsettled
+ones it hands to the scalar loop and back, and on whole
+``FastCdrChannel`` runs.  Whole-channel
 comparisons monkeypatch the reference loop in, on an empty link memo, and
 assert it ran — a memoized displacement table would skip it.  These tests
 byte-compare arrays (``.tobytes()``), not approximately.  The event
@@ -593,9 +596,9 @@ EDET_GAPS = st.one_of(
 
 
 @st.composite
-def ring_kwargs(draw):
+def ring_kwargs(draw, stage_counts=(4, 6), sigmas=(0.0, 0.01, 0.6, 3.0)):
     """Recurrence keyword arguments without ``duration_s``."""
-    n_stages = draw(st.sampled_from([4, 6]))
+    n_stages = draw(st.sampled_from(stage_counts))
     scale = draw(st.sampled_from([1.0, 1.03, 0.97]))
     stage = STAGE_DELAY_S * 4 / n_stages
     skew = draw(st.sampled_from([0.0, 5.0e-12, 1.6 * STAGE_DELAY_S]))
@@ -604,7 +607,7 @@ def ring_kwargs(draw):
         "t_feedback": (stage + 0.0) * scale,
         "t_stage": stage * scale,
         "n_stages": n_stages,
-        "sigma": draw(st.sampled_from([0.0, 0.01, 0.6, 3.0])),
+        "sigma": draw(st.sampled_from(sigmas)),
         "improved_tap": draw(st.booleans()),
     }
 
@@ -647,13 +650,129 @@ def tie_cases(draw):
     return np.sort(np.concatenate((edet, ties))), kwargs, seed
 
 
+@st.composite
+def long_ring_cases(draw):
+    """Long EDET streams: PRBS-like gate-high spans with unsettled ones mixed in.
+
+    Every data edge makes a fall and, one EDET-low time later, a rise; the
+    gate-high spans last a PRBS-like run of one to seven unit intervals.
+    At random edges the pair is replaced by an unsettled one: a gate-high
+    span shorter than a stage delay, coincident toggles, or a rise before
+    the ring drains.  Toggles are then moved onto the oracle's feedback
+    and stage-0 apply times, or one float step off them, and the horizon
+    may cut inside a span.  The stream itself comes from a drawn seed, so
+    hundreds of toggles cost one draw.
+    """
+    kwargs = draw(ring_kwargs(stage_counts=(4, 6, 5), sigmas=(0.0, 0.0, 0.0, 0.02)))
+    stage = kwargs["t_stage"]
+    unit = 2 * kwargs["n_stages"] * stage
+    unsettled_rate = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_edges = draw(st.integers(100, 250))
+
+    runs = np.minimum(stream.geometric(0.5, n_edges), 7)
+    low = stream.uniform(0.55, 0.8, n_edges) * unit
+    high = runs * unit - low
+    kind = np.where(stream.random(n_edges) < unsettled_rate, stream.integers(1, 5, n_edges), 0)
+    high = np.where(kind == 1, stream.uniform(0.0, stage, n_edges), high)
+    high = np.where(kind == 2, 0.0, high)
+    low = np.where(kind == 3, 0.0, low)
+    low = np.where(kind == 4, stream.uniform(0.0, kwargs["n_stages"] * stage, n_edges), low)
+    gaps = np.empty(2 * n_edges)
+    gaps[0::2], gaps[1::2] = high, low
+    edet = stream.uniform(0.0, 2.0e-9) + np.cumsum(gaps)
+
+    if draw(st.booleans()):
+        # The horizon cuts inside a span.
+        cut = draw(st.integers(0, edet.size - 2))
+        duration = edet[cut] + draw(st.floats(0.0, 1.0)) * (edet[cut + 1] - edet[cut])
+    else:
+        duration = float(edet[-1]) + 4.0e-9
+    kwargs = {**kwargs, "duration_s": float(duration)}
+
+    seed = draw(st.integers(0, 2**32 - 1))
+    feedback, _ = _ring_recurrence_reference(
+        edet, rng=np.random.default_rng(seed), **{**kwargs, "improved_tap": False}
+    )
+    for _ in range(draw(st.integers(0, 6)) if feedback else 0):
+        time_s = feedback[draw(st.integers(0, len(feedback) - 1))]
+        time_s += draw(st.sampled_from([0.0, kwargs["t_feedback"], 1.0e-15]))
+        # One float step either side of the tie.
+        time_s = np.nextafter(time_s, draw(st.sampled_from([time_s, -np.inf, np.inf])))
+        index = int(np.searchsorted(edet, time_s))
+        # Move the toggle before or after time_s onto it.
+        index -= draw(st.booleans())
+        if 0 <= index < edet.size:
+            edet[index] = time_s
+            edet.sort()
+    return edet, kwargs, seed
+
+
+def _falls_beside_feedback(kwargs, n_spans, seed):
+    """EDET whose every fall lies one float step from a feedback time of its span.
+
+    Each gate-high span free-runs from its start (the time-zero kick, then
+    each rise plus ``t_gate``) with the recurrence's own sequential adds;
+    its fall lands one float step before or after the feedback of a
+    random stage-0 change, and the next rise follows once the ring has
+    drained.  The span-length estimate of the bulk step is then as often
+    one too large as one too small.
+    """
+    stream = np.random.default_rng(seed)
+    t_stage, t_feedback = kwargs["t_stage"], kwargs["t_feedback"]
+    drain = kwargs["t_gate"] + kwargs["n_stages"] * t_stage
+    edet = []
+    change = 0.0 + t_feedback
+    for _ in range(n_spans):
+        for _ in range(stream.integers(0, 6)):
+            for _ in range(kwargs["n_stages"] - 1):
+                change = change + t_stage
+            change = change + t_feedback
+        feedback = change
+        for _ in range(kwargs["n_stages"] - 1):
+            feedback = feedback + t_stage
+        fall = np.nextafter(feedback, stream.choice([-np.inf, np.inf]))
+        rise = fall + drain * stream.uniform(1.05, 1.5)
+        edet += [fall, rise]
+        change = rise + kwargs["t_gate"]
+    return np.array(edet)
+
+
+class _SliceLog(np.ndarray):
+    """Span times that log the slices taken from them: one per bulk step."""
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return np.asarray(self)[key]
+
+
+def _log_bulk_steps(monkeypatch) -> list:
+    """Patch ``_settled_spans`` to log the recurrence's bulk steps; return the log."""
+    log = []
+    settled_spans = fast_engine._settled_spans
+
+    def logged(edet, **kwargs):
+        settled, offsets, times = settled_spans(edet, **kwargs)
+        times = times.view(_SliceLog)
+        times.log = log
+        return settled, offsets, times
+
+    monkeypatch.setattr(fast_engine, "_settled_spans", logged)
+    return log
+
+
 def _ring_pair(edet, kwargs, seed):
-    """Run the recurrence and its oracle on equal seeds; check both agree."""
+    """Run the recurrence and its oracle on equal seeds; check both agree.
+
+    The oracle's clock values must be the alternating ones the channel
+    derives from the times.
+    """
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    clock_t, clock_v = fast_engine._ring_recurrence(edet, rng=rng, **kwargs)
+    clock_t = fast_engine._ring_recurrence(edet, rng=rng, **kwargs)
     ref_t, ref_v = _ring_recurrence_reference(edet, rng=reference_rng, **kwargs)
-    assert _bytes_equal(np.asarray(clock_t, dtype=float), np.asarray(ref_t, dtype=float))
-    assert _bytes_equal(np.asarray(clock_v, dtype=np.int64), np.asarray(ref_v, dtype=np.int64))
+    _, clock_v = fast_engine._clock_levels(clock_t.size, kwargs["n_stages"], kwargs["improved_tap"])
+    assert _bytes_equal(clock_t, np.asarray(ref_t, dtype=float))
+    assert _bytes_equal(clock_v, np.asarray(ref_v, dtype=np.int64))
     # Same draws consumed: the next draw of each generator matches.
     assert rng.random() == reference_rng.random()
     return clock_t
@@ -687,6 +806,61 @@ class TestRingRecurrenceBitIdentity:
     @given(tie_cases())
     def test_toggles_on_ring_event_times_match_reference(self, case):
         _ring_pair(*case)
+
+    def test_long_streams_hand_off_between_bulk_and_scalar(self, monkeypatch):
+        """Bulk and scalar steps alternate within runs and stay exact.
+
+        A run with two or more bulk steps went bulk -> scalar -> bulk: each
+        bulk step ends at the first unsettled span, which the scalar loop
+        must then run.
+        """
+        log = _log_bulk_steps(monkeypatch)
+        steps_per_case = []
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(long_ring_cases())
+        def check(case):
+            log.clear()
+            _ring_pair(*case)
+            steps_per_case.append(len(log))
+
+        check()
+        assert sum(steps >= 2 for steps in steps_per_case) >= 10, steps_per_case
+
+    @pytest.mark.parametrize("skew", [0.0, 5.0e-12, 1.6 * STAGE_DELAY_S])
+    @pytest.mark.parametrize("n_stages", [4, 6])
+    @pytest.mark.parametrize("improved_tap", [False, True])
+    def test_falls_one_step_from_feedback_match_reference(self, skew, n_stages, improved_tap):
+        stage = STAGE_DELAY_S * 4 / n_stages
+        kwargs = {
+            "t_gate": stage + skew,
+            "t_feedback": stage + 0.0,
+            "t_stage": stage,
+            "n_stages": n_stages,
+            "sigma": 0.0,
+            "improved_tap": improved_tap,
+        }
+        edet = _falls_beside_feedback(kwargs, n_spans=300, seed=n_stages)
+        _ring_pair(edet, {**kwargs, "duration_s": float(edet[-1])}, seed=0)
+
+    def test_paper_channel_settles_every_span(self):
+        """On the paper's channel the bulk step takes every gate-high span."""
+        config = CdrChannelConfig()
+        edet = []
+        ring_recurrence = fast_engine._ring_recurrence
+
+        def capture(edet_times, **kwargs):
+            edet.append((edet_times, kwargs))
+            return ring_recurrence(edet_times, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fast_engine, "_ring_recurrence", capture)
+            FastCdrChannel(config).run(prbs_sequence(7, 400), rng=np.random.default_rng(5))
+        [(edet_times, kwargs)] = edet
+        del kwargs["sigma"], kwargs["rng"]
+        settled, _, _ = fast_engine._settled_spans(edet_times, **kwargs)
+        assert settled.size == edet_times.size // 2
+        assert settled.all()
 
 
 def _load_equivalence_corpus():
@@ -726,8 +900,19 @@ class TestFastChannelRingBitIdentity:
             )
 
         fast = run()
-        monkeypatch.setattr(fast_engine, "_ring_recurrence", _ring_recurrence_reference)
+        calls = []
+
+        def reference_recurrence(edet_times, **kwargs):
+            clock_t, clock_v = _ring_recurrence_reference(edet_times, **kwargs)
+            stages, improved = kwargs["n_stages"], kwargs["improved_tap"]
+            _, derived = fast_engine._clock_levels(len(clock_t), stages, improved)
+            assert _bytes_equal(derived, np.asarray(clock_v, dtype=np.int64))
+            calls.append(edet_times)
+            return np.asarray(clock_t, dtype=float)
+
+        monkeypatch.setattr(fast_engine, "_ring_recurrence", reference_recurrence)
         reference = run()
+        assert len(calls) == 1, "the reference ring loop never ran"
         assert _bytes_equal(fast.sample_times_s, reference.sample_times_s)
         assert _bytes_equal(fast.sampled_bits, reference.sampled_bits)
         for name in ("edet", "clock", "dout"):

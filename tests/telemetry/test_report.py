@@ -199,6 +199,11 @@ class TestHistory:
         assert history_entry(bittrue) == {"speedup": 25.0, "fast_s": 0.1, "event_s": 2.5}
         assert history_entry(stateye) == {"speedup": 1.0e9}
 
+    def test_history_entry_keeps_ring_rates(self):
+        rates = {"jitter_free": 2_000_000, "jittered": 300_000}
+        kept = {"speedup": 13.0, "fast_s": 0.01, "event_s": 0.13, "ring_bits_per_s": rates}
+        assert history_entry({**kept, "total_errors": 0}) == kept
+
     def test_latest_fast_s_beside_speedup(self, tmp_path):
         path = _history_file(tmp_path, [2.0, 2.1])
         with path.open("a") as handle:
