@@ -715,8 +715,8 @@ def _falls_beside_feedback(kwargs, n_spans, seed):
     each rise plus ``t_gate``) with the recurrence's own sequential adds;
     its fall lands one float step before or after the feedback of a
     random stage-0 change, and the next rise follows once the ring has
-    drained.  The span-length estimate of the bulk step is then as often
-    one too large as one too small.
+    drained.  The bulk step's estimate of the span length is then off, one
+    change too many or too few, for a third to a half of the spans.
     """
     stream = np.random.default_rng(seed)
     t_stage, t_feedback = kwargs["t_stage"], kwargs["t_feedback"]
@@ -843,20 +843,18 @@ class TestRingRecurrenceBitIdentity:
         edet = _falls_beside_feedback(kwargs, n_spans=300, seed=n_stages)
         _ring_pair(edet, {**kwargs, "duration_s": float(edet[-1])}, seed=0)
 
-    def test_paper_channel_settles_every_span(self):
+    def test_paper_channel_settles_every_span(self, monkeypatch):
         """On the paper's channel the bulk step takes every gate-high span."""
-        config = CdrChannelConfig()
-        edet = []
+        calls = []
         ring_recurrence = fast_engine._ring_recurrence
 
         def capture(edet_times, **kwargs):
-            edet.append((edet_times, kwargs))
+            calls.append((edet_times, kwargs))
             return ring_recurrence(edet_times, **kwargs)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fast_engine, "_ring_recurrence", capture)
-            FastCdrChannel(config).run(prbs_sequence(7, 400), rng=np.random.default_rng(5))
-        [(edet_times, kwargs)] = edet
+        monkeypatch.setattr(fast_engine, "_ring_recurrence", capture)
+        FastCdrChannel().run(prbs_sequence(7, 400), rng=np.random.default_rng(5))
+        [(edet_times, kwargs)] = calls
         del kwargs["sigma"], kwargs["rng"]
         settled, _, _ = fast_engine._settled_spans(edet_times, **kwargs)
         assert settled.size == edet_times.size // 2
