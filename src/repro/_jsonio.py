@@ -22,8 +22,16 @@ upward.  :func:`content_key` canonicalizes arbitrarily nested dataclass /
 array structures into a stable SHA-256 digest — the identity of a
 checkpoint or cache entry.
 
+Every append-only JSONL file of the repository (sweep journal, telemetry
+trace, bench-history ledger) is read through :func:`read_jsonl`, the one
+torn-tail-tolerant reader: a crash mid-append tears at most the trailing
+line, so parsing stops at the first undecodable line and everything
+before it counts.  :class:`Journal` is the one writer of a sweep
+journal: an identity header checked by :func:`check_identity`, then
+batched appends of one flush and one ``fsync`` each.
+
 The numpy import is guarded: stdlib-only consumers — the CI lint job's
-``python -m repro.telemetry.watch`` sidecar viewer — only ever feed plain
+``python -m repro.telemetry.watch`` journal viewer — only ever feed plain
 Python values through the codec, and every numpy-specific branch below is
 reached exclusively by numpy-typed *inputs*, which cannot exist where
 numpy is absent.  Output is byte-identical either way (the non-finite
@@ -36,6 +44,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 
 try:
     import numpy as np
@@ -60,6 +70,11 @@ __all__ = [
     "decode_json_value",
     "canonical_payload",
     "content_key",
+    "CHECKPOINT_KIND",
+    "CheckpointMismatchError",
+    "read_jsonl",
+    "check_identity",
+    "Journal",
 ]
 
 #: Sentinel string -> non-finite float value (the decoding table).
@@ -88,8 +103,8 @@ def dumps_strict(payload, *, indent: int | None = None, sort_keys: bool = False)
 def dumps_compact(payload, *, sort_keys: bool = False) -> str:
     """Strict JSON with compact separators — the JSONL record form.
 
-    Checkpoint lines, audit sidecar lines and telemetry trace records are
-    all written in this shape, one record per line.
+    Sweep journal lines and telemetry trace records are all written in
+    this shape, one record per line.
     """
     return json.dumps(payload, sort_keys=sort_keys, allow_nan=False, separators=(",", ":"))
 
@@ -226,3 +241,105 @@ def content_key(value) -> str:
         canonical_payload(value), sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# --- JSONL files ---------------------------------------------------------------
+
+#: Header ``kind`` of a sweep journal (:mod:`repro.sweep.resilient` writes
+#: it, the numpy-free :mod:`repro.telemetry.watch` reads it).
+CHECKPOINT_KIND = "repro-sweep-checkpoint"
+
+
+class CheckpointMismatchError(ValueError):
+    """The journal on disk is not a sweep journal, or belongs to another study."""
+
+
+def read_jsonl(path: str | Path) -> tuple[list[dict], str | None, int]:
+    """``(records, torn, intact_bytes)`` of a JSONL file.
+
+    *records* are the JSON objects of every complete line, blank lines
+    skipped.  Parsing stops at the first line that is not a JSON object
+    (the signature of a crash or an in-flight append); its text comes
+    back as *torn* (``None`` for an intact file) and *intact_bytes* is
+    the byte length of the prefix before it.
+    """
+    records: list[dict] = []
+    intact = 0
+    for line in Path(path).read_bytes().splitlines(keepends=True):
+        if line.strip():
+            try:
+                record = loads_strict(line.decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                record = None
+            if not isinstance(record, dict):
+                return records, line.decode("utf-8", "replace").rstrip("\r\n"), intact
+            records.append(record)
+        intact += len(line)
+    return records, None, intact
+
+
+def check_identity(path: str | Path, records: list[dict], identity: dict) -> dict:
+    """The header ``records[0]`` of a sweep journal, checked against *identity*.
+
+    Raises :class:`CheckpointMismatchError` unless the header's ``kind``
+    is :data:`CHECKPOINT_KIND` and every other field of *identity* (for
+    a resume: version, key, task count, seed) matches it exactly.
+    """
+    header = records[0] if records else {}
+    if header.get("kind") != CHECKPOINT_KIND:
+        raise CheckpointMismatchError(
+            f"{path} is not a sweep checkpoint (kind {header.get('kind')!r})"
+        )
+    for name, expected in identity.items():
+        if header.get(name) != expected:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} belongs to a different study: "
+                f"{name} is {header.get(name)!r}, expected {expected!r}"
+            )
+    return header
+
+
+class Journal:
+    """One append-only JSONL file under an identity header.
+
+    :meth:`load` returns the body records of an existing file whose
+    header matches *identity*, or writes the header (*identity* plus the
+    diagnostic *manifest*, which is not compared) to a new one.
+    :meth:`append` writes a batch of pre-serialized lines with one flush
+    and one ``fsync``.  The first append after a load cuts the file back
+    to the intact prefix :func:`read_jsonl` reported, so new lines never
+    merge into a torn tail and stay readable by every later load.
+    """
+
+    def __init__(self, path: str | Path, identity: dict, manifest: dict | None = None):
+        self.path = Path(path)
+        self.identity = {"kind": CHECKPOINT_KIND, **identity}
+        self.manifest = manifest
+        self._intact: int | None = None
+
+    def load(self) -> list[dict]:
+        """Body records of the journal on disk (header checked), or ``[]``."""
+        if self.path.exists() and self.path.stat().st_size > 0:
+            records, _, self._intact = read_jsonl(self.path)
+            check_identity(self.path, records, self.identity)
+            return records[1:]
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        header = dict(self.identity)
+        if self.manifest is not None:
+            header["manifest"] = self.manifest
+        self.append([dumps_compact(header)])
+        return []
+
+    def append(self, lines: list[str]) -> None:
+        """Append *lines* (one JSON record each) with one flush and one fsync."""
+        payload = "".join(line + "\n" for line in lines).encode("utf-8")
+        with self.path.open("a+b") as handle:
+            if self._intact is not None:
+                handle.truncate(self._intact)
+                handle.seek(max(self._intact - 1, 0))
+                if handle.read(1) not in (b"", b"\n"):
+                    payload = b"\n" + payload  # the last intact line lacked its newline
+                self._intact = None
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())

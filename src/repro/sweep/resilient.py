@@ -17,14 +17,17 @@ times (``"retry"``).  A retry rebuilds the generator from the *same*
 SeedSequence child, so a flaky-environment retry cannot change numerics.
 
 **Checkpoint / resume.**  Tasks execute in chunks of ``chunk_size``
-(bounding peak in-flight memory); each completed chunk is appended to a
-strict RFC 8259 JSONL checkpoint file and fsync'd.  The file is keyed by
-a content hash of the task list and seed (or an explicit
-``checkpoint_key``), so resuming re-runs only missing and failed points
-— and because per-task streams depend only on ``(seed, index)``, the
-merged result is bit-identical to a single uninterrupted run.  A
-crash-truncated trailing line is tolerated; a key mismatch raises
-:class:`CheckpointMismatchError` instead of silently mixing studies.
+(bounding peak in-flight memory); a checkpointed run keeps one strict
+RFC 8259 JSONL journal, written through :class:`repro._jsonio.Journal`.
+Its header carries the study identity: a content hash of the task list
+and seed (or an explicit ``checkpoint_key``), the task count, the seed
+and the format version.  Each completed chunk is appended with one
+``fsync``, so resuming re-runs only missing and failed points — and
+because per-task streams depend only on ``(seed, index)``, the merged
+result is bit-identical to a single uninterrupted run.  A crash-torn
+trailing line is tolerated and cut off before the next append; a
+foreign header raises :class:`CheckpointMismatchError` instead of
+silently mixing studies.
 
 **Pool robustness.**  Pool-layer failures are distinguished from worker
 exceptions (which the guarded boundary always converts to outcomes):
@@ -45,40 +48,35 @@ per-index).  Counter totals are therefore identical at any worker
 count.  The parent additionally records ``sweep.chunk`` spans and
 ``sweep.*`` pool-health counters (tasks by mode, retries, failures,
 pool breakages/abandonment/spawn fallbacks, checkpoint restores).
-Durations never enter the checkpoint or any content hash.
+Task durations never enter the journal or any content hash.
 
-**Audit sidecar.**  A checkpointed run also appends each task's
-deterministic audit fields (mode, attempts — never wall-clock durations)
-to a ``<checkpoint>.audit`` JSONL sidecar.  On resume, restored points
-keep ``mode="checkpoint"`` but carry the original execution's
-``source_mode`` / ``source_attempts`` from the sidecar, so a resumed
-study retains its full execution history.
-
-**Progress sidecar.**  A checkpointed run additionally streams live
-progress events to a ``<checkpoint>.progress`` JSONL sidecar under the
-same study-identity discipline: a run ``start`` record
-(task/restored/pending counts), ``chunk-start`` / ``chunk-end`` records
-with cumulative done / failed / restored / retry counts, ``pool``
-records for pool-health transitions (spawn fallback, rebuild,
-abandonment), and an ``end`` record written only on normal completion —
-its absence marks a run as live or interrupted.  All wall-clock
-quantities (elapsed seconds, throughput, ETA — monotonic
-``perf_counter`` durations) live under each record's ``"timing"`` key,
-so the remaining fields are byte-identical across worker counts for
-healthy runs, exactly like the checkpoint itself.  The numpy-free
-``python -m repro.telemetry.watch`` CLI renders these sidecars offline
-or live.
+**Journal layout.**  After the header, each run appends exactly one
+line per task it executed, in task order: ``{"kind": "point", "index",
+"value", "mode", "attempts"}`` or ``{"kind": "failure", "index",
+"failure", "mode", "attempts"}``.  The last line of each chunk also
+carries that chunk's ``"progress"``: its number and the planned chunk
+count, the cumulative done / failed / restored / retries / pending
+counts of the run, and any pool-health transitions (spawn fallback,
+rebuild, abandonment).  The same line carries ``"timing"``, the only
+wall-clock field (elapsed seconds, throughput and ETA from monotonic
+``perf_counter`` durations).  The last line of a run that completes
+also carries ``"end": true``; its absence marks a run as live or
+interrupted.  A resume appends task lines only, and restored points
+keep the original execution's mode and attempts as ``source_mode`` /
+``source_attempts``.  Without ``mode`` and ``timing`` the lines are
+byte-identical across worker counts for healthy runs.  The numpy-free
+``python -m repro.telemetry.watch`` CLI renders a journal offline or
+live.
 
 **Provenance.**  A ``manifest`` mapping (see
 :func:`repro.telemetry.manifest.collect_manifest`) passed by the caller
-is embedded verbatim in the checkpoint and progress headers.  It is
-diagnostic provenance, not identity: resume compares key / task count /
-seed only, so a checkpoint written on one machine restores on another.
+is embedded verbatim in the journal header.  It is diagnostic
+provenance, not identity: resume compares version / key / task count /
+seed only, so a journal written on one machine restores on another.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -92,12 +90,18 @@ import numpy as np
 
 from .. import telemetry
 from .._jsonio import (
+    CheckpointMismatchError,
+    Journal,
     content_key,
     decode_json_value,
     dumps_compact,
     encode_json_value,
-    loads_strict,
 )
+
+# The journal's record codec stays bound here: cdrbench's ``--trace 1``
+# layer timers look up dumps_compact, loads_strict, encode_json_value and
+# decode_json_value on this module.
+from .._jsonio import loads_strict  # noqa: F401
 
 __all__ = [
     "FAILURE_POLICIES",
@@ -117,14 +121,9 @@ FAILURE_POLICIES = ("collect", "raise", "retry")
 #: the task ran in a pool process or serially in-process.
 TRACEBACK_TAIL_LINES = 6
 
-_CHECKPOINT_KIND = "repro-sweep-checkpoint"
-_CHECKPOINT_VERSION = 1
-
-_AUDIT_KIND = "repro-sweep-audit"
-
-# Mirrored by the numpy-free watch CLI (repro.telemetry.watch), which
-# cannot import this module; tests pin the two copies equal.
-_PROGRESS_KIND = "repro-sweep-progress"
+#: Journal format version.  Version 1 kept audit and progress records in
+#: sidecar files; it is rejected rather than resumed without them.
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -192,10 +191,10 @@ class TaskAudit:
     Durations are wall-clock and therefore *not* part of any serialized
     result — they are in-memory diagnostics only.
 
-    For a point restored from a checkpoint whose run kept an audit
-    sidecar, ``source_mode`` / ``source_attempts`` carry the mode and
-    attempt count of the execution that originally produced the value
-    (``None`` when no sidecar information exists).
+    For a point restored from a checkpoint, ``source_mode`` /
+    ``source_attempts`` carry the mode and attempt count of the execution
+    that originally produced the value, read from its journal line
+    (``None`` for a point that ran in this call).
     """
 
     index: int
@@ -235,10 +234,6 @@ class SweepTaskError(RuntimeError):
             f"{failure.message}\n{failure.traceback_tail}"
         )
         self.failure = failure
-
-
-class CheckpointMismatchError(ValueError):
-    """The checkpoint file on disk belongs to a different study."""
 
 
 def _traceback_tail(exc: BaseException) -> str:
@@ -412,217 +407,28 @@ def _run_chunk(
     return outcomes
 
 
-# --- checkpoint file ----------------------------------------------------------
+# --- run journal --------------------------------------------------------------
 
 
-def _checkpoint_header(
-    key: str, n_tasks: int, seed: int | None, manifest: dict | None = None
-) -> dict:
-    header = {
-        "kind": _CHECKPOINT_KIND,
-        "version": _CHECKPOINT_VERSION,
-        "key": key,
-        "n_tasks": n_tasks,
-        "seed": seed,
-    }
-    if manifest is not None:
-        header["manifest"] = manifest
-    return header
+def _pool_transitions(pool: _PoolState, before: tuple[bool, int, bool]) -> list[str]:
+    """Pool-health transitions since *before* (``spawn_fallback, breakages, abandoned``)."""
+    transitions = []
+    if pool.spawn_fallback and not before[0]:
+        transitions.append("spawn-fallback")
+    if pool.breakages > before[1]:
+        transitions.append("rebuild")
+    if pool.abandoned and not before[2]:
+        transitions.append("abandoned")
+    return transitions
 
 
-def _append_records(path: Path, records: list[dict]) -> None:
-    """Append JSONL *records* and force them to disk (crash durability)."""
-    with path.open("a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dumps_compact(record))
-            handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _load_checkpoint(path: Path, header: dict) -> dict[int, Any]:
-    """Completed point values from an existing checkpoint file.
-
-    Raises :class:`CheckpointMismatchError` unless the file's header
-    matches *header* exactly (kind, version, key, task count, seed).
-    Parsing stops at the first undecodable line — the signature of a
-    crash mid-append — so everything durably written still counts.
-    Failure records are skipped: failed points are re-run on resume.
-    """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return {}
-    try:
-        first = loads_strict(lines[0])
-    except json.JSONDecodeError:
-        raise CheckpointMismatchError(f"{path} is not a sweep checkpoint") from None
-    if not isinstance(first, dict) or first.get("kind") != _CHECKPOINT_KIND:
-        raise CheckpointMismatchError(f"{path} is not a sweep checkpoint")
-    for name in ("version", "key", "n_tasks", "seed"):
-        if first.get(name) != header[name]:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} belongs to a different study: "
-                f"{name} is {first.get(name)!r}, expected {header[name]!r}"
-            )
-    values: dict[int, Any] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            break
-        if record.get("kind") == "point":
-            index = int(record["index"])
-            if 0 <= index < header["n_tasks"]:
-                values[index] = decode_json_value(record["value"])
-    return values
-
-
-# --- audit sidecar ------------------------------------------------------------
-
-
-def _audit_path(checkpoint_path: Path) -> Path:
-    """The audit sidecar living next to *checkpoint_path* (``<name>.audit``)."""
-    return checkpoint_path.with_name(checkpoint_path.name + ".audit")
-
-
-def _audit_header(key: str, n_tasks: int, seed: int | None) -> dict:
-    return {
-        "kind": _AUDIT_KIND,
-        "version": _CHECKPOINT_VERSION,
-        "key": key,
-        "n_tasks": n_tasks,
-        "seed": seed,
-    }
-
-
-def _load_audit(path: Path, header: dict) -> dict[int, tuple[str, int]]:
-    """``{index: (mode, attempts)}`` from an audit sidecar file.
-
-    Same study-identity discipline as :func:`_load_checkpoint`: the
-    header must match (key, task count, seed) or
-    :class:`CheckpointMismatchError` is raised.  Records are
-    last-write-wins per index (a re-run after failure supersedes the
-    failed attempt's audit); parsing stops at the first undecodable
-    line, and unknown record kinds are skipped.
-    """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return {}
-    try:
-        first = loads_strict(lines[0])
-    except json.JSONDecodeError:
-        raise CheckpointMismatchError(f"{path} is not a sweep audit sidecar") from None
-    if not isinstance(first, dict) or first.get("kind") != _AUDIT_KIND:
-        raise CheckpointMismatchError(f"{path} is not a sweep audit sidecar")
-    for name in ("version", "key", "n_tasks", "seed"):
-        if first.get(name) != header[name]:
-            raise CheckpointMismatchError(
-                f"audit sidecar {path} belongs to a different study: "
-                f"{name} is {first.get(name)!r}, expected {header[name]!r}"
-            )
-    sources: dict[int, tuple[str, int]] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            break
-        if record.get("kind") == "audit":
-            index = int(record["index"])
-            if 0 <= index < header["n_tasks"]:
-                sources[index] = (str(record["mode"]), int(record["attempts"]))
-    return sources
-
-
-# --- progress sidecar ---------------------------------------------------------
-
-
-def _progress_path(checkpoint_path: Path) -> Path:
-    """The progress sidecar living next to *checkpoint_path* (``<name>.progress``)."""
-    return checkpoint_path.with_name(checkpoint_path.name + ".progress")
-
-
-def _progress_header(
-    key: str, n_tasks: int, seed: int | None, manifest: dict | None = None
-) -> dict:
-    header = {
-        "kind": _PROGRESS_KIND,
-        "version": _CHECKPOINT_VERSION,
-        "key": key,
-        "n_tasks": n_tasks,
-        "seed": seed,
-    }
-    if manifest is not None:
-        header["manifest"] = manifest
-    return header
-
-
-class _ProgressWriter:
-    """Streams run progress events to the ``<checkpoint>.progress`` sidecar.
-
-    Every event is one strict-JSON line, appended and fsync'd so an
-    external watcher (``python -m repro.telemetry.watch``) observes it
-    immediately and a crash can tear at most the trailing line.  Counts
-    are deterministic run facts; wall-clock quantities are confined to
-    each record's ``"timing"`` object (monotonic ``perf_counter``
-    durations — never wall-clock timestamps), keeping the remaining
-    fields byte-identical across worker counts for healthy runs.
-    """
-
-    def __init__(self, path: Path, header: dict):
-        self.path = path
-        if path.exists() and path.stat().st_size > 0:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            try:
-                first = loads_strict(lines[0])
-            except json.JSONDecodeError:
-                raise CheckpointMismatchError(
-                    f"{path} is not a sweep progress sidecar"
-                ) from None
-            if not isinstance(first, dict) or first.get("kind") != _PROGRESS_KIND:
-                raise CheckpointMismatchError(f"{path} is not a sweep progress sidecar")
-            for name in ("version", "key", "n_tasks", "seed"):
-                if first.get(name) != header[name]:
-                    raise CheckpointMismatchError(
-                        f"progress sidecar {path} belongs to a different study: "
-                        f"{name} is {first.get(name)!r}, expected {header[name]!r}"
-                    )
-        else:
-            _append_records(path, [header])
-        self._origin = time.perf_counter()
-        self.done = 0
-        self.failed = 0
-        self.retries = 0
-        self.restored = 0
-        self.pending = 0
-
-    def _counts(self) -> dict:
-        return {
-            "done": self.done,
-            "failed": self.failed,
-            "restored": self.restored,
-            "retries": self.retries,
-            "pending": self.pending,
-        }
-
-    def _timing(self) -> dict:
-        elapsed = time.perf_counter() - self._origin
-        processed = self.done + self.failed
-        throughput = processed / elapsed if elapsed > 0 and processed else None
-        eta = self.pending / throughput if throughput else None
-        return {
-            "elapsed_s": elapsed,
-            "throughput_pts_per_s": throughput,
-            "eta_s": eta,
-        }
-
-    def emit(self, kind: str, **fields) -> None:
-        """Append one ``{"kind": kind, ...fields, counts, "timing"}`` event."""
-        record = {"kind": kind, **fields, **self._counts(), "timing": self._timing()}
-        _append_records(self.path, [record])
+def _timing(origin: float, counts: dict) -> dict:
+    """Elapsed seconds, throughput and ETA of the run so far (wall clock)."""
+    elapsed = time.perf_counter() - origin
+    processed = counts["done"] + counts["failed"]
+    throughput = processed / elapsed if elapsed > 0 and processed else None
+    eta = counts["pending"] / throughput if throughput else None
+    return {"elapsed_s": elapsed, "throughput_pts_per_s": throughput, "eta_s": eta}
 
 
 def _count_pool_health(
@@ -716,23 +522,22 @@ def map_tasks_resilient(
         ``None`` disables the timeout; any other value must be finite and
         positive.  Serial execution is not limited.
     checkpoint:
-        JSONL checkpoint path.  An existing file must match the study
-        key (or :class:`CheckpointMismatchError` is raised) and its
-        completed points are not re-run; the worker's return values must
-        be JSON-representable (numbers, strings, ``None``, lists/tuples,
-        dicts — restored values come back with lists for tuples).  The
-        run also writes the ``<checkpoint>.audit`` and
-        ``<checkpoint>.progress`` sidecars next to it (see the module
-        docstring); on resume, restored points' :class:`TaskAudit` carry
-        the original execution's ``source_mode`` / ``source_attempts``.
+        JSONL journal path (see the module docstring).  An existing file
+        must match the study identity (or :class:`CheckpointMismatchError`
+        is raised) and its completed points are not re-run; the worker's
+        return values must be JSON-representable (numbers, strings,
+        ``None``, lists/tuples, dicts — restored values come back with
+        lists for tuples).  On resume, restored points' :class:`TaskAudit`
+        carry the original execution's ``source_mode`` /
+        ``source_attempts``.
     checkpoint_key:
         Explicit study identity; default is a content hash of the task
         list and seed via :func:`repro._jsonio.content_key`.
     manifest:
         Optional provenance mapping (a
         :meth:`repro.telemetry.manifest.RunManifest.to_dict` payload)
-        embedded in the checkpoint and progress headers.  Diagnostic
-        only — never part of the resume identity comparison.
+        embedded in the journal header.  Diagnostic only — never part
+        of the resume identity comparison.
     """
     tasks = list(tasks)
     if failure_policy not in FAILURE_POLICIES:
@@ -759,51 +564,42 @@ def map_tasks_resilient(
     audits: list = [None] * n_tasks
     failures: dict[int, TaskFailure] = {}
 
-    checkpoint_path = None
-    sidecar_path = None
+    journal = None
     n_restored = 0
     if checkpoint is not None:
-        checkpoint_path = Path(checkpoint)
         if checkpoint_key is None:
             checkpoint_key = content_key({"tasks": tasks, "seed": seed})
-        header = _checkpoint_header(checkpoint_key, n_tasks, seed, manifest)
-        sidecar_path = _audit_path(checkpoint_path)
-        if checkpoint_path.exists() and checkpoint_path.stat().st_size > 0:
-            sources: dict[int, tuple[str, int]] = {}
-            if sidecar_path.exists() and sidecar_path.stat().st_size > 0:
-                sources = _load_audit(sidecar_path, _audit_header(checkpoint_key, n_tasks, seed))
-            for index, value in _load_checkpoint(checkpoint_path, header).items():
-                values[index] = value
-                source_mode, source_attempts = sources.get(index, (None, None))
+        identity = {
+            "version": _CHECKPOINT_VERSION,
+            "key": checkpoint_key,
+            "n_tasks": n_tasks,
+            "seed": seed,
+        }
+        journal = Journal(checkpoint, identity, manifest)
+        # Last line per index wins: a point re-run after a failure
+        # supersedes the failure line.
+        latest = {}
+        for record in journal.load():
+            if record.get("kind") in ("point", "failure") and 0 <= record["index"] < n_tasks:
+                latest[int(record["index"])] = record
+        for index, record in latest.items():
+            if record["kind"] == "point":
+                values[index] = decode_json_value(record["value"])
                 audits[index] = TaskAudit(
                     index=index,
                     mode="checkpoint",
                     duration_s=0.0,
                     attempts=0,
-                    source_mode=source_mode,
-                    source_attempts=source_attempts,
+                    source_mode=str(record["mode"]),
+                    source_attempts=int(record["attempts"]),
                 )
                 n_restored += 1
-        else:
-            if checkpoint_path.parent != Path(""):
-                checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-            _append_records(checkpoint_path, [header])
-        if not sidecar_path.exists() or sidecar_path.stat().st_size == 0:
-            _append_records(sidecar_path, [_audit_header(checkpoint_key, n_tasks, seed)])
 
     pending = [index for index in range(n_tasks) if audits[index] is None]
     size = chunk_size if chunk_size is not None else max(n_tasks, 1)
-
-    progress = None
-    if checkpoint_path is not None:
-        progress = _ProgressWriter(
-            _progress_path(checkpoint_path),
-            _progress_header(checkpoint_key, n_tasks, seed, manifest),
-        )
-        progress.restored = n_restored
-        progress.pending = len(pending)
-        n_planned = (len(pending) + size - 1) // size
-        progress.emit("start", n_tasks=n_tasks, chunks=n_planned)
+    n_planned = (len(pending) + size - 1) // size
+    counts = {"done": 0, "failed": 0, "restored": n_restored, "retries": 0, "pending": len(pending)}
+    origin = time.perf_counter()
 
     pool = _PoolState(workers)
     n_chunks = 0
@@ -811,36 +607,19 @@ def map_tasks_resilient(
         for start in range(0, len(pending), size):
             chunk = pending[start : start + size]
             n_chunks += 1
-            if progress is not None:
-                progress.emit("chunk-start", chunk=n_chunks, size=len(chunk))
-            pool_flags = (pool.spawn_fallback, pool.breakages, pool.abandoned)
+            pool_before = (pool.spawn_fallback, pool.breakages, pool.abandoned)
             with tracer.span("sweep.chunk"):
                 outcomes = _run_chunk(
                     pool, worker, tasks, children, chunk, retries, chunk_timeout_s, collect
                 )
-            if progress is not None:
-                # Pool-health transitions, like the audit `mode` fields,
-                # describe how the run executed — they appear only when
-                # the pool actually degraded, so healthy runs stay
-                # byte-identical at any worker count.
-                if pool.spawn_fallback and not pool_flags[0]:
-                    progress.emit("pool", transition="spawn-fallback", chunk=n_chunks)
-                if pool.breakages > pool_flags[1]:
-                    progress.emit("pool", transition="rebuild", chunk=n_chunks)
-                if pool.abandoned and not pool_flags[2]:
-                    progress.emit("pool", transition="abandoned", chunk=n_chunks)
             records = []
-            audit_records = []
             chunk_failures = []
             for index in chunk:
                 outcome, mode = outcomes[index]
                 if outcome[0] == "ok":
                     _, value, attempts, duration, snapshot = outcome
                     values[index] = value
-                    audits[index] = TaskAudit(
-                        index=index, mode=mode, duration_s=duration, attempts=attempts
-                    )
-                    if checkpoint_path is not None:
+                    if journal is not None:
                         records.append(
                             {"kind": "point", "index": index, "value": encode_json_value(value)}
                         )
@@ -856,39 +635,41 @@ def map_tasks_resilient(
                     )
                     failures[index] = failure
                     chunk_failures.append(failure)
-                    audits[index] = TaskAudit(
-                        index=index, mode=mode, duration_s=duration, attempts=attempts
-                    )
-                    if checkpoint_path is not None:
+                    if journal is not None:
                         records.append(
                             {"kind": "failure", "index": index, "failure": failure.to_dict()}
                         )
+                audits[index] = TaskAudit(
+                    index=index, mode=mode, duration_s=duration, attempts=attempts
+                )
+                if journal is not None:
+                    records[-1].update(mode=mode, attempts=attempts)
                 if tracer and snapshot is not None:
                     # Chunks run in index order and each chunk's indices are
                     # ascending, so this merge order is the task-index order
                     # — worker count and pool health cannot reorder it.
                     tracer.merge_snapshot(snapshot)
-                if sidecar_path is not None:
-                    audit_records.append(
-                        {"kind": "audit", "index": index, "mode": mode, "attempts": attempts}
-                    )
-            if checkpoint_path is not None and records:
-                _append_records(checkpoint_path, records)
-            if sidecar_path is not None and audit_records:
-                _append_records(sidecar_path, audit_records)
-            if progress is not None:
-                n_failed = len(chunk_failures)
-                progress.done += len(chunk) - n_failed
-                progress.failed += n_failed
-                progress.retries += sum(
-                    audits[index].attempts - 1 for index in chunk if audits[index].attempts > 1
-                )
-                progress.pending -= len(chunk)
-                progress.emit("chunk-end", chunk=n_chunks)
-            if chunk_failures and failure_policy == "raise":
+            counts["done"] += len(chunk) - len(chunk_failures)
+            counts["failed"] += len(chunk_failures)
+            counts["retries"] += sum(audits[index].attempts - 1 for index in chunk)
+            counts["pending"] -= len(chunk)
+            aborting = bool(chunk_failures) and failure_policy == "raise"
+            if journal is not None:
+                # The chunk's progress rides on its last task line, so the
+                # journal stays one line per task.  Pool transitions appear
+                # only when the pool degraded and the wall clock only under
+                # "timing", so without "mode" and "timing" the lines are
+                # identical at any worker count for healthy runs.
+                progress = {"chunk": n_chunks, "chunks": n_planned, **counts}
+                transitions = _pool_transitions(pool, pool_before)
+                if transitions:
+                    progress["pool"] = transitions
+                records[-1].update(progress=progress, timing=_timing(origin, counts))
+                if n_chunks == n_planned and not aborting:
+                    records[-1]["end"] = True
+                journal.append([dumps_compact(record) for record in records])
+            if aborting:
                 raise SweepTaskError(chunk_failures[0])
-        if progress is not None:
-            progress.emit("end", n_tasks=n_tasks, chunks=n_chunks)
     finally:
         pool.close()
         if tracer:

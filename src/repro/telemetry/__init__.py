@@ -48,13 +48,12 @@ Span pattern (the null span makes the branch unnecessary)::
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .._jsonio import dumps_compact, encode_json_value, loads_strict
+from .._jsonio import dumps_compact, encode_json_value, read_jsonl
 
 __all__ = [
     "TRACE_KIND",
@@ -338,18 +337,18 @@ def read_trace(path: str | Path) -> dict:
     scalar stores as plain dicts.  Raises ``ValueError`` when the file is
     not a telemetry trace.
 
-    Like the checkpoint and audit readers, a torn trailing line (the
-    writer was interrupted mid-append) is tolerated rather than fatal:
-    parsing stops at the first malformed line, every complete record
-    before it is returned, and the raw torn text is reported under
+    A torn trailing line (the writer was interrupted mid-append) is
+    tolerated rather than fatal: :func:`repro._jsonio.read_jsonl` stops at
+    the first malformed line, every complete record before it is
+    returned, and the raw torn text is reported under
     ``"truncated_tail"`` (``None`` for an intact file).
     """
     path = Path(path)
-    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    if not lines:
+    records, torn, _ = read_jsonl(path)
+    if not records and torn is None:
         raise ValueError(f"{path} is empty, not a telemetry trace")
-    header = loads_strict(lines[0])
-    if not isinstance(header, dict) or header.get("kind") != TRACE_KIND:
+    header = records[0] if records else {}
+    if header.get("kind") != TRACE_KIND:
         raise ValueError(f"{path} is not a telemetry trace")
     trace_data: dict = {
         "name": header.get("name", "trace"),
@@ -357,14 +356,9 @@ def read_trace(path: str | Path) -> dict:
         "counters": {},
         "gauges": {},
         "histograms": {},
-        "truncated_tail": None,
+        "truncated_tail": torn,
     }
-    for line in lines[1:]:
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            trace_data["truncated_tail"] = line
-            break
+    for record in records[1:]:
         kind = record.get("kind")
         if kind == "span":
             trace_data["spans"].append(

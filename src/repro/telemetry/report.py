@@ -37,11 +37,10 @@ regression and the exit code is 1 — the soft trend gate beside the hard
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 from pathlib import Path
 
-from .._jsonio import dumps_strict, loads_strict
+from .._jsonio import dumps_strict, read_jsonl
 from ..reporting.tables import TextTable
 from . import SPAN_HISTOGRAM_PREFIX, Tracer, read_trace
 
@@ -243,21 +242,13 @@ def history_entry(entry: dict) -> dict:
 def load_history(path: str | Path) -> list[dict]:
     """All complete :data:`HISTORY_KIND` records of a bench-history ledger.
 
-    Torn-tail-tolerant like every JSONL reader here: parsing stops at the
-    first malformed line.  Raises ``ValueError`` when the file contains no
-    history record at all (the watcher was pointed at the wrong file).
+    Torn-tail-tolerant through :func:`repro._jsonio.read_jsonl`: parsing
+    stops at the first malformed line.  Raises ``ValueError`` when the
+    file contains no history record at all (the watcher was pointed at
+    the wrong file).
     """
     path = Path(path)
-    records: list[dict] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = loads_strict(line)
-        except json.JSONDecodeError:
-            break
-        if isinstance(record, dict) and record.get("kind") == HISTORY_KIND:
-            records.append(record)
+    records = [record for record in read_jsonl(path)[0] if record.get("kind") == HISTORY_KIND]
     if not records:
         raise ValueError(f"{path} contains no {HISTORY_KIND} records")
     return records

@@ -1,7 +1,12 @@
 """Engine-level resilience: fault isolation, failure records, checkpoint/resume."""
 
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datapath.nrz import JitterSpec
 from repro.experiments import (
@@ -148,6 +153,37 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="retain"):
             run_grid(spec, [FAULT_AXIS], seed=0, workers=1,
                      checkpoint=tmp_path / "grid.jsonl")
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_grid_journal() -> tuple[str, bytes]:
+    """An uninterrupted 4-point grid's JSON and its complete journal."""
+    axis = ParameterAxis("inject_fault", (False,) * 4)
+    with tempfile.TemporaryDirectory() as directory:
+        checkpoint = Path(directory) / "grid.jsonl"
+        result = run_grid(BASE, [axis], seed=0, workers=1, chunk_size=2,
+                          checkpoint=checkpoint)
+        return result.to_json(), checkpoint.read_bytes()
+
+
+class TestGeneratedResume:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(fraction=st.floats(min_value=0.0, max_value=1.0))
+    def test_cut_journal_resumes_byte_identical(self, fraction):
+        expected, journal = _clean_grid_journal()
+        header_end = journal.index(b"\n")
+        cut = header_end + round(fraction * (len(journal) - header_end))
+        axis = ParameterAxis("inject_fault", (False,) * 4)
+        with tempfile.TemporaryDirectory() as directory:
+            checkpoint = Path(directory) / "grid.jsonl"
+            checkpoint.write_bytes(journal[:cut])
+            resumed = run_grid(BASE, [axis], seed=0, workers=1, chunk_size=2,
+                               checkpoint=checkpoint)
+            assert resumed.to_json() == expected
+            again = run_grid(BASE, [axis], seed=0, workers=1, chunk_size=2,
+                             checkpoint=checkpoint)
+            assert again.to_json() == expected
+            assert all(entry.mode == "checkpoint" for entry in again.audit)
 
 
 class TestToleranceSearchResilience:

@@ -1,5 +1,7 @@
 """Failure isolation, checkpoint/resume and pool robustness of the resilient runner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -246,8 +248,6 @@ class TestCheckpointResume:
             )
 
     def test_checkpoint_is_strict_jsonl(self, tmp_path):
-        import json
-
         checkpoint = tmp_path / "sweep.jsonl"
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
 
@@ -292,39 +292,89 @@ class TestPoolRobustness:
         assert modes[1] == "serial-degraded"
 
 
-class TestAuditSidecar:
-    def test_sidecar_written_next_to_checkpoint(self, tmp_path):
-        import json
+def _journal(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
+
+def _tear(path, keep_lines):
+    """Keep the header and *keep_lines* task lines, then a torn partial line."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: 1 + keep_lines]) + '\n{"kind": "poi')
+
+
+class TestJournal:
+    def test_one_file_with_one_line_per_task(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        sidecar = tmp_path / "sweep.jsonl.audit"
-        assert sidecar.exists()
-        lines = [json.loads(line) for line in sidecar.read_text().splitlines()]
-        assert lines[0]["kind"] == "repro-sweep-audit"
-        assert lines[0]["n_tasks"] == len(TASKS)
-        records = [line for line in lines[1:] if line["kind"] == "audit"]
-        assert sorted(record["index"] for record in records) == TASKS
-        assert all(record["mode"] == "serial" for record in records)
-        # Durations are nondeterministic wall-clock — never persisted.
-        assert "duration" not in sidecar.read_text()
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        assert list(tmp_path.iterdir()) == [checkpoint]
+        records = _journal(checkpoint)
+        assert len(records) == 1 + len(TASKS)
+        header = records[0]
+        assert header["kind"] == "repro-sweep-checkpoint"
+        assert (header["version"], header["n_tasks"], header["seed"]) == (2, len(TASKS), 42)
+        assert [record["index"] for record in records[1:]] == TASKS
+        for record in records[1:]:
+            assert (record["kind"], record["mode"], record["attempts"]) == ("point", "serial", 1)
+        # Task durations are nondeterministic wall clock — never persisted.
+        assert "duration" not in checkpoint.read_text()
+
+    def test_chunk_progress_rides_on_each_chunk_last_line(self, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        body = _journal(checkpoint)[1:]
+        carriers = [position for position, record in enumerate(body) if "progress" in record]
+        assert carriers == [2, 5, 8, 9]
+        assert [body[position]["progress"]["chunk"] for position in carriers] == [1, 2, 3, 4]
+        assert [position for position, record in enumerate(body) if "end" in record] == [9]
+        assert body[-1]["progress"] == {
+            "chunk": 4,
+            "chunks": 4,
+            "done": 10,
+            "failed": 0,
+            "restored": 0,
+            "retries": 0,
+            "pending": 0,
+        }
+
+    def test_wall_clock_is_confined_to_the_timing_object(self, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        for record in _journal(checkpoint)[1:]:
+            if "progress" not in record:
+                assert "timing" not in record
+                continue
+            assert set(record["timing"]) == {"elapsed_s", "throughput_pts_per_s", "eta_s"}
+            assert all(isinstance(value, int) for value in record["progress"].values())
+
+    def test_lines_without_timing_and_mode_identical_across_worker_counts(self, tmp_path):
+        streams = []
+        for workers in (1, 2):
+            checkpoint = tmp_path / f"sweep-w{workers}.jsonl"
+            map_tasks_resilient(
+                _draw, TASKS, seed=42, workers=workers, chunk_size=3, checkpoint=checkpoint
+            )
+            stripped = []
+            for record in _journal(checkpoint):
+                record.pop("timing", None)
+                record.pop("mode", None)
+                stripped.append(json.dumps(record, sort_keys=True))
+            streams.append(stripped)
+        assert streams[0] == streams[1]
 
     def test_resume_surfaces_source_mode_and_attempts(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
-        )
+        resumed = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
         assert resumed.values == _reference()
         for audit in resumed.audit:
             assert audit.mode == "checkpoint"
             assert audit.source_mode == "serial"
             assert audit.source_attempts == 1
 
-    def test_retry_attempts_survive_into_the_sidecar(self, tmp_path):
+    def test_retry_attempts_survive_into_the_journal(self, tmp_path):
         reset_fault_state()
         checkpoint = tmp_path / "sweep.jsonl"
-        flaky = FailOnceThenSucceed(_draw, indices=(1, 5), tag="sidecar-test")
+        flaky = FailOnceThenSucceed(_draw, indices=(1, 5), tag="journal-test")
         map_tasks_resilient(
             flaky,
             TASKS,
@@ -334,44 +384,101 @@ class TestAuditSidecar:
             max_retries=1,
             checkpoint=checkpoint,
         )
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
-        )
+        last = _journal(checkpoint)[-1]
+        assert (last["progress"]["done"], last["progress"]["failed"]) == (len(TASKS), 0)
+        assert last["progress"]["retries"] == 2
+        resumed = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
         attempts = {audit.index: audit.source_attempts for audit in resumed.audit}
         assert attempts[1] == 2 and attempts[5] == 2
         assert attempts[0] == 1
 
-    def test_failed_points_rerun_and_last_audit_wins(self, tmp_path):
+    def test_failed_points_rerun_and_last_line_wins(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
         faulty = FailEveryNth(_draw, every=4)
-        map_tasks_resilient(
-            faulty, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
-        )
-        map_tasks_resilient(
+        map_tasks_resilient(faulty, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        rerun = map_tasks_resilient(
             _draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
         )
-        final = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
-        )
+        assert [audit.index for audit in rerun.audit if audit.mode == "serial"] == [0, 4, 8]
+        final = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
         assert final.values == _reference()
         for audit in final.audit:
             assert audit.mode == "checkpoint"
             assert audit.source_mode == "serial"
 
-    def test_resume_without_sidecar_still_works(self, tmp_path):
+    def test_raise_aborted_run_has_no_end(self, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        faulty = FailEveryNth(_draw, every=4)
+        with pytest.raises(SweepTaskError):
+            map_tasks_resilient(
+                faulty,
+                TASKS,
+                seed=42,
+                workers=1,
+                chunk_size=3,
+                failure_policy="raise",
+                checkpoint=checkpoint,
+            )
+        records = _journal(checkpoint)
+        assert len(records) == 1 + 3  # the aborting chunk is journaled
+        assert records[-1]["kind"] == "point" and records[-1]["progress"]["failed"] == 1
+        assert not any("end" in record for record in records)
+
+    def test_resume_appends_task_lines_and_counts_restored(self, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        _tear(checkpoint, keep_lines=6)
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        records = _journal(checkpoint)
+        assert all(record["kind"] in ("point", "failure") for record in records[1:])
+        assert [record["index"] for record in records[1:]] == TASKS
+        progress = [record["progress"] for record in records[7:] if "progress" in record]
+        assert [entry["chunk"] for entry in progress] == [1, 2]
+        assert progress[-1]["restored"] == 6 and progress[-1]["done"] == 4
+        assert "end" in records[-1]
+
+    def test_resume_that_restores_everything_appends_nothing(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        (tmp_path / "sweep.jsonl.audit").unlink()
-        resumed = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        assert resumed.values == _reference()
-        for audit in resumed.audit:
-            assert audit.mode == "checkpoint"
-            assert audit.source_mode is None
-            assert audit.source_attempts is None
+        before = checkpoint.read_bytes()
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+        assert checkpoint.read_bytes() == before
+
+    def test_resume_after_a_torn_tail_keeps_later_resumes_whole(self, tmp_path):
+        # Appending straight after the torn text merged the first new line
+        # into it, so a second resume lost everything the first one wrote.
+        checkpoint = tmp_path / "sweep.jsonl"
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=2, checkpoint=checkpoint)
+        _tear(checkpoint, keep_lines=6)
+        first = map_tasks_resilient(
+            _draw, TASKS, seed=42, workers=1, chunk_size=2, checkpoint=checkpoint
+        )
+        assert first.values == _reference()
+        assert sum(audit.mode == "checkpoint" for audit in first.audit) == 6
+        second = map_tasks_resilient(
+            _draw, TASKS, seed=42, workers=1, chunk_size=2, checkpoint=checkpoint
+        )
+        assert second.values == _reference()
+        assert all(audit.mode == "checkpoint" for audit in second.audit)
+        assert len(_journal(checkpoint)) == 1 + len(TASKS)
+
+    def test_fsyncs_one_per_chunk_plus_the_header(self, tmp_path, monkeypatch):
+        import os
+
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd)))
+        checkpoint = tmp_path / "sweep.jsonl"
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        assert len(calls) == 1 + 4
+        _tear(checkpoint, keep_lines=3)
+        calls.clear()
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
+        assert len(calls) == 3  # seven pending tasks in three chunks, no header
 
     @pytest.mark.parametrize("switch", ["audit_sidecar", "progress_sidecar"])
     def test_sidecar_switches_are_gone(self, tmp_path, switch):
-        """A checkpointed run always writes both sidecars; the old opt-outs fail loudly."""
+        """The old sidecar opt-outs fail loudly; a checkpointed run writes one file."""
         checkpoint = tmp_path / "sweep.jsonl"
         with pytest.raises(TypeError, match=switch):
             map_tasks_resilient(
@@ -379,191 +486,46 @@ class TestAuditSidecar:
             )
         assert list(tmp_path.iterdir()) == []
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        assert (tmp_path / "sweep.jsonl.audit").exists()
-        assert (tmp_path / "sweep.jsonl.progress").exists()
+        assert list(tmp_path.iterdir()) == [checkpoint]
 
-    def test_corrupt_sidecar_is_rejected(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        (tmp_path / "sweep.jsonl.audit").write_text("not json at all\n")
-        with pytest.raises(CheckpointMismatchError, match="not a sweep audit sidecar"):
-            map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-
-    def test_torn_sidecar_tail_is_tolerated(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
-        )
-        sidecar = tmp_path / "sweep.jsonl.audit"
-        lines = sidecar.read_text().splitlines()
-        sidecar.write_text("\n".join(lines[:-2]) + '\n{"kind": "aud')
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
-        )
-        assert resumed.values == _reference()
-        sources = [audit.source_mode for audit in resumed.audit]
-        assert "serial" in sources  # everything durably written still counts
-        assert sources[-1] is None  # the torn tail's audits are simply absent
-
-
-def _progress_records(path):
-    import json
-
-    return [json.loads(line) for line in path.read_text().splitlines()]
-
-
-class TestProgressSidecar:
-    def test_event_stream_of_a_healthy_run(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
-        )
-        records = _progress_records(tmp_path / "sweep.jsonl.progress")
-        header = records[0]
-        assert header["kind"] == "repro-sweep-progress"
-        assert header["n_tasks"] == len(TASKS)
-        kinds = [record["kind"] for record in records[1:]]
-        assert kinds[0] == "start" and kinds[-1] == "end"
-        assert kinds.count("chunk-start") == kinds.count("chunk-end") == 4
-        last = records[-1]
-        assert last["done"] == len(TASKS)
-        assert (last["failed"], last["restored"], last["pending"]) == (0, 0, 0)
-
-    def test_wall_clock_is_confined_to_the_timing_object(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
-        )
-        for record in _progress_records(tmp_path / "sweep.jsonl.progress")[1:]:
-            assert set(record["timing"]) == {
-                "elapsed_s",
-                "throughput_pts_per_s",
-                "eta_s",
-            }
-            deterministic = {
-                key: value for key, value in record.items() if key != "timing"
-            }
-            assert all(
-                isinstance(value, (str, int)) for value in deterministic.values()
-            ), deterministic
-
-    def test_non_timing_fields_identical_across_worker_counts(self, tmp_path):
-        import json
-
-        streams = []
-        for workers in (1, 2):
-            checkpoint = tmp_path / f"sweep-w{workers}.jsonl"
-            map_tasks_resilient(
-                _draw, TASKS, seed=42, workers=workers, chunk_size=3,
-                checkpoint=checkpoint,
-            )
-            stripped = []
-            for record in _progress_records(
-                tmp_path / f"sweep-w{workers}.jsonl.progress"
-            ):
-                record.pop("timing", None)
-                stripped.append(json.dumps(record, sort_keys=True))
-            streams.append(stripped)
-        assert streams[0] == streams[1]
-
-    def test_failures_and_retries_are_counted(self, tmp_path):
-        reset_fault_state()
-        checkpoint = tmp_path / "sweep.jsonl"
-        flaky = FailOnceThenSucceed(_draw, indices=(1, 5), tag="progress-test")
-        map_tasks_resilient(
-            flaky,
-            TASKS,
-            seed=42,
-            workers=1,
-            failure_policy="retry",
-            max_retries=1,
-            checkpoint=checkpoint,
-        )
-        last = _progress_records(tmp_path / "sweep.jsonl.progress")[-1]
-        assert last["kind"] == "end"
-        assert last["done"] == len(TASKS)
-        assert last["failed"] == 0
-        assert last["retries"] == 2
-
-    def test_interrupted_run_has_no_end_record(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        faulty = FailEveryNth(_draw, every=4)
-        with pytest.raises(SweepTaskError):
-            map_tasks_resilient(
-                faulty, TASKS, seed=42, workers=1, chunk_size=3,
-                failure_policy="raise", checkpoint=checkpoint,
-            )
-        kinds = [r["kind"] for r in _progress_records(tmp_path / "sweep.jsonl.progress")]
-        assert "end" not in kinds  # absence of "end" == live or interrupted
-
-    def test_resume_appends_fresh_start_and_counts_restored(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        records = _progress_records(tmp_path / "sweep.jsonl.progress")
-        starts = [r for r in records if r["kind"] == "start"]
-        assert len(starts) == 2
-        assert starts[1]["restored"] == len(TASKS)
-        assert starts[1]["pending"] == 0
-        assert records[-1]["kind"] == "end"
-
-    def test_no_checkpoint_means_no_sidecar(self, tmp_path, monkeypatch):
+    def test_no_checkpoint_means_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1)
         assert list(tmp_path.iterdir()) == []
 
-    def test_manifest_lands_in_both_headers(self, tmp_path):
-        import json
-
+    def test_manifest_is_in_the_header_but_not_the_identity(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
         manifest = {"kind": "repro-run-manifest", "version": 1, "python": "3.12.0"}
         map_tasks_resilient(
             _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, manifest=manifest
         )
-        for name in ("sweep.jsonl", "sweep.jsonl.progress"):
-            header = json.loads((tmp_path / name).read_text().splitlines()[0])
-            assert header["manifest"] == manifest
-
-    def test_manifest_is_not_part_of_the_resume_identity(self, tmp_path):
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint,
-            manifest={"kind": "repro-run-manifest", "python": "3.12.0"},
-        )
+        assert _journal(checkpoint)[0]["manifest"] == manifest
+        other = {"kind": "repro-run-manifest", "python": "3.13.1"}
         resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint,
-            manifest={"kind": "repro-run-manifest", "python": "3.13.1"},
+            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint, manifest=other
         )
         assert resumed.values == _reference()
+        assert all(audit.mode == "checkpoint" for audit in resumed.audit)
 
-    def test_corrupt_sidecar_is_rejected(self, tmp_path):
+    def test_foreign_study_header_is_rejected(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        (tmp_path / "sweep.jsonl.progress").write_text("not json at all\n")
-        with pytest.raises(CheckpointMismatchError, match="not a sweep progress"):
-            map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-
-    def test_foreign_study_sidecar_is_rejected(self, tmp_path):
-        import json
-
-        checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        sidecar = tmp_path / "sweep.jsonl.progress"
-        lines = sidecar.read_text().splitlines()
+        lines = checkpoint.read_text().splitlines()
         header = json.loads(lines[0])
         header["key"] = "someone-elses-study"
-        sidecar.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        checkpoint.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         with pytest.raises(CheckpointMismatchError, match="different study"):
             map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
 
-    def test_torn_sidecar_tail_is_tolerated_on_resume(self, tmp_path):
+    def test_version_1_checkpoint_is_rejected(self, tmp_path):
+        # A v1 file kept its audit and progress history in sidecars that
+        # are no longer read; resuming it would drop that history silently.
         checkpoint = tmp_path / "sweep.jsonl"
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
-        )
-        sidecar = tmp_path / "sweep.jsonl.progress"
-        sidecar.write_text(sidecar.read_text() + '{"kind": "chu')
-        resumed = map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, checkpoint=checkpoint
-        )
-        assert resumed.values == _reference()
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+        records = _journal(checkpoint)
+        records[0]["version"] = 1
+        v1 = [records[0]]
+        v1 += [{"kind": "point", "index": r["index"], "value": r["value"]} for r in records[1:]]
+        checkpoint.write_text("".join(json.dumps(record) + "\n" for record in v1))
+        with pytest.raises(CheckpointMismatchError, match="version is 1, expected 2"):
+            map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)

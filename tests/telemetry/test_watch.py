@@ -1,4 +1,4 @@
-"""Watch CLI: sidecar parsing, status assembly, rendering, numpy-free operation."""
+"""Watch CLI: journal parsing, status assembly, rendering, numpy-free operation."""
 
 import json
 import os
@@ -11,7 +11,6 @@ import pytest
 from repro.sweep.faults import FailEveryNth
 from repro.sweep.resilient import SweepTaskError, map_tasks_resilient
 from repro.telemetry import Tracer
-from repro.telemetry import watch
 from repro.telemetry.watch import collect_status, main, render_status
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -45,29 +44,15 @@ def _interrupted_run(tmp_path):
     return checkpoint
 
 
-class TestKindConstants:
-    def test_mirrors_match_the_writers(self):
-        # watch.py cannot import the numpy-dependent writer module, so it
-        # carries copies of the sidecar kind tags; pin the copies equal.
-        from repro.sweep import resilient
-        from repro.telemetry import TRACE_KIND  # noqa: F401 (import sanity)
-
-        assert watch.CHECKPOINT_KIND == resilient._CHECKPOINT_KIND
-        assert watch.AUDIT_KIND == resilient._AUDIT_KIND
-        assert watch.PROGRESS_KIND == resilient._PROGRESS_KIND
-
-
 class TestCollectStatus:
     def test_completed_run(self, tmp_path):
         status = collect_status(_completed_run(tmp_path))
         assert status["run"]["state"] == "completed"
         assert status["completion"] == 1.0
         assert status["run"]["done"] == len(TASKS)
+        assert status["run"]["chunks_done"] == status["run"]["chunks_planned"] == 4
         assert status["durable"] == {"points": len(TASKS), "failures": 0}
-        assert status["files"] == {"checkpoint": True, "progress": True, "audit": True}
-        assert status["torn_tails"] == {
-            "checkpoint": False, "progress": False, "audit": False,
-        }
+        assert status["torn_tail"] is False
         assert status["modes"] == {"serial": len(TASKS)}
 
     def test_interrupted_run_reads_in_progress(self, tmp_path):
@@ -81,32 +66,33 @@ class TestCollectStatus:
         status = collect_status(_completed_run(tmp_path, manifest=manifest))
         assert status["manifest"] == manifest
 
-    def test_resumed_run_reports_the_latest_start(self, tmp_path):
+    def test_resumed_run_counts_its_restored_tasks(self, tmp_path):
         checkpoint = _completed_run(tmp_path)
-        map_tasks_resilient(
-            _draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint
-        )
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        checkpoint.write_text("".join(lines[: 1 + 6]))
+        map_tasks_resilient(_draw, TASKS, seed=42, workers=1, chunk_size=3, checkpoint=checkpoint)
         status = collect_status(checkpoint)
         assert status["run"]["state"] == "completed"
-        assert status["run"]["restored"] == len(TASKS)
-        assert status["run"]["done"] == 0
+        assert status["run"]["restored"] == 6
+        assert status["run"]["done"] == 4
+        assert status["run"]["chunks_done"] == status["run"]["chunks_planned"] == 2
 
-    def test_torn_progress_tail_is_flagged_not_fatal(self, tmp_path):
-        checkpoint = _completed_run(tmp_path)
-        sidecar = tmp_path / "sweep.jsonl.progress"
-        sidecar.write_text(sidecar.read_text() + '{"kind": "chu')
+    def test_torn_tail_is_flagged_not_fatal(self, tmp_path):
+        checkpoint = _interrupted_run(tmp_path)
+        checkpoint.write_text(checkpoint.read_text() + '{"kind": "poi')
         status = collect_status(checkpoint)
-        assert status["torn_tails"]["progress"] is True
-        assert status["run"]["state"] == "completed"
+        assert status["torn_tail"] is True
+        assert status["run"]["state"] == "in-progress"
+        assert status["durable"] == {"points": 2, "failures": 1}
 
-    def test_missing_everything_raises(self, tmp_path):
+    def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             collect_status(tmp_path / "absent.jsonl")
 
     def test_wrong_kind_raises_value_error(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         path.write_text('{"kind": "repro-telemetry-trace"}\n')
-        with pytest.raises(ValueError, match="not a repro-sweep-checkpoint"):
+        with pytest.raises(ValueError, match="not a sweep checkpoint"):
             collect_status(path)
 
 
