@@ -19,8 +19,10 @@ breakdowns alone are also written to
 Every entry is stamped with the run's provenance manifest
 (:func:`repro.telemetry.manifest.collect_manifest` — the sanctioned
 place for environment reads), and each run appends one manifest-stamped
-record of all speedups, with the absolute ``fast_s``/``event_s`` seconds
-where a benchmark has them, to ``benchmarks/results/bench_history.jsonl``.
+record of all speedups, with the absolute ``fast_s``/``event_s``,
+``stateye_s`` and ``training_s`` seconds where a benchmark has them
+(:data:`repro.telemetry.report.HISTORY_FIELDS`), to
+``benchmarks/results/bench_history.jsonl``.
 ``BENCH_fastpath.json`` is overwritten per run; the history ledger only
 grows, so ``python -m repro.telemetry.report --history`` can render the
 speedup trajectory and flag trend regressions that the hard floors are

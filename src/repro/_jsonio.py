@@ -299,12 +299,24 @@ def check_identity(path: str | Path, records: list[dict], identity: dict) -> dic
     return header
 
 
+#: How every journal header line starts (:class:`Journal` writes ``kind`` first).
+_HEADER_START = dumps_compact({"kind": CHECKPOINT_KIND})[:-1] + ","
+
+
+def _is_torn_header(torn: str | None) -> bool:
+    """Whether *torn* is a cut-off journal header line (not some other file)."""
+    return torn is not None and (_HEADER_START.startswith(torn) or torn.startswith(_HEADER_START))
+
+
 class Journal:
     """One append-only JSONL file under an identity header.
 
     :meth:`load` returns the body records of an existing file whose
     header matches *identity*, or writes the header (*identity* plus the
-    diagnostic *manifest*, which is not compared) to a new one.
+    diagnostic *manifest*, which is not compared) to a new one — or over
+    a torn header, the trace of a crash during a fresh run's first write,
+    which stored nothing.  Any other file without a valid header raises
+    :class:`CheckpointMismatchError` and is left as it is.
     :meth:`append` writes a batch of pre-serialized lines with one flush
     and one ``fsync``.  The first append after a load cuts the file back
     to the intact prefix :func:`read_jsonl` reported, so new lines never
@@ -320,9 +332,10 @@ class Journal:
     def load(self) -> list[dict]:
         """Body records of the journal on disk (header checked), or ``[]``."""
         if self.path.exists() and self.path.stat().st_size > 0:
-            records, _, self._intact = read_jsonl(self.path)
-            check_identity(self.path, records, self.identity)
-            return records[1:]
+            records, torn, self._intact = read_jsonl(self.path)
+            if records or not _is_torn_header(torn):
+                check_identity(self.path, records, self.identity)
+                return records[1:]
         self.path.parent.mkdir(parents=True, exist_ok=True)
         header = dict(self.identity)
         if self.manifest is not None:

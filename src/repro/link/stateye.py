@@ -14,14 +14,18 @@ approach gets there analytically:
    time-domain PDF calculus in :mod:`repro.jitter.pdf`), giving the exact
    ISI amplitude distribution at each phase.  One kernel,
    :func:`_cursor_pmfs`, convolves every phase at once: the phases'
-   cursors form the columns of a shift matrix, and each cursor row is a
-   slice operation over all columns that share its integer bin shift
-   (most rows have one or two such groups) on padded ping-pong buffers.
-   The grid is centred and every step is a symmetric two-point
-   convolution, so each PMF is bitwise mirror-symmetric: the kernel
-   computes only the bins from the centre to the upper edge, reading
-   below the centre through a mirrored margin, and mirrors the result
-   once at the end.  It performs each bin's float operations of the
+   cursors form the columns of a shift matrix, and each cursor row is one
+   slice operation over all columns at the row's most common integer bin
+   shift (the few other columns are redone one at a time) on padded
+   ping-pong buffers.  The grid is centred and every step is a symmetric
+   two-point convolution, so each PMF is bitwise mirror-symmetric: the
+   kernel computes only the bins from the centre to the upper edge,
+   reading below the centre through a mirrored margin, and mirrors the
+   result once at the end.  Of those it computes, per row, only the bins
+   the ISI support has reached so far — on link training about a third
+   of the half grid, which is sized for the main cursor's rail as well;
+   the bins past the support are ``+0.0`` and would compute to ``+0.0``.
+   It performs each computed bin's float operations of the
    one-PMF-at-a-time convolution chain, so its output is bit-identical
    to that chain.  The solve records this stage as the
    ``stateye.pmf`` span and the timing model (step 4) as
@@ -154,14 +158,28 @@ def _cursor_pmfs(shifts: np.ndarray, half_bins: int) -> np.ndarray:
     buffers, ``pad = max m + 1``: below the centre sits a ``pad``-cell
     margin refreshed as the mirror image of the computed bins after each
     row, and past the edge ``pad`` zero cells that are never written, so
-    mass shifted off the grid drops.  One cursor row is one whole-buffer
-    slice operation at the row's most common ``m`` (lowest on ties); the
-    few columns with another ``m`` are then recomputed at their own.  The
-    rows to skip (all shifts zero), each row's common ``m`` and its
-    off-``m`` column groups are found for all rows in one vectorised pass.
-    Every bin sees exactly the float operations of the one-PMF-at-a-time
-    chain (a zero shift gives ``0.5·(p + p) = p`` and a zero weight adds
-    ``+0``), so the result is bit-identical to it.
+    mass shifted off the grid drops.  One cursor row is one slice
+    operation over all columns at the row's most common ``m`` (lowest on
+    ties); the few columns with another ``m`` are then recomputed one at a
+    time at their own.  The rows to skip (all shifts zero), each row's
+    common ``m`` and its off-``m`` columns are found for all rows in one
+    vectorised pass.
+
+    Each row computes only the bins ``0 … bound − 1`` of its **support
+    bound**: ``1 + Σ (max over columns of m + 1)`` over the live rows up
+    to and including it, clipped to the ``half_bins + 1`` half grid.  A
+    step reads at most ``m + 1`` bins away, so no PMF holds mass at or
+    past its row's bound.  Both buffers start at ``+0.0`` there, and the
+    bounds only grow, so every skipped bin still holds ``+0.0`` — the
+    value recomputing it would give: ``0.5·(1−w)·(0 + 0) + 0.5·w·(0 + 0)``
+    is ``+0.0`` for any finite ``w``, as the two weights sum to ``0.5``
+    and so are never both negative.  The grid's half-width
+    also covers the main cursor's rail and one padding cell per cursor,
+    so over link training's solves the bound averages about a third of it.
+
+    Every computed bin sees exactly the float operations of the
+    one-PMF-at-a-time chain (a zero shift gives ``0.5·(p + p) = p`` and a
+    zero weight adds ``+0``), so the result is bit-identical to it.
     """
     if half_bins < 0:
         raise ValueError(f"half_bins must be >= 0, got {half_bins!r}")
@@ -182,14 +200,16 @@ def _cursor_pmfs(shifts: np.ndarray, half_bins: int) -> np.ndarray:
     ).reshape(n_rows, pad)
     common = counts.argmax(axis=1)
     live = shifts.any(axis=1)
+    # The support bound after each row: a row reaching at most m + 1 cells
+    # widens it by that much, and the unit mass starts on one bin.
+    reach = np.where(live, whole.max(axis=1, initial=0) + 1, 0)
+    bounds = np.minimum(1 + np.cumsum(reach), n_half)
     off_rows, off_columns = np.nonzero((whole != common[:, None]) & live[:, None])
-    keys = off_rows * pad + whole[off_rows, off_columns]
-    order = np.argsort(keys, kind="stable")
-    keys, off_columns = keys[order], off_columns[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    others: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for key, columns in zip(keys[starts].tolist(), np.split(off_columns, starts[1:])):
-        others.setdefault(key // pad, []).append((key % pad, columns))
+    others: dict[int, list[tuple[int, int]]] = {}
+    for row, column, m in zip(
+        off_rows.tolist(), off_columns.tolist(), whole[off_rows, off_columns].tolist()
+    ):
+        others.setdefault(row, []).append((column, m))
 
     current = np.zeros((n_half + 2 * pad, n_columns))
     current[pad] = 1.0
@@ -197,31 +217,26 @@ def _cursor_pmfs(shifts: np.ndarray, half_bins: int) -> np.ndarray:
     spare = np.empty((n_half, n_columns))
 
     def convolve(source, m, near_row, far_row, out, scratch):
-        low, high = pad - m, pad + m
-        np.add(source[low : low + n_half], source[high : high + n_half], out=out)
+        n, low, high = len(out), pad - m, pad + m
+        np.add(source[low : low + n], source[high : high + n], out=out)
         out *= near_row
-        np.add(
-            source[low - 1 : low - 1 + n_half],
-            source[high + 1 : high + 1 + n_half],
-            out=scratch,
-        )
+        np.add(source[low - 1 : low - 1 + n], source[high + 1 : high + 1 + n], out=scratch)
         scratch *= far_row
         out += scratch
 
-    for row in np.flatnonzero(live).tolist():
-        target = following[pad : pad + n_half]
-        convolve(current, int(common[row]), near[row], far[row], target, spare)
-        for m, columns in others.get(row, ()):
-            out = np.empty((n_half, columns.size))
+    rows = np.flatnonzero(live)
+    for row, n, m in zip(rows.tolist(), bounds[rows].tolist(), common[rows].tolist()):
+        target = following[pad : pad + n]
+        convolve(current, m, near[row], far[row], target, spare[:n])
+        for column, column_m in others.get(row, ()):
             convolve(
-                current[:, columns],
-                m,
-                near[row, columns],
-                far[row, columns],
-                out,
-                np.empty_like(out),
+                current[:, column],
+                column_m,
+                near[row, column],
+                far[row, column],
+                target[:, column],
+                spare[:n, 0],
             )
-            target[:, columns] = out
         following[:pad] = following[2 * pad : pad : -1]
         current, following = following, current
     pmfs = np.empty((n_columns, 2 * half_bins + 1))

@@ -73,10 +73,12 @@ HISTORY_VERSION = 1
 
 #: Fields of a benchmark entry that its history record keeps: the speedup
 #: always, the absolute fast-path and event-kernel seconds where the
-#: benchmark measures them, and the fast path's gated-ring bits/s
-#: (``bittrue_kernels``).  Older records lack the later fields and still
-#: load.
-HISTORY_FIELDS = ("speedup", "fast_s", "event_s", "ring_bits_per_s")
+#: benchmark measures them, the fast path's gated-ring bits/s
+#: (``bittrue_kernels``), and the statistical-eye solve and link-training
+#: seconds (``stateye_vs_bittrue``, ``link_training``), whose speedups
+#: divide by an extrapolated bit-true time and so move with the fast
+#: path too.  Older records lack the later fields and still load.
+HISTORY_FIELDS = ("speedup", "fast_s", "event_s", "ring_bits_per_s", "stateye_s", "training_s")
 
 
 def load_trace(source: "str | Path | Tracer | dict") -> dict:

@@ -367,16 +367,33 @@ SHIFTS = st.one_of(
 
 @st.composite
 def shift_matrices(draw):
-    """``(shifts, half_bins)``; the grid may be smaller than the support.
+    """``(shifts, half_bins)``; the grid may be smaller or far wider than the support.
 
-    ``half_bins`` 0–24 spans centred grids of 1–49 bins.
+    ``half_bins`` 0–96 spans centred grids of 1–193 bins, against supports
+    of up to 9 · 8 cells each side: some grids truncate mid-chain, most
+    leave the kernel's per-row support bound well inside the grid.
     """
     n_cursors = draw(st.integers(0, 9))
     n_columns = draw(st.integers(1, 7))
     size = n_cursors * n_columns
     values = draw(st.lists(SHIFTS, min_size=size, max_size=size))
     shifts = np.array(values, dtype=float).reshape(n_cursors, n_columns)
-    return shifts, draw(st.integers(0, 24))
+    return shifts, draw(st.integers(0, 96))
+
+
+def _training_like_shifts(n_rows=63, n_columns=32, seed=23):
+    """A link-training-sized shift matrix: a wide first cursor, a decaying tail.
+
+    The first row spreads 0–22 cells across the phases like a trained
+    link's main post-cursor; the tail decays to sub-bin residue, with some
+    rows exactly zero and some columns at exact integer shifts.
+    """
+    rng = np.random.default_rng(seed)
+    envelope = 22.0 * np.exp(-np.arange(n_rows) / 2.5)[:, None] + 0.6
+    shifts = envelope * rng.uniform(0.0, 1.0, (n_rows, n_columns))
+    shifts[rng.uniform(size=n_rows) < 0.15] = 0.0
+    shifts[rng.uniform(size=shifts.shape) < 0.05] = 1.0
+    return shifts
 
 
 class TestCursorPmfKernelBitIdentity:
@@ -417,6 +434,33 @@ class TestCursorPmfKernelBitIdentity:
         reference = _reference_cursor_pmfs(shifts, 2)
         assert _bytes_equal(fast, reference)
         assert reference.sum() < 3.0
+
+    def test_dead_rows_between_live_rows(self):
+        """All-zero rows are skipped and leave the support bound where it was."""
+        live = np.array([[2.5, 0.3, 4.0], [1.0, 0.0, 0.7], [3.2, 3.2, 0.01]])
+        shifts = np.zeros((8, 3))
+        shifts[[0, 3, 7]] = live
+        for half_bins in (4, 12, 40):
+            fast = stateye._cursor_pmfs(shifts, half_bins)
+            assert _bytes_equal(fast, _reference_cursor_pmfs(shifts, half_bins))
+            assert _bytes_equal(fast, stateye._cursor_pmfs(live, half_bins))
+
+    def test_support_reaching_the_grid_edge_mid_chain(self):
+        """The bound grows 4, 7, 10 cells, then clips at the 11-bin half grid."""
+        shifts = np.array([[2.5, 2.0, 2.9]] * 6)
+        fast = stateye._cursor_pmfs(shifts, 10)
+        reference = _reference_cursor_pmfs(shifts, 10)
+        assert _bytes_equal(fast, reference)
+        assert _reference_cursor_pmfs(shifts[:3], 10).sum() == pytest.approx(3.0)
+        assert reference.sum() < 3.0
+
+    def test_link_training_sized_matrix(self):
+        """63 cursors × 32 phases on a 461-bin grid, the support well inside it."""
+        shifts = _training_like_shifts()
+        fast = stateye._cursor_pmfs(shifts, 230)
+        reference = _reference_cursor_pmfs(shifts, 230)
+        assert _bytes_equal(fast, reference)
+        assert not reference[:, :50].any()
 
     def test_negative_half_bins_is_rejected(self):
         with pytest.raises(ValueError, match="half_bins"):

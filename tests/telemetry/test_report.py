@@ -195,9 +195,13 @@ class TestHistory:
 
     def test_history_entry_keeps_absolute_seconds_where_present(self):
         bittrue = {"event_s": 2.5, "fast_s": 0.1, "speedup": 25.0, "errors": [0, 1]}
-        stateye = {"stateye_s": 0.01, "speedup": 1.0e9}
         assert history_entry(bittrue) == {"speedup": 25.0, "fast_s": 0.1, "event_s": 2.5}
-        assert history_entry(stateye) == {"speedup": 1.0e9}
+
+    def test_history_entry_keeps_solver_seconds(self):
+        stateye = {"stateye_s": 0.0042, "bittrue_s": 0.0083, "speedup": 1.0e9}
+        training = {"training_s": 0.38, "bittrue_candidate_s": 0.012, "speedup": 2.6e8}
+        assert history_entry(stateye) == {"speedup": 1.0e9, "stateye_s": 0.0042}
+        assert history_entry(training) == {"speedup": 2.6e8, "training_s": 0.38}
 
     def test_history_entry_keeps_ring_rates(self):
         rates = {"jitter_free": 2_000_000, "jittered": 300_000}

@@ -60,6 +60,29 @@ class TestJournal:
         journal.append(['{"z":3}'])
         assert read_jsonl(path)[0][1:] == [{"x": 1}, {"z": 3}]
 
+    @pytest.mark.parametrize("cut", [1, 20, 34, 40, -2])
+    def test_a_torn_header_is_rewritten(self, tmp_path, cut):
+        # A crash during a fresh run's first write stored nothing.
+        path = tmp_path / "j.jsonl"
+        Journal(path, IDENTITY).load()
+        header = path.read_bytes()
+        path.write_bytes(header[:cut])
+        journal = Journal(path, IDENTITY)
+        assert journal.load() == []
+        assert path.read_bytes() == header
+        journal.append(['{"z":3}'])
+        assert read_jsonl(path)[0][1:] == [{"z": 3}]
+
+    @pytest.mark.parametrize(
+        "text", ['{"kind":"repro-sweep-x', '{"kind":"other","v":', "[1, 2]\n", '{"a":1}\n{"kind":']
+    )
+    def test_a_file_without_a_journal_header_is_left_alone(self, tmp_path, text):
+        path = tmp_path / "j.jsonl"
+        path.write_text(text)
+        with pytest.raises(CheckpointMismatchError, match="not a sweep checkpoint"):
+            Journal(path, IDENTITY).load()
+        assert path.read_text() == text
+
     def test_identity_mismatch_raises_but_the_manifest_is_ignored(self, tmp_path):
         path = tmp_path / "j.jsonl"
         Journal(path, IDENTITY, {"python": "3.11"}).load()
