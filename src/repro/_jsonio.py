@@ -278,13 +278,20 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], str | None, int]:
     return records, None, intact
 
 
-def check_identity(path: str | Path, records: list[dict], identity: dict) -> dict:
+def check_identity(
+    path: str | Path, records: list[dict], identity: dict, torn: str | None = None
+) -> dict:
     """The header ``records[0]`` of a sweep journal, checked against *identity*.
 
     Raises :class:`CheckpointMismatchError` unless the header's ``kind``
     is :data:`CHECKPOINT_KIND` and every other field of *identity* (for
-    a resume: version, key, task count, seed) matches it exactly.
+    a resume: version, key, task count, seed) matches it exactly.  The
+    one exception is a file holding nothing but a torn header (pass the
+    *torn* text :func:`read_jsonl` returned): it gives the empty header
+    ``{}``, a journal that stored nothing.
     """
+    if not records and _is_torn_header(path, torn):
+        return {}
     header = records[0] if records else {}
     if header.get("kind") != CHECKPOINT_KIND:
         raise CheckpointMismatchError(
@@ -303,9 +310,17 @@ def check_identity(path: str | Path, records: list[dict], identity: dict) -> dic
 _HEADER_START = dumps_compact({"kind": CHECKPOINT_KIND})[:-1] + ","
 
 
-def _is_torn_header(torn: str | None) -> bool:
-    """Whether *torn* is a cut-off journal header line (not some other file)."""
-    return torn is not None and (_HEADER_START.startswith(torn) or torn.startswith(_HEADER_START))
+def _is_torn_header(path: str | Path, torn: str | None) -> bool:
+    """Whether the file at *path* is the trace of a crash during its header write.
+
+    :class:`Journal` fsyncs the header line on its own before any other
+    line, so such a crash leaves one unterminated line: a prefix of
+    ``{"kind":"repro-sweep-checkpoint",`` or that text and more.  A file
+    with a line ending, or starting any other way, is not one.
+    """
+    if torn is None or not (_HEADER_START.startswith(torn) or torn.startswith(_HEADER_START)):
+        return False
+    return b"\n" not in Path(path).read_bytes()
 
 
 class Journal:
@@ -333,8 +348,7 @@ class Journal:
         """Body records of the journal on disk (header checked), or ``[]``."""
         if self.path.exists() and self.path.stat().st_size > 0:
             records, torn, self._intact = read_jsonl(self.path)
-            if records or not _is_torn_header(torn):
-                check_identity(self.path, records, self.identity)
+            if check_identity(self.path, records, self.identity, torn):
                 return records[1:]
         self.path.parent.mkdir(parents=True, exist_ok=True)
         header = dict(self.identity)

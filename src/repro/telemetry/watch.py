@@ -43,13 +43,14 @@ def collect_status(checkpoint: str | Path) -> dict:
     failure supersedes it).  Run counts come from the latest run's chunk
     progress; a run starts at a progress line of chunk 1.  A resume that
     restores every task appends nothing, so the report then still
-    describes the run that wrote the last line.  Raises
-    ``FileNotFoundError`` for a missing file and ``ValueError`` for one
-    that is not a sweep journal.
+    describes the run that wrote the last line.  A journal whose header
+    a crash tore reads as an in-progress run with nothing stored, as a
+    resume treats it.  Raises ``FileNotFoundError`` for a missing file
+    and ``ValueError`` for one that is not a sweep journal.
     """
     checkpoint = Path(checkpoint)
     records, torn, _ = read_jsonl(checkpoint)
-    header = check_identity(checkpoint, records, {})
+    header = check_identity(checkpoint, records, {}, torn)
     status: dict = {
         "checkpoint": str(checkpoint),
         "key": header.get("key"),

@@ -85,6 +85,17 @@ class TestCollectStatus:
         assert status["run"]["state"] == "in-progress"
         assert status["durable"] == {"points": 2, "failures": 1}
 
+    def test_torn_header_reads_as_a_run_that_stored_nothing(self, tmp_path):
+        # What a crash during a fresh run's header write leaves.
+        path = tmp_path / "sweep.jsonl"
+        path.write_text('{"kind":"repro-sweep')
+        status = collect_status(path)
+        assert status["torn_tail"] is True
+        assert status["run"]["state"] == "in-progress"
+        assert status["durable"] == {"points": 0, "failures": 0}
+        assert status["n_tasks"] is None
+        assert "torn tail" in render_status(status)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             collect_status(tmp_path / "absent.jsonl")

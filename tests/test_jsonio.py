@@ -74,7 +74,19 @@ class TestJournal:
         assert read_jsonl(path)[0][1:] == [{"z": 3}]
 
     @pytest.mark.parametrize(
-        "text", ['{"kind":"repro-sweep-x', '{"kind":"other","v":', "[1, 2]\n", '{"a":1}\n{"kind":']
+        "text",
+        [
+            '{"kind":"repro-sweep-x',
+            '{"kind":"other","v":',
+            "[1, 2]\n",
+            '{"a":1}\n{"kind":',
+            # Pretty-printed JSON: its first line "{" is a header prefix.
+            '{\n  "kind": 1\n}\n',
+            # A whole but corrupt header followed by stored task lines.
+            '{"kind":"repro-sweep-checkpoint","version":2,\n{"kind":"point","index":0}\n',
+            '{"kind":"repro-sweep-checkpoint",\n',
+            '{"kind":"repro-sweep\n',
+        ],
     )
     def test_a_file_without_a_journal_header_is_left_alone(self, tmp_path, text):
         path = tmp_path / "j.jsonl"
