@@ -136,7 +136,7 @@ def main() -> None:
                         choices=sorted(BACKENDS) + [AUTO_BACKEND],
                         default=AUTO_BACKEND,
                         help="time-domain channel backend (default: auto, "
-                             "resolved per scenario by the registry)")
+                             "resolved per scenario)")
     arguments = parser.parse_args()
     ber_surface()
     tolerance_vs_mask()

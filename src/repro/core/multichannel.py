@@ -206,11 +206,11 @@ class MultiChannelReceiver:
     ) -> MultiChannelBehaviouralReport:
         """Time-domain simulation of every channel with independent PRBS data.
 
-        *backend* resolves through the capability registry
-        (:func:`repro.fastpath.backends.resolve_backend`): ``"event"`` is
-        the event-kernel reference (default), ``"fast"`` the vectorized
-        fast path (identical results on zero-gate-jitter configs), and
-        ``"auto"`` picks the fastest exactly-equivalent backend per lane.
+        *backend* goes through :func:`repro.fastpath.backends.make_channel`:
+        ``"event"`` is the event-kernel reference (default), ``"fast"`` the
+        vectorized fast path (identical results on zero-gate-jitter
+        configs), and ``"auto"`` picks the event kernel on a jittered lane
+        and the fast path otherwise.
         For parallel lane execution use :func:`repro.sweep.multichannel_sweep`.
         """
         config = self.config
@@ -221,7 +221,7 @@ class MultiChannelReceiver:
         # Deferred import: repro.fastpath imports repro.core back, and
         # `import repro.fastpath` as the entry point would find this
         # module's names only after both packages finish initialising.
-        from ..fastpath.backends import resolve_backend
+        from ..fastpath.backends import make_channel
 
         results: list[BehavioralSimulationResult] = []
         measurements: list[BerMeasurement] = []
@@ -229,7 +229,7 @@ class MultiChannelReceiver:
             generator = PrbsGenerator(prbs_order, seed=(index + 1))
             bits = generator.bits(n_bits)
             channel_config = config.channel.with_frequency_offset(float(offsets[index]))
-            channel = resolve_backend(channel_config, backend).factory(channel_config)
+            channel = make_channel(channel_config, backend)
             result = channel.run(
                 bits,
                 jitter=jitter,

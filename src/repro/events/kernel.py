@@ -202,8 +202,8 @@ class Simulator:
     adapter.
 
     :meth:`step` is the event-order reference: :meth:`run` and
-    :meth:`run_until` drain the queue with the heap and the pop hoisted
-    into locals, but execute exactly the events a :meth:`step` loop
+    :meth:`run_until` share one drain with the heap and the pop hoisted
+    into locals, but it executes exactly the events a :meth:`step` loop
     would, in the same order, with the same clock updates and the same
     :class:`NormalStream` values.
     """
@@ -289,23 +289,40 @@ class Simulator:
         finally:
             self._flush_evaluations()
 
-    def _begin_drain(self):
-        # The one telemetry read of the drain: signals test _tracer against
-        # None, which costs no NullTracer.__bool__ call per event.
-        tracer = self._tracer = telemetry.ACTIVE or None
-        self._draining = True
-        return tracer
-
-    def _end_drain(self) -> None:
-        self._draining = False
-        for stream in self._streams.values():
-            stream.rewind()
-        self._flush_evaluations()
-
     def _flush_evaluations(self) -> None:
         if self._evaluations:
             self._tracer.count("kernel.gate_evaluations", self._evaluations)
             self._evaluations = 0
+
+    def _drain(self, stop_time_s: float, limit: float, overrun: str) -> int:
+        """Execute every event due by *stop_time_s*; return the event count.
+
+        The one event loop of :meth:`run_until` and :meth:`run`.  Executing
+        more than *limit* events raises ``SimulationError(overrun)``.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        executed = 0
+        # The one telemetry read of the drain: signals test _tracer against
+        # None, which costs no NullTracer.__bool__ call per event.
+        tracer = self._tracer = telemetry.ACTIVE or None
+        self._draining = True
+        try:
+            while queue and queue[0][0] <= stop_time_s:
+                if executed >= limit:
+                    raise SimulationError(overrun)
+                time_s, _seq, fn, arg = pop(queue)
+                self._now = time_s
+                fn(arg)
+                executed += 1
+        finally:
+            self._draining = False
+            for stream in self._streams.values():
+                stream.rewind()
+            self._flush_evaluations()
+        if tracer is not None:
+            tracer.count("kernel.events", executed)
+        return executed
 
     def run_until(self, stop_time_s: float, max_events: int | None = None) -> int:
         """Run until simulated time reaches *stop_time_s*; return the event count.
@@ -313,50 +330,20 @@ class Simulator:
         ``max_events`` guards against runaway zero-delay loops (an error is
         raised when it is exceeded).
         """
-        queue = self._queue
-        pop = heapq.heappop
-        limit = _INF if max_events is None else max_events
-        executed = 0
-        tracer = self._begin_drain()
-        try:
-            while queue and queue[0][0] <= stop_time_s:
-                if executed >= limit:
-                    raise SimulationError(
-                        f"exceeded {max_events} events before reaching {stop_time_s!r}s "
-                        "(possible zero-delay loop)"
-                    )
-                time_s, _seq, fn, arg = pop(queue)
-                self._now = time_s
-                fn(arg)
-                executed += 1
-        finally:
-            self._end_drain()
+        executed = self._drain(
+            stop_time_s,
+            _INF if max_events is None else max_events,
+            f"exceeded {max_events} events before reaching {stop_time_s!r}s "
+            "(possible zero-delay loop)",
+        )
         self._now = max(self._now, stop_time_s)
-        if tracer is not None:
-            tracer.count("kernel.events", executed)
         return executed
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until the event queue drains; return the number of executed events."""
-        queue = self._queue
-        pop = heapq.heappop
-        executed = 0
-        tracer = self._begin_drain()
-        try:
-            while queue:
-                if executed >= max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events without draining the queue"
-                    )
-                time_s, _seq, fn, arg = pop(queue)
-                self._now = time_s
-                fn(arg)
-                executed += 1
-        finally:
-            self._end_drain()
-        if tracer is not None:
-            tracer.count("kernel.events", executed)
-        return executed
+        return self._drain(
+            _INF, max_events, f"exceeded {max_events} events without draining the queue"
+        )
 
     def pending_events(self) -> int:
         """Number of events currently scheduled."""

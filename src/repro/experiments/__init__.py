@@ -18,8 +18,9 @@ fully define a study, and one generic engine executes it::
 Execution runs on the deterministic
 :func:`repro.sweep.resilient.map_tasks_resilient` pool (same results at
 any worker count); the backend of every resolved point goes
-through the capability registry in :mod:`repro.fastpath.backends`, so
-``backend="auto"`` picks the fastest exactly-equivalent engine per point.
+through :func:`repro.fastpath.backends.resolve_backend`, so
+``backend="auto"`` picks the event kernel on a jittered point and the
+fast path otherwise.
 The seven public sweeps in :mod:`repro.sweep` are thin wrappers over this
 package; new studies should start from a spec, not a pipeline.
 """

@@ -14,9 +14,9 @@ both on the deterministic
 streams come from a spawned SeedSequence tree, so any worker count
 produces identical results.  The backend of every resolved point goes
 through :func:`repro.fastpath.backends.resolve_backend`, so
-``backend="auto"`` picks the fastest exactly-equivalent engine per point
-and a forced backend fails loudly when the configuration demands a
-capability it lacks.
+``backend="auto"`` picks the event kernel on a jittered point and the
+fast path otherwise, and forcing ``"fast"`` on a jittered point fails
+loudly.
 
 The per-point execution (:func:`simulate_scenario`) is deliberately
 identical, call for call and random draw for random draw, to what the
@@ -36,7 +36,7 @@ from .. import units
 from .._jsonio import content_key
 from .._validation import require_positive
 from ..datapath.cid import geometric_run_distribution
-from ..fastpath.backends import BACKENDS, resolve_backend
+from ..fastpath.backends import make_channel, resolve_backend
 from ..telemetry.manifest import collect_manifest
 from ..link import LinkPath, LinkTrainer, statistical_eye
 from ..statistical.ber_model import CdrJitterBudget
@@ -93,16 +93,15 @@ def simulate_scenario(spec: ScenarioSpec, rng: np.random.Generator, backend: str
 
     *backend* overrides the spec's request with an already-resolved concrete
     name (the engine resolves once per point in the parent process); by
-    default the spec's own request is resolved here.  Either way the
-    registry's capability enforcement applies — forcing a backend the
-    configuration rules out raises, it never silently diverges.  The bits
-    come from a per-process memo (:func:`_stimulus_bits`), so the result's
-    ``transmitted_bits`` is read-only.
+    default the spec's own request is resolved here.  Either way
+    :func:`~repro.fastpath.backends.make_channel` applies the backend rule
+    — forcing ``"fast"`` on a jittered configuration raises, it never
+    silently diverges.  The bits come from a per-process memo
+    (:func:`_stimulus_bits`), so the result's ``transmitted_bits`` is
+    read-only.
     """
-    if backend is None:
-        backend = resolve_backend(spec.config, spec.backend).name
     bits = _stimulus_bits(spec.stimulus)
-    channel = BACKENDS[backend].create(spec.config)
+    channel = make_channel(spec.config, spec.backend if backend is None else backend)
     if spec.link is not None:
         stream = LinkPath(spec.link).transmit(
             bits,
@@ -352,9 +351,10 @@ def run_grid(
     """Measure every point of the axes' cartesian grid.
 
     Each point's scenario is the base *spec* with the axis values applied
-    in order; its backend is resolved through the capability registry
-    before anything runs, so an impossible forced backend fails before the
-    pool spins up.  Metric grids are shaped ``tuple(len(a) for a in axes)``.
+    in order; its backend is resolved through
+    :func:`~repro.fastpath.backends.resolve_backend` before anything runs,
+    so an impossible forced backend fails before the pool spins up.
+    Metric grids are shaped ``tuple(len(a) for a in axes)``.
 
     Execution streams through :func:`repro.sweep.resilient.map_tasks_resilient`
     in chunks of *chunk_size* (default :data:`DEFAULT_CHUNK_SIZE`), which
@@ -398,12 +398,12 @@ def run_grid(
             "retained simulation objects do not serialize to a checkpoint"
         )
     tasks = [
-        _PointTask(point, resolve_backend(point.config, point.backend).name)
+        _PointTask(point, resolve_backend(point.config, point.backend))
         for point in points
     ]
     study_key = content_key({"study": "run_grid", "spec": spec, "axes": axes, "seed": seed})
     manifest = collect_manifest(
-        backend=resolve_backend(spec.config, spec.backend).name,
+        backend=resolve_backend(spec.config, spec.backend),
         content_key=study_key,
         seed=seed,
     )
@@ -564,7 +564,7 @@ def run_tolerance_search(
     axes = tuple(axes)
     points = resolve_grid(spec, axes)
     tasks = [
-        _SearchTask(point, resolve_backend(point.config, point.backend).name, search)
+        _SearchTask(point, resolve_backend(point.config, point.backend), search)
         for point in points
     ]
     study_key = content_key(
@@ -577,7 +577,7 @@ def run_tolerance_search(
         }
     )
     manifest = collect_manifest(
-        backend=resolve_backend(spec.config, spec.backend).name,
+        backend=resolve_backend(spec.config, spec.backend),
         content_key=study_key,
         seed=seed,
     )

@@ -206,7 +206,7 @@ class SweepResult:
     backend:
         The backend *request* of the scenario (possibly ``"auto"``).
     point_backends:
-        The concrete backend the registry resolved per grid point, in
+        The concrete backend resolved per grid point, in
         row-major order — the audit trail of ``backend="auto"``.
     n_bits:
         Transmitted bits per point.

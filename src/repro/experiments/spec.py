@@ -238,9 +238,10 @@ class ScenarioSpec:
         the default :class:`repro.link.TrainingBudget`); the registered
         ``"training_budget"`` axis sweeps its evaluation cap.
     backend:
-        Backend request resolved per grid point through the capability
-        registry: ``"auto"`` (default) picks the fastest exactly-equivalent
-        backend, a concrete name is validated against the configuration.
+        Backend request resolved per grid point by
+        :func:`repro.fastpath.backends.resolve_backend`: ``"auto"``
+        (default) picks the event kernel under jitter and the fast path
+        otherwise, a concrete name is validated against the configuration.
     data_rate_offset_ppm:
         Transmitter frequency error.
     """

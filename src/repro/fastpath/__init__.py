@@ -18,17 +18,12 @@ jitter, so only distributions (not individual decisions) match.
 from .backends import (
     AUTO_BACKEND,
     BACKENDS,
-    CAP_GATE_JITTER,
-    BackendSpec,
     make_channel,
-    register_backend,
-    required_capabilities,
+    needs_event_kernel,
     resolve_backend,
 )
 from .engine import FastCdrChannel
 from .traces import ArrayRecorder, array_trace
 
-__all__ = ["AUTO_BACKEND", "BACKENDS", "CAP_GATE_JITTER", "BackendSpec",
-           "make_channel", "register_backend", "required_capabilities",
-           "resolve_backend", "FastCdrChannel", "ArrayRecorder",
-           "array_trace"]
+__all__ = ["AUTO_BACKEND", "BACKENDS", "make_channel", "needs_event_kernel",
+           "resolve_backend", "FastCdrChannel", "ArrayRecorder", "array_trace"]

@@ -23,9 +23,9 @@ Three standard serial-link equalizer stages, kept behavioural:
   forced slicer error must decay, not ring).
 
 The per-sample recursions behind :meth:`LmsDfe.adapt` and
-:meth:`LmsDfe.error_propagation` run on unboxed Python floats; the pinned
-numpy loops (``LmsDfe._adapt_reference`` and friends) stay beside them
-as the oracles they reproduce bit for bit.
+:meth:`LmsDfe.error_propagation` run on unboxed Python floats; they
+reproduce bit for bit the pinned numpy loops kept as oracles in
+``tests/kernels/test_bit_identity.py``.
 
 All three are frozen dataclasses and pickle across the sweep runner's
 process pool.
@@ -73,7 +73,12 @@ def _circular_shift_rows(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 def _lms_data_aided(
     samples: np.ndarray, levels: np.ndarray, n_taps: int, step_size: float, n_epochs: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Data-aided LMS → ``(weights, error_rms_per_epoch)``; see ``LmsDfe._adapt_reference``."""
+    """Data-aided LMS → ``(weights, error_rms_per_epoch)``.
+
+    Operation order is load-bearing: these IEEE-754 operations run in the
+    order of the pinned reference loop (``_adapt_reference`` in
+    ``tests/kernels/test_bit_identity.py``), so results stay bit-identical.
+    """
     sample_list = samples.tolist()
     level_list = levels.tolist()
     n = len(sample_list)
@@ -104,7 +109,8 @@ def _lms_decision_directed(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blind LMS → ``(weights, error_rms, decision_error_rate)``.
 
-    Mirrors ``LmsDfe._adapt_decision_directed``: the decision register is
+    Mirrors the pinned ``_adapt_decision_directed`` oracle of
+    ``tests/kernels/test_bit_identity.py``: the decision register is
     the live ``decisions`` list itself (bootstrapped by slicing the raw
     samples), so the circular history read for sample ``k`` sees this
     epoch's decisions below ``k`` and the previous epoch's (or the
@@ -148,8 +154,9 @@ def _feedback_burst(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slicer/feedback stepping after a forced error at *start*.
 
-    → ``(wrong_decisions, deviation_per_ui)``; see
-    ``LmsDfe._error_propagation_reference``.
+    → ``(wrong_decisions, deviation_per_ui)``; see the pinned
+    ``_error_propagation_reference`` oracle of
+    ``tests/kernels/test_bit_identity.py``.
     """
     sample_list = waveform.tolist()
     level_list = levels.tolist()
@@ -382,7 +389,8 @@ class LmsDfe:
 
     Both adaptation modes and the error-propagation recursion run the
     scalar loops of this module, which are bit-for-bit identical to the
-    pinned reference loops kept below as test oracles.
+    pinned reference loops kept as oracles in
+    ``tests/kernels/test_bit_identity.py``.
     """
 
     n_taps: int = 2
@@ -429,64 +437,6 @@ class LmsDfe:
         )
         return DfeAdaptation(weights=weights, error_rms_per_epoch=error_rms)
 
-    def _adapt_reference(self, samples: np.ndarray, levels: np.ndarray) -> DfeAdaptation:
-        """Pinned pure-python data-aided recursion — the semantic reference.
-
-        The operation order here is load-bearing: :func:`_lms_data_aided`
-        must perform these IEEE-754 operations in this exact order so its
-        results stay bit-for-bit identical (gated by
-        ``tests/kernels/test_bit_identity.py``).
-        """
-        weights = np.zeros(self.n_taps)
-        error_rms = np.zeros(self.n_epochs)
-        for epoch in range(self.n_epochs):
-            squared = 0.0
-            for k in range(samples.size):
-                history = levels[(k - 1 - np.arange(self.n_taps)) % levels.size]
-                feedback = 0.0
-                for weight, tap in zip(weights, history):
-                    feedback += weight * tap
-                error = (samples[k] - feedback) - levels[k]
-                weights += self.step_size * error * history
-                squared += error * error
-            error_rms[epoch] = math.sqrt(squared / samples.size)
-        return DfeAdaptation(weights=weights, error_rms_per_epoch=error_rms)
-
-    def _adapt_decision_directed(self, samples: np.ndarray, levels: np.ndarray) -> DfeAdaptation:
-        """Pinned blind LMS: history and error reference are slicer decisions.
-
-        The decision register is bootstrapped by slicing the raw samples
-        (the zero-weight corrected waveform) and persists across epochs,
-        so the recursion sees exactly what a free-running receiver would.
-        Operation order is load-bearing (see :meth:`_adapt_reference`).
-        """
-        decisions = np.where(samples >= 0.0, 1.0, -1.0)
-        weights = np.zeros(self.n_taps)
-        error_rms = np.zeros(self.n_epochs)
-        decision_errors = np.zeros(self.n_epochs)
-        for epoch in range(self.n_epochs):
-            squared = 0.0
-            wrong = 0
-            for k in range(samples.size):
-                history = decisions[(k - 1 - np.arange(self.n_taps)) % decisions.size]
-                feedback = 0.0
-                for weight, tap in zip(weights, history):
-                    feedback += weight * tap
-                corrected = samples[k] - feedback
-                decision = 1.0 if corrected >= 0.0 else -1.0
-                decisions[k] = decision
-                error = corrected - decision
-                weights += self.step_size * error * history
-                squared += error * error
-                wrong += decision != levels[k]
-            error_rms[epoch] = math.sqrt(squared / samples.size)
-            decision_errors[epoch] = wrong / samples.size
-        return DfeAdaptation(
-            weights=weights,
-            error_rms_per_epoch=error_rms,
-            decision_error_rate_per_epoch=decision_errors,
-        )
-
     def error_propagation(
         self,
         weights: np.ndarray,
@@ -528,36 +478,6 @@ class LmsDfe:
         shifted = _circular_shift_rows(levels, np.arange(1, weights.size + 1))
         rows = np.concatenate([levels[None, :], weights[:, None] * shifted])
         return np.add.reduce(rows, axis=0)
-
-    @staticmethod
-    def _error_propagation_reference(
-        samples: np.ndarray,
-        levels: np.ndarray,
-        weights: np.ndarray,
-        start: int,
-        steps: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pinned slicer/feedback recursion after the forced error.
-
-        Operation order is load-bearing (see :meth:`_adapt_reference`).
-        """
-        decisions = levels.copy()
-        decisions[start] = -levels[start]
-        wrong = np.zeros(steps, dtype=bool)
-        deviation = np.zeros(steps)
-        for step in range(1, steps + 1):
-            k = (start + step) % levels.size
-            history = decisions[(k - 1 - np.arange(weights.size)) % levels.size]
-            feedback = 0.0
-            for weight, tap in zip(weights, history):
-                feedback += weight * tap
-            corrected = samples[k] - feedback
-            decision = 1.0 if corrected >= 0.0 else -1.0
-            decisions[k] = decision
-            wrong[step - 1] = decision != levels[k]
-            gap = abs(corrected - levels[k])
-            deviation[step - 1] = gap if gap > _DEVIATION_SNAP else 0.0
-        return wrong, deviation
 
     def feedback_waveform(
         self, symbols: np.ndarray, weights: np.ndarray, samples_per_ui: int

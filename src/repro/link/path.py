@@ -33,7 +33,7 @@ from .. import units
 from .._validation import require_positive_int
 from ..analysis.eye import EyeDiagram
 from ..datapath.nrz import JitterSpec, NrzEdgeStream, ideal_edge_times, jitter_displacements_ui
-from ..fastpath.backends import AUTO_BACKEND, resolve_backend
+from ..fastpath.backends import AUTO_BACKEND, make_channel, resolve_backend
 from ..jitter.decomposition import JitterDecomposition, combine_deterministic, decompose_dual_dirac
 from ..statistical.ber_model import CdrJitterBudget
 from .channel import ChannelModel, IdealChannel, pulse_through_response
@@ -362,20 +362,19 @@ class LinkCdrChannel:
     backends stay exactly equivalent behind the link, because they consume
     the identical pre-built stream.
 
-    *backend* goes through the capability registry
-    (:func:`repro.fastpath.backends.resolve_backend`): the default
-    ``"auto"`` picks the fastest exactly-equivalent backend for *config*,
-    and forcing a backend that cannot honour the configuration raises a
-    ``ValueError``.  ``self.backend`` holds the resolved concrete name.
+    *backend* goes through :func:`repro.fastpath.backends.resolve_backend`:
+    the default ``"auto"`` picks the event kernel on a jittered *config*
+    and the fast path otherwise, and forcing ``"fast"`` on a jittered
+    *config* raises a ``ValueError``.  ``self.backend`` holds the resolved
+    concrete name.
     """
 
     def __init__(
         self, link: LinkConfig | LinkPath | None = None, config=None, backend: str = AUTO_BACKEND
     ) -> None:
         self.path = link if isinstance(link, LinkPath) else LinkPath(link)
-        spec = resolve_backend(config, backend)
-        self.cdr = spec.factory(config)
-        self.backend = spec.name
+        self.backend = resolve_backend(config, backend)
+        self.cdr = make_channel(config, self.backend)
 
     def run(
         self,

@@ -20,8 +20,9 @@
   :class:`~repro.experiments.ScenarioSpec` study, running it on the
   generic engine and returning the engine's
   :class:`~repro.experiments.SweepResult`.  The ``backend`` argument
-  (``"event"``, ``"fast"`` or ``"auto"``) resolves through the capability
-  registry in :mod:`repro.fastpath.backends`.
+  (``"event"``, ``"fast"`` or ``"auto"``) resolves through
+  :func:`repro.fastpath.backends.resolve_backend`, where the backends
+  are defined and exported.
 
 New studies should target :mod:`repro.experiments` directly; these
 wrappers exist for the paper's named figures and for API stability.
@@ -37,7 +38,6 @@ from .resilient import (
     map_tasks_resilient,
 )
 from .sweeps import (
-    BACKENDS,
     LINK_RESIDUAL_JITTER_SPEC,
     ber_vs_aggressor_sweep,
     ber_vs_channel_loss_sweep,
@@ -47,7 +47,6 @@ from .sweeps import (
     equalization_ablation_sweep,
     jitter_tolerance_sweep,
     link_training_sweep,
-    make_channel,
     multichannel_sweep,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "TaskAudit",
     "TaskFailure",
     "map_tasks_resilient",
-    "BACKENDS",
     "LINK_RESIDUAL_JITTER_SPEC",
     "ber_vs_aggressor_sweep",
     "ber_vs_channel_loss_sweep",
@@ -69,6 +67,5 @@ __all__ = [
     "equalization_ablation_sweep",
     "jitter_tolerance_sweep",
     "link_training_sweep",
-    "make_channel",
     "multichannel_sweep",
 ]

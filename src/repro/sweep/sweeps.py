@@ -6,8 +6,9 @@ Every public sweep here is now a declarative study: it builds a frozen
 generic engine (:func:`repro.experiments.run_grid` /
 :func:`repro.experiments.run_tolerance_search`), which executes the grid on
 the deterministic parallel runner and resolves the backend per point
-through the capability registry.  Each wrapper returns the engine's
-serializable :class:`~repro.experiments.SweepResult` unchanged: read
+through :func:`repro.fastpath.backends.resolve_backend`.  Each wrapper
+returns the engine's serializable :class:`~repro.experiments.SweepResult`
+unchanged: read
 ``result.metrics[...]`` (grid-shaped, one dimension per swept axis) or
 ``result.ber``; fixed study parameters ride in ``result.metadata``.
 Numeric results are unchanged from the hand-rolled pipelines these
@@ -41,12 +42,9 @@ from ..experiments import (
     run_grid,
     run_tolerance_search,
 )
-from ..fastpath.backends import BACKENDS, make_channel
 from ..link import LinkConfig, LmsDfe, LossyLineChannel, RxCtle, TxFfe
 
 __all__ = [
-    "BACKENDS",
-    "make_channel",
     "LINK_RESIDUAL_JITTER_SPEC",
     "ber_vs_sj_sweep",
     "ber_vs_frequency_offset_sweep",

@@ -2,7 +2,7 @@
 
 A :class:`RunManifest` answers "what produced this artifact?" for every
 persisted result in the repository: interpreter and library versions, the
-platform, the registered backend names, and — once a study stamps it —
+platform, the backend names, and — once a study stamps it —
 the resolved backend, spec ``content_key`` and seed root.
 The same manifest shape lands in three places:
 
@@ -20,9 +20,7 @@ fact) and keeps the reads out of content hashes: manifest fields are
 *diagnostics*, never inputs, so two runs on different machines still
 produce byte-identical results and differ only in their manifests.
 
-The backend names are read live from
-:data:`repro.fastpath.backends.BACKENDS` on every call — never cached — so
-a backend registered at run time shows up in the manifest.
+The backend names come from :data:`repro.fastpath.backends.BACKENDS`.
 
 Payloads written by earlier versions, which carried fields since retired,
 still load: :meth:`RunManifest.from_dict` ignores keys it does not know.
@@ -63,10 +61,10 @@ def _module_version(name: str) -> str | None:
 
 
 def _backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted.
+    """Backend names, sorted.
 
     Imported lazily so manifests remain collectable in numpy-free
-    processes (the watch CLI's environment): there the registry cannot
+    processes (the watch CLI's environment): there the backends cannot
     import and the tuple is honestly empty.
     """
     try:

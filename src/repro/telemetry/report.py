@@ -26,12 +26,16 @@ embeds in ``BENCH_fastpath.json``.  Command line::
 
 The ``--history`` mode reads the append-only bench-history ledger
 (``benchmarks/run_bench.py`` appends one manifest-stamped record per
-run) and renders each benchmark's speedup trend beside its latest
-absolute fast-path seconds (``fast_s``, where the benchmark records
-them); an entry whose latest speedup drops below ``--tolerance`` times
-its rolling median (over the previous ``--window`` runs) is flagged as a
-regression and the exit code is 1 — the soft trend gate beside the hard
-``--floor`` one.
+run) and renders each benchmark's trend beside its latest absolute
+fast-path seconds (``fast_s``, where the benchmark records them).  An
+entry is judged on its speedup, unless it records a solver's own seconds
+(``stateye_s``, ``training_s``): there the speedup divides an
+extrapolated bit-true time by the solver time, so it moves with the fast
+path too, and the seconds are judged instead.  A speedup that drops
+below ``--tolerance`` times its rolling median (over the previous
+``--window`` runs), or seconds that rise above that median divided by
+``--tolerance``, are flagged as a regression and the exit code is 1 —
+the soft trend gate beside the hard ``--floor`` one.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ HISTORY_VERSION = 1
 #: divide by an extrapolated bit-true time and so move with the fast
 #: path too.  Older records lack the later fields and still load.
 HISTORY_FIELDS = ("speedup", "fast_s", "event_s", "ring_bits_per_s", "stateye_s", "training_s")
+
+#: Solver seconds that :func:`history_summary` judges instead of the speedup
+#: of an entry that records them.
+SOLVER_SECONDS_FIELDS = ("stateye_s", "training_s")
 
 
 def load_trace(source: "str | Path | Tracer | dict") -> dict:
@@ -259,43 +267,49 @@ def load_history(path: str | Path) -> list[dict]:
 def history_summary(
     path: str | Path, *, window: int = 5, tolerance: float = 0.8
 ) -> dict:
-    """JSON-safe speedup-trend summary of a bench-history ledger.
+    """JSON-safe trend summary of a bench-history ledger.
 
-    Per benchmark name: every recorded speedup in run order, the rolling
-    median of the up-to-*window* runs preceding the latest, a
-    ``regression`` flag set when the latest speedup drops below
-    *tolerance* times that median, and ``latest_fast_s``, the latest
+    Per benchmark name: every recorded speedup in run order, the judged
+    ``metric``, its ``latest`` value and the ``median`` of the
+    up-to-*window* earlier runs that record it, a ``ratio`` that reads
+    below 1 when the benchmark got slower, a ``regression`` flag set when
+    that ratio drops below *tolerance*, and ``latest_fast_s``, the latest
     record's absolute fast-path seconds (``None`` when that record has
-    none).  A benchmark needs at least two prior runs before it can be
-    flagged — a fresh ledger is never a regression.
+    none).  The metric is ``speedup`` unless the latest entry records one
+    of the :data:`SOLVER_SECONDS_FIELDS`, which is then judged instead
+    (ratio ``median / latest``).  A benchmark needs at least two prior
+    runs of its metric before it can be flagged — a fresh ledger is never
+    a regression.
     """
     records = load_history(path)
-    speedups: dict[str, list[float]] = {}
-    latest_fast_s: dict[str, float | None] = {}
+    entries: dict[str, list[dict]] = {}
     for record in records:
         for name, entry in record.get("entries", {}).items():
-            speedups.setdefault(name, []).append(float(entry["speedup"]))
-            latest_fast_s[name] = entry.get("fast_s")
+            entries.setdefault(name, []).append(entry)
     benchmarks: dict[str, dict] = {}
     regressions: list[str] = []
-    for name in sorted(speedups):
-        values = speedups[name]
+    for name in sorted(entries):
+        runs = entries[name]
+        metric = next((key for key in SOLVER_SECONDS_FIELDS if key in runs[-1]), "speedup")
+        values = [float(run[metric]) for run in runs if metric in run]
         latest = values[-1]
         previous = values[:-1][-window:]
         median = statistics.median(previous) if previous else None
-        ratio = latest / median if median else None
-        regression = (
-            len(previous) >= 2 and median is not None and latest < tolerance * median
-        )
+        if metric == "speedup":
+            ratio = latest / median if median else None
+        else:
+            ratio = median / latest if median and latest else None
+        regression = len(previous) >= 2 and ratio is not None and ratio < tolerance
         if regression:
             regressions.append(name)
         benchmarks[name] = {
-            "speedups": values,
+            "speedups": [float(run["speedup"]) for run in runs],
+            "metric": metric,
             "latest": latest,
             "median": median,
             "ratio": ratio,
             "regression": regression,
-            "latest_fast_s": latest_fast_s[name],
+            "latest_fast_s": runs[-1].get("fast_s"),
         }
     return {
         "kind": HISTORY_KIND,
@@ -315,14 +329,14 @@ def history_table(summary: dict) -> TextTable:
         f"window {summary['window']}, tolerance {summary['tolerance']})",
     )
     for name, entry in summary["benchmarks"].items():
-        median = f"{entry['median']:g}x" if entry["median"] is not None else "-"
+        unit = "x" if entry["metric"] == "speedup" else "s"
+        median = f"{entry['median']:g}{unit}" if entry["median"] is not None else "-"
         ratio = f"{entry['ratio']:.2f}" if entry["ratio"] is not None else "-"
         fast_s = entry["latest_fast_s"]
         fast_s = f"{fast_s:g}s" if fast_s is not None else "-"
         status = "REGRESSION" if entry["regression"] else "ok"
-        table.add_row(
-            name, len(entry["speedups"]), median, f"{entry['latest']:g}x", fast_s, ratio, status
-        )
+        latest = f"{entry['latest']:g}{unit}"
+        table.add_row(name, len(entry["speedups"]), median, latest, fast_s, ratio, status)
     return table
 
 
@@ -369,10 +383,18 @@ def main(argv: list[str] | None = None) -> int:
                 print(history_table(summary).render())
                 for name in summary["regressions"]:
                     entry = summary["benchmarks"][name]
-                    print(
-                        f"REGRESSION: {name} speedup {entry['latest']:g}x fell below "
-                        f"{arguments.tolerance:g}x its rolling median {entry['median']:g}x"
-                    )
+                    latest, median = entry["latest"], entry["median"]
+                    if entry["metric"] == "speedup":
+                        moved = (
+                            f"{latest:g}x fell below {arguments.tolerance:g}x "
+                            f"its rolling median {median:g}x"
+                        )
+                    else:
+                        moved = (
+                            f"{latest:g}s rose above its rolling median "
+                            f"{median:g}s / {arguments.tolerance:g}"
+                        )
+                    print(f"REGRESSION: {name} {entry['metric']} {moved}")
             return 1 if summary["regressions"] else 0
         if arguments.format == "json":
             print(dumps_strict(stage_breakdown(Path(arguments.trace)), sort_keys=True))

