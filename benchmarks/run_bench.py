@@ -21,7 +21,8 @@ Every entry is stamped with the run's provenance manifest
 place for environment reads), and each run appends one manifest-stamped
 record of all speedups, with the absolute ``fast_s``/``event_s``,
 ``stateye_s`` and ``training_s`` seconds where a benchmark has them
-(:data:`repro.telemetry.report.HISTORY_FIELDS`), to
+(:data:`repro.telemetry.report.HISTORY_FIELDS`) and the run's mean
+host-probe time ``host_probe_ms`` (:func:`probe_once`), to
 ``benchmarks/results/bench_history.jsonl``.
 ``BENCH_fastpath.json`` is overwritten per run; the history ledger only
 grows, so ``python -m repro.telemetry.report --history`` can render the
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -119,10 +122,35 @@ def _timed(function):
     return value, best
 
 
-def _traced(name, bench, **kwargs):
-    """Run *bench* under a telemetry trace; embed its stage breakdown."""
+#: Host-probe samples taken right before and right after each benchmark.
+PROBE_SAMPLES = 5
+
+
+def probe_once() -> float:
+    """Thread CPU seconds of one fixed slice of Python float arithmetic.
+
+    The slice never touches ``repro``, so its duration tracks only the
+    host's momentary speed (the same recipe as cdrbench's host probe).
+    The history ledger records the run's mean as ``host_probe_ms``, and
+    ``report --history`` rescales solver seconds by it.
+    """
+    start = time.thread_time()
+    x = 0.0
+    for i in range(5_000):
+        x = x * 0.5 + math.sin(i)
+    return time.thread_time() - start
+
+
+def _traced(name, bench, probe_samples, **kwargs):
+    """Run *bench* under a telemetry trace; embed its stage breakdown.
+
+    Host-probe samples taken around the benchmark are appended to
+    *probe_samples*.
+    """
+    probe_samples.extend(probe_once() for _ in range(PROBE_SAMPLES))
     with telemetry.trace(name) as tracer:
         entry = bench(**kwargs)
+    probe_samples.extend(probe_once() for _ in range(PROBE_SAMPLES))
     entry["stage_breakdown"] = stage_breakdown(tracer)
     return entry
 
@@ -466,41 +494,42 @@ def main() -> int:
     # and the history record: the auto-resolved backend is what the fast
     # sides of the benchmarks actually exercise.
     manifest = collect_manifest(backend=resolve_backend())
+    probe_samples: list[float] = []
 
     print("timing fig09 BER-vs-SJ sweep (event vs fast)...")
-    fig09 = _traced("fig09_ber_vs_sj_sweep", bench_fig09_sj_sweep,
+    fig09 = _traced("fig09_ber_vs_sj_sweep", bench_fig09_sj_sweep, probe_samples,
                     n_bits=1000 * scale)
     print(f"  event {fig09['event_s']}s  fast {fig09['fast_s']}s  "
           f"speedup {fig09['speedup']}x")
     print("timing fig10 BER-vs-offset sweep...")
-    fig10 = _traced("fig10_ber_vs_offset_sweep", bench_fig10_offset_sweep,
+    fig10 = _traced("fig10_ber_vs_offset_sweep", bench_fig10_offset_sweep, probe_samples,
                     n_bits=1000 * scale)
     print(f"  event {fig10['event_s']}s  fast {fig10['fast_s']}s  "
           f"speedup {fig10['speedup']}x")
     print("timing fig14 eye simulation...")
-    fig14 = _traced("fig14_eye_prbs7", bench_fig14_eye, n_bits=2000 * scale)
+    fig14 = _traced("fig14_eye_prbs7", bench_fig14_eye, probe_samples, n_bits=2000 * scale)
     print(f"  event {fig14['event_s']}s  fast {fig14['fast_s']}s  "
           f"speedup {fig14['speedup']}x")
     print("timing link BER-vs-loss sweep (waveform front end)...")
-    link = _traced("link_ber_vs_loss", bench_link_ber_vs_loss,
+    link = _traced("link_ber_vs_loss", bench_link_ber_vs_loss, probe_samples,
                    n_bits=1000 * scale)
     print(f"  event {link['event_s']}s  fast {link['fast_s']}s  "
           f"speedup {link['speedup']}x")
     print("timing statistical eye vs bit-true 1e-12 extrapolation...")
-    stateye = _traced("stateye_vs_bittrue", bench_stateye_vs_bittrue,
+    stateye = _traced("stateye_vs_bittrue", bench_stateye_vs_bittrue, probe_samples,
                       n_bits=10000 * scale)
     print(f"  bit-true to 1e-12 ~{stateye['bittrue_extrapolated_s']}s  "
           f"stateye {stateye['stateye_s']}s  speedup {stateye['speedup']}x  "
           f"(BER agreement ratio {stateye['agreement_ratio']})")
     print("timing link training vs naive bit-true grid search...")
-    training = _traced("link_training", bench_link_training,
+    training = _traced("link_training", bench_link_training, probe_samples,
                        n_bits=10000 * scale)
     print(f"  naive bit-true grid ~{training['naive_extrapolated_s']}s  "
           f"training {training['training_s']}s "
           f"({training['training_evaluations']} evaluations)  "
           f"speedup {training['speedup']}x")
     print("timing DFE-equalized bit-true link (event vs fast)...")
-    kernels = _traced("bittrue_kernels", bench_bittrue_kernels,
+    kernels = _traced("bittrue_kernels", bench_bittrue_kernels, probe_samples,
                       n_bits=4000 * scale)
     print(f"  event {kernels['event_s']}s  fast {kernels['fast_s']}s "
           f"({kernels['resolved_backend']})  "
@@ -544,6 +573,7 @@ def main() -> int:
         "quick": bool(arguments.quick),
         "floor": arguments.floor,
         "manifest": manifest.to_dict(),
+        "host_probe_ms": round(1000.0 * statistics.fmean(probe_samples), 4),
         "entries": {name: history_entry(entry)
                     for name, entry in payload["benchmarks"].items()},
     }

@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro._lint",
         description=(
             "AST-based determinism & spawn-safety analyzer for this repository "
-            "(rules RPL001-RPL008; see ARCHITECTURE.md for the table)"
+            "(rules RPL001-RPL009; see ARCHITECTURE.md for the table)"
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to analyze")

@@ -1,4 +1,4 @@
-"""The eight repro-lint rules (RPL001–RPL008).
+"""The nine repro-lint rules (RPL001–RPL009).
 
 Each rule encodes one repo-wide invariant that a past PR was bitten by or
 explicitly contracts (see ARCHITECTURE.md for the table).  Rules scope
@@ -553,6 +553,76 @@ class EnvironmentReadRule(Rule):
                         node,
                         f"environment read '{name}' outside repro.telemetry.manifest "
                         f"— record it in the RunManifest (collect_manifest) instead",
+                    )
+                )
+        return findings
+
+
+# --- RPL009 ------------------------------------------------------------------
+
+#: Package inits that stay eager: the root binds only the stdlib-only
+#: ``units``, and CI's numpy-free lint job and watch smoke import
+#: ``repro._lint`` / ``repro.telemetry`` whole, which are cheap.
+_EAGER_INIT_PACKAGES = ("repro", "repro.telemetry", "repro._lint")
+
+
+def _import_time_imports(tree: ast.Module):
+    """Import statements that run when the module is imported.
+
+    Everything outside function bodies runs at import: module level, and
+    ``if``/``try``/class bodies nested in it.
+    """
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _own_submodule(node: ast.Import | ast.ImportFrom, package: str) -> str | None:
+    """The first submodule of *package* that *node* imports, or ``None``."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    else:
+        if node.level:
+            parts = package.split(".")
+            anchor = ".".join(parts[: len(parts) - node.level + 1])
+            base = f"{anchor}.{node.module}" if node.module else anchor
+        else:
+            base = node.module or ""
+        # ``from . import x`` inside the package's own init binds submodule x.
+        modules = [f"{base}.{alias.name}" for alias in node.names] if base == package else [base]
+    return next((module for module in modules if module.startswith(package + ".")), None)
+
+
+@register
+class EagerPackageInitRule(Rule):
+    code = "RPL009"
+    name = "eager-package-init"
+    summary = (
+        "a subpackage __init__ lists its exports in a repro._exports.lazy_exports "
+        "table; a module-level import of its own submodules loads them into every "
+        "study that touches the package, whether it runs them or not"
+    )
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        if not (ctx.in_src and ctx.relpath.endswith("/__init__.py")):
+            return []
+        package = ctx.relpath[len("src/") : -len("/__init__.py")].replace("/", ".")
+        if package in _EAGER_INIT_PACKAGES:
+            return []
+        findings = []
+        for node in _import_time_imports(ctx.tree):
+            module = _own_submodule(node, package)
+            if module is not None:
+                findings.append(
+                    self.finding(
+                        ctx,
+                        node,
+                        f"'{module}' imported when {package} is imported — list its "
+                        f"names in the package's lazy_exports table instead",
                     )
                 )
         return findings

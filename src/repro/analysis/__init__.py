@@ -1,14 +1,6 @@
 """Waveform analysis: eye diagrams, BER counting, timing/jitter measurement."""
 
-from .eye import EyeDiagram, EyeMetrics
-from .ber_counter import BerMeasurement, align_and_count, count_errors
-from .timing import (
-    TimingStatistics,
-    duty_cycle,
-    measure_frequency,
-    period_jitter,
-    time_interval_error,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "EyeDiagram",
@@ -22,3 +14,18 @@ __all__ = [
     "period_jitter",
     "time_interval_error",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "eye": ("EyeDiagram", "EyeMetrics"),
+        "ber_counter": ("BerMeasurement", "align_and_count", "count_errors"),
+        "timing": (
+            "TimingStatistics",
+            "duty_cycle",
+            "measure_frequency",
+            "period_jitter",
+            "time_interval_error",
+        ),
+    },
+)

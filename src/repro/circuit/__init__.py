@@ -1,15 +1,6 @@
 """Circuit-level substrate: technology, devices, CML stage analysis, transient CDR."""
 
-from .technology import Technology, UMC_018
-from .mosfet import Mosfet
-from .cml_stage import CmlStageDesign, design_cml_stage
-from .transient import (
-    CircuitCdrConfig,
-    CircuitLevelCdr,
-    CircuitSimulationResult,
-    calibrate_ring,
-    measure_free_running_frequency,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "Technology",
@@ -23,3 +14,19 @@ __all__ = [
     "calibrate_ring",
     "measure_free_running_frequency",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "technology": ("Technology", "UMC_018"),
+        "mosfet": ("Mosfet",),
+        "cml_stage": ("CmlStageDesign", "design_cml_stage"),
+        "transient": (
+            "CircuitCdrConfig",
+            "CircuitLevelCdr",
+            "CircuitSimulationResult",
+            "calibrate_ring",
+            "measure_free_running_frequency",
+        ),
+    },
+)

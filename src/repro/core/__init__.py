@@ -1,24 +1,6 @@
 """Core CDR library: the gated-oscillator channel, multi-channel receiver, design flow."""
 
-from .config import (
-    PAPER_JITTER_SPEC,
-    PAPER_POWER_TARGET_MW_PER_GBPS,
-    PAPER_TARGET_BER,
-    CdrChannelConfig,
-)
-from .gcco import GatedRingOscillator, GccoParameters
-from .edge_detector import EdgeDetector
-from .cdr_channel import BehavioralCdrChannel, BehavioralSimulationResult
-from .elastic_buffer import ElasticBuffer, ElasticBufferStatistics
-from .multichannel import (
-    ChannelReport,
-    MultiChannelBehaviouralReport,
-    MultiChannelConfig,
-    MultiChannelReceiver,
-    MultiChannelStatisticalReport,
-)
-from .baselines import FreeRunningOscillatorBer, PllCdrBerModel
-from .design_flow import DesignFlowReport, run_design_flow
+from .._exports import lazy_exports
 
 __all__ = [
     "PAPER_JITTER_SPEC",
@@ -42,3 +24,28 @@ __all__ = [
     "DesignFlowReport",
     "run_design_flow",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "PAPER_JITTER_SPEC",
+            "PAPER_POWER_TARGET_MW_PER_GBPS",
+            "PAPER_TARGET_BER",
+            "CdrChannelConfig",
+        ),
+        "gcco": ("GatedRingOscillator", "GccoParameters"),
+        "edge_detector": ("EdgeDetector",),
+        "cdr_channel": ("BehavioralCdrChannel", "BehavioralSimulationResult"),
+        "elastic_buffer": ("ElasticBuffer", "ElasticBufferStatistics"),
+        "multichannel": (
+            "ChannelReport",
+            "MultiChannelBehaviouralReport",
+            "MultiChannelConfig",
+            "MultiChannelReceiver",
+            "MultiChannelStatisticalReport",
+        ),
+        "baselines": ("FreeRunningOscillatorBer", "PllCdrBerModel"),
+        "design_flow": ("DesignFlowReport", "run_design_flow"),
+    },
+)

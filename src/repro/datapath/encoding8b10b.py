@@ -20,6 +20,7 @@ is what goes onto the serial line and therefore what the CID statistics see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -239,11 +240,13 @@ class Encoder8b10b:
         self.running_disparity = -1
 
 
-def _build_decode_tables() -> tuple[dict[tuple[str, int], int], dict[str, int]]:
-    """Build (code10 -> byte) lookup for data and control symbols.
+@cache
+def _decode_tables() -> tuple[dict[str, tuple[int, bool]], dict[str, int]]:
+    """Build (code10 -> byte) lookup for data and control symbols, once.
 
     Returns a dict keyed on the 10-bit string for data symbols (both disparity
-    forms) and a dict for control symbols.
+    forms) and a dict for control symbols.  Built on the first decode, not at
+    import: encoding alone never needs them.
     """
     data_table: dict[str, tuple[int, bool]] = {}
     control_table: dict[str, int] = {}
@@ -267,9 +270,6 @@ def _build_decode_tables() -> tuple[dict[tuple[str, int], int], dict[str, int]]:
         control_table[_complement(code)] = byte_value
 
     return data_table, control_table
-
-
-_DATA_DECODE, _CONTROL_DECODE = _build_decode_tables()
 
 
 @dataclass
@@ -296,10 +296,11 @@ class Decoder8b10b:
             self.disparity_errors += 1
             raise DecodingError(f"invalid code-group disparity for symbol {key}")
 
-        if key in _CONTROL_DECODE:
-            result = (_CONTROL_DECODE[key], True)
-        elif key in _DATA_DECODE:
-            result = (_DATA_DECODE[key][0], False)
+        data_decode, control_decode = _decode_tables()
+        if key in control_decode:
+            result = (control_decode[key], True)
+        elif key in data_decode:
+            result = (data_decode[key][0], False)
         else:
             raise DecodingError(f"not a valid 8b/10b code group: {key}")
 

@@ -1,8 +1,6 @@
 """Discrete-event simulation substrate (the Python equivalent of the paper's VHDL flow)."""
 
-from .kernel import Process, SimulationError, Simulator, WaitFor, WaitOn
-from .signal import Edge, Signal, bus
-from .waveform import Trace, WaveformRecorder
+from .._exports import lazy_exports
 
 __all__ = [
     "Process",
@@ -16,3 +14,12 @@ __all__ = [
     "Trace",
     "WaveformRecorder",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "kernel": ("Process", "SimulationError", "Simulator", "WaitFor", "WaitOn"),
+        "signal": ("Edge", "Signal", "bus"),
+        "waveform": ("Trace", "WaveformRecorder"),
+    },
+)

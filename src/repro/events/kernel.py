@@ -238,8 +238,12 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
 
     def call_at(self, time_s: float, callback: Callable[[], None]) -> None:
-        """Schedule *callback* at absolute time *time_s* (must not be in the past)."""
-        if time_s < self._now - 1.0e-18:
+        """Schedule *callback* at absolute time *time_s* (must not be in the past).
+
+        A NaN time is rejected too: it compares false against every queued
+        time, so once on the heap it would stall every event behind it.
+        """
+        if not time_s >= self._now - 1.0e-18:
             raise SimulationError(
                 f"cannot schedule an event at {time_s!r}s, current time is {self._now!r}s"
             )

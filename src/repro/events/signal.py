@@ -134,9 +134,9 @@ class Signal:
             raise SimulationError("drive() needs equally long times and values")
         if not times_list:
             return
-        if any(later < earlier
+        if any(not later >= earlier
                for earlier, later in zip(times_list, times_list[1:])):
-            raise SimulationError("drive() times must be non-decreasing")
+            raise SimulationError("drive() times must be non-decreasing and not NaN")
         index = 0
 
         def fire() -> None:

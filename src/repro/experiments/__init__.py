@@ -25,34 +25,7 @@ The seven public sweeps in :mod:`repro.sweep` are thin wrappers over this
 package; new studies should start from a spec, not a pipeline.
 """
 
-from .spec import (
-    AXIS_APPLICATORS,
-    STIMULUS_KINDS,
-    CrosstalkAggressor,
-    CrosstalkSpec,
-    EqualizerLineup,
-    LaneSpec,
-    MeasurementPlan,
-    ParameterAxis,
-    ScenarioSpec,
-    StimulusSpec,
-    TrainedLineup,
-    TrainingBudget,
-    apply_axis,
-    register_axis,
-)
-from .results import AxisResult, PointFailure, SweepResult
-from .engine import (
-    DEFAULT_CHUNK_SIZE,
-    ToleranceSearch,
-    link_training_measurement,
-    resolve_grid,
-    run_grid,
-    run_tolerance_search,
-    scenario_timing_budget,
-    simulate_scenario,
-    statistical_eye_measurement,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "AXIS_APPLICATORS",
@@ -82,3 +55,37 @@ __all__ = [
     "simulate_scenario",
     "statistical_eye_measurement",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "spec": (
+            "AXIS_APPLICATORS",
+            "STIMULUS_KINDS",
+            "CrosstalkAggressor",
+            "CrosstalkSpec",
+            "EqualizerLineup",
+            "LaneSpec",
+            "MeasurementPlan",
+            "ParameterAxis",
+            "ScenarioSpec",
+            "StimulusSpec",
+            "TrainedLineup",
+            "TrainingBudget",
+            "apply_axis",
+            "register_axis",
+        ),
+        "results": ("AxisResult", "PointFailure", "SweepResult"),
+        "engine": (
+            "DEFAULT_CHUNK_SIZE",
+            "ToleranceSearch",
+            "link_training_measurement",
+            "resolve_grid",
+            "run_grid",
+            "run_tolerance_search",
+            "scenario_timing_budget",
+            "simulate_scenario",
+            "statistical_eye_measurement",
+        ),
+    },
+)

@@ -15,15 +15,22 @@ enabled it draws statistically identical but not draw-for-draw identical
 jitter, so only distributions (not individual decisions) match.
 """
 
-from .backends import (
-    AUTO_BACKEND,
-    BACKENDS,
-    make_channel,
-    needs_event_kernel,
-    resolve_backend,
-)
-from .engine import FastCdrChannel
-from .traces import ArrayRecorder, array_trace
+from .._exports import lazy_exports
 
 __all__ = ["AUTO_BACKEND", "BACKENDS", "make_channel", "needs_event_kernel",
            "resolve_backend", "FastCdrChannel", "ArrayRecorder", "array_trace"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "backends": (
+            "AUTO_BACKEND",
+            "BACKENDS",
+            "make_channel",
+            "needs_event_kernel",
+            "resolve_backend",
+        ),
+        "engine": ("FastCdrChannel",),
+        "traces": ("ArrayRecorder", "array_trace"),
+    },
+)

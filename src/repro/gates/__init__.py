@@ -1,19 +1,6 @@
 """Gate-level CML library: combinational gates, storage, delay line, gated ring."""
 
-from .cml import CmlGate, CmlTiming
-from .logic import (
-    And2Gate,
-    BufferGate,
-    InverterGate,
-    Mux2Gate,
-    Nand2Gate,
-    Or2Gate,
-    Xnor2Gate,
-    Xor2Gate,
-)
-from .storage import CmlFlipFlop, CmlLatch
-from .delay_line import DelayLine
-from .ring import GatedRingOscillator, GccoParameters
+from .._exports import lazy_exports
 
 __all__ = [
     "CmlGate",
@@ -32,3 +19,23 @@ __all__ = [
     "GatedRingOscillator",
     "GccoParameters",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cml": ("CmlGate", "CmlTiming"),
+        "logic": (
+            "And2Gate",
+            "BufferGate",
+            "InverterGate",
+            "Mux2Gate",
+            "Nand2Gate",
+            "Or2Gate",
+            "Xnor2Gate",
+            "Xor2Gate",
+        ),
+        "storage": ("CmlFlipFlop", "CmlLatch"),
+        "delay_line": ("DelayLine",),
+        "ring": ("GatedRingOscillator", "GccoParameters"),
+    },
+)

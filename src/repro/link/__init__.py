@@ -24,44 +24,7 @@ Quick start::
     print(result.ber().ber)
 """
 
-from .timebase import LinkTimebase
-from .channel import (
-    ButterworthChannel,
-    ChannelModel,
-    IdealChannel,
-    LossyLineChannel,
-    SinglePoleChannel,
-)
-from .equalization import DfeAdaptation, ErrorPropagation, LmsDfe, RxCtle, TxFfe
-from .isi import (
-    nrz_symbol_levels,
-    superpose_circular,
-    superpose_linear,
-    upsample_symbols,
-)
-from .edges import (
-    circular_transition_positions,
-    edge_stream_from_waveform,
-    match_crossings_ui,
-    pattern_displacements_ui,
-)
-from .crosstalk import AGGRESSOR_KINDS, CrosstalkAggressor, CrosstalkSpec
-from .path import LinkCdrChannel, LinkConfig, LinkPath, stream_eye_diagram
-from .stateye import (
-    AGGRESSOR_PHASE_MODES,
-    StatisticalEye,
-    StatisticalEyeSolver,
-    statistical_eye,
-)
-from .training import (
-    EyeScore,
-    LinkTrainer,
-    StatEyeObjective,
-    TrainedLineup,
-    TrainingBudget,
-    TrainingCrossCheck,
-    train_link,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "LinkTimebase",
@@ -102,3 +65,42 @@ __all__ = [
     "TrainingCrossCheck",
     "train_link",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "timebase": ("LinkTimebase",),
+        "channel": (
+            "ButterworthChannel",
+            "ChannelModel",
+            "IdealChannel",
+            "LossyLineChannel",
+            "SinglePoleChannel",
+        ),
+        "equalization": ("DfeAdaptation", "ErrorPropagation", "LmsDfe", "RxCtle", "TxFfe"),
+        "isi": ("nrz_symbol_levels", "superpose_circular", "superpose_linear", "upsample_symbols"),
+        "edges": (
+            "circular_transition_positions",
+            "edge_stream_from_waveform",
+            "match_crossings_ui",
+            "pattern_displacements_ui",
+        ),
+        "crosstalk": ("AGGRESSOR_KINDS", "CrosstalkAggressor", "CrosstalkSpec"),
+        "path": ("LinkCdrChannel", "LinkConfig", "LinkPath", "stream_eye_diagram"),
+        "stateye": (
+            "AGGRESSOR_PHASE_MODES",
+            "StatisticalEye",
+            "StatisticalEyeSolver",
+            "statistical_eye",
+        ),
+        "training": (
+            "EyeScore",
+            "LinkTrainer",
+            "StatEyeObjective",
+            "TrainedLineup",
+            "TrainingBudget",
+            "TrainingCrossCheck",
+            "train_link",
+        ),
+    },
+)

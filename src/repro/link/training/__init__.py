@@ -25,14 +25,7 @@ Quick start::
     result_config = trained.apply(link)   # ready for LinkCdrChannel & co.
 """
 
-from .objective import EyeScore, StatEyeObjective
-from .search import (
-    LinkTrainer,
-    TrainedLineup,
-    TrainingBudget,
-    TrainingCrossCheck,
-    train_link,
-)
+from ..._exports import lazy_exports
 
 __all__ = [
     "EyeScore",
@@ -43,3 +36,17 @@ __all__ = [
     "TrainingCrossCheck",
     "train_link",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "objective": ("EyeScore", "StatEyeObjective"),
+        "search": (
+            "LinkTrainer",
+            "TrainedLineup",
+            "TrainingBudget",
+            "TrainingCrossCheck",
+            "train_link",
+        ),
+    },
+)

@@ -1,12 +1,6 @@
 """Shared multi-channel PLL: behavioural components, loop simulation, mismatch."""
 
-from .components import (
-    ChargePump,
-    CurrentControlledOscillator,
-    PhaseFrequencyDetector,
-    SecondOrderLoopFilter,
-)
-from .pll import ChannelBiasMismatch, PllConfig, PllSimulationResult, SharedPll
+from .._exports import lazy_exports
 
 __all__ = [
     "ChargePump",
@@ -18,3 +12,16 @@ __all__ = [
     "PllSimulationResult",
     "SharedPll",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "components": (
+            "ChargePump",
+            "CurrentControlledOscillator",
+            "PhaseFrequencyDetector",
+            "SecondOrderLoopFilter",
+        ),
+        "pll": ("ChannelBiasMismatch", "PllConfig", "PllSimulationResult", "SharedPll"),
+    },
+)

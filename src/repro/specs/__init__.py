@@ -1,14 +1,6 @@
 """Interface specifications: jitter-tolerance masks and compliance checks."""
 
-from .infiniband import (
-    INFINIBAND_FREQUENCY_TOLERANCE_PPM,
-    INFINIBAND_TARGET_BER,
-    JitterToleranceMask,
-    ReceiverEyeMask,
-    infiniband_mask,
-    infiniband_rx_eye_mask,
-)
-from .compliance import ComplianceReport, check_compliance
+from .._exports import lazy_exports
 
 __all__ = [
     "INFINIBAND_FREQUENCY_TOLERANCE_PPM",
@@ -20,3 +12,18 @@ __all__ = [
     "ComplianceReport",
     "check_compliance",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "infiniband": (
+            "INFINIBAND_FREQUENCY_TOLERANCE_PPM",
+            "INFINIBAND_TARGET_BER",
+            "JitterToleranceMask",
+            "ReceiverEyeMask",
+            "infiniband_mask",
+            "infiniband_rx_eye_mask",
+        ),
+        "compliance": ("ComplianceReport", "check_compliance"),
+    },
+)

@@ -1,29 +1,6 @@
 """Statistical CDR analysis: BER model, JTOL/FTOL sweeps, bathtub curves."""
 
-from .qfunc import (
-    ber_from_snr_margin,
-    inverse_q_function,
-    log10_ber,
-    q_function,
-    sigma_margin_for_ber,
-)
-from .ber_model import (
-    IMPROVED_SAMPLING_PHASE_UI,
-    NOMINAL_SAMPLING_PHASE_UI,
-    BerBreakdown,
-    CdrJitterBudget,
-    GatedOscillatorBerModel,
-)
-from .jtol import (
-    JtolCurve,
-    JtolPoint,
-    ber_vs_sinusoidal_jitter,
-    jitter_tolerance_at_frequency,
-    jitter_tolerance_curve,
-)
-from .ftol import FtolResult, ber_vs_frequency_offset, frequency_tolerance
-from .bathtub import BathtubCurve, bathtub_curve, eye_opening_ui, optimum_sampling_phase
-from .montecarlo import MonteCarloResult, simulate_ber
+from .._exports import lazy_exports
 
 __all__ = [
     "ber_from_snr_margin",
@@ -51,3 +28,33 @@ __all__ = [
     "MonteCarloResult",
     "simulate_ber",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "qfunc": (
+            "ber_from_snr_margin",
+            "inverse_q_function",
+            "log10_ber",
+            "q_function",
+            "sigma_margin_for_ber",
+        ),
+        "ber_model": (
+            "IMPROVED_SAMPLING_PHASE_UI",
+            "NOMINAL_SAMPLING_PHASE_UI",
+            "BerBreakdown",
+            "CdrJitterBudget",
+            "GatedOscillatorBerModel",
+        ),
+        "jtol": (
+            "JtolCurve",
+            "JtolPoint",
+            "ber_vs_sinusoidal_jitter",
+            "jitter_tolerance_at_frequency",
+            "jitter_tolerance_curve",
+        ),
+        "ftol": ("FtolResult", "ber_vs_frequency_offset", "frequency_tolerance"),
+        "bathtub": ("BathtubCurve", "bathtub_curve", "eye_opening_ui", "optimum_sampling_phase"),
+        "montecarlo": ("MonteCarloResult", "simulate_ber"),
+    },
+)

@@ -28,27 +28,7 @@ New studies should target :mod:`repro.experiments` directly; these
 wrappers exist for the paper's named figures and for API stability.
 """
 
-from .resilient import (
-    FAILURE_POLICIES,
-    CheckpointMismatchError,
-    ResilientMap,
-    SweepTaskError,
-    TaskAudit,
-    TaskFailure,
-    map_tasks_resilient,
-)
-from .sweeps import (
-    LINK_RESIDUAL_JITTER_SPEC,
-    ber_vs_aggressor_sweep,
-    ber_vs_channel_loss_sweep,
-    ber_vs_ctle_peaking_sweep,
-    ber_vs_frequency_offset_sweep,
-    ber_vs_sj_sweep,
-    equalization_ablation_sweep,
-    jitter_tolerance_sweep,
-    link_training_sweep,
-    multichannel_sweep,
-)
+from .._exports import lazy_exports
 
 __all__ = [
     "FAILURE_POLICIES",
@@ -69,3 +49,30 @@ __all__ = [
     "link_training_sweep",
     "multichannel_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "resilient": (
+            "FAILURE_POLICIES",
+            "CheckpointMismatchError",
+            "ResilientMap",
+            "SweepTaskError",
+            "TaskAudit",
+            "TaskFailure",
+            "map_tasks_resilient",
+        ),
+        "sweeps": (
+            "LINK_RESIDUAL_JITTER_SPEC",
+            "ber_vs_aggressor_sweep",
+            "ber_vs_channel_loss_sweep",
+            "ber_vs_ctle_peaking_sweep",
+            "ber_vs_frequency_offset_sweep",
+            "ber_vs_sj_sweep",
+            "equalization_ablation_sweep",
+            "jitter_tolerance_sweep",
+            "link_training_sweep",
+            "multichannel_sweep",
+        ),
+    },
+)

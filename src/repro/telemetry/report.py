@@ -31,11 +31,13 @@ fast-path seconds (``fast_s``, where the benchmark records them).  An
 entry is judged on its speedup, unless it records a solver's own seconds
 (``stateye_s``, ``training_s``): there the speedup divides an
 extrapolated bit-true time by the solver time, so it moves with the fast
-path too, and the seconds are judged instead.  A speedup that drops
-below ``--tolerance`` times its rolling median (over the previous
-``--window`` runs), or seconds that rise above that median divided by
-``--tolerance``, are flagged as a regression and the exit code is 1 —
-the soft trend gate beside the hard ``--floor`` one.
+path too, and the seconds are judged instead, rescaled by the records'
+``host_probe_ms`` (a fixed pure-Python slice timed in thread CPU time)
+where both carry one, so a slow host phase alone reads as no change.  A
+speedup that drops below ``--tolerance`` times its rolling median (over
+the previous ``--window`` runs), or seconds that rise above that median
+divided by ``--tolerance``, are flagged as a regression and the exit
+code is 1 — the soft trend gate beside the hard ``--floor`` one.
 """
 
 from __future__ import annotations
@@ -277,23 +279,33 @@ def history_summary(
     record's absolute fast-path seconds (``None`` when that record has
     none).  The metric is ``speedup`` unless the latest entry records one
     of the :data:`SOLVER_SECONDS_FIELDS`, which is then judged instead
-    (ratio ``median / latest``).  A benchmark needs at least two prior
-    runs of its metric before it can be flagged — a fresh ledger is never
-    a regression.
+    (ratio ``median / latest``).  Seconds move with the host's speed, so
+    where an earlier record and the latest one both carry a
+    ``host_probe_ms``, the earlier seconds are first rescaled to the
+    latest host speed (``seconds * latest_probe / probe``); records
+    without a probe are compared raw.  A benchmark needs at least two
+    prior runs of its metric before it can be flagged — a fresh ledger is
+    never a regression.
     """
     records = load_history(path)
-    entries: dict[str, list[dict]] = {}
+    entries: dict[str, list[tuple[dict, float | None]]] = {}
     for record in records:
+        probe_ms = record.get("host_probe_ms")
         for name, entry in record.get("entries", {}).items():
-            entries.setdefault(name, []).append(entry)
+            entries.setdefault(name, []).append((entry, probe_ms))
     benchmarks: dict[str, dict] = {}
     regressions: list[str] = []
     for name in sorted(entries):
-        runs = entries[name]
+        runs = [entry for entry, _ in entries[name]]
         metric = next((key for key in SOLVER_SECONDS_FIELDS if key in runs[-1]), "speedup")
-        values = [float(run[metric]) for run in runs if metric in run]
-        latest = values[-1]
-        previous = values[:-1][-window:]
+        judged = [(float(run[metric]), probe) for run, probe in entries[name] if metric in run]
+        latest, latest_probe = judged[-1]
+        # Speedups are ratios taken on one host and stay raw.
+        rescale = metric != "speedup" and latest_probe is not None
+        previous = [
+            value * latest_probe / probe if rescale and probe else value
+            for value, probe in judged[:-1][-window:]
+        ]
         median = statistics.median(previous) if previous else None
         if metric == "speedup":
             ratio = latest / median if median else None

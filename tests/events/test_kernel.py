@@ -33,6 +33,26 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             simulator.call_at(0.5e-9, lambda: None)
 
+    def test_nan_time_rejected_and_queue_untouched(self):
+        # A queued NaN compares false against every time, so it would stall
+        # the heap: run_until would execute none of the valid events.
+        simulator = Simulator()
+        fired = []
+        for time_s in (1.0e-9, 2.0e-9, 3.0e-9):
+            simulator.call_at(time_s, lambda: fired.append(simulator.now))
+        with pytest.raises(SimulationError, match="nan"):
+            simulator.call_at(float("nan"), lambda: fired.append("nan"))
+        assert simulator.pending_events() == 3
+        assert simulator.run_until(1.0e-8) == 3
+        assert fired == [1.0e-9, 2.0e-9, 3.0e-9]
+
+    def test_drive_rejects_nan_time_before_scheduling(self):
+        simulator = Simulator()
+        signal = Signal(simulator, "s", initial=0)
+        with pytest.raises(SimulationError, match="NaN"):
+            signal.drive([1.0e-9, float("nan"), 3.0e-9], [1, 0, 1])
+        assert simulator.pending_events() == 0
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().call_after(-1.0e-9, lambda: None)

@@ -529,3 +529,70 @@ class TestBaselineMechanics:
         assert sum(baseline.entries.values()) == 2
         kept, stale = baseline.apply(findings)
         assert kept == [] and stale == []
+
+
+# --- RPL009 eager-package-init ------------------------------------------------
+
+INIT = "src/repro/events/__init__.py"
+
+
+class TestEagerPackageInit:
+    def test_relative_submodule_import(self):
+        finding = single("from .kernel import Simulator\n", INIT)
+        assert finding.code == "RPL009"
+        assert "'repro.events.kernel'" in finding.message
+        assert "lazy_exports" in finding.message
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from . import kernel\n",
+            "import repro.events.kernel\n",
+            "from repro.events.kernel import Simulator\n",
+            "try:\n    from .kernel import Simulator\nexcept ImportError:\n    pass\n",
+        ],
+    )
+    def test_every_import_time_form_is_flagged(self, source):
+        assert codes(source, INIT) == ["RPL009"]
+
+    def test_nested_package_resolves_its_own_level(self):
+        relpath = "src/repro/link/training/__init__.py"
+        assert codes("from .search import train_link\n", relpath) == ["RPL009"]
+        assert codes("from ..stateye import statistical_eye\n", relpath) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from .._exports import lazy_exports\n",
+            "from ..core.config import CdrChannelConfig\n",
+            "import numpy as np\n",
+            "def load():\n    from .kernel import Simulator\n    return Simulator\n",
+        ],
+    )
+    def test_other_packages_and_function_level_imports_are_fine(self, source):
+        assert codes(source, INIT) == []
+
+    def test_only_package_inits_are_in_scope(self):
+        assert codes("from .kernel import Simulator\n", "src/repro/events/signal.py") == []
+        assert codes("from .kernel import Simulator\n", "tests/events/__init__.py") == []
+
+    @pytest.mark.parametrize(
+        "relpath",
+        [
+            "src/repro/__init__.py",
+            "src/repro/telemetry/__init__.py",
+            "src/repro/_lint/__init__.py",
+        ],
+    )
+    def test_eager_packages_are_allowed(self, relpath):
+        assert codes("from . import units\nfrom .base import Rule\n", relpath) == []
+
+    def test_pragma_suppresses(self):
+        source = "from .kernel import Simulator  # repro-lint: disable=RPL009 — fixture\n"
+        assert codes(source, INIT) == []
+
+    def test_baseline_suppresses(self, tmp_path):
+        findings = lint_source("from .kernel import Simulator\n", INIT)
+        Baseline.write(tmp_path / "base.json", findings)
+        kept, stale = Baseline.load(tmp_path / "base.json").apply(findings)
+        assert kept == [] and stale == []

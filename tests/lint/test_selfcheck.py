@@ -58,4 +58,4 @@ def test_cli_module_exits_zero_from_repo_root(repo_lint_run):
 
 
 def test_every_rule_is_registered():
-    assert rule_codes() == [f"RPL00{n}" for n in range(1, 9)]
+    assert rule_codes() == [f"RPL00{n}" for n in range(1, 10)]

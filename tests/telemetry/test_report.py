@@ -138,25 +138,33 @@ def _history_file(tmp_path, speedups_per_run, name="loop"):
     return _ledger(tmp_path, [{"speedup": speedup} for speedup in speedups_per_run], name)
 
 
-def _ledger(tmp_path, entries_per_run, name="loop"):
-    """Write a bench-history ledger with one *name* entry per run."""
+def _ledger(tmp_path, entries_per_run, name="loop", probes_ms=None):
+    """Write a bench-history ledger with one *name* entry per run.
+
+    *probes_ms* gives each record's ``host_probe_ms``; ``None`` (the list
+    or an item) writes a record without one.
+    """
     path = tmp_path / "bench_history.jsonl"
     lines = []
-    for entry in entries_per_run:
-        lines.append(
-            dumps_compact(
-                {
-                    "kind": HISTORY_KIND,
-                    "version": HISTORY_VERSION,
-                    "quick": True,
-                    "floor": 5,
-                    "manifest": {"kind": "repro-run-manifest"},
-                    "entries": {name: entry},
-                }
-            )
-        )
+    for entry, probe_ms in zip(entries_per_run, probes_ms or [None] * len(entries_per_run)):
+        record = {
+            "kind": HISTORY_KIND,
+            "version": HISTORY_VERSION,
+            "quick": True,
+            "floor": 5,
+            "manifest": {"kind": "repro-run-manifest"},
+            "entries": {name: entry},
+        }
+        if probe_ms is not None:
+            record["host_probe_ms"] = probe_ms
+        lines.append(dumps_compact(record))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+STEADY_TRAINING = {"speedup": 2.6e8, "training_s": 0.16}
+#: Three steady link-training runs, then one whose solver seconds rose 1.5x.
+TRAINING_RISE = [STEADY_TRAINING] * 3 + [{"speedup": 2.6e8, "training_s": 0.24}]
 
 
 class TestHistory:
@@ -255,6 +263,33 @@ class TestHistory:
         assert summary["regressions"] == []
         assert (entry["metric"], entry["median"]) == ("training_s", None)
         assert len(entry["speedups"]) == 5
+
+    def test_solver_seconds_scale_with_the_host_probe(self, tmp_path, capsys):
+        # A slow host phase stretches the solver and the probe alike.
+        probes_ms = [0.4, 0.4, 0.4, 0.6]
+        path = _ledger(tmp_path, TRAINING_RISE, name="link_training", probes_ms=probes_ms)
+        summary = history_summary(path)
+        entry = summary["benchmarks"]["link_training"]
+        assert summary["regressions"] == []
+        assert entry["median"] == pytest.approx(0.24) and entry["ratio"] == pytest.approx(1.0)
+        assert main(["--history", str(path)]) == 0
+        assert "REGRESSION" not in capsys.readouterr().out
+
+    def test_solver_seconds_rise_at_the_same_probe_is_flagged(self, tmp_path, capsys):
+        probes_ms = [0.4] * 4
+        path = _ledger(tmp_path, TRAINING_RISE, name="link_training", probes_ms=probes_ms)
+        assert history_summary(path)["regressions"] == ["link_training"]
+        assert main(["--history", str(path)]) == 1
+        assert "REGRESSION: link_training training_s 0.24s" in capsys.readouterr().out
+
+    def test_records_without_a_probe_compare_raw_seconds(self, tmp_path):
+        # Only the latest record carries a probe: the earlier ones keep the
+        # raw comparison, so the same 1.5x rise is flagged.
+        probes_ms = [None, None, None, 0.6]
+        path = _ledger(tmp_path, TRAINING_RISE, name="link_training", probes_ms=probes_ms)
+        summary = history_summary(path)
+        assert summary["regressions"] == ["link_training"]
+        assert summary["benchmarks"]["link_training"]["median"] == 0.16
 
     def test_records_without_seconds_still_load(self, tmp_path):
         # Ledgers written before fast_s/event_s existed carry speedup only.
