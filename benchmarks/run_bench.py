@@ -388,10 +388,8 @@ def bench_ring_rates(n_bits: int = RING_BITS) -> dict:
     """Warm bits/s of the fast path's gated ring on one fixed EDET stream.
 
     The stream is the paper channel's edge-detector output for a
-    jitter-free PRBS7 pattern of *n_bits* bits.  ``jitter_free`` runs the
-    ring without oscillator jitter, so the settled-span bulk step takes
-    its gate-high spans; ``jittered`` adds 2 % oscillator jitter, which
-    keeps every event on the scalar loop.  Each is the best of
+    jitter-free PRBS7 pattern of *n_bits* bits, whose gate-high spans the
+    settled-span bulk step takes.  ``jitter_free`` is the best of
     :data:`TIMED_REPEATS` warm calls (``_timed``).
     """
     config = CdrChannelConfig()
@@ -400,19 +398,15 @@ def bench_ring_rates(n_bits: int = RING_BITS) -> dict:
         prbs_sequence(7, n_bits), bit_rate_hz=config.bit_rate_hz,
         jitter=JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0, sj_amplitude_ui_pp=0.0),
         start_time_s=4 * unit_interval, rng=np.random.default_rng(0))
-    _, edet = fast_engine._edge_detector(stream.edge_times_s, config, 0.0, None)
+    _, edet = fast_engine._edge_detector(stream.edge_times_s, config)
     ring = {
         **fast_engine._ring_delays(config),
         "duration_s": stream.start_time_s + stream.duration_s + 4.0 * unit_interval,
         "n_stages": config.oscillator.n_stages,
         "improved_tap": False,
     }
-    _, jitter_free_s = _timed(lambda: fast_engine._ring_recurrence(
-        edet, sigma=0.0, rng=None, **ring))
-    _, jittered_s = _timed(lambda: fast_engine._ring_recurrence(
-        edet, sigma=0.02, rng=np.random.default_rng(5), **ring))
-    return {"jitter_free": round(n_bits / jitter_free_s),
-            "jittered": round(n_bits / jittered_s)}
+    _, jitter_free_s = _timed(lambda: fast_engine._ring_recurrence(edet, **ring))
+    return {"jitter_free": round(n_bits / jitter_free_s)}
 
 
 def bench_bittrue_kernels(n_bits: int) -> dict:
@@ -535,9 +529,7 @@ def main() -> int:
           f"({kernels['resolved_backend']})  "
           f"speedup {kernels['speedup']}x  "
           f"(20 isolated DFE adapts {kernels['dfe_adapt_s']}s)")
-    ring_rates = kernels["ring_bits_per_s"]
-    print(f"  gated ring {ring_rates['jitter_free']} bits/s jitter-free, "
-          f"{ring_rates['jittered']} bits/s jittered")
+    print(f"  gated ring {kernels['ring_bits_per_s']['jitter_free']} bits/s jitter-free")
 
     payload = {
         "python": manifest.python,

@@ -8,11 +8,11 @@ can be computed as numpy array passes plus one tight re-phasing recurrence,
 producing the same :class:`~repro.core.cdr_channel.BehavioralSimulationResult`
 surface 10-20x faster.
 
-On configurations without per-gate delay jitter the fast path is equivalent
-to the event kernel down to the exact floating-point sample times (see
-``tests/fastpath/test_equivalence.py`` and PERFORMANCE.md); with gate jitter
-enabled it draws statistically identical but not draw-for-draw identical
-jitter, so only distributions (not individual decisions) match.
+The fast path is equivalent to the event kernel down to the exact
+floating-point sample times (see ``tests/fastpath/test_equivalence.py`` and
+PERFORMANCE.md).  It runs only configurations without per-gate delay
+jitter and refuses the rest with the error ``resolve_backend`` gives for
+``backend="fast"``; the event kernel runs those.
 """
 
 from .._exports import lazy_exports

@@ -5,27 +5,25 @@ Lives beside the engines (below the sweep layer) so both
 downward without a cycle.
 
 ``"event"`` is the event kernel, the semantic reference; ``"fast"`` is the
-vectorized fast path.  They differ in one fact: only the event kernel draws
-per-gate delay jitter event for event (the fast path's jitter draws agree
-with it only in distribution — see PERFORMANCE.md).  So:
+vectorized fast path, its bit-exact twin.  They differ in one fact: only
+the event kernel draws per-gate delay jitter, and the fast path refuses a
+configuration that demands it.  So:
 
 * ``backend="auto"`` gives ``"event"`` on a configuration with gate or
   oscillator jitter and ``"fast"`` otherwise, where the two are exactly
   equivalent;
 * forcing ``"fast"`` on a jittered configuration raises a ``ValueError``
   naming ``per-gate-delay-jitter`` instead of silently returning
-  non-equivalent results.
-
-Constructing :class:`~repro.fastpath.engine.FastCdrChannel` directly remains
-the documented escape hatch for statistical studies that want the fast
-path's jitter sampling anyway.
+  non-equivalent results.  Constructing
+  :class:`~repro.fastpath.engine.FastCdrChannel` directly raises the same
+  error: both go through :func:`~repro.fastpath.engine.require_jitter_free`.
 """
 
 from __future__ import annotations
 
 from ..core.cdr_channel import BehavioralCdrChannel
 from ..core.config import CdrChannelConfig
-from .engine import FastCdrChannel
+from .engine import FastCdrChannel, needs_event_kernel, require_jitter_free
 
 __all__ = [
     "AUTO_BACKEND",
@@ -40,13 +38,6 @@ AUTO_BACKEND = "auto"
 
 #: Channel simulation backends, by name.
 BACKENDS = {"fast": FastCdrChannel, "event": BehavioralCdrChannel}
-
-
-def needs_event_kernel(config: CdrChannelConfig | None) -> bool:
-    """True when *config* draws per-gate delay jitter (gate or oscillator)."""
-    config = config or CdrChannelConfig()
-    return (config.gate_jitter_sigma_fraction > 0.0
-            or config.oscillator.jitter_sigma_fraction > 0.0)
 
 
 def resolve_backend(config: CdrChannelConfig | None = None,
@@ -64,13 +55,8 @@ def resolve_backend(config: CdrChannelConfig | None = None,
             f"unknown backend {backend!r}; expected one of "
             f"{sorted([*BACKENDS, AUTO_BACKEND])}"
         )
-    if backend == "fast" and needs_event_kernel(config):
-        raise ValueError(
-            "backend 'fast' does not support ['per-gate-delay-jitter'] "
-            "demanded by this configuration; "
-            'use backend="event" for a draw-for-draw jittered reference '
-            'or backend="auto" to resolve automatically'
-        )
+    if backend == "fast":
+        require_jitter_free(config)
     return backend
 
 

@@ -19,26 +19,27 @@ output.  Instead of dispatching per-edge events through the
 * The gated ring collapses to a recurrence on the **first stage only**: the
   inverter chain re-times stage-0 transitions by one stage delay each, so the
   feedback and both clock taps are shifted copies of the stage-0 change
-  stream.  One closure-free loop, shared by jittered and jitter-free runs,
-  merges three streams (EDET toggles, ring feedback, pending stage-0
-  applies) and reproduces the kernel's scheduling — including transport
-  cancellation, which *can* fire on stage 0 when a gating-input skew is
-  configured — at a few machine operations per event instead of a heap
-  transaction.  While the gate is high and nothing else is pending, the
-  ring free-runs: the loop then steps feedback and stage-0 apply directly,
-  skipping the merge, until the next EDET toggle or the run horizon.
-* Without oscillator jitter, every EDET rise that finds the ring quiescent
-  restarts it from the same state, so the gate-high spans are independent:
-  :func:`_settled_spans` advances all of them together, one sequential
-  ``np.add.accumulate`` row per span, and the loop fast-forwards over each
-  run of spans whose outcome it proves (see PERFORMANCE.md).
+  stream.  One closure-free loop merges three streams (EDET toggles, ring
+  feedback, pending stage-0 applies) and reproduces the kernel's
+  scheduling — including transport cancellation, which *can* fire on
+  stage 0 when a gating-input skew is configured — at a few machine
+  operations per event instead of a heap transaction.  While the gate is
+  high and nothing else is pending, the ring free-runs: the loop then
+  steps feedback and stage-0 apply directly, skipping the merge, until
+  the next EDET toggle or the run horizon.
+* Every EDET rise that finds the ring quiescent restarts it from the same
+  state, so the gate-high spans are independent: :func:`_settled_spans`
+  advances all of them together, one sequential ``np.add.accumulate`` row
+  per span, and the loop fast-forwards over each run of spans whose
+  outcome it proves (see PERFORMANCE.md).
 * The decision flip-flop samples the delayed data at every rising clock
   edge, so the decisions are one ``searchsorted`` away.
 
-With per-gate delay jitter enabled the same passes apply with per-event
-Gaussian draws folded into the delays; the draw *order* differs from the
-event kernel's, so jittered runs agree statistically but not sample-for-
-sample (see PERFORMANCE.md).
+Constant delays are the premise of every pass, so the fast path accepts
+only what it reproduces exactly: a configuration with gate or oscillator
+jitter (:func:`needs_event_kernel`) is refused by
+:func:`require_jitter_free`, the one check behind both the constructor and
+``resolve_backend(config, "fast")``.  The event kernel runs those.
 """
 
 from __future__ import annotations
@@ -53,18 +54,27 @@ from ..core.edge_detector import GATE_DELAY_S
 from ..datapath.nrz import JitterSpec, NrzEdgeStream, generate_edge_times
 from .traces import ArrayRecorder, EdgeArrays
 
-__all__ = ["FastCdrChannel"]
+__all__ = ["FastCdrChannel", "needs_event_kernel", "require_jitter_free"]
 
 _INF = float("inf")
 
 
-def _jittered(times: np.ndarray, delay_s: float, sigma: float,
-              rng: np.random.Generator | None) -> np.ndarray:
-    """Shift *times* by one gate delay, with optional per-event Gaussian jitter."""
-    if sigma > 0.0 and rng is not None and times.size:
-        draws = delay_s * (1.0 + rng.normal(0.0, sigma, size=times.size))
-        return times + np.maximum(draws, 1.0e-15)
-    return times + delay_s
+def needs_event_kernel(config: CdrChannelConfig | None) -> bool:
+    """True when *config* draws per-gate delay jitter (gate or oscillator)."""
+    config = config or CdrChannelConfig()
+    return (config.gate_jitter_sigma_fraction > 0.0
+            or config.oscillator.jitter_sigma_fraction > 0.0)
+
+
+def require_jitter_free(config: CdrChannelConfig | None) -> None:
+    """Raise ``ValueError`` when the fast path cannot run *config* exactly."""
+    if needs_event_kernel(config):
+        raise ValueError(
+            "backend 'fast' does not support ['per-gate-delay-jitter'] "
+            "demanded by this configuration; "
+            'use backend="event" for a draw-for-draw jittered reference '
+            'or backend="auto" to resolve automatically'
+        )
 
 
 def _drop_coincident(times: np.ndarray, *companions: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -240,8 +250,6 @@ def _ring_recurrence(
     t_stage: float,
     duration_s: float,
     n_stages: int,
-    sigma: float,
-    rng: np.random.Generator | None,
     improved_tap: bool,
 ) -> np.ndarray:
     """Run the gated-ring recurrence; return the selected clock-tap times.
@@ -270,13 +278,10 @@ def _ring_recurrence(
     it schedules.  The inner loop runs them directly, without the merge,
     until one would fall after the next EDET toggle or after *duration_s*.
 
-    Without jitter and with an odd inverter count, an EDET rise that finds
-    the ring quiescent starts a span :func:`_settled_spans` may have solved:
-    the loop then takes the clock times of the whole run of settled spans
-    from it and resumes, quiescent, at the rise that follows them.
-
-    With ``sigma > 0`` every delay is scaled by ``1 + sigma·N(0, 1)``
-    (clipped at 1 fs), drawn in event order from 4096-draw blocks of *rng*.
+    With an odd inverter count, an EDET rise that finds the ring quiescent
+    starts a span :func:`_settled_spans` may have solved: the loop then
+    takes the clock times of the whole run of settled spans from it and
+    resumes, quiescent, at the rise that follows them.
     """
     n_inverters = n_stages - 1
     # Tap positions along the chain (number of inversions in front of them).
@@ -297,18 +302,9 @@ def _ring_recurrence(
     v0 = 0
     v_last = last_parity
 
-    jitter = sigma > 0.0 and rng is not None
-    draws = rng.standard_normal(4096).tolist() if jitter else []
-    i_draw = 0
-
     # Time zero: every ring gate is kicked via evaluate_now(); only the first
     # stage produces a change (the inverters are already consistent).
-    if jitter:
-        scaled = t_feedback * (1.0 + sigma * draws[0])
-        i_draw = 1
-        t_0 = 0.0 + (scaled if scaled > 1.0e-15 else 1.0e-15)
-    else:
-        t_0 = 0.0 + t_feedback
+    t_0 = 0.0 + t_feedback
 
     # Pending stage-0 applies (parallel time/value lists, FIFO head pointer
     # h0, length n0) and feedback (last-stage) events (head hf, length nf);
@@ -324,7 +320,7 @@ def _ring_recurrence(
     # Settled spans (the rise at edet[2k - 1] opens span k): settled[k]
     # flags them, resume[k] is the first unsettled span at or after k.
     settled: list[bool] = []
-    if not jitter and last_parity and len(edet) > 2:
+    if last_parity and len(edet) > 2:
         flags, offsets, span_times = _settled_spans(
             edet_times, t_gate=t_gate, t_feedback=t_feedback, t_stage=t_stage,
             duration_s=duration_s, n_stages=n_stages, improved_tap=improved_tap)
@@ -361,15 +357,7 @@ def _ring_recurrence(
                 v0 = value
                 # Propagate through the inverter chain; record the tap.
                 for hop in hops:
-                    if jitter:
-                        if i_draw == 4096:
-                            draws = rng.standard_normal(4096).tolist()
-                            i_draw = 0
-                        scaled = t_stage * (1.0 + sigma * draws[i_draw])
-                        i_draw += 1
-                        time_s = time_s + (scaled if scaled > 1.0e-15 else 1.0e-15)
-                    else:
-                        time_s = time_s + t_stage
+                    time_s = time_s + t_stage
                     if hop == tap_hop:
                         clock_t.append(time_s)
                 value ^= last_parity
@@ -386,15 +374,7 @@ def _ring_recurrence(
                 # This feedback event is next; it schedules the stage-0
                 # apply of the same value (the gate is high).
                 v_last = value
-                if jitter:
-                    if i_draw == 4096:
-                        draws = rng.standard_normal(4096).tolist()
-                        i_draw = 0
-                    scaled = t_feedback * (1.0 + sigma * draws[i_draw])
-                    i_draw += 1
-                    time_s = time_s + (scaled if scaled > 1.0e-15 else 1.0e-15)
-                else:
-                    time_s = time_s + t_feedback
+                time_s = time_s + t_feedback
                 if value == v0:
                     # An even inverter count latches: the apply changes nothing.
                     break
@@ -434,15 +414,7 @@ def _ring_recurrence(
                 i_edet += 1
                 t_e = edet[i_edet]
                 base = t_gate
-            if jitter:
-                if i_draw == 4096:
-                    draws = rng.standard_normal(4096).tolist()
-                    i_draw = 0
-                scaled = base * (1.0 + sigma * draws[i_draw])
-                i_draw += 1
-                time_s = time_s + (scaled if scaled > 1.0e-15 else 1.0e-15)
-            else:
-                time_s = time_s + base
+            time_s = time_s + base
             # Transport semantics: cancel pending applies at or after time_s.
             while n0 > h0 and p0_t[n0 - 1] >= time_s:
                 p0_t.pop()
@@ -461,22 +433,20 @@ def _ring_recurrence(
     return np.concatenate(pieces)
 
 
-def _edge_detector(prop_times: np.ndarray, config: CdrChannelConfig, sigma: float,
-                   rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+def _edge_detector(prop_times: np.ndarray,
+                   config: CdrChannelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Delay line, XNOR and dummy gate: the DDIN and EDET event times.
 
     EDET toggles at every event of either XNOR input, so its toggles are
-    the sorted merge of the two inputs.  Jittered delays draw from *rng*
-    in the order of the gates here.
+    the sorted merge of the two inputs.
     """
     cell_delay = config.edge_detector_delay_s / config.edge_detector_cells
     line_times = prop_times
     for _cell in range(config.edge_detector_cells):
-        line_times = _jittered(line_times, cell_delay, sigma, rng)
-    ddin_times = _jittered(line_times, GATE_DELAY_S, sigma, rng)
-    edet_side_a = _jittered(prop_times, GATE_DELAY_S, sigma, rng)
-    edet_side_b = _jittered(line_times, GATE_DELAY_S, sigma, rng)
-    return ddin_times, np.sort(np.concatenate((edet_side_a, edet_side_b)))
+        line_times = line_times + cell_delay
+    ddin_times = line_times + GATE_DELAY_S
+    edet_times = np.concatenate((prop_times + GATE_DELAY_S, line_times + GATE_DELAY_S))
+    return ddin_times, np.sort(edet_times)
 
 
 def _ring_delays(config: CdrChannelConfig) -> dict[str, float]:
@@ -511,10 +481,11 @@ def _clock_levels(count: int, n_stages: int, improved_tap: bool) -> tuple[int, n
 class FastCdrChannel:
     """Vectorized fast-path model of one CDR channel.
 
-    Drop-in for :class:`~repro.core.cdr_channel.BehavioralCdrChannel`; on
-    configurations without per-gate delay jitter the returned result is
-    bit-for-bit identical to the event kernel's (same float sample times,
-    same decisions, same traces).
+    Drop-in for :class:`~repro.core.cdr_channel.BehavioralCdrChannel`: the
+    returned result is bit-for-bit identical to the event kernel's (same
+    float sample times, same decisions, same traces).  A configuration
+    with per-gate delay jitter raises ``ValueError``
+    (:func:`require_jitter_free`).
     """
 
     #: Backend name used by the sweep layer.
@@ -522,6 +493,7 @@ class FastCdrChannel:
 
     def __init__(self, config: CdrChannelConfig | None = None) -> None:
         self.config = config or CdrChannelConfig()
+        require_jitter_free(self.config)
 
     def run(
         self,
@@ -589,15 +561,15 @@ class FastCdrChannel:
                 raise ValueError("bits must match the provided stream's bits")
             start_time = stream.start_time_s
         duration = start_time + stream.duration_s + 4.0 * config.unit_interval_s
-        gate_sigma = config.gate_jitter_sigma_fraction
-        gate_rng = rng if gate_sigma > 0.0 else None
+        # DIN, DDIN and the sampler's master latch start at the stream's level.
+        level = int(stream.initial_level)
 
         edge_times = stream.edge_times_s
         edge_values = stream.bits[stream.edge_bit_index].astype(np.int64)
         prop_times, prop_values = _drop_coincident(edge_times, edge_values)
 
         # --- edge detector: delay line, XNOR, dummy gate --------------------
-        ddin_times, edet_times = _edge_detector(prop_times, config, gate_sigma, gate_rng)
+        ddin_times, edet_times = _edge_detector(prop_times, config)
 
         # --- gated ring oscillator -----------------------------------------
         parameters = config.oscillator
@@ -606,8 +578,6 @@ class FastCdrChannel:
             **_ring_delays(config),
             duration_s=duration,
             n_stages=parameters.n_stages,
-            sigma=parameters.jitter_sigma_fraction,
-            rng=rng if parameters.jitter_sigma_fraction > 0.0 else None,
             improved_tap=config.improved_sampling,
         )
         initial_clock, clock_values = _clock_levels(
@@ -622,18 +592,18 @@ class FastCdrChannel:
         rising = clock_values == 1
         sample_times = clock_times[rising]
         indices = np.searchsorted(ddin_times, sample_times, side="left") - 1
-        sampled = np.zeros(sample_times.size, dtype=np.uint8)
+        sampled = np.full(sample_times.size, level, dtype=np.uint8)
         in_range = indices >= 0
         sampled[in_range] = prop_values[indices[in_range]].astype(np.uint8)
 
         # --- traces (match the event recorder, clipped to the run horizon) --
-        # The recorder builds each trace on first access.  The jittered DOUT
-        # re-timing draws from rng, so it runs here, in draw order.
+        # The recorder builds each trace on first access.
         dout_times, dout_values = self._dout_events(
-            sample_times, sampled, config.sampler_delay_s, gate_sigma, gate_rng)
+            sample_times, sampled, config.sampler_delay_s)
         recorder = ArrayRecorder({
-            "din": EdgeArrays(edge_times, edge_values),
-            "ddin": EdgeArrays(ddin_times, prop_values, horizon_s=duration),
+            "din": EdgeArrays(edge_times, edge_values, initial_value=level),
+            "ddin": EdgeArrays(ddin_times, prop_values, initial_value=level,
+                               horizon_s=duration),
             # EDET toggles at every edge, from its initial high level.
             "edet": EdgeArrays(edet_times, initial_value=1, horizon_s=duration),
             "clock": EdgeArrays(clock_times, clock_values, initial_value=initial_clock,
@@ -654,18 +624,16 @@ class FastCdrChannel:
 
     @staticmethod
     def _dout_events(sample_times: np.ndarray, sampled: np.ndarray,
-                     clock_to_q_s: float, sigma: float,
-                     rng: np.random.Generator | None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     clock_to_q_s: float) -> tuple[np.ndarray, np.ndarray]:
         """DOUT transitions: decisions re-timed by the clock-to-Q delay.
 
         The flip-flop assigns its output on every rising edge; only actual
         value changes produce events (the transport apply filters the rest).
+        DOUT itself starts at 0, whatever the data's initial level.
         """
         if sample_times.size == 0:
             return np.zeros(0), np.zeros(0, dtype=np.int64)
         values = sampled.astype(np.int64)
         previous = np.concatenate(([0], values[:-1]))
         changed = values != previous
-        times = _jittered(sample_times, clock_to_q_s, sigma, rng)
-        return times[changed], values[changed]
+        return (sample_times + clock_to_q_s)[changed], values[changed]

@@ -7,6 +7,7 @@ from repro.core.cdr_channel import BehavioralCdrChannel
 from repro.core.config import PAPER_JITTER_SPEC, CdrChannelConfig
 from repro.datapath.nrz import JitterSpec
 from repro.datapath.prbs import prbs7
+from repro.gates.ring import GccoParameters
 
 NO_JITTER = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0)
 SJ_ONLY = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0,
@@ -49,6 +50,13 @@ class TestErrorFreeOperation:
     def test_recovered_clock_frequency_matches_data_rate(self):
         result = run_channel(CdrChannelConfig.paper_nominal())
         assert result.recovered_clock_frequency_hz() == pytest.approx(2.5e9, rel=0.01)
+
+    def test_gate_jitter_spreads_recovered_clock(self):
+        clean = run_channel(CdrChannelConfig(oscillator=GccoParameters(jitter_sigma_fraction=0.0)))
+        jittered = run_channel(CdrChannelConfig.paper_nominal())
+        clean_periods = np.diff(clean.trace("clock").edges("rising"))
+        jittered_periods = np.diff(jittered.trace("clock").edges("rising"))
+        assert jittered_periods.std() > clean_periods.std()
 
 
 class TestSamplingPhase:

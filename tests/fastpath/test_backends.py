@@ -2,8 +2,8 @@
 
 import re
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cdr_channel import BehavioralCdrChannel
 from repro.core.config import CdrChannelConfig
@@ -21,6 +21,9 @@ CLEAN = CdrChannelConfig()
 GATE_JITTER = CdrChannelConfig(gate_jitter_sigma_fraction=0.01)
 OSC_JITTER = CdrChannelConfig(
     oscillator=GccoParameters(jitter_sigma_fraction=0.01))
+
+#: Per-gate delay jitter sigmas, zero and non-zero.
+SIGMAS = st.one_of(st.just(0.0), st.floats(0.0, 0.1))
 
 UNKNOWN = "unknown backend 'warp'; expected one of ['auto', 'event', 'fast']"
 JITTERED_FAST = (
@@ -125,12 +128,22 @@ class TestCapabilityErrors:
         assert isinstance(make_channel(GATE_JITTER, "event"),
                           BehavioralCdrChannel)
 
-    def test_direct_engine_construction_remains_open(self):
-        """The documented escape hatch bypasses the backend rule on purpose."""
-        channel = FastCdrChannel(GATE_JITTER)
-        result = channel.run(np.array([1, 0, 1, 1, 0], dtype=np.uint8),
-                             rng=np.random.default_rng(0))
-        assert result.ber().compared_bits >= 0
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gate_sigma=SIGMAS, oscillator_sigma=SIGMAS)
+    def test_engine_refuses_exactly_what_fast_refuses(self, gate_sigma, oscillator_sigma):
+        """One rule: the constructor raises iff the backend rule does, with its text."""
+        config = CdrChannelConfig(
+            gate_jitter_sigma_fraction=gate_sigma,
+            oscillator=GccoParameters(jitter_sigma_fraction=oscillator_sigma))
+        if not needs_event_kernel(config):
+            assert FastCdrChannel(config).config is config
+            assert resolve_backend(config, "fast") == "fast"
+            return
+        with pytest.raises(ValueError) as construct:
+            FastCdrChannel(config)
+        with pytest.raises(ValueError) as resolve:
+            resolve_backend(config, "fast")
+        assert str(construct.value) == str(resolve.value) == JITTERED_FAST
 
 
 class TestRetiredJitBackend:

@@ -3,10 +3,10 @@
 The fast path hands its recorder the edge arrays and the recorder wraps
 each one in a :class:`~repro.events.waveform.Trace` only when asked.  These
 tests pin that late build against the eager build it replaced (kept below
-as the oracle), on a gate-jittered configuration whose DOUT re-timing
-draws from the run's generator; they check that reading traces draws
-nothing, that the full traces still byte-equal the event kernel's, and
-that retained fast results cross a real process pool.
+as the oracle), on a run whose DJ/RJ stimulus draws from the run's
+generator; they check that reading traces draws nothing, that the full
+traces still byte-equal the event kernel's, and that retained fast
+results cross a real process pool.
 """
 
 import hashlib
@@ -29,14 +29,13 @@ from repro.gates.ring import GccoParameters
 TRACE_NAMES = ("din", "ddin", "edet", "clock", "dout")
 DJ_RJ_SJ = JitterSpec(dj_ui_pp=0.3, rj_ui_rms=0.02,
                       sj_amplitude_ui_pp=0.2, sj_frequency_hz=250.0e6)
-#: Gate and oscillator jitter: the DOUT re-timing and the ring draw from rng.
-GATE_JITTER = CdrChannelConfig(gate_jitter_sigma_fraction=0.03)
 NO_GATE_JITTER = CdrChannelConfig(oscillator=GccoParameters(jitter_sigma_fraction=0.0))
 
-#: ``run_fast(GATE_JITTER)`` under the eager build: the generator's next
-#: draw after the run, and the SHA-256 of the five traces' arrays.
-EAGER_NEXT_DRAW = 0.315088378124199
-EAGER_TRACES_SHA256 = "5fc5273dd10bc61f5a80eeed90861717586671effaa1301555d454747504974e"
+#: ``run_fast(NO_GATE_JITTER)`` before the fast path's jittered mode was
+#: removed: the generator's next draw after the run, and the SHA-256 of
+#: the five traces' arrays.
+EAGER_NEXT_DRAW = 0.5845614498008885
+EAGER_TRACES_SHA256 = "bf75ea95a7084b1340989efa7ef6d2fa54f244e9d104a81ab18e74f1a9b011c7"
 
 
 def _eager_traces(arrays: dict[str, EdgeArrays], duration_s: float) -> dict:
@@ -78,7 +77,7 @@ def run_fast(config, seed=3, n=600, jitter=DJ_RJ_SJ):
 
 
 class TestOnAccessTraces:
-    def test_late_build_matches_the_eager_build_under_gate_jitter(self, monkeypatch):
+    def test_late_build_matches_the_eager_build(self, monkeypatch):
         captured = []
 
         class CapturingRecorder(ArrayRecorder):
@@ -87,7 +86,7 @@ class TestOnAccessTraces:
                 super().__init__(traces)
 
         monkeypatch.setattr(fast_engine, "ArrayRecorder", CapturingRecorder)
-        result, _ = run_fast(GATE_JITTER)
+        result, _ = run_fast(NO_GATE_JITTER)
         (arrays,) = captured
         assert all(isinstance(entry, EdgeArrays) for entry in arrays.values())
         expected = _eager_traces(arrays, result.duration_s)
@@ -96,19 +95,18 @@ class TestOnAccessTraces:
             assert_traces_byte_equal(result.trace(name), expected[name])
 
     def test_reading_traces_draws_nothing(self):
-        read, read_rng = run_fast(GATE_JITTER)
+        read, read_rng = run_fast(NO_GATE_JITTER)
         for name in TRACE_NAMES:
             read.trace(name)
-        unread, unread_rng = run_fast(GATE_JITTER)
+        unread, unread_rng = run_fast(NO_GATE_JITTER)
         assert read_rng.random() == unread_rng.random()
         assert read_rng.bit_generator.state == unread_rng.bit_generator.state
         np.testing.assert_array_equal(read.sample_times_s, unread.sample_times_s)
 
     def test_draws_and_traces_match_the_eager_build_pin(self):
-        """Recorded from the eager build: the same draws are taken, in the
-        same order (the jittered DOUT re-timing included), and read late
-        the five traces hash the same."""
-        result, rng = run_fast(GATE_JITTER)
+        """Recorded before the jittered mode went: the same stimulus draws
+        are taken, and read late the five traces hash the same."""
+        result, rng = run_fast(NO_GATE_JITTER)
         assert rng.random() == EAGER_NEXT_DRAW
         digest = hashlib.sha256()
         for name in TRACE_NAMES:
@@ -118,7 +116,7 @@ class TestOnAccessTraces:
         assert digest.hexdigest() == EAGER_TRACES_SHA256
 
     def test_a_trace_is_built_once(self):
-        result, _ = run_fast(GATE_JITTER, n=200)
+        result, _ = run_fast(NO_GATE_JITTER, n=200)
         first = result.trace("clock")
         assert result.trace("clock") is first
         assert result.recorder["clock"] is first
@@ -127,7 +125,7 @@ class TestOnAccessTraces:
             result.trace("missing")
 
     def test_unread_result_pickles_and_builds_identically(self):
-        result, _ = run_fast(GATE_JITTER)
+        result, _ = run_fast(NO_GATE_JITTER)
         back = pickle.loads(pickle.dumps(result))
         for name in TRACE_NAMES:
             assert_traces_byte_equal(back.trace(name), result.trace(name))

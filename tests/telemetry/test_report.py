@@ -298,6 +298,22 @@ class TestHistory:
         assert summary["regressions"] == ["loop"]
         assert history_table(summary).render()
 
+    def test_old_and_new_ring_rate_records_summarize(self, tmp_path, capsys):
+        # Records from before the fast path's jittered mode went carry a
+        # "jittered" ring rate; later records carry "jitter_free" only.
+        old = {"speedup": 85.0, "fast_s": 0.0036, "event_s": 0.30,
+               "ring_bits_per_s": {"jitter_free": 5_126_100, "jittered": 391_305}}
+        new = {"speedup": 87.0, "fast_s": 0.0035, "event_s": 0.30,
+               "ring_bits_per_s": {"jitter_free": 5_200_000}}
+        path = _ledger(tmp_path, [old, old, new], name="bittrue_kernels")
+        assert [record["entries"]["bittrue_kernels"]["ring_bits_per_s"]
+                for record in load_history(path)] == [old["ring_bits_per_s"]] * 2 + [
+                    new["ring_bits_per_s"]]
+        summary = history_summary(path)
+        assert summary["regressions"] == []
+        assert main(["--history", str(path)]) == 0
+        assert "bittrue_kernels" in capsys.readouterr().out
+
 
 class TestCli:
     def test_main_prints_report(self, tmp_path, capsys):
