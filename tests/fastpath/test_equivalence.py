@@ -50,6 +50,10 @@ CORPUS = [
     ("gating_skew", CdrChannelConfig(
         oscillator=GccoParameters(jitter_sigma_fraction=0.0, gating_input_skew_s=5.0e-12)),
      DJ_RJ, 0.0),
+    ("skewed_improved", CdrChannelConfig(
+        oscillator=GccoParameters(jitter_sigma_fraction=0.0, gating_input_skew_s=8.0e-12),
+        improved_sampling=True),
+     JitterSpec(sj_amplitude_ui_pp=0.2), 0.0),
 ]
 
 
@@ -155,3 +159,25 @@ class TestGeneratedExactEquivalence:
             # Whole traces, initial level included.
             for ours, theirs in zip(fast.trace(name).as_arrays(), event.trace(name).as_arrays()):
                 np.testing.assert_array_equal(ours, theirs, err_msg=f"trace {name!r} diverged")
+
+
+class TestPaperClaimsOnFastPath:
+    """The paper's claims hold on the fast path's jitter-free presets."""
+
+    def test_clean_recovery(self):
+        _, fast = run_both(CdrChannelConfig.paper_nominal(jitter_sigma_fraction=0.0),
+                           NO_JITTER, 0.0, n=600)
+        assert fast.ber().errors == 0
+
+    def test_improved_tap_samples_three_eighths_into_the_bit(self):
+        _, fast = run_both(CdrChannelConfig.paper_improved(jitter_sigma_fraction=0.0),
+                           NO_JITTER, 0.0, n=600)
+        assert fast.ber().errors == 0
+        phases = fast.sampling_phase_ui()
+        assert np.median(phases[(phases > 0) & (phases < 1)]) == pytest.approx(0.375, abs=0.03)
+
+    def test_fig14_eye_asymmetry_reproduced(self):
+        _, fast = run_both(CdrChannelConfig.figure14_condition(jitter_sigma_fraction=0.0),
+                           SJ_ONLY, 0.0, n=1500)
+        metrics = fast.eye_diagram().metrics()
+        assert metrics.right_edge_std_ui > metrics.left_edge_std_ui

@@ -884,8 +884,9 @@ class TestRingRecurrenceBitIdentity:
     def test_generated_edet_streams_match_reference(self, case):
         _ring_pair(*case)
 
-    def test_long_free_run_without_toggles(self):
-        """With no toggles the ring free-runs to the horizon."""
+    @pytest.mark.parametrize("improved_tap", [False, True])
+    def test_long_free_run_without_toggles(self, improved_tap):
+        """With no toggles the ring free-runs to the horizon, on either tap."""
         clock_t = _ring_pair(
             np.zeros(0),
             {
@@ -894,7 +895,7 @@ class TestRingRecurrenceBitIdentity:
                 "t_stage": STAGE_DELAY_S,
                 "duration_s": 300.0e-9,
                 "n_stages": 4,
-                "improved_tap": False,
+                "improved_tap": improved_tap,
             },
         )
         assert len(clock_t) > 1000
