@@ -14,7 +14,7 @@ axis, bit-true fixed-lineup cross-check per point) under a
   :class:`~repro.link.training.objective.StatEyeObjective` memo (how many
   budget-charged solves memoisation saved);
 * the **pool health** of the resilient runner (task modes, chunks,
-  retries) and the remaining counters (events, gate evaluations, bits).
+  failures) and the remaining counters (events, gate evaluations, bits).
 
 Tracing is read-only instrumentation: the sweep's numbers are
 bit-identical with the trace on or off (``tests/telemetry``), so this

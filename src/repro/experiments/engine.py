@@ -76,7 +76,8 @@ def _stimulus_bits(stimulus: StimulusSpec) -> np.ndarray:
     it once instead of at every point.  The memo lives wherever the point
     runs (a pool child fills its own) and holds read-only copies, so no
     point can alter the bits another point sees.  A ``bits()`` that raises
-    stores nothing: the exception reaches the runner on every attempt.
+    stores nothing: the exception reaches the runner every time the point
+    runs.
     """
     bits = _STIMULUS_BITS.get(stimulus)
     if bits is None:
@@ -328,10 +329,69 @@ def _grid_failures(
                 message=failure.message,
                 traceback_tail=failure.traceback_tail,
                 seed_path=failure.seed_path,
-                attempts=failure.attempts,
             )
         )
     return tuple(converted)
+
+
+def _run_study(
+    worker,
+    tasks: list,
+    spec: ScenarioSpec,
+    axes: tuple[ParameterAxis, ...],
+    study: dict,
+    metadata: dict,
+    *,
+    seed: int | None,
+    workers: int | None,
+    chunk_size: int | None,
+    failure_policy: str,
+    checkpoint,
+) -> tuple[list, dict]:
+    """Run one task per grid point on the resilient runner.
+
+    The checkpoint key hashes *study* (the study's name and any fields
+    beyond the spec, axes and seed that identify it) with *spec*, *axes*
+    and *seed*; the manifest carries that key and is added to *metadata*.
+    Returns ``(values, fields)``: the workers' values, row-major (``None``
+    where a point failed), and the :class:`SweepResult` fields every grid
+    study shares.
+    """
+    # Deferred import: repro.sweep.sweeps wraps this engine, so importing
+    # the runner through the repro.sweep package at module scope would be
+    # circular when repro.experiments is imported first.
+    from ..sweep.resilient import map_tasks_resilient
+
+    study_key = content_key({**study, "spec": spec, "axes": axes, "seed": seed})
+    manifest = collect_manifest(
+        backend=resolve_backend(spec.config, spec.backend),
+        content_key=study_key,
+        seed=seed,
+    )
+    mapped = map_tasks_resilient(
+        worker,
+        tasks,
+        seed=seed,
+        workers=workers,
+        chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
+        failure_policy=failure_policy,
+        checkpoint=checkpoint,
+        checkpoint_key=study_key,
+        manifest=manifest.to_dict(),
+    )
+    axis_results = _axis_results(axes)
+    shape = tuple(len(axis) for axis in axes)
+    fields = {
+        "axes": axis_results,
+        "backend": spec.backend,
+        "point_backends": tuple(task.backend for task in tasks),
+        "n_bits": spec.stimulus.n_bits,
+        "seed": seed,
+        "metadata": {**metadata, "manifest": manifest.to_dict()},
+        "failures": _grid_failures(mapped.failures, axis_results, shape),
+        "audit": mapped.audit,
+    }
+    return mapped.values, fields
 
 
 def run_grid(
@@ -344,8 +404,6 @@ def run_grid(
     metadata: dict | None = None,
     chunk_size: int | None = None,
     failure_policy: str = "raise",
-    max_retries: int = 1,
-    chunk_timeout_s: float | None = None,
     checkpoint=None,
 ) -> SweepResult:
     """Measure every point of the axes' cartesian grid.
@@ -364,23 +422,14 @@ def run_grid(
     grid with :class:`repro.sweep.resilient.SweepTaskError`; ``"collect"``
     records a structured :class:`~repro.experiments.results.PointFailure`
     in :attr:`SweepResult.failures` and carries on (failed points report
-    zero compared bits, i.e. BER ``NaN``, and ``NaN`` extra metrics);
-    ``"retry"`` retries each failing point up to *max_retries* times on
-    the same seed child (retries cannot change numerics) before
-    collecting.  *checkpoint* names a JSONL file keyed by a content hash
-    of ``(spec, axes, seed)``: completed chunks are appended as they
-    finish, an interrupted grid resumes by re-running only missing and
-    failed points, and the merged result is bit-identical to a single
-    uninterrupted run.  *chunk_timeout_s* bounds each pooled chunk's
-    wall clock, degrading the affected chunk (and the rest of the run)
-    to serial execution.  The per-point execution mode / duration /
-    attempt audit trail rides in :attr:`SweepResult.audit`.
+    zero compared bits, i.e. BER ``NaN``, and ``NaN`` extra metrics).
+    *checkpoint* names a JSONL file keyed by a content hash of ``(spec,
+    axes, seed)``: completed chunks are appended as they finish, an
+    interrupted grid resumes by re-running only missing and failed
+    points, and the merged result is bit-identical to a single
+    uninterrupted run.  The per-point execution mode / duration audit
+    trail rides in :attr:`SweepResult.audit`.
     """
-    # Deferred import: repro.sweep.sweeps wraps this engine, so importing
-    # the runner through the repro.sweep package at module scope would be
-    # circular when repro.experiments is imported first.
-    from ..sweep.resilient import map_tasks_resilient
-
     axes = tuple(axes)
     points = resolve_grid(spec, axes)
     if spec.measurement.statistical_eye or spec.measurement.train_equalizers:
@@ -401,29 +450,21 @@ def run_grid(
         _PointTask(point, resolve_backend(point.config, point.backend))
         for point in points
     ]
-    study_key = content_key({"study": "run_grid", "spec": spec, "axes": axes, "seed": seed})
-    manifest = collect_manifest(
-        backend=resolve_backend(spec.config, spec.backend),
-        content_key=study_key,
-        seed=seed,
-    )
-    mapped = map_tasks_resilient(
+    outcomes, fields = _run_study(
         _measure_point,
         tasks,
+        spec,
+        axes,
+        {"study": "run_grid"},
+        metadata or {},
         seed=seed,
         workers=workers,
-        chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
+        chunk_size=chunk_size,
         failure_policy=failure_policy,
-        max_retries=max_retries,
-        chunk_timeout_s=chunk_timeout_s,
         checkpoint=checkpoint,
-        checkpoint_key=study_key,
-        manifest=manifest.to_dict(),
     )
-    outcomes = mapped.values
 
     shape = tuple(len(axis) for axis in axes)
-    axis_results = _axis_results(axes)
     metrics: dict[str, np.ndarray] = {
         "errors": np.array([o[0] if o is not None else 0 for o in outcomes], dtype=np.int64),
         "compared": np.array([o[1] if o is not None else 0 for o in outcomes], dtype=np.int64),
@@ -445,19 +486,7 @@ def run_grid(
         else None
     )
 
-    return SweepResult(
-        name=name,
-        axes=axis_results,
-        metrics=metrics,
-        backend=spec.backend,
-        point_backends=tuple(task.backend for task in tasks),
-        n_bits=spec.stimulus.n_bits,
-        seed=seed,
-        metadata={**(metadata or {}), "manifest": manifest.to_dict()},
-        details=details,
-        failures=_grid_failures(mapped.failures, axis_results, shape),
-        audit=mapped.audit,
-    )
+    return SweepResult(name=name, metrics=metrics, details=details, **fields)
 
 
 # --- tolerance search ---------------------------------------------------------
@@ -546,8 +575,6 @@ def run_tolerance_search(
     metadata: dict | None = None,
     chunk_size: int | None = None,
     failure_policy: str = "raise",
-    max_retries: int = 1,
-    chunk_timeout_s: float | None = None,
     checkpoint=None,
 ) -> SweepResult:
     """Per grid point, the largest *search.axis* value that still passes.
@@ -559,62 +586,32 @@ def run_tolerance_search(
     :func:`run_grid` (the checkpoint key additionally hashes the search
     shape); a collected failure leaves ``NaN`` in the tolerance grid.
     """
-    from ..sweep.resilient import map_tasks_resilient  # deferred: see run_grid
-
     axes = tuple(axes)
     points = resolve_grid(spec, axes)
     tasks = [
         _SearchTask(point, resolve_backend(point.config, point.backend), search)
         for point in points
     ]
-    study_key = content_key(
-        {
-            "study": "run_tolerance_search",
-            "spec": spec,
-            "axes": axes,
-            "seed": seed,
-            "search": search,
-        }
-    )
-    manifest = collect_manifest(
-        backend=resolve_backend(spec.config, spec.backend),
-        content_key=study_key,
-        seed=seed,
-    )
-    mapped = map_tasks_resilient(
-        _search_point,
-        tasks,
-        seed=seed,
-        workers=workers,
-        chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
-        failure_policy=failure_policy,
-        max_retries=max_retries,
-        chunk_timeout_s=chunk_timeout_s,
-        checkpoint=checkpoint,
-        checkpoint_key=study_key,
-        manifest=manifest.to_dict(),
-    )
-    amplitudes = [value if value is not None else float("nan") for value in mapped.values]
-
-    shape = tuple(len(axis) for axis in axes)
-    axis_results = _axis_results(axes)
     info = {
         "search_axis": search.axis,
         "maximum": search.maximum,
         "resolution": search.resolution,
         "target_errors": search.target_errors,
     }
-    info.update(metadata or {})
-    info["manifest"] = manifest.to_dict()
-    return SweepResult(
-        name=name,
-        axes=axis_results,
-        metrics={search.axis: np.asarray(amplitudes, dtype=float).reshape(shape)},
-        backend=spec.backend,
-        point_backends=tuple(task.backend for task in tasks),
-        n_bits=spec.stimulus.n_bits,
+    values, fields = _run_study(
+        _search_point,
+        tasks,
+        spec,
+        axes,
+        {"study": "run_tolerance_search", "search": search},
+        {**info, **(metadata or {})},
         seed=seed,
-        metadata=info,
-        failures=_grid_failures(mapped.failures, axis_results, shape),
-        audit=mapped.audit,
+        workers=workers,
+        chunk_size=chunk_size,
+        failure_policy=failure_policy,
+        checkpoint=checkpoint,
     )
+    amplitudes = [value if value is not None else float("nan") for value in values]
+    shape = tuple(len(axis) for axis in axes)
+    metrics = {search.axis: np.asarray(amplitudes, dtype=float).reshape(shape)}
+    return SweepResult(name=name, metrics=metrics, **fields)

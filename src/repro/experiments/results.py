@@ -93,8 +93,6 @@ class PointFailure:
         point ran pooled or serially).
     seed_path:
         SeedSequence spawn key of the point's random stream.
-    attempts:
-        Attempts made (more than 1 under ``failure_policy="retry"``).
     """
 
     index: int
@@ -103,7 +101,6 @@ class PointFailure:
     message: str
     traceback_tail: str
     seed_path: tuple[int, ...]
-    attempts: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coordinates", tuple(self.coordinates))
@@ -118,7 +115,6 @@ class PointFailure:
             "message": self.message,
             "traceback_tail": self.traceback_tail,
             "seed_path": list(self.seed_path),
-            "attempts": self.attempts,
         }
 
     @classmethod
@@ -131,7 +127,6 @@ class PointFailure:
             message=payload["message"],
             traceback_tail=payload["traceback_tail"],
             seed_path=tuple(int(part) for part in payload["seed_path"]),
-            attempts=int(payload["attempts"]),
         )
 
 
@@ -220,12 +215,12 @@ class SweepResult:
         row-major; ``None`` unless requested.  Not serialized.
     failures:
         Structured :class:`PointFailure` records of grid points whose
-        worker raised (``failure_policy="collect"`` / ``"retry"``),
+        worker raised (``failure_policy="collect"``),
         ordered by flat index; failed points carry zero errors/compared
         (BER ``NaN``) and ``NaN`` extra metrics.  Serialized.
     audit:
         Per-point :class:`repro.sweep.resilient.TaskAudit` execution
-        records (mode, wall-clock duration, attempts), row-major.
+        records (mode, wall-clock duration), row-major.
         Wall-clock values are nondeterministic, so the audit trail is an
         in-memory diagnostic and — like ``details`` — not serialized.
     """

@@ -278,16 +278,16 @@ def _ring_recurrence(
     it schedules.  The inner loop runs them directly, without the merge,
     until one would fall after the next EDET toggle or after *duration_s*.
 
-    With an odd inverter count, an EDET rise that finds the ring quiescent
-    starts a span :func:`_settled_spans` may have solved: the loop then
-    takes the clock times of the whole run of settled spans from it and
-    resumes, quiescent, at the rise that follows them.
+    The inverter count is odd (:class:`~repro.gates.ring.GccoParameters`
+    takes even stage counts only), so an EDET rise that finds the ring
+    quiescent starts a span :func:`_settled_spans` may have solved: the
+    loop then takes the clock times of the whole run of settled spans from
+    it and resumes, quiescent, at the rise that follows them.
     """
     n_inverters = n_stages - 1
     # Tap positions along the chain (number of inversions in front of them).
     improved_hops = n_stages - 2
     tap_hop = improved_hops - 1 if improved_tap else -1
-    last_parity = n_inverters & 1
     hops = range(n_inverters)
 
     edet = edet_times.tolist()
@@ -299,8 +299,9 @@ def _ring_recurrence(
     clock_t: list[float] = []
     pieces: list = []
 
+    # Stage 0 starts low, so the odd inverter chain holds the last stage high.
     v0 = 0
-    v_last = last_parity
+    v_last = 1
 
     # Time zero: every ring gate is kicked via evaluate_now(); only the first
     # stage produces a change (the inverters are already consistent).
@@ -320,7 +321,7 @@ def _ring_recurrence(
     # Settled spans (the rise at edet[2k - 1] opens span k): settled[k]
     # flags them, resume[k] is the first unsettled span at or after k.
     settled: list[bool] = []
-    if last_parity and len(edet) > 2:
+    if len(edet) > 2:
         flags, offsets, span_times = _settled_spans(
             edet_times, t_gate=t_gate, t_feedback=t_feedback, t_stage=t_stage,
             duration_s=duration_s, n_stages=n_stages, improved_tap=improved_tap)
@@ -360,7 +361,7 @@ def _ring_recurrence(
                     time_s = time_s + t_stage
                     if hop == tap_hop:
                         clock_t.append(time_s)
-                value ^= last_parity
+                value ^= 1  # the odd chain inverts stage 0
                 if not improved_tap:
                     # Nominal tap: inverted last stage.
                     clock_t.append(time_s)
@@ -375,9 +376,6 @@ def _ring_recurrence(
                 # apply of the same value (the gate is high).
                 v_last = value
                 time_s = time_s + t_feedback
-                if value == v0:
-                    # An even inverter count latches: the apply changes nothing.
-                    break
                 if time_s > horizon:
                     # The apply rejoins the merge past the horizon.
                     p0_t.append(time_s)
@@ -468,14 +466,15 @@ def _ring_delays(config: CdrChannelConfig) -> dict[str, float]:
     }
 
 
-def _clock_levels(count: int, n_stages: int, improved_tap: bool) -> tuple[int, np.ndarray]:
+def _clock_levels(count: int) -> tuple[int, np.ndarray]:
     """The selected clock tap's initial level and its values at *count* events.
 
-    Every stage-0 change flips the tap, so the values alternate, starting
-    from the complement of the initial level.
+    Both taps start low: the nominal tap inverts the last stage, which an
+    odd inverter chain holds high, and the improved tap sits an even
+    number of inversions behind stage 0.  Every stage-0 change flips the
+    tap, so the values alternate from high.
     """
-    initial = (n_stages - 2) & 1 if improved_tap else 1 - ((n_stages - 1) & 1)
-    return initial, (np.arange(count) & 1) ^ (1 - initial)
+    return 0, (np.arange(count) & 1) ^ 1
 
 
 class FastCdrChannel:
@@ -580,8 +579,7 @@ class FastCdrChannel:
             n_stages=parameters.n_stages,
             improved_tap=config.improved_sampling,
         )
-        initial_clock, clock_values = _clock_levels(
-            clock_times.size, parameters.n_stages, config.improved_sampling)
+        initial_clock, clock_values = _clock_levels(clock_times.size)
         # Inverter-chain events past the run horizon never execute in the
         # event kernel (run_until stops there), so they produce no decision.
         horizon = clock_times <= duration

@@ -4,15 +4,14 @@
   *i*'s random stream comes from ``np.random.SeedSequence(seed).spawn``,
   so results are identical for any worker count (including serial
   execution).  On that seeding contract it adds per-task failure
-  isolation with structured :class:`TaskFailure` records, deterministic
-  bounded retry, chunked execution with JSONL checkpoint/resume
-  (bit-identical merged results), pool-breakage/timeout degradation and a
-  per-task audit trail.  It is the execution substrate of the
-  :mod:`repro.experiments` engine.
+  isolation with structured :class:`TaskFailure` records, chunked
+  execution with JSONL checkpoint/resume (bit-identical merged results),
+  pool-breakage degradation and a per-task audit trail.  It is the
+  execution substrate of the :mod:`repro.experiments` engine.
 * :mod:`repro.sweep.faults` — deterministic fault-injection worker wrappers
-  (fail-every-Nth, fail-once-then-succeed, hang/crash-in-pool) plus an
-  ``"inject_fault"`` scenario axis, for resilience tests and downstream
-  chaos exercises (imported on demand, not re-exported here).
+  (fail-every-Nth, crash-in-pool) plus an ``"inject_fault"`` scenario
+  axis, for resilience tests and downstream chaos exercises (imported on
+  demand, not re-exported here).
 * :mod:`repro.sweep.sweeps` — the paper's headline sweeps (BER versus
   sinusoidal jitter / frequency offset / channel loss / CTLE peaking,
   equalization ablation, time-domain jitter tolerance, multi-channel

@@ -14,15 +14,10 @@ so instances pickle across the process-pool boundary like any worker.
 * :class:`FailEveryNth` — raise :class:`InjectedFault` at every Nth
   point (optionally offset): the "some fraction of the corpus is bad"
   shape.
-* :class:`FailOnceThenSucceed` — fail listed points on their first
-  attempt in each process, succeed on retry: the flaky-environment shape
-  for ``failure_policy="retry"`` (retries run in-process, so the second
-  attempt sees the first's marker).
-* :class:`HangInPool` / :class:`CrashInPool` — sleep past a chunk
-  timeout / hard-exit the worker process, but **only when running inside
-  a pool child process**; executed serially they just run the wrapped
-  worker.  They exercise the timeout-degradation and broken-pool paths
-  while keeping the serial re-execution (and the test suite) safe.
+* :class:`CrashInPool` — hard-exit the worker process, but **only when
+  running inside a pool child process**; executed serially it just runs
+  the wrapped worker.  It exercises the broken-pool path while keeping
+  the serial re-execution (and the test suite) safe.
 
 There is also a registered ``"inject_fault"`` parameter axis (importing
 this module registers it): axis value ``True`` swaps the scenario's
@@ -35,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -47,11 +41,8 @@ __all__ = [
     "InjectedFault",
     "task_index",
     "FailEveryNth",
-    "FailOnceThenSucceed",
-    "HangInPool",
     "CrashInPool",
     "FaultyStimulus",
-    "reset_fault_state",
 ]
 
 
@@ -68,16 +59,6 @@ def task_index(rng: np.random.Generator) -> int:
     it was handed.
     """
     return int(rng.bit_generator.seed_seq.spawn_key[-1])
-
-
-#: Per-process markers of points that already failed once (see
-#: :class:`FailOnceThenSucceed`).
-_FAILED_ONCE: set = set()
-
-
-def reset_fault_state() -> None:
-    """Clear the per-process fail-once markers (call between tests)."""
-    _FAILED_ONCE.clear()
 
 
 @dataclass(frozen=True)
@@ -99,51 +80,8 @@ class FailEveryNth:
         return self.worker(task, rng)
 
 
-@dataclass(frozen=True)
-class FailOnceThenSucceed:
-    """Fail listed points on the first attempt per process, then succeed.
-
-    Designed for ``failure_policy="retry"``: the retry runs in the same
-    process as the failed attempt, sees the marker, and succeeds — with
-    numerics identical to a clean first attempt, because the retry
-    reuses the same SeedSequence child.  ``tag`` separates concurrent
-    wrappers sharing the per-process marker set.
-    """
-
-    worker: Callable
-    indices: tuple[int, ...]
-    tag: str = "default"
-
-    def __call__(self, task, rng):
-        index = task_index(rng)
-        marker = (self.tag, index)
-        if index in self.indices and marker not in _FAILED_ONCE:
-            _FAILED_ONCE.add(marker)
-            raise InjectedFault(f"injected transient fault at point {index}")
-        return self.worker(task, rng)
-
-
 def _in_pool_child() -> bool:
     return multiprocessing.parent_process() is not None
-
-
-@dataclass(frozen=True)
-class HangInPool:
-    """Sleep at listed points — but only inside a pool child process.
-
-    Exercises the chunk-timeout degradation path: the pooled attempt
-    stalls past ``chunk_timeout_s``, the serial re-execution (same seed
-    child, so same numerics) returns immediately.
-    """
-
-    worker: Callable
-    indices: tuple[int, ...]
-    sleep_s: float = 2.0
-
-    def __call__(self, task, rng):
-        if task_index(rng) in self.indices and _in_pool_child():
-            time.sleep(self.sleep_s)
-        return self.worker(task, rng)
 
 
 @dataclass(frozen=True)

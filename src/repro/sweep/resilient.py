@@ -6,15 +6,16 @@ only on ``(seed, i)`` — never on the worker count, the chunking, or
 whether the task ran in a pool process, serially, or after a resume.
 On that contract :func:`map_tasks_resilient` adds three properties:
 
-**Failure isolation.**  Every task runs inside a per-task ``try`` /
+**Failure isolation.**  Every task runs once inside a per-task ``try`` /
 ``except`` boundary (:func:`_guarded`, executed identically in-pool and
 in-process).  A raising task becomes a structured :class:`TaskFailure`
-(exception type, message, traceback tail, seed path, attempt count)
-instead of killing the grid; the ``failure_policy`` knob selects whether
-failures are collected (``"collect"``), abort the run after the current
-chunk is checkpointed (``"raise"``), or are retried a bounded number of
-times (``"retry"``).  A retry rebuilds the generator from the *same*
-SeedSequence child, so a flaky-environment retry cannot change numerics.
+(exception type, message, traceback tail, seed path) instead of killing
+the grid; the ``failure_policy`` knob selects whether failures are
+collected (``"collect"``) or abort the run after the current chunk is
+checkpointed (``"raise"``).  A worker is a deterministic function of
+its task and its SeedSequence child, so running a failed task again
+would only raise again: a failed point is re-run by a resume, after
+its cause is fixed.
 
 **Checkpoint / resume.**  Tasks execute in chunks of ``chunk_size``
 (bounding peak in-flight memory); a checkpointed run keeps one strict
@@ -35,9 +36,8 @@ a spawn-time ``OSError`` / ``PermissionError`` means the environment
 cannot fork and the run degrades to serial execution permanently; a
 ``BrokenProcessPool`` mid-chunk (a worker process died hard) re-executes
 the affected tasks serially and rebuilds the pool once before giving up
-on it; a chunk exceeding ``chunk_timeout_s`` abandons the pool and
-finishes the chunk (and all later chunks) serially.  Every task records
-its execution mode, duration and attempt count in a :class:`TaskAudit`.
+on it.  Every task records its execution mode and duration in a
+:class:`TaskAudit`.
 
 **Observability.**  When a :mod:`repro.telemetry` tracer is active, each
 guarded task runs under a fresh task-local tracer whose counter/gauge/
@@ -46,27 +46,28 @@ and serial execution alike — and merged into the parent tracer in task
 index order (equivalently: sorted by seed path, since spawn keys are
 per-index).  Counter totals are therefore identical at any worker
 count.  The parent additionally records ``sweep.chunk`` spans and
-``sweep.*`` pool-health counters (tasks by mode, retries, failures,
-pool breakages/abandonment/spawn fallbacks, checkpoint restores).
-Task durations never enter the journal or any content hash.
+``sweep.*`` pool-health counters (tasks by mode, failures, pool
+breakages and spawn fallbacks, checkpoint restores).  Task durations
+never enter the journal or any content hash.
 
 **Journal layout.**  After the header, each run appends exactly one
 line per task it executed, in task order: ``{"kind": "point", "index",
-"value", "mode", "attempts"}`` or ``{"kind": "failure", "index",
-"failure", "mode", "attempts"}``.  The last line of each chunk also
-carries that chunk's ``"progress"``: its number and the planned chunk
-count, the cumulative done / failed / restored / retries / pending
-counts of the run, and any pool-health transitions (spawn fallback,
-rebuild, abandonment).  The same line carries ``"timing"``, the only
-wall-clock field (elapsed seconds, throughput and ETA from monotonic
-``perf_counter`` durations).  The last line of a run that completes
-also carries ``"end": true``; its absence marks a run as live or
-interrupted.  A resume appends task lines only, and restored points
-keep the original execution's mode and attempts as ``source_mode`` /
-``source_attempts``.  Without ``mode`` and ``timing`` the lines are
-byte-identical across worker counts for healthy runs.  The numpy-free
-``python -m repro.telemetry.watch`` CLI renders a journal offline or
-live.
+"value", "mode"}`` or ``{"kind": "failure", "index", "failure",
+"mode"}``.  The last line of each chunk also carries that chunk's
+``"progress"``: its number and the planned chunk count, the cumulative
+done / failed / restored / pending counts of the run, and any
+pool-health transitions (spawn fallback, rebuild).  The same line
+carries ``"timing"``, the only wall-clock field (elapsed seconds,
+throughput and ETA from monotonic ``perf_counter`` durations).  The
+last line of a run that completes also carries ``"end": true``; its
+absence marks a run as live or interrupted.  A resume appends task
+lines only, and restored points keep the original execution's mode as
+``source_mode``.  Without ``mode`` and ``timing`` the lines are
+byte-identical across worker counts for healthy runs.  Journals of
+earlier writers also carry per-line ``attempts`` and a progress
+``retries`` count; a resume and the watch CLI ignore both.  The
+numpy-free ``python -m repro.telemetry.watch`` CLI renders a journal
+offline or live.
 
 **Provenance.**  A ``manifest`` mapping (see
 :func:`repro.telemetry.manifest.collect_manifest`) passed by the caller
@@ -77,11 +78,10 @@ seed only, so a journal written on one machine restores on another.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -114,7 +114,7 @@ __all__ = [
 ]
 
 #: Supported failure policies of :func:`map_tasks_resilient`.
-FAILURE_POLICIES = ("collect", "raise", "retry")
+FAILURE_POLICIES = ("collect", "raise")
 
 #: Lines of formatted traceback kept in a failure record.  The *tail* is
 #: the deepest frames — inside the worker — which are identical whether
@@ -144,9 +144,7 @@ class TaskFailure:
     seed_path:
         The ``SeedSequence`` spawn key of the task's random stream, i.e.
         the deterministic identity of the stream that observed the
-        failure (and that any retry reuses).
-    attempts:
-        Total attempts made (1 without retry).
+        failure.
     """
 
     index: int
@@ -154,7 +152,6 @@ class TaskFailure:
     message: str
     traceback_tail: str
     seed_path: tuple[int, ...]
-    attempts: int = 1
 
     def to_dict(self) -> dict:
         """Strict-JSON-safe representation."""
@@ -164,7 +161,6 @@ class TaskFailure:
             "message": self.message,
             "traceback_tail": self.traceback_tail,
             "seed_path": list(self.seed_path),
-            "attempts": self.attempts,
         }
 
     @classmethod
@@ -176,33 +172,29 @@ class TaskFailure:
             message=payload["message"],
             traceback_tail=payload["traceback_tail"],
             seed_path=tuple(int(part) for part in payload["seed_path"]),
-            attempts=int(payload["attempts"]),
         )
 
 
 @dataclass(frozen=True)
 class TaskAudit:
-    """Execution record of one task: where it ran, how long, how often.
+    """Execution record of one task: where it ran and how long.
 
     ``mode`` is ``"pool"`` (process pool), ``"serial"`` (deliberate or
     spawn-fallback in-process execution), ``"serial-degraded"``
-    (re-executed in-process after a pool breakage or chunk timeout) or
+    (re-executed in-process after a pool breakage) or
     ``"checkpoint"`` (restored from a checkpoint file, not re-run).
     Durations are wall-clock and therefore *not* part of any serialized
     result — they are in-memory diagnostics only.
 
-    For a point restored from a checkpoint, ``source_mode`` /
-    ``source_attempts`` carry the mode and attempt count of the execution
-    that originally produced the value, read from its journal line
-    (``None`` for a point that ran in this call).
+    For a point restored from a checkpoint, ``source_mode`` carries the
+    mode of the execution that originally produced the value, read from
+    its journal line (``None`` for a point that ran in this call).
     """
 
     index: int
     mode: str
     duration_s: float
-    attempts: int
     source_mode: str | None = None
-    source_attempts: int | None = None
 
 
 @dataclass(frozen=True)
@@ -212,7 +204,7 @@ class ResilientMap:
     ``values[i]`` is the worker's return value for task *i*, or ``None``
     where the task failed (its :class:`TaskFailure` appears in
     ``failures``, ordered by index).  ``audit[i]`` records every task's
-    execution mode, duration and attempts.
+    execution mode and duration.
     """
 
     values: list
@@ -245,11 +237,8 @@ def _traceback_tail(exc: BaseException) -> str:
 def _guarded(packed: tuple) -> tuple:
     """Pool/serial entry point: run one task inside the isolation boundary.
 
-    Returns ``("ok", value, attempts, duration_s, snapshot)`` or
-    ``("fail", exception_type, message, traceback_tail, attempts,
-    duration_s, snapshot)``.  Every attempt rebuilds the generator from
-    the same SeedSequence child, so a retry that succeeds is numerically
-    identical to a first attempt that succeeds.
+    Returns ``("ok", value, duration_s, snapshot)`` or ``("fail",
+    exception_type, message, traceback_tail, duration_s, snapshot)``.
 
     When *collect* is set, the task runs under a fresh task-local
     :class:`repro.telemetry.Tracer` — uniformly for pooled and serial
@@ -258,41 +247,23 @@ def _guarded(packed: tuple) -> tuple:
     (otherwise ``None``).  The previous tracer binding is restored even
     when the task fails.
     """
-    worker, task, child, retries, collect = packed
+    worker, task, child, collect = packed
     tracer = telemetry.Tracer("sweep-task") if collect else None
     previous = telemetry.activate(tracer) if collect else None
-    attempts = 0
     start = time.perf_counter()
     try:
-        while True:
-            attempts += 1
-            try:
-                value = worker(task, np.random.default_rng(child))
-            except Exception as exc:  # noqa: BLE001 — the isolation boundary
-                if attempts > retries:
-                    duration = time.perf_counter() - start
-                    tail = _traceback_tail(exc)
-                    snapshot = tracer.snapshot() if collect else None
-                    return (
-                        "fail",
-                        type(exc).__name__,
-                        str(exc),
-                        tail,
-                        attempts,
-                        duration,
-                        snapshot,
-                    )
-            else:
-                duration = time.perf_counter() - start
-                snapshot = tracer.snapshot() if collect else None
-                return ("ok", value, attempts, duration, snapshot)
+        outcome = ("ok", worker(task, np.random.default_rng(child)))
+    except Exception as exc:  # noqa: BLE001 — the isolation boundary
+        outcome = ("fail", type(exc).__name__, str(exc), _traceback_tail(exc))
     finally:
         if collect:
             telemetry.activate(previous)
+    duration = time.perf_counter() - start
+    return (*outcome, duration, tracer.snapshot() if collect else None)
 
 
 class _PoolState:
-    """Process-pool lifecycle: spawn fallback, breakage rebuild, abandonment."""
+    """Process-pool lifecycle: spawn fallback and breakage rebuild."""
 
     def __init__(self, workers: int | None):
         if workers is None:
@@ -302,7 +273,6 @@ class _PoolState:
         self.serial_only = workers <= 1
         self.degraded = False
         self.breakages = 0
-        self.abandoned = False
         self.spawn_fallback = False
 
     def get(self) -> ProcessPoolExecutor | None:
@@ -330,13 +300,6 @@ class _PoolState:
         if self.breakages >= 2:
             self.serial_only = True
 
-    def abandon(self) -> None:
-        """A chunk timed out: leave the pool behind, serial from here on."""
-        self._discard()
-        self.degraded = True
-        self.abandoned = True
-        self.serial_only = True
-
     def _discard(self) -> None:
         if self.executor is not None:
             try:
@@ -346,7 +309,7 @@ class _PoolState:
             self.executor = None
 
     def close(self) -> None:
-        """Shut the executor down cleanly (no-op after discard/abandon)."""
+        """Shut the executor down cleanly (no-op after a discard)."""
         if self.executor is not None:
             self.executor.shutdown(wait=True)
             self.executor = None
@@ -358,8 +321,6 @@ def _run_chunk(
     tasks: list,
     children: list,
     indices: list[int],
-    retries: int,
-    timeout_s: float | None,
     collect: bool,
 ) -> dict[int, tuple]:
     """Execute one chunk; returns ``{index: (outcome, mode)}`` for *indices*.
@@ -376,24 +337,17 @@ def _run_chunk(
         broke = False
         try:
             for index in indices:
-                packed = (worker, tasks[index], children[index], retries, collect)
+                packed = (worker, tasks[index], children[index], collect)
                 futures[executor.submit(_guarded, packed)] = index
         except (OSError, PermissionError):
             spawn_failure = True
         except RuntimeError:
             broke = True
-        if futures:
-            done, pending = wait(futures, timeout=timeout_s)
-            if pending:
-                for future in pending:
-                    future.cancel()
-                pool.abandon()
-            for future in done:
-                index = futures[future]
-                try:
-                    outcomes[index] = (future.result(), "pool")
-                except Exception:  # noqa: BLE001 — pool-layer failure
-                    broke = True
+        for future, index in futures.items():
+            try:
+                outcomes[index] = (future.result(), "pool")
+            except Exception:  # noqa: BLE001 — pool-layer failure
+                broke = True
         if spawn_failure:
             pool.spawn_failed()
         elif broke:
@@ -402,7 +356,7 @@ def _run_chunk(
     for index in indices:
         if index in outcomes:
             continue
-        packed = (worker, tasks[index], children[index], retries, collect)
+        packed = (worker, tasks[index], children[index], collect)
         outcomes[index] = (_guarded(packed), mode)
     return outcomes
 
@@ -410,15 +364,13 @@ def _run_chunk(
 # --- run journal --------------------------------------------------------------
 
 
-def _pool_transitions(pool: _PoolState, before: tuple[bool, int, bool]) -> list[str]:
-    """Pool-health transitions since *before* (``spawn_fallback, breakages, abandoned``)."""
+def _pool_transitions(pool: _PoolState, before: tuple[bool, int]) -> list[str]:
+    """Pool-health transitions since *before* (``spawn_fallback, breakages``)."""
     transitions = []
     if pool.spawn_fallback and not before[0]:
         transitions.append("spawn-fallback")
     if pool.breakages > before[1]:
         transitions.append("rebuild")
-    if pool.abandoned and not before[2]:
-        transitions.append("abandoned")
     return transitions
 
 
@@ -441,23 +393,17 @@ def _count_pool_health(
 ) -> None:
     """Record ``sweep.*`` pool-health counters on *tracer* (nonzero only).
 
-    These describe *how* the run executed (modes, retries, breakages,
+    These describe *how* the run executed (modes, breakages,
     resume hits) rather than what it computed, so — unlike the merged
     worker counters — they legitimately vary with worker count and pool
     health.  Reports group them via the ``sweep.`` prefix.
     """
     by_mode: dict[str, int] = {}
-    retries_total = 0
     for audit in audits:
-        if audit is None:
-            continue
-        by_mode[audit.mode] = by_mode.get(audit.mode, 0) + 1
-        if audit.attempts > 1:
-            retries_total += audit.attempts - 1
+        if audit is not None:
+            by_mode[audit.mode] = by_mode.get(audit.mode, 0) + 1
     for mode in sorted(by_mode):
         tracer.count(f"sweep.tasks.{mode}", by_mode[mode])
-    if retries_total:
-        tracer.count("sweep.retries", retries_total)
     if failures:
         tracer.count("sweep.failures", len(failures))
     if n_chunks:
@@ -466,8 +412,6 @@ def _count_pool_health(
         tracer.count("sweep.checkpoint.restored", n_restored)
     if pool.breakages:
         tracer.count("sweep.pool.rebuilds", pool.breakages)
-    if pool.abandoned:
-        tracer.count("sweep.pool.abandoned")
     if pool.spawn_fallback:
         tracer.count("sweep.pool.spawn_fallbacks")
 
@@ -483,8 +427,6 @@ def map_tasks_resilient(
     workers: int | None = None,
     chunk_size: int | None = None,
     failure_policy: str = "collect",
-    max_retries: int = 1,
-    chunk_timeout_s: float | None = None,
     checkpoint: str | Path | None = None,
     checkpoint_key: str | None = None,
     manifest: dict | None = None,
@@ -507,20 +449,11 @@ def map_tasks_resilient(
     chunk_size:
         Tasks submitted (and checkpointed) per wave; ``None`` runs all
         tasks as one chunk.  Bounds peak in-flight memory and sets the
-        granularity of checkpoint appends and chunk timeouts.
+        granularity of checkpoint appends.
     failure_policy:
         ``"collect"`` records failures and keeps going; ``"raise"``
         checkpoints the failing chunk and then raises
-        :class:`SweepTaskError` for its first failure; ``"retry"``
-        retries each failing task up to *max_retries* extra times on the
-        same SeedSequence child (then collects what still fails).
-    max_retries:
-        Extra attempts per task under ``failure_policy="retry"``.
-    chunk_timeout_s:
-        Wall-clock budget per pooled chunk; on expiry the pool is
-        abandoned and the chunk (and all later chunks) complete serially.
-        ``None`` disables the timeout; any other value must be finite and
-        positive.  Serial execution is not limited.
+        :class:`SweepTaskError` for its first failure.
     checkpoint:
         JSONL journal path (see the module docstring).  An existing file
         must match the study identity (or :class:`CheckpointMismatchError`
@@ -528,8 +461,7 @@ def map_tasks_resilient(
         return values must be JSON-representable (numbers, strings,
         ``None``, lists/tuples, dicts — restored values come back with
         lists for tuples).  On resume, restored points' :class:`TaskAudit`
-        carry the original execution's ``source_mode`` /
-        ``source_attempts``.
+        carry the original execution's ``source_mode``.
     checkpoint_key:
         Explicit study identity; default is a content hash of the task
         list and seed via :func:`repro._jsonio.content_key`.
@@ -547,15 +479,8 @@ def map_tasks_resilient(
         )
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be non-negative, got {max_retries}")
-    if chunk_timeout_s is not None and not 0.0 < chunk_timeout_s < math.inf:
-        raise ValueError(
-            f"chunk_timeout_s must be None or finite and positive, got {chunk_timeout_s}"
-        )
     n_tasks = len(tasks)
     children = list(np.random.SeedSequence(seed).spawn(n_tasks)) if n_tasks else []
-    retries = max_retries if failure_policy == "retry" else 0
 
     tracer = telemetry.ACTIVE
     collect = bool(tracer)
@@ -589,16 +514,14 @@ def map_tasks_resilient(
                     index=index,
                     mode="checkpoint",
                     duration_s=0.0,
-                    attempts=0,
                     source_mode=str(record["mode"]),
-                    source_attempts=int(record["attempts"]),
                 )
                 n_restored += 1
 
     pending = [index for index in range(n_tasks) if audits[index] is None]
     size = chunk_size if chunk_size is not None else max(n_tasks, 1)
     n_planned = (len(pending) + size - 1) // size
-    counts = {"done": 0, "failed": 0, "restored": n_restored, "retries": 0, "pending": len(pending)}
+    counts = {"done": 0, "failed": 0, "restored": n_restored, "pending": len(pending)}
     origin = time.perf_counter()
 
     pool = _PoolState(workers)
@@ -607,31 +530,28 @@ def map_tasks_resilient(
         for start in range(0, len(pending), size):
             chunk = pending[start : start + size]
             n_chunks += 1
-            pool_before = (pool.spawn_fallback, pool.breakages, pool.abandoned)
+            pool_before = (pool.spawn_fallback, pool.breakages)
             with tracer.span("sweep.chunk"):
-                outcomes = _run_chunk(
-                    pool, worker, tasks, children, chunk, retries, chunk_timeout_s, collect
-                )
+                outcomes = _run_chunk(pool, worker, tasks, children, chunk, collect)
             records = []
             chunk_failures = []
             for index in chunk:
                 outcome, mode = outcomes[index]
                 if outcome[0] == "ok":
-                    _, value, attempts, duration, snapshot = outcome
+                    _, value, duration, snapshot = outcome
                     values[index] = value
                     if journal is not None:
                         records.append(
                             {"kind": "point", "index": index, "value": encode_json_value(value)}
                         )
                 else:
-                    _, exc_type, message, tail, attempts, duration, snapshot = outcome
+                    _, exc_type, message, tail, duration, snapshot = outcome
                     failure = TaskFailure(
                         index=index,
                         exception_type=exc_type,
                         message=message,
                         traceback_tail=tail,
                         seed_path=tuple(int(part) for part in children[index].spawn_key),
-                        attempts=attempts,
                     )
                     failures[index] = failure
                     chunk_failures.append(failure)
@@ -639,11 +559,9 @@ def map_tasks_resilient(
                         records.append(
                             {"kind": "failure", "index": index, "failure": failure.to_dict()}
                         )
-                audits[index] = TaskAudit(
-                    index=index, mode=mode, duration_s=duration, attempts=attempts
-                )
+                audits[index] = TaskAudit(index=index, mode=mode, duration_s=duration)
                 if journal is not None:
-                    records[-1].update(mode=mode, attempts=attempts)
+                    records[-1]["mode"] = mode
                 if tracer and snapshot is not None:
                     # Chunks run in index order and each chunk's indices are
                     # ascending, so this merge order is the task-index order
@@ -651,7 +569,6 @@ def map_tasks_resilient(
                     tracer.merge_snapshot(snapshot)
             counts["done"] += len(chunk) - len(chunk_failures)
             counts["failed"] += len(chunk_failures)
-            counts["retries"] += sum(audits[index].attempts - 1 for index in chunk)
             counts["pending"] -= len(chunk)
             aborting = bool(chunk_failures) and failure_policy == "raise"
             if journal is not None:

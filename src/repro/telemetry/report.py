@@ -12,7 +12,7 @@ exists for:
   cache actually hitting?  how many budget-charged
   :class:`~repro.link.training.objective.StatEyeObjective` solves did
   memoisation save?);
-* **pool health** — the resilient runner's task-mode, retry, rebuild,
+* **pool health** — the resilient runner's task-mode, failure, rebuild,
   fallback and checkpoint-resume counters (how degraded was the run?).
 
 Use :func:`summarize` for the full plain-text report, the ``*_table``

@@ -2,9 +2,9 @@
 
 ``python -m repro.telemetry.watch <checkpoint>`` reads the one JSONL
 journal written by :func:`repro.sweep.resilient.map_tasks_resilient` and
-renders a status report: run state, completion, failure / retry /
-restore counts, throughput and ETA, execution modes, pool-health
-transitions, provenance from the embedded
+renders a status report: run state, completion, failure / restore
+counts, throughput and ETA, execution modes, pool-health transitions,
+provenance from the embedded
 :class:`~repro.telemetry.manifest.RunManifest`, and — when a trace file
 is supplied — the per-stage time breakdown.  ``--follow`` re-renders
 every ``--interval`` seconds until the run writes its ``end`` marker.
@@ -32,7 +32,7 @@ __all__ = [
     "main",
 ]
 
-_COUNTS = ("done", "failed", "restored", "retries", "pending")
+_COUNTS = ("done", "failed", "restored", "pending")
 
 
 def collect_status(checkpoint: str | Path) -> dict:

@@ -155,17 +155,16 @@ class TestStimulusMemo:
         assert faulty not in engine._STIMULUS_BITS
 
     def test_faulty_stimulus_fails_in_the_worker_on_every_attempt(self):
+        # The second run is what a resume re-runs: the point fails again.
         axes = [ParameterAxis("inject_fault", (False, True))]
-        result = run_grid(
-            ScenarioSpec(stimulus=StimulusSpec(n_bits=200)), axes, seed=0, workers=1,
-            failure_policy="retry", max_retries=2,
-        )
-        (failure,) = result.failures
-        assert failure.index == 1
-        assert failure.exception_type == "InjectedFault"
-        assert failure.attempts == 3
-        assert {audit.index: audit.attempts for audit in result.audit} == {0: 1, 1: 3}
-        assert result.metric("compared")[0] > 0
+        spec = ScenarioSpec(stimulus=StimulusSpec(n_bits=200))
+        for _ in range(2):
+            result = run_grid(spec, axes, seed=0, workers=1, failure_policy="collect")
+            (failure,) = result.failures
+            assert failure.index == 1
+            assert failure.exception_type == "InjectedFault"
+            assert [audit.mode for audit in result.audit] == ["serial", "serial"]
+            assert result.metric("compared")[0] > 0
 
 
 class TestRunGrid:

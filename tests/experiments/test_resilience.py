@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._jsonio import dumps_strict, loads_strict
 from repro.datapath.nrz import JitterSpec
 from repro.experiments import (
     MeasurementPlan,
@@ -58,10 +59,10 @@ class TestFailureCollection:
         with pytest.raises(SweepTaskError, match="InjectedFault"):
             run_grid(BASE, [FAULT_AXIS], seed=0, workers=1)
 
-    def test_invalid_chunk_timeout_passes_through(self):
-        with pytest.raises(ValueError, match="chunk_timeout_s"):
-            run_grid(BASE, [FAULT_AXIS], seed=0, workers=2,
-                     chunk_timeout_s=0.0)
+    def test_retry_policy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown failure policy 'retry'"):
+            run_grid(BASE, [FAULT_AXIS], seed=0, workers=1,
+                     failure_policy="retry")
 
     def test_audit_trail_covers_every_point(self):
         result = run_grid(BASE, [FAULT_AXIS], seed=0, workers=1,
@@ -85,6 +86,17 @@ class TestFailureSerialization:
         result = run_grid(BASE, [FAULT_AXIS], seed=0, workers=1,
                           failure_policy="collect")
         restored = SweepResult.from_json(result.to_json())
+        assert restored.equals(result)
+        assert restored.failures == result.failures
+
+    def test_failures_written_with_attempts_load(self):
+        # Earlier writers stored an attempt count in every failure record.
+        result = run_grid(BASE, [FAULT_AXIS], seed=0, workers=1,
+                          failure_policy="collect")
+        payload = loads_strict(result.to_json())
+        for failure in payload["failures"]:
+            failure["attempts"] = 1
+        restored = SweepResult.from_json(dumps_strict(payload))
         assert restored.equals(result)
         assert restored.failures == result.failures
 

@@ -707,9 +707,9 @@ EDET_GAPS = st.one_of(
 
 
 @st.composite
-def ring_kwargs(draw, stage_counts=(4, 6)):
+def ring_kwargs(draw):
     """Recurrence keyword arguments without ``duration_s``."""
-    n_stages = draw(st.sampled_from(stage_counts))
+    n_stages = draw(st.sampled_from((4, 6)))
     scale = draw(st.sampled_from([1.0, 1.03, 0.97]))
     stage = STAGE_DELAY_S * 4 / n_stages
     skew = draw(st.sampled_from([0.0, 5.0e-12, 1.6 * STAGE_DELAY_S]))
@@ -769,7 +769,7 @@ def long_ring_cases(draw):
     may cut inside a span.  The stream itself comes from a drawn seed, so
     hundreds of toggles cost one draw.
     """
-    kwargs = draw(ring_kwargs(stage_counts=(4, 6, 5)))
+    kwargs = draw(ring_kwargs())
     stage = kwargs["t_stage"]
     unit = 2 * kwargs["n_stages"] * stage
     unsettled_rate = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
@@ -872,7 +872,7 @@ def _ring_pair(edet, kwargs):
     """
     clock_t = fast_engine._ring_recurrence(edet, **kwargs)
     ref_t, ref_v = _ring_recurrence_reference(edet, **kwargs)
-    _, clock_v = fast_engine._clock_levels(clock_t.size, kwargs["n_stages"], kwargs["improved_tap"])
+    _, clock_v = fast_engine._clock_levels(clock_t.size)
     assert _bytes_equal(clock_t, np.asarray(ref_t, dtype=float))
     assert _bytes_equal(clock_v, np.asarray(ref_v, dtype=np.int64))
     return clock_t
@@ -986,8 +986,7 @@ class TestFastChannelRingBitIdentity:
 
         def reference_recurrence(edet_times, **kwargs):
             clock_t, clock_v = _ring_recurrence_reference(edet_times, **kwargs)
-            stages, improved = kwargs["n_stages"], kwargs["improved_tap"]
-            _, derived = fast_engine._clock_levels(len(clock_t), stages, improved)
+            _, derived = fast_engine._clock_levels(len(clock_t))
             assert _bytes_equal(derived, np.asarray(clock_v, dtype=np.int64))
             calls.append(edet_times)
             return np.asarray(clock_t, dtype=float)

@@ -5,14 +5,7 @@ import pytest
 
 from repro.experiments import ScenarioSpec, apply_axis
 from repro.sweep import map_tasks_resilient
-from repro.sweep.faults import (
-    FailEveryNth,
-    FailOnceThenSucceed,
-    FaultyStimulus,
-    InjectedFault,
-    reset_fault_state,
-    task_index,
-)
+from repro.sweep.faults import FailEveryNth, FaultyStimulus, InjectedFault, task_index
 
 
 def _identity(task, rng):
@@ -60,27 +53,6 @@ class TestFailEveryNth:
     def test_rejects_nonpositive_period(self):
         with pytest.raises(ValueError, match="every must be positive"):
             FailEveryNth(_identity, every=0)
-
-
-class TestFailOnceThenSucceed:
-    def test_first_attempt_fails_then_succeeds(self):
-        reset_fault_state()
-        flaky = FailOnceThenSucceed(_identity, indices=(2,), tag="unit")
-        child = np.random.SeedSequence(0).spawn(3)[2]
-        with pytest.raises(InjectedFault, match="transient fault at point 2"):
-            flaky("t", np.random.default_rng(child))
-        assert flaky("t", np.random.default_rng(child)) == "t"
-
-    def test_tags_keep_wrappers_independent(self):
-        reset_fault_state()
-        child = np.random.SeedSequence(0).spawn(1)[0]
-        first = FailOnceThenSucceed(_identity, indices=(0,), tag="a")
-        second = FailOnceThenSucceed(_identity, indices=(0,), tag="b")
-        with pytest.raises(InjectedFault):
-            first("t", np.random.default_rng(child))
-        with pytest.raises(InjectedFault):
-            second("t", np.random.default_rng(child))
-        assert first("t", np.random.default_rng(child)) == "t"
 
 
 class TestFaultAxis:

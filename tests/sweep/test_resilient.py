@@ -5,13 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.sweep.faults import (
-    CrashInPool,
-    FailEveryNth,
-    FailOnceThenSucceed,
-    HangInPool,
-    reset_fault_state,
-)
+from repro.sweep.faults import CrashInPool, FailEveryNth
 from repro.sweep.resilient import (
     CheckpointMismatchError,
     SweepTaskError,
@@ -126,7 +120,6 @@ class TestFailureIsolation:
         assert "injected fault at point 0" in failure.message
         assert "InjectedFault" in failure.traceback_tail
         assert failure.seed_path == (0,)
-        assert failure.attempts == 1
 
     def test_failure_round_trips_through_dict(self):
         faulty = FailEveryNth(_draw, every=7)
@@ -140,36 +133,19 @@ class TestFailureIsolation:
         assert excinfo.value.failure.index == 2
         assert "InjectedFault" in str(excinfo.value)
 
-    def test_retry_recovers_transient_faults_with_identical_numerics(self):
-        reset_fault_state()
-        flaky = FailOnceThenSucceed(_draw, indices=(1, 5), tag="retry-test")
-        result = map_tasks_resilient(
-            flaky, TASKS, seed=42, workers=1, failure_policy="retry", max_retries=1
-        )
-        assert result.failures == ()
-        assert result.values == _reference()
-        attempts = {audit.index: audit.attempts for audit in result.audit}
-        assert attempts[1] == 2 and attempts[5] == 2
-        assert attempts[0] == 1
-
-    def test_retry_budget_exhaustion_collects(self):
-        faulty = FailEveryNth(_draw, every=3)  # fails on every attempt
-        result = map_tasks_resilient(
-            faulty, TASKS, seed=42, workers=1, failure_policy="retry", max_retries=2
-        )
-        assert [failure.index for failure in result.failures] == [0, 3, 6, 9]
-        assert all(failure.attempts == 3 for failure in result.failures)
-
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError, match="failure policy"):
             map_tasks_resilient(_draw, TASKS, failure_policy="explode")
         with pytest.raises(ValueError, match="chunk_size"):
             map_tasks_resilient(_draw, TASKS, chunk_size=0)
-        with pytest.raises(ValueError, match="max_retries"):
-            map_tasks_resilient(_draw, TASKS, max_retries=-1)
-        for timeout in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="chunk_timeout_s"):
-                map_tasks_resilient(_draw, TASKS, workers=2, chunk_timeout_s=timeout)
+
+    def test_retry_policy_is_rejected_before_any_task_runs(self):
+        # A worker is deterministic in (task, seed child): a retry could
+        # only raise again, so the runner has no retry policy.
+        _CALLS.clear()
+        with pytest.raises(ValueError, match="unknown failure policy 'retry'"):
+            map_tasks_resilient(_counting_raiser, TASKS, seed=0, workers=1, failure_policy="retry")
+        assert _CALLS == []
 
 
 class TestCheckpointResume:
@@ -281,16 +257,6 @@ class TestPoolRobustness:
         modes = {audit.index: audit.mode for audit in result.audit}
         assert modes[3] == "serial-degraded"
 
-    def test_chunk_timeout_degrades_to_serial(self):
-        slow = HangInPool(_draw, indices=(1,), sleep_s=2.0)
-        result = map_tasks_resilient(
-            slow, TASKS, seed=42, workers=2, chunk_size=len(TASKS), chunk_timeout_s=0.4
-        )
-        assert result.values == _reference()
-        assert result.failures == ()
-        modes = {audit.index: audit.mode for audit in result.audit}
-        assert modes[1] == "serial-degraded"
-
 
 def _journal(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
@@ -314,7 +280,7 @@ class TestJournal:
         assert (header["version"], header["n_tasks"], header["seed"]) == (2, len(TASKS), 42)
         assert [record["index"] for record in records[1:]] == TASKS
         for record in records[1:]:
-            assert (record["kind"], record["mode"], record["attempts"]) == ("point", "serial", 1)
+            assert (record["kind"], record["mode"]) == ("point", "serial")
         # Task durations are nondeterministic wall clock — never persisted.
         assert "duration" not in checkpoint.read_text()
 
@@ -332,7 +298,6 @@ class TestJournal:
             "done": 10,
             "failed": 0,
             "restored": 0,
-            "retries": 0,
             "pending": 0,
         }
 
@@ -361,7 +326,7 @@ class TestJournal:
             streams.append(stripped)
         assert streams[0] == streams[1]
 
-    def test_resume_surfaces_source_mode_and_attempts(self, tmp_path):
+    def test_resume_surfaces_source_mode(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
         map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
         resumed = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
@@ -369,28 +334,6 @@ class TestJournal:
         for audit in resumed.audit:
             assert audit.mode == "checkpoint"
             assert audit.source_mode == "serial"
-            assert audit.source_attempts == 1
-
-    def test_retry_attempts_survive_into_the_journal(self, tmp_path):
-        reset_fault_state()
-        checkpoint = tmp_path / "sweep.jsonl"
-        flaky = FailOnceThenSucceed(_draw, indices=(1, 5), tag="journal-test")
-        map_tasks_resilient(
-            flaky,
-            TASKS,
-            seed=42,
-            workers=1,
-            failure_policy="retry",
-            max_retries=1,
-            checkpoint=checkpoint,
-        )
-        last = _journal(checkpoint)[-1]
-        assert (last["progress"]["done"], last["progress"]["failed"]) == (len(TASKS), 0)
-        assert last["progress"]["retries"] == 2
-        resumed = map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
-        attempts = {audit.index: audit.source_attempts for audit in resumed.audit}
-        assert attempts[1] == 2 and attempts[5] == 2
-        assert attempts[0] == 1
 
     def test_failed_points_rerun_and_last_line_wins(self, tmp_path):
         checkpoint = tmp_path / "sweep.jsonl"
@@ -529,3 +472,73 @@ class TestJournal:
         checkpoint.write_text("".join(json.dumps(record) + "\n" for record in v1))
         with pytest.raises(CheckpointMismatchError, match="version is 1, expected 2"):
             map_tasks_resilient(_draw, TASKS, seed=42, workers=1, checkpoint=checkpoint)
+
+
+def _earlier_writer_journal(path):
+    """The journal of a run cut after its first chunk, as an earlier writer left it.
+
+    Its task lines and failure record carry ``attempts`` (point 1 and the
+    failure took two), its progress counts ``retries`` and records an
+    ``"abandoned"`` pool, and it has no ``end``.
+    """
+    v = _reference()
+    lines = [
+        '{"kind":"repro-sweep-checkpoint","version":2,"key":"earlier","n_tasks":10,"seed":42}',
+        f'{{"kind":"point","index":0,"value":{v[0]!r},"mode":"pool","attempts":1}}',
+        f'{{"kind":"point","index":1,"value":{v[1]!r},"mode":"pool","attempts":2}}',
+        f'{{"kind":"point","index":2,"value":{v[2]!r},"mode":"serial-degraded","attempts":1}}',
+        f'{{"kind":"point","index":3,"value":{v[3]!r},"mode":"serial-degraded","attempts":1}}',
+        '{"kind":"failure","index":4,"failure":{"index":4,"exception_type":"InjectedFault",'
+        '"message":"injected fault at point 4","traceback_tail":"InjectedFault: boom",'
+        '"seed_path":[4],"attempts":2},"mode":"serial-degraded","attempts":2,'
+        '"progress":{"chunk":1,"chunks":2,"done":4,"failed":1,"restored":0,"retries":2,'
+        '"pending":5,"pool":["abandoned"]},'
+        '"timing":{"elapsed_s":2.5,"throughput_pts_per_s":2.0,"eta_s":2.5}}',
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestEarlierWriterJournal:
+    """Journals whose lines carry ``attempts`` and ``retries`` still resume and render."""
+
+    def test_resumes_to_the_seeding_oracle(self, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        _earlier_writer_journal(checkpoint)
+        before = checkpoint.read_bytes()
+        resumed = map_tasks_resilient(
+            _draw,
+            TASKS,
+            seed=42,
+            workers=1,
+            chunk_size=5,
+            checkpoint=checkpoint,
+            checkpoint_key="earlier",
+        )
+        assert resumed.values == _reference()
+        assert resumed.failures == ()
+        assert [audit.mode for audit in resumed.audit] == ["checkpoint"] * 4 + ["serial"] * 6
+        sources = [audit.source_mode for audit in resumed.audit[:4]]
+        assert sources == ["pool", "pool", "serial-degraded", "serial-degraded"]
+        assert checkpoint.read_bytes().startswith(before)
+        appended = _journal(checkpoint)[6:]
+        assert [record["index"] for record in appended] == [4, 5, 6, 7, 8, 9]
+        assert not any("attempts" in record for record in appended)
+        assert "retries" not in appended[-1]["progress"]
+        assert appended[-1]["end"] is True
+
+    def test_renders_in_the_watch_cli(self, tmp_path, capsys):
+        from repro.telemetry.watch import collect_status, main, render_status
+
+        checkpoint = tmp_path / "sweep.jsonl"
+        _earlier_writer_journal(checkpoint)
+        status = collect_status(checkpoint)
+        assert status["run"]["state"] == "in-progress"
+        assert status["durable"] == {"points": 4, "failures": 1}
+        assert status["modes"] == {"pool": 2, "serial-degraded": 3}
+        assert status["run"]["pool_transitions"] == ["abandoned"]
+        assert "retries" not in status["run"]
+        assert status["completion"] == 0.5
+        text = render_status(status)
+        assert "in-progress" in text and "abandoned" in text
+        assert main([str(checkpoint)]) == 0
+        assert "abandoned" in capsys.readouterr().out

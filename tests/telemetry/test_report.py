@@ -34,7 +34,7 @@ def _tracer() -> Tracer:
     tracer.count("stateye.objective_cache.misses", 4)
     tracer.count("kernel.events", 120)
     tracer.count("sweep.tasks.pool", 8)
-    tracer.count("sweep.retries", 1)
+    tracer.count("sweep.pool.rebuilds", 1)
     return tracer
 
 
@@ -80,7 +80,7 @@ class TestPoolTable:
     def test_only_sweep_counters(self):
         table = pool_table(load_trace(_tracer()))
         names = [row[0] for row in table.rows]
-        assert names == ["sweep.retries", "sweep.tasks.pool"]
+        assert names == ["sweep.pool.rebuilds", "sweep.tasks.pool"]
 
 
 class TestCounterTable:
