@@ -210,6 +210,13 @@ class TestToleranceSearchResilience:
         assert len(result.failures) == 1
         assert result.failures[0].exception_type == "InjectedFault"
 
+    def test_retry_policy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown failure policy 'retry'"):
+            run_tolerance_search(
+                BASE, [FAULT_AXIS],
+                ToleranceSearch(maximum=0.2, resolution=0.1, target_errors=5),
+                seed=3, workers=1, failure_policy="retry")
+
     def test_checkpointed_search_resumes_bit_identical(self, tmp_path):
         checkpoint = tmp_path / "search.jsonl"
         axis = ParameterAxis("sj_frequency_hz", (2.5e6, 7.5e8))

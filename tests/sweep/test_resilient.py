@@ -257,6 +257,31 @@ class TestPoolRobustness:
         modes = {audit.index: audit.mode for audit in result.audit}
         assert modes[3] == "serial-degraded"
 
+    def test_worker_process_death_is_journalled_as_a_rebuild(self, tmp_path):
+        checkpoint = tmp_path / "sweep.jsonl"
+        crasher = CrashInPool(_draw, indices=(3,))
+        map_tasks_resilient(
+            crasher, TASKS, seed=42, workers=2, chunk_size=5, checkpoint=checkpoint
+        )
+        body = _journal(checkpoint)[1:]
+        assert body[3]["mode"] == "serial-degraded"
+        assert body[4]["progress"]["pool"] == ["rebuild"]
+        assert "pool" not in body[-1]["progress"]
+        assert not any("attempts" in record for record in body)
+        assert not any("retries" in record.get("progress", {}) for record in body)
+
+    def test_worker_process_death_is_counted_as_a_rebuild(self):
+        from repro import telemetry
+
+        crasher = CrashInPool(_draw, indices=(3,))
+        with telemetry.trace() as tracer:
+            map_tasks_resilient(crasher, TASKS, seed=42, workers=2, chunk_size=5)
+        counters = tracer.counters
+        assert counters["sweep.pool.rebuilds"] == 1
+        assert counters["sweep.tasks.serial-degraded"] >= 1
+        assert "sweep.retries" not in counters
+        assert "sweep.pool.abandoned" not in counters
+
 
 def _journal(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
