@@ -26,8 +26,8 @@ host-probe time ``host_probe_ms`` (:func:`probe_once`), to
 ``benchmarks/results/bench_history.jsonl``.
 ``BENCH_fastpath.json`` is overwritten per run; the history ledger only
 grows, so ``python -m repro.telemetry.report --history`` can render the
-speedup trajectory and flag trend regressions that the hard floors are
-too coarse to catch.
+trend of every leg's seconds and flag regressions that the hard floors
+are too coarse to catch.
 
 The run *fails* (exit code 1) when any benchmark's fastpath speedup drops
 below the floor (default 5x, ``--floor``) — the regression gate CI relies on.
@@ -79,7 +79,13 @@ from repro._jsonio import dumps_compact
 from repro.fastpath import engine as fast_engine
 from repro.fastpath.backends import make_channel, resolve_backend
 from repro.telemetry.manifest import collect_manifest
-from repro.telemetry.report import HISTORY_KIND, HISTORY_VERSION, history_entry, stage_breakdown
+from repro.telemetry.report import (
+    HISTORY_KIND,
+    HISTORY_VERSION,
+    SECONDS_DECIMALS,
+    history_entry,
+    stage_breakdown,
+)
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastpath.json"
 BREAKDOWN_PATH = (Path(__file__).resolve().parent
@@ -120,6 +126,11 @@ def _timed(function):
             value = function()
             best = min(best, time.perf_counter() - start)
     return value, best
+
+
+def _seconds(value: float) -> float:
+    """A timed leg's seconds as recorded: to :data:`SECONDS_DECIMALS` decimals (the microsecond)."""
+    return round(value, SECONDS_DECIMALS)
 
 
 #: Host-probe samples taken right before and right after each benchmark.
@@ -170,8 +181,8 @@ def bench_fig09_sj_sweep(n_bits: int) -> dict:
     return {
         "grid_points": int(frequencies.size * amplitudes.size),
         "n_bits_per_point": n_bits,
-        "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
+        "event_s": _seconds(event_s),
+        "fast_s": _seconds(fast_s),
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
         "total_errors": int(fast.metrics["errors"].sum()),
@@ -195,8 +206,8 @@ def bench_fig10_offset_sweep(n_bits: int) -> dict:
         "grid_points": int(offsets.size),
         "n_bits_per_point": n_bits,
         "sweep_result": fast.to_dict(),
-        "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
+        "event_s": _seconds(event_s),
+        "fast_s": _seconds(fast_s),
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
         "total_errors": int(fast.metrics["errors"].sum()),
@@ -222,8 +233,8 @@ def bench_fig14_eye(n_bits: int) -> dict:
     assert fast_eye.n_crossings == event_eye.n_crossings
     return {
         "n_bits": n_bits,
-        "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
+        "event_s": _seconds(event_s),
+        "fast_s": _seconds(fast_s),
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
         "eye_opening_ui": round(fast_eye.eye_opening_ui, 4),
@@ -257,8 +268,8 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
         "grid_points": int(losses.size),
         "n_bits_per_point": n_bits,
         "sweep_result": fast.to_dict(),
-        "event_s": round(event_s, 3),
-        "fast_s": round(fast_s, 3),
+        "event_s": _seconds(event_s),
+        "fast_s": _seconds(fast_s),
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
         "total_errors": int(fast.metrics["errors"].sum()),
@@ -317,7 +328,7 @@ def bench_stateye_vs_bittrue(n_bits: int) -> dict:
         "extrapolation_target_ber": target_ber,
         "extrapolation_bits": extrapolation_bits,
         "bittrue_extrapolated_s": round(extrapolated_s),
-        "stateye_s": round(stateye_s, 4),
+        "stateye_s": _seconds(stateye_s),
         "speedup": round(extrapolated_s / stateye_s),
         "measured_ber": measured_ber,
         "stateye_ber": stateye_ber,
@@ -363,7 +374,7 @@ def bench_link_training(n_bits: int) -> dict:
     return {
         "grid_points": grid_points,
         "n_bits_timed": n_bits,
-        "training_s": round(training_s, 4),
+        "training_s": _seconds(training_s),
         "training_evaluations": trained.n_evaluations,
         "bittrue_candidate_s": round(candidate_s, 4),
         "bittrue_throughput_bits_per_s": round(throughput),
@@ -453,8 +464,8 @@ def bench_bittrue_kernels(n_bits: int) -> dict:
     return {
         "n_bits": n_bits,
         "resolved_backend": channel.backend,
-        "event_s": round(event_s, 4),
-        "fast_s": round(fast_s, 4),
+        "event_s": _seconds(event_s),
+        "fast_s": _seconds(fast_s),
         "speedup": round(event_s / fast_s, 2),
         "bit_identical": True,
         "total_errors": int(fast.ber().errors),
@@ -566,6 +577,7 @@ def main() -> int:
         "floor": arguments.floor,
         "manifest": manifest.to_dict(),
         "host_probe_ms": round(1000.0 * statistics.fmean(probe_samples), 4),
+        "seconds_decimals": SECONDS_DECIMALS,
         "entries": {name: history_entry(entry)
                     for name, entry in payload["benchmarks"].items()},
     }

@@ -11,13 +11,13 @@ clock-aligned eye diagram (the paper's Figures 14 and 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import telemetry
 from .._validation import require_positive_int
 from ..analysis.ber_counter import BerMeasurement, align_and_count
-from ..analysis.eye import EyeDiagram
 from ..analysis.timing import measure_frequency
 from ..datapath.nrz import JitterSpec, NrzEdgeStream, generate_edge_times
 from ..events.kernel import Simulator
@@ -28,6 +28,9 @@ from ..gates.ring import GatedRingOscillator
 from ..gates.storage import CmlFlipFlop
 from .config import CdrChannelConfig
 from .edge_detector import GATE_DELAY_S, EdgeDetector
+
+if TYPE_CHECKING:
+    from ..analysis.eye import EyeDiagram
 
 __all__ = ["BehavioralSimulationResult", "BehavioralCdrChannel"]
 
@@ -158,6 +161,8 @@ class BehavioralSimulationResult:
         cutoff = self.stream.start_time_s + skip_start_ui * self.config.unit_interval_s
         data_edges = data_edges[data_edges >= cutoff]
         clock_edges = clock_edges[clock_edges >= cutoff - self.config.unit_interval_s]
+        from ..analysis.eye import EyeDiagram
+
         return EyeDiagram.from_edges(data_edges, clock_edges, self.config.unit_interval_s)
 
     def samples_per_bit(self) -> float:

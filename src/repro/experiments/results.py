@@ -20,6 +20,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .._jsonio import (
     encode_json_value as _encode_json_value,
     loads_strict,
 )
-from ..reporting.tables import Series, TextTable
+
+if TYPE_CHECKING:
+    from ..reporting.tables import Series, TextTable
 
 __all__ = ["AxisResult", "PointFailure", "SweepResult", "measured_ber"]
 
@@ -397,6 +400,8 @@ class SweepResult:
 
     def to_table(self, title: str | None = None) -> TextTable:
         """Long-format :class:`~repro.reporting.tables.TextTable` view."""
+        from ..reporting.tables import TextTable
+
         metric_names = sorted(self.metrics)
         table = TextTable(
             headers=[axis.name for axis in self.axes] + metric_names,
@@ -424,6 +429,8 @@ class SweepResult:
             )
         if axis.values is None:
             raise ValueError(f"axis {axis.name!r} has no numeric values")
+        from ..reporting.tables import Series
+
         series = Series(name or self.name, axis.name, metric)
         series.extend(axis.values, np.ravel(grid).astype(float))
         return series

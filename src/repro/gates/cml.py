@@ -121,6 +121,25 @@ class CmlGate:
     draw from the simulator's :class:`~repro.events.kernel.NormalStream`
     and one assignment.  The timing is therefore fixed at construction;
     ``delay_scale`` is the one delay knob that may change at run time.
+
+    Every gate, latch and flip-flop model follows one rule: it schedules no
+    transaction when its output has nothing pending and already holds the
+    new value (``not output._pending and value == output._value``).  Such a
+    transaction could only fire as a no-op or be cancelled, so skipping it
+    changes no waveform; the jitter draw and the delay floor still happen
+    first, so the draw order is unchanged.  What the skipped transaction
+    no longer takes is a queue entry: the kernel's event accounting reads
+    lower — the count :meth:`Simulator.run
+    <repro.events.kernel.Simulator.run>` and ``run_until`` return,
+    ``pending_events()``, the ``max_events`` budget and
+    ``kernel.events`` — and when a model's last act is a skipped
+    transaction, ``now`` after ``run()`` stops at the last event that
+    did execute, earlier than it would have.  The contract that makes this
+    exact: during a run, a gate-driven signal is written only by its gate;
+    :meth:`Signal.force <repro.events.signal.Signal.force>` and
+    :meth:`settle` are for initial conditions.  :meth:`Signal.assign
+    <repro.events.signal.Signal.assign>` itself keeps scheduling same-value
+    transactions — a force made mid-run relies on them to be reverted.
     """
 
     def __init__(
@@ -180,14 +199,15 @@ class CmlGate:
             delays[:] = [delay + mismatch if mismatch else delay, delay]
 
     def _make_listener(self, input_index: int) -> Callable[[Signal, float], None]:
-        """The input-*input_index* listener: look up, delay, draw, assign."""
+        """The input-*input_index* listener: look up, delay, draw, assign unless settled."""
         table = self._table
         first = self._first
         rest = self._rest
         delays = self._delays[input_index]
         sigma = self.timing.jitter_sigma_fraction
         draw = self.output.simulator.normal_stream(self._rng).draw if sigma > 0.0 else None
-        assign = self.output.assign
+        output = self.output
+        assign = output.assign
         gate = self
 
         def on_input_event(_signal: Signal, _time_s: float) -> None:
@@ -197,7 +217,8 @@ class CmlGate:
                 delay = delay * (1.0 + sigma * draw())
             if delay < MIN_DELAY_S:
                 delay = MIN_DELAY_S
-            assign(value, delay)
+            if output._pending or value != output._value:
+                assign(value, delay)
             gate.event_count += 1
 
         return on_input_event

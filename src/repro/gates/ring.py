@@ -8,7 +8,8 @@ oscillates at ``f = 1 / (2 * N * t_d)``; pulling EDET low freezes the first
 stage, and the frozen state propagates to the output in half a period — the
 re-phasing mechanism of the gated-oscillator CDR.
 
-Two clock taps are exposed:
+Two clock taps are exposed, each built on its first read (a tap nobody
+reads costs no events):
 
 * ``clock_nominal`` — the inverted fourth-stage output (Figure 7), rising
   T/2 after the trigger;
@@ -105,7 +106,14 @@ class GccoParameters:
 
 
 class GatedRingOscillator:
-    """Gate-level behavioural model of the gated CCO."""
+    """Gate-level behavioural model of the gated CCO.
+
+    The clock taps :attr:`clock_nominal` and :attr:`clock_improved` are
+    built on first read: the read creates the tap signal, subscribes its
+    zero-delay follower to its stage and forces the tap to the stage's
+    present value.  A channel samples one tap, so the other one never
+    enters the event queue.
+    """
 
     def __init__(
         self,
@@ -140,8 +148,8 @@ class GatedRingOscillator:
         self.stages: list[Signal] = [
             Signal(simulator, f"{name}.stage{index}", initial=0) for index in range(n_stages)
         ]
-        self.clock_nominal = Signal(simulator, f"{name}.ck_nominal", initial=1)
-        self.clock_improved = Signal(simulator, f"{name}.ck_improved", initial=1)
+        self._clock_nominal: Signal | None = None
+        self._clock_improved: Signal | None = None
 
         timing_first = CmlTiming(
             nominal_delay_s=stage_delay,
@@ -175,28 +183,48 @@ class GatedRingOscillator:
             self.ring_gates.append(gate)
         self.set_control_current(self._control_current_a)
 
-        # Output taps: nominal = inverted last stage (Figure 7), improved =
-        # third stage with opposite polarity (Figure 15), whose rising edge is
-        # one stage delay (T/8) earlier.  Differential inversion is free, so
-        # the taps are modelled with zero extra delay.
-        self.stages[-1].subscribe(self._update_nominal_tap)
-        self.stages[-2].subscribe(self._update_improved_tap)
-
         # Kick the ring: force a consistent initial state so oscillation starts
         # as soon as the gating signal is high.
         self._initialise_ring()
 
     # -- taps ----------------------------------------------------------------
 
-    def _update_nominal_tap(self, signal: Signal, _time_s: float) -> None:
-        self.clock_nominal.assign(1 - signal.value, 0.0)
+    @property
+    def clock_nominal(self) -> Signal:
+        """The inverted last-stage output (Figure 7), built on first read."""
+        if self._clock_nominal is None:
+            self._clock_nominal = self._build_tap("ck_nominal", self.stages[-1], inverted=True)
+        return self._clock_nominal
 
-    def _update_improved_tap(self, signal: Signal, _time_s: float) -> None:
-        # Taking the third stage with the opposite differential polarity to the
-        # nominal (inverted fourth-stage) tap places the rising sampling edge
-        # one stage delay (T/8) *earlier* in the bit — the paper's improved
-        # sampling point.  Differential inversion costs no extra gate.
-        self.clock_improved.assign(signal.value, 0.0)
+    @property
+    def clock_improved(self) -> Signal:
+        """The second-to-last stage output (Figure 15), built on first read.
+
+        Taking that stage with the opposite differential polarity to the
+        nominal (inverted last-stage) tap places the rising sampling edge one
+        stage delay (T/8) *earlier* in the bit — the paper's improved
+        sampling point.  Differential inversion costs no extra gate.
+        """
+        if self._clock_improved is None:
+            self._clock_improved = self._build_tap("ck_improved", self.stages[-2], inverted=False)
+        return self._clock_improved
+
+    def _build_tap(self, suffix: str, stage: Signal, *, inverted: bool) -> Signal:
+        """A zero-delay follower of *stage*, forced to its present value.
+
+        Differential inversion is free, so a tap costs no gate delay.  A tap
+        nobody reads is never built, so it schedules no transactions.
+        """
+        tap = Signal(self.simulator, f"{self.name}.{suffix}", initial=1)
+        flip = int(inverted)
+        assign = tap.assign
+
+        def follow(signal: Signal, _time_s: float) -> None:
+            assign(signal._value ^ flip, 0.0)
+
+        stage.subscribe(follow)
+        tap.force(int(stage.value) ^ flip)
+        return tap
 
     # -- control -------------------------------------------------------------
 
@@ -238,8 +266,6 @@ class GatedRingOscillator:
         # loop is inconsistent and begins toggling immediately once gate = 1.
         for index, signal in enumerate(self.stages):
             signal.force(index % 2)
-        self.clock_nominal.force(1 - int(self.stages[-1].value))
-        self.clock_improved.force(int(self.stages[-2].value))
         # Schedule the first evaluation of every gate so the ring starts even
         # if no external event arrives.
         for gate in self.ring_gates:

@@ -25,6 +25,12 @@ def _jittered_delay(timing: CmlTiming, draw) -> float:
     return max(delay, MIN_DELAY_S)
 
 
+def _assign_unless_settled(output: Signal, value: int, delay_s: float) -> None:
+    """Assign unless *output* is settled at *value*: the :class:`CmlGate` rule."""
+    if output._pending or value != output._value:
+        output.assign(value, delay_s)
+
+
 class CmlLatch:
     """Level-sensitive CML latch: transparent while ``enable`` is high.
 
@@ -48,7 +54,8 @@ class CmlLatch:
 
     def _on_event(self, _signal: Signal, _time_s: float) -> None:
         if int(self.enable.value) == 1:
-            self.output.assign(int(self.data.value), _jittered_delay(self.timing, self._draw))
+            _assign_unless_settled(self.output, int(self.data.value),
+                                   _jittered_delay(self.timing, self._draw))
 
 
 class CmlFlipFlop:
@@ -82,16 +89,17 @@ class CmlFlipFlop:
     def _on_data(self, _signal: Signal, _time_s: float) -> None:
         if int(self.clock.value) == 0:
             # Master transparent: track the input.
-            self._master.assign(int(self.data.value), 0.0)
+            _assign_unless_settled(self._master, int(self.data.value), 0.0)
 
     def _on_clock(self, _signal: Signal, time_s: float) -> None:
         if int(self.clock.value) == 1:
             captured = int(self._master.value)
             self.decisions.append((time_s, captured))
-            self.output.assign(captured, _jittered_delay(self.timing, self._draw))
+            _assign_unless_settled(self.output, captured,
+                                   _jittered_delay(self.timing, self._draw))
         else:
             # Clock low: master becomes transparent again and tracks the data.
-            self._master.assign(int(self.data.value), 0.0)
+            _assign_unless_settled(self._master, int(self.data.value), 0.0)
 
     def decision_times(self) -> np.ndarray:
         """Absolute times of the sampling decisions."""

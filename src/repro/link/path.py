@@ -26,12 +26,12 @@ statistics) works on link-driven simulations unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import units
 from .._validation import require_positive_int
-from ..analysis.eye import EyeDiagram
 from ..datapath.nrz import JitterSpec, NrzEdgeStream, ideal_edge_times, jitter_displacements_ui
 from ..fastpath.backends import AUTO_BACKEND, make_channel, resolve_backend
 from ..jitter.decomposition import JitterDecomposition, combine_deterministic, decompose_dual_dirac
@@ -43,6 +43,9 @@ from .equalization import DfeAdaptation, LmsDfe, RxCtle, TxFfe
 from .isi import nrz_symbol_levels, superpose_circular
 from .memo import memoized
 from .timebase import LinkTimebase
+
+if TYPE_CHECKING:
+    from ..analysis.eye import EyeDiagram
 
 __all__ = [
     "LinkConfig",
@@ -412,6 +415,8 @@ def stream_eye_diagram(stream: NrzEdgeStream, unit_interval_s: float | None = No
     before clock recovery — the waveform-level eye that
     :class:`repro.specs.ReceiverEyeMask` judges.
     """
+    from ..analysis.eye import EyeDiagram
+
     unit_interval = stream.bit_period_s if unit_interval_s is None else unit_interval_s
     clock_edges = stream.start_time_s + (np.arange(stream.n_bits) + 0.5) * stream.bit_period_s
     return EyeDiagram.from_edges(stream.edge_times_s, clock_edges, unit_interval)

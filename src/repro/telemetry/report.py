@@ -28,21 +28,27 @@ The ``--history`` mode reads the append-only bench-history ledger
 (``benchmarks/run_bench.py`` appends one manifest-stamped record per
 run) and renders each benchmark's trend beside its latest absolute
 fast-path seconds (``fast_s``, where the benchmark records them).  An
-entry is judged on its speedup, unless it records a solver's own seconds
-(``stateye_s``, ``training_s``): there the speedup divides an
-extrapolated bit-true time by the solver time, so it moves with the fast
-path too, and the seconds are judged instead, rescaled by the records'
-``host_probe_ms`` (a fixed pure-Python slice timed in thread CPU time)
-where both carry one, so a slow host phase alone reads as no change.  A
-speedup that drops below ``--tolerance`` times its rolling median (over
-the previous ``--window`` runs), or seconds that rise above that median
-divided by ``--tolerance``, are flagged as a regression and the exit
-code is 1 — the soft trend gate beside the hard ``--floor`` one.
+entry is judged on the absolute seconds it records — each of the
+event-kernel and fast-path legs (``event_s``, ``fast_s``) and the
+solver times (``stateye_s``, ``training_s``) on its own — never on a
+ratio of two legs, which improves when a shared layer slows both and
+falls when one leg gets faster.  The seconds are rescaled by the
+records' ``host_probe_ms`` (a fixed pure-Python slice timed in thread
+CPU time) where both carry one, so a slow host phase alone reads as no
+change.  Leg seconds count only in records that carry them to the
+microsecond (``seconds_decimals``); earlier records rounded them to the
+millisecond.  An entry with no such seconds is judged on its speedup.
+Seconds that rise above their rolling median (over the previous
+``--window`` runs) divided by ``--tolerance``, or a speedup that drops
+below ``--tolerance`` times its median, are flagged as a regression and
+the exit code is 1 — the soft trend gate beside the hard ``--floor``
+one.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 from pathlib import Path
 
@@ -86,9 +92,19 @@ HISTORY_VERSION = 1
 #: path too.  Older records lack the later fields and still load.
 HISTORY_FIELDS = ("speedup", "fast_s", "event_s", "ring_bits_per_s", "stateye_s", "training_s")
 
-#: Solver seconds that :func:`history_summary` judges instead of the speedup
-#: of an entry that records them.
-SOLVER_SECONDS_FIELDS = ("stateye_s", "training_s")
+#: Absolute seconds that :func:`history_summary` judges, each on its own;
+#: an entry whose latest record carries none of them is judged on its
+#: speedup.
+SECONDS_FIELDS = ("event_s", "fast_s", "stateye_s", "training_s")
+
+#: Decimals to which ``benchmarks/run_bench.py`` records a timed leg's
+#: seconds; each history record says so in its ``seconds_decimals`` field.
+SECONDS_DECIMALS = 6
+
+#: Backend-leg seconds that records without ``seconds_decimals`` rounded
+#: to the millisecond — up to a quarter of a few-millisecond leg — so
+#: only records at :data:`SECONDS_DECIMALS` count for them.
+LEG_SECONDS_FIELDS = ("event_s", "fast_s")
 
 
 def load_trace(source: "str | Path | Tracer | dict") -> dict:
@@ -266,61 +282,94 @@ def load_history(path: str | Path) -> list[dict]:
     return records
 
 
+def _trend(judged: list[tuple[float, float | None]], *, seconds: bool,
+           window: int, tolerance: float) -> dict:
+    """Judge one metric's run-ordered ``(value, host_probe_ms)`` pairs.
+
+    The latest value is compared with the median of the up-to-*window*
+    values before it; seconds are first rescaled to the latest host speed
+    where both records carry a probe.  ``ratio`` reads below 1 when the
+    benchmark got slower.
+    """
+    latest, latest_probe = judged[-1]
+    # Speedups are ratios taken on one host and stay raw.
+    rescale = seconds and latest_probe is not None
+    previous = [
+        value * latest_probe / probe if rescale and probe else value
+        for value, probe in judged[:-1][-window:]
+    ]
+    median = statistics.median(previous) if previous else None
+    if seconds:
+        ratio = median / latest if median and latest else None
+    else:
+        ratio = latest / median if median else None
+    regression = len(previous) >= 2 and ratio is not None and ratio < tolerance
+    return {"latest": latest, "median": median, "ratio": ratio, "regression": regression}
+
+
 def history_summary(
     path: str | Path, *, window: int = 5, tolerance: float = 0.8
 ) -> dict:
     """JSON-safe trend summary of a bench-history ledger.
 
-    Per benchmark name: every recorded speedup in run order, the judged
-    ``metric``, its ``latest`` value and the ``median`` of the
+    Per benchmark name: every recorded speedup in run order, ``metrics``
+    — for each judged metric its ``latest`` value, the ``median`` of the
     up-to-*window* earlier runs that record it, a ``ratio`` that reads
-    below 1 when the benchmark got slower, a ``regression`` flag set when
-    that ratio drops below *tolerance*, and ``latest_fast_s``, the latest
+    below 1 when the benchmark got slower and a ``regression`` flag set
+    when that ratio drops below *tolerance* — the same four fields and
+    the ``metric`` name of the one that moved worst (a flagged one
+    first, then the lowest ratio), and ``latest_fast_s``, the latest
     record's absolute fast-path seconds (``None`` when that record has
-    none).  The metric is ``speedup`` unless the latest entry records one
-    of the :data:`SOLVER_SECONDS_FIELDS`, which is then judged instead
-    (ratio ``median / latest``).  Seconds move with the host's speed, so
-    where an earlier record and the latest one both carry a
+    none).  The judged metrics are the :data:`SECONDS_FIELDS` the latest
+    entry records (ratio ``median / latest``), or its ``speedup`` when it
+    records none; the :data:`LEG_SECONDS_FIELDS` count only in records
+    whose ``seconds_decimals`` reaches :data:`SECONDS_DECIMALS`, as the
+    latest value and as priors alike.  Seconds move with the host's
+    speed, so where an earlier record and the latest one both carry a
     ``host_probe_ms``, the earlier seconds are first rescaled to the
     latest host speed (``seconds * latest_probe / probe``); records
-    without a probe are compared raw.  A benchmark needs at least two
-    prior runs of its metric before it can be flagged — a fresh ledger is
-    never a regression.
+    without a probe are compared raw.  A metric needs at least two prior
+    runs before it can be flagged — a fresh ledger is never a
+    regression.
     """
     records = load_history(path)
-    entries: dict[str, list[tuple[dict, float | None]]] = {}
+    entries: dict[str, list[tuple[dict, float | None, bool]]] = {}
     for record in records:
         probe_ms = record.get("host_probe_ms")
+        rounded = record.get("seconds_decimals", 0) < SECONDS_DECIMALS
         for name, entry in record.get("entries", {}).items():
-            entries.setdefault(name, []).append((entry, probe_ms))
+            entries.setdefault(name, []).append((entry, probe_ms, rounded))
+
+    def recorded(run: dict, rounded: bool, metric: str) -> bool:
+        return metric in run and not (rounded and metric in LEG_SECONDS_FIELDS)
+
     benchmarks: dict[str, dict] = {}
     regressions: list[str] = []
     for name in sorted(entries):
-        runs = [entry for entry, _ in entries[name]]
-        metric = next((key for key in SOLVER_SECONDS_FIELDS if key in runs[-1]), "speedup")
-        judged = [(float(run[metric]), probe) for run, probe in entries[name] if metric in run]
-        latest, latest_probe = judged[-1]
-        # Speedups are ratios taken on one host and stay raw.
-        rescale = metric != "speedup" and latest_probe is not None
-        previous = [
-            value * latest_probe / probe if rescale and probe else value
-            for value, probe in judged[:-1][-window:]
-        ]
-        median = statistics.median(previous) if previous else None
-        if metric == "speedup":
-            ratio = latest / median if median else None
-        else:
-            ratio = median / latest if median and latest else None
-        regression = len(previous) >= 2 and ratio is not None and ratio < tolerance
-        if regression:
+        runs = [entry for entry, _, _ in entries[name]]
+        latest_rounded = entries[name][-1][2]
+        judged = [
+            key for key in SECONDS_FIELDS if recorded(runs[-1], latest_rounded, key)
+        ] or ["speedup"]
+        metrics = {
+            metric: _trend(
+                [(float(run[metric]), probe) for run, probe, rounded in entries[name]
+                 if recorded(run, rounded, metric)],
+                seconds=metric != "speedup", window=window, tolerance=tolerance,
+            )
+            for metric in judged
+        }
+        worst = min(judged, key=lambda metric: (
+            not metrics[metric]["regression"],
+            math.inf if metrics[metric]["ratio"] is None else metrics[metric]["ratio"],
+        ))
+        if metrics[worst]["regression"]:
             regressions.append(name)
         benchmarks[name] = {
             "speedups": [float(run["speedup"]) for run in runs],
-            "metric": metric,
-            "latest": latest,
-            "median": median,
-            "ratio": ratio,
-            "regression": regression,
+            "metric": worst,
+            **metrics[worst],
+            "metrics": metrics,
             "latest_fast_s": runs[-1].get("fast_s"),
         }
     return {
@@ -334,9 +383,12 @@ def history_summary(
 
 
 def history_table(summary: dict) -> TextTable:
-    """Render a :func:`history_summary` dict as one trend row per benchmark."""
+    """Render a :func:`history_summary` dict as one trend row per benchmark.
+
+    The row shows the judged metric that moved worst.
+    """
     table = TextTable(
-        headers=["benchmark", "runs", "median", "latest", "fast_s", "ratio", "status"],
+        headers=["benchmark", "runs", "metric", "median", "latest", "fast_s", "ratio", "status"],
         title=f"bench history ({summary['runs']} runs, "
         f"window {summary['window']}, tolerance {summary['tolerance']})",
     )
@@ -348,12 +400,13 @@ def history_table(summary: dict) -> TextTable:
         fast_s = f"{fast_s:g}s" if fast_s is not None else "-"
         status = "REGRESSION" if entry["regression"] else "ok"
         latest = f"{entry['latest']:g}{unit}"
-        table.add_row(name, len(entry["speedups"]), median, latest, fast_s, ratio, status)
+        table.add_row(name, len(entry["speedups"]), entry["metric"], median, latest, fast_s,
+                      ratio, status)
     return table
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: trace summary, or ``--history`` speedup trends.
+    """CLI entry point: trace summary, or ``--history`` trends.
 
     Exit codes: 0 on success, 1 on an unreadable input or a flagged
     history regression, 2 on usage errors (argparse).
@@ -367,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--history", metavar="PATH", default=None,
-        help="render speedup trends of a bench_history.jsonl ledger instead",
+        help="render the trends of a bench_history.jsonl ledger instead",
     )
     parser.add_argument(
         "--window", type=int, default=5,
@@ -394,19 +447,21 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(history_table(summary).render())
                 for name in summary["regressions"]:
-                    entry = summary["benchmarks"][name]
-                    latest, median = entry["latest"], entry["median"]
-                    if entry["metric"] == "speedup":
-                        moved = (
-                            f"{latest:g}x fell below {arguments.tolerance:g}x "
-                            f"its rolling median {median:g}x"
-                        )
-                    else:
-                        moved = (
-                            f"{latest:g}s rose above its rolling median "
-                            f"{median:g}s / {arguments.tolerance:g}"
-                        )
-                    print(f"REGRESSION: {name} {entry['metric']} {moved}")
+                    for metric, trend in summary["benchmarks"][name]["metrics"].items():
+                        if not trend["regression"]:
+                            continue
+                        latest, median = trend["latest"], trend["median"]
+                        if metric == "speedup":
+                            moved = (
+                                f"{latest:g}x fell below {arguments.tolerance:g}x "
+                                f"its rolling median {median:g}x"
+                            )
+                        else:
+                            moved = (
+                                f"{latest:g}s rose above its rolling median "
+                                f"{median:g}s / {arguments.tolerance:g}"
+                            )
+                        print(f"REGRESSION: {name} {metric} {moved}")
             return 1 if summary["regressions"] else 0
         if arguments.format == "json":
             print(dumps_strict(stage_breakdown(Path(arguments.trace)), sort_keys=True))

@@ -30,6 +30,16 @@ class TestAssignment:
         simulator.run()
         assert events == []
 
+    def test_same_value_assignment_is_still_scheduled(self):
+        """Only the gate models skip settled outputs; the signal schedules all."""
+        simulator = Simulator()
+        signal = Signal(simulator, "s", initial=1)
+        signal.assign(1, 1.0e-9)
+        assert signal.pending_transactions() == [(1.0e-9, 1)]
+        assert simulator.pending_events() == 1
+        assert simulator.run() == 1
+        assert simulator.now == 1.0e-9
+
     def test_transport_semantics_cancel_later_transactions(self):
         # Scheduling an earlier transaction cancels already-pending later ones,
         # exactly as VHDL transport assignments behave.

@@ -148,6 +148,32 @@ class TestPropagation:
         simulator.run()
         assert gate.event_count == 2
 
+    def test_settled_output_schedules_nothing_but_still_draws(self):
+        """The model-level no-op rule: no transaction, same draw order."""
+        simulator, (in_a, in_b), output = setup(2)
+        rng = np.random.default_rng(12)
+        gate = And2Gate("and", in_a, in_b, output,
+                        CmlTiming(DELAY, jitter_sigma_fraction=0.05), rng=rng)
+        in_a.force(1)  # AND(1, 0) = 0: the output already holds it
+        assert simulator.pending_events() == 0
+        assert output.pending_transactions() == []
+        assert gate.event_count == 1
+        twin = np.random.default_rng(12)
+        twin.standard_normal()
+        assert rng.random() == twin.random()
+
+    def test_settled_rule_needs_an_empty_queue(self):
+        """A pending glitch is still cancelled by a same-value assignment."""
+        simulator, (data,), output = setup(1)
+        BufferGate("buf", data, output, CmlTiming(DELAY))
+        data.force(1)
+        assert output.pending_transactions() == [(DELAY, 1)]
+        data.force(0)  # output holds 0, but 1 is pending: schedule the 0
+        assert output.pending_transactions() == [(DELAY, 0)]
+        simulator.run()
+        assert output.value == 0
+        assert output.last_event_time_s is None
+
     def test_gate_requires_inputs(self):
         simulator = Simulator()
         with pytest.raises(ValueError):

@@ -146,6 +146,75 @@ class TestGating:
         assert first_nominal - first_improved == pytest.approx(50.0e-12, rel=0.05)
 
 
+def tap_traces(read, parameters, seed=4):
+    """Run a jittered ring reading the taps in *read*; return every trace and the next draw."""
+    simulator = Simulator()
+    gate = Signal(simulator, "edet", initial=1)
+    rng = np.random.default_rng(seed)
+    oscillator = GatedRingOscillator(simulator, "osc", gate, parameters, rng=rng)
+    recorder = WaveformRecorder()
+    for stage in oscillator.stages:
+        recorder.watch(stage)
+    for name in read:
+        recorder.watch(getattr(oscillator, name), name)
+    simulator.call_at(9.0e-9, lambda: gate.force(0))
+    simulator.call_at(9.7e-9, lambda: gate.force(1))
+    simulator.run_until(20.0e-9)
+    traces = {name: recorder.trace(name).as_arrays() for name in recorder.names()}
+    return oscillator, traces, rng.random()
+
+
+class TestTapsBuiltOnFirstRead:
+    PARAMETERS = GccoParameters(jitter_sigma_fraction=0.03)
+
+    def test_unread_improved_tap_costs_no_events(self, monkeypatch):
+        assigned = []
+        assign = Signal.assign
+
+        def recording_assign(signal, value, delay_s=0.0):
+            assigned.append(signal.name)
+            assign(signal, value, delay_s)
+
+        monkeypatch.setattr(Signal, "assign", recording_assign)
+        oscillator, traces, _ = tap_traces(["clock_nominal"], self.PARAMETERS)
+        assert len(oscillator.stages[-2]._subscribers) == 2  # inverter + recorder
+        assert oscillator._clock_improved is None
+        assert "osc.ck_nominal" in assigned
+        assert "osc.ck_improved" not in assigned
+
+    def test_improved_tap_has_one_subscriber_until_read(self):
+        simulator = Simulator()
+        oscillator = GatedRingOscillator(simulator, "osc", Signal(simulator, "edet", initial=1))
+        assert len(oscillator.stages[-2]._subscribers) == 1
+        assert len(oscillator.stages[-1]._subscribers) == 1
+        oscillator.clock_improved
+        assert oscillator.clock_improved is oscillator.clock_improved
+        assert len(oscillator.stages[-2]._subscribers) == 2
+
+    def test_reading_both_taps_matches_reading_each(self):
+        """Taps feed nothing back: each one alone gives the same waveforms and draws."""
+        _, both, both_draw = tap_traces(["clock_nominal", "clock_improved"], self.PARAMETERS)
+        for tap in ("clock_nominal", "clock_improved"):
+            _, alone, alone_draw = tap_traces([tap], self.PARAMETERS)
+            assert alone_draw == both_draw
+            for name, (times, values) in alone.items():
+                assert times.tobytes() == both[name][0].tobytes(), name
+                assert values.tobytes() == both[name][1].tobytes(), name
+        _, stages_only, stages_draw = tap_traces([], self.PARAMETERS)
+        assert stages_draw == both_draw
+        assert set(stages_only) == set(both) - {"clock_nominal", "clock_improved"}
+
+    def test_tap_read_mid_run_starts_at_the_stage_value(self):
+        simulator = Simulator()
+        oscillator = GatedRingOscillator(simulator, "osc", Signal(simulator, "edet", initial=1))
+        simulator.run_until(3.03e-9)
+        assert oscillator.clock_nominal.value == 1 - oscillator.stages[-1].value
+        assert oscillator.clock_improved.value == oscillator.stages[-2].value
+        simulator.run_until(6.0e-9)
+        assert oscillator.clock_nominal.value == 1 - oscillator.stages[-1].value
+        assert oscillator.clock_improved.value == oscillator.stages[-2].value
+
+
 class TestDelayLine:
     def test_total_delay(self):
         simulator = Simulator()

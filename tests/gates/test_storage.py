@@ -36,6 +36,40 @@ class TestLatch:
         assert output.value == 1   # held value
 
 
+class TestSettledOutputs:
+    """The model-level no-op rule in the latch and the flip-flop."""
+
+    def test_latch_schedules_nothing_onto_a_settled_output(self):
+        simulator = Simulator()
+        data = Signal(simulator, "d", initial=0)
+        enable = Signal(simulator, "en", initial=0)
+        output = Signal(simulator, "q", initial=0)
+        rng = np.random.default_rng(5)
+        CmlLatch("latch", data, enable, output,
+                 CmlTiming(DELAY, jitter_sigma_fraction=0.05), rng=rng)
+        enable.force(1)  # transparent, and q already holds d
+        assert simulator.pending_events() == 0
+        twin = np.random.default_rng(5)
+        twin.standard_normal()
+        assert rng.random() == twin.random()
+
+    def test_flip_flop_schedules_nothing_onto_a_settled_output(self):
+        simulator = Simulator()
+        data = Signal(simulator, "d", initial=0)
+        clock = Signal(simulator, "ck", initial=0)
+        output = Signal(simulator, "q", initial=0)
+        rng = np.random.default_rng(6)
+        ff = CmlFlipFlop(simulator, "ff", data, clock, output,
+                         CmlTiming(DELAY, jitter_sigma_fraction=0.05), rng=rng)
+        clock.force(1)  # captures 0 into q, which holds 0
+        clock.force(0)  # the master already holds d
+        assert simulator.pending_events() == 0
+        assert ff.decision_values().tolist() == [0]
+        twin = np.random.default_rng(6)
+        twin.standard_normal()
+        assert rng.random() == twin.random()
+
+
 class TestFlipFlop:
     def _build(self):
         simulator = Simulator()

@@ -58,6 +58,9 @@ class ReferenceSimulator:
         #: ``kernel.events`` and ``kernel.gate_evaluations`` counts.
         self.events = 0
         self.gate_evaluations = 0
+        #: Executed transactions that were scheduled onto a settled signal
+        #: (see :meth:`ReferenceSignal.assign`): the live gate models skip them.
+        self.settled_transactions = 0
 
     @property
     def now(self) -> float:
@@ -83,12 +86,13 @@ class ReferenceSimulator:
 
 
 class _Transaction:
-    __slots__ = ("time_s", "value", "cancelled")
+    __slots__ = ("time_s", "value", "cancelled", "settled")
 
-    def __init__(self, time_s, value) -> None:
+    def __init__(self, time_s, value, settled=False) -> None:
         self.time_s = time_s
         self.value = value
         self.cancelled = False
+        self.settled = settled
 
 
 class ReferenceSignal:
@@ -114,13 +118,26 @@ class ReferenceSignal:
         self._subscribers = self._subscribers + (callback,)
 
     def assign(self, value, delay_s=0.0) -> None:
+        """Schedule every assignment, marking those onto a settled signal.
+
+        A signal is settled at *value* when it holds it and every
+        transaction still pending is cancelled or itself settled: such a
+        transaction can only be cancelled or fire as a no-op.  The live gate
+        models schedule none of them, so the live kernel executes exactly
+        ``settled_transactions`` fewer events.  (Counting the transactions
+        that fire as no-ops would not match: one that cancels a pending
+        glitch and restores the held value is a no-op on both kernels.)
+        """
         if delay_s < 0.0:
             raise ValueError("delay_s must be >= 0")
+        settled = value == self._value and all(
+            transaction.cancelled or transaction.settled for transaction in self._pending
+        )
         target_time = self._simulator.now + delay_s
         for transaction in self._pending:
             if not transaction.cancelled and transaction.time_s >= target_time:
                 transaction.cancelled = True
-        transaction = _Transaction(target_time, value)
+        transaction = _Transaction(target_time, value, settled)
         self._pending.append(transaction)
         self._simulator.call_at(target_time, lambda: self._apply(transaction))
 
@@ -147,6 +164,7 @@ class ReferenceSignal:
         self._simulator.call_at(times_list[0], fire)
 
     def _apply(self, transaction) -> None:
+        self._simulator.settled_transactions += transaction.settled
         if transaction in self._pending:
             self._pending.remove(transaction)
         if transaction.cancelled:
@@ -419,11 +437,14 @@ class TestChannelMatchesReferenceKernel:
         config, bits, jitter, ppm, mismatch, seed = case
         with pytest.MonkeyPatch.context() as monkeypatch:
             _with_mismatch(monkeypatch, mismatch)
-            live = _channel_run(config, bits, jitter, ppm, seed)
+            with telemetry.trace("oracle") as tracer:
+                live = _channel_run(config, bits, jitter, ppm, seed)
             simulators = _use_reference_kernel(monkeypatch)
             reference = _channel_run(config, bits, jitter, ppm, seed)
         assert len(simulators) == 1
         _assert_same_run(live, reference)
+        skipped = simulators[0].settled_transactions
+        assert tracer.counters["kernel.events"] == simulators[0].events - skipped
 
     @pytest.mark.parametrize(
         "config",
@@ -441,7 +462,11 @@ class TestChannelMatchesReferenceKernel:
         _assert_same_run(live, reference)
 
     def test_traced_counters_match_reference(self, monkeypatch):
-        """The tracer is read once per drain; the totals stay per-dispatch exact."""
+        """The tracer is read once per drain; the totals stay per-dispatch exact.
+
+        The live kernel executes the reference's events less exactly the
+        transactions the gate models skip onto settled outputs.
+        """
         config = CdrChannelConfig.paper_nominal()
         bits = np.resize(np.array([1, 1, 0, 1, 0, 0, 0, 1], dtype=np.uint8), 300)
         with telemetry.trace("oracle") as tracer:
@@ -449,8 +474,10 @@ class TestChannelMatchesReferenceKernel:
         simulators = _use_reference_kernel(monkeypatch)
         _channel_run(config, bits, JitterSpec(), 0.0, 9)
         counters = tracer.counters
-        assert counters["kernel.gate_evaluations"] == simulators[0].gate_evaluations
-        assert counters["kernel.events"] == simulators[0].events
+        reference = simulators[0]
+        assert counters["kernel.gate_evaluations"] == reference.gate_evaluations
+        assert reference.settled_transactions > 0
+        assert counters["kernel.events"] == reference.events - reference.settled_transactions
 
 
 # --- gate-level circuits ----------------------------------------------------------
@@ -476,7 +503,8 @@ REFERENCE = {
 def _storage_circuit(kernel, seed):
     """Gates, a latch and a flip-flop jittered from one shared ``rng``.
 
-    Returns the recorded traces, the flip-flop decisions and the next draw.
+    Returns the recorded traces, the flip-flop decisions, the next draw and
+    the simulator.
     """
     rng = np.random.default_rng(seed)
     timing = CmlTiming(20.0e-12, jitter_sigma_fraction=0.05)
@@ -498,14 +526,21 @@ def _storage_circuit(kernel, seed):
     for stop in (7.0e-9, 23.0e-9, 60.0e-9):
         simulator.run_until(stop)
     traces = {name: recorder.trace(name).as_arrays() for name in recorder.names()}
-    return traces, flip_flop.decisions, rng.random()
+    return traces, flip_flop.decisions, rng.random(), simulator
 
 
 class TestGateCircuitsMatchReferenceKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_latch_flip_flop_and_gates_share_one_rng(self, seed):
-        traces, decisions, next_draw = _storage_circuit(LIVE, seed)
-        expected_traces, expected_decisions, expected_next_draw = _storage_circuit(REFERENCE, seed)
+        with telemetry.trace("oracle") as tracer:
+            traces, decisions, next_draw, _ = _storage_circuit(LIVE, seed)
+        expected_traces, expected_decisions, expected_next_draw, reference = (
+            _storage_circuit(REFERENCE, seed)
+        )
+        assert reference.settled_transactions > 0
+        assert tracer.counters["kernel.events"] == (
+            reference.events - reference.settled_transactions
+        )
         assert traces.keys() == expected_traces.keys()
         for name, (times, values) in traces.items():
             assert _bytes_equal(times, expected_traces[name][0]), name

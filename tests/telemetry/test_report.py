@@ -9,6 +9,7 @@ from repro.telemetry import Tracer
 from repro.telemetry.report import (
     HISTORY_KIND,
     HISTORY_VERSION,
+    SECONDS_DECIMALS,
     cache_table,
     counter_table,
     history_entry,
@@ -138,15 +139,19 @@ def _history_file(tmp_path, speedups_per_run, name="loop"):
     return _ledger(tmp_path, [{"speedup": speedup} for speedup in speedups_per_run], name)
 
 
-def _ledger(tmp_path, entries_per_run, name="loop", probes_ms=None):
+def _ledger(tmp_path, entries_per_run, name="loop", probes_ms=None, decimals=None):
     """Write a bench-history ledger with one *name* entry per run.
 
-    *probes_ms* gives each record's ``host_probe_ms``; ``None`` (the list
-    or an item) writes a record without one.
+    *probes_ms* gives each record's ``host_probe_ms`` and *decimals* its
+    ``seconds_decimals``; ``None`` (the list or an item) writes a record
+    without the field.
     """
     path = tmp_path / "bench_history.jsonl"
     lines = []
-    for entry, probe_ms in zip(entries_per_run, probes_ms or [None] * len(entries_per_run)):
+    count = len(entries_per_run)
+    for entry, probe_ms, places in zip(
+        entries_per_run, probes_ms or [None] * count, decimals or [None] * count
+    ):
         record = {
             "kind": HISTORY_KIND,
             "version": HISTORY_VERSION,
@@ -157,6 +162,8 @@ def _ledger(tmp_path, entries_per_run, name="loop", probes_ms=None):
         }
         if probe_ms is not None:
             record["host_probe_ms"] = probe_ms
+        if places is not None:
+            record["seconds_decimals"] = places
         lines.append(dumps_compact(record))
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -165,6 +172,15 @@ def _ledger(tmp_path, entries_per_run, name="loop", probes_ms=None):
 STEADY_TRAINING = {"speedup": 2.6e8, "training_s": 0.16}
 #: Three steady link-training runs, then one whose solver seconds rose 1.5x.
 TRAINING_RISE = [STEADY_TRAINING] * 3 + [{"speedup": 2.6e8, "training_s": 0.24}]
+
+
+STEADY_LEGS = {"speedup": 40.0, "fast_s": 0.010, "event_s": 0.400}
+#: Four records that carry their leg seconds to the microsecond.
+MICROSECONDS = [SECONDS_DECIMALS] * 4
+
+
+def _legs(event_s: float, fast_s: float) -> dict:
+    return {"speedup": round(event_s / fast_s, 2), "fast_s": fast_s, "event_s": event_s}
 
 
 class TestHistory:
@@ -254,6 +270,73 @@ class TestHistory:
         assert summary["regressions"] == ["stateye_vs_bittrue"]
         assert main(["--history", str(path)]) == 1
         assert "REGRESSION: stateye_vs_bittrue stateye_s 0.006s" in capsys.readouterr().out
+
+    def test_faster_event_leg_is_not_a_regression(self, tmp_path):
+        # The speedup falls 1.3x, below the 0.8 tolerance, but no leg got slower.
+        runs = [STEADY_LEGS] * 3 + [_legs(0.400 / 1.3, 0.010)]
+        summary = history_summary(_ledger(tmp_path, runs, probes_ms=[0.5] * 4,
+                                           decimals=MICROSECONDS))
+        entry = summary["benchmarks"]["loop"]
+        assert summary["regressions"] == []
+        assert sorted(entry["metrics"]) == ["event_s", "fast_s"]
+        assert entry["metrics"]["event_s"]["ratio"] == pytest.approx(1.3)
+        assert entry["metrics"]["fast_s"]["ratio"] == pytest.approx(1.0)
+
+    def test_slower_fast_leg_is_flagged(self, tmp_path, capsys):
+        runs = [STEADY_LEGS] * 3 + [_legs(0.400, 0.015)]
+        path = _ledger(tmp_path, runs, probes_ms=[0.5] * 4, decimals=MICROSECONDS)
+        summary = history_summary(path)
+        entry = summary["benchmarks"]["loop"]
+        assert summary["regressions"] == ["loop"]
+        assert (entry["metric"], entry["latest"], entry["median"]) == ("fast_s", 0.015, 0.010)
+        assert entry["metrics"]["event_s"]["regression"] is False
+        assert main(["--history", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION: loop fast_s 0.015s" in out
+        assert "REGRESSION: loop event_s" not in out
+
+    def test_both_legs_slower_is_flagged_though_the_speedup_holds(self, tmp_path, capsys):
+        # A shared layer slowed both legs alike: the ratio cannot see it.
+        runs = [STEADY_LEGS] * 3 + [_legs(0.600, 0.015)]
+        path = _ledger(tmp_path, runs, probes_ms=[0.5] * 4, decimals=MICROSECONDS)
+        summary = history_summary(path)
+        assert summary["benchmarks"]["loop"]["speedups"][-1] == 40.0
+        assert summary["regressions"] == ["loop"]
+        assert main(["--history", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION: loop event_s 0.6s" in out
+        assert "REGRESSION: loop fast_s 0.015s" in out
+
+    def test_leg_seconds_scale_with_the_host_probe(self, tmp_path):
+        runs = [STEADY_LEGS] * 3 + [_legs(0.600, 0.015)]
+        summary = history_summary(_ledger(tmp_path, runs, probes_ms=[0.4, 0.4, 0.4, 0.6],
+                                           decimals=MICROSECONDS))
+        assert summary["regressions"] == []
+        assert summary["benchmarks"]["loop"]["ratio"] == pytest.approx(1.0)
+
+    def test_millisecond_leg_records_are_not_priors(self, tmp_path):
+        # Three ms-rounded records, then a microsecond one whose fast leg
+        # reads 1.5x slower: no prior carries comparable seconds yet.
+        runs = [STEADY_LEGS] * 3 + [_legs(0.400, 0.015)]
+        path = _ledger(tmp_path, runs, probes_ms=[0.5] * 4, decimals=[None] * 3 + [6])
+        summary = history_summary(path)
+        entry = summary["benchmarks"]["loop"]
+        assert summary["regressions"] == []
+        assert sorted(entry["metrics"]) == ["event_s", "fast_s"]
+        assert entry["metrics"]["fast_s"]["median"] is None
+        assert main(["--history", str(path)]) == 0
+
+    def test_two_microsecond_priors_flag_a_slower_leg(self, tmp_path):
+        runs = [STEADY_LEGS] * 4 + [_legs(0.400, 0.015)]
+        path = _ledger(tmp_path, runs, probes_ms=[0.5] * 5, decimals=[None, None, 6, 6, 6])
+        entry = history_summary(path)["benchmarks"]["loop"]
+        assert (entry["metric"], entry["regression"]) == ("fast_s", True)
+
+    def test_millisecond_legs_alone_are_judged_on_the_speedup(self, tmp_path):
+        runs = [STEADY_LEGS] * 3 + [_legs(0.400 / 1.5, 0.010)]
+        summary = history_summary(_ledger(tmp_path, runs, probes_ms=[0.5] * 4))
+        entry = summary["benchmarks"]["loop"]
+        assert (entry["metric"], summary["regressions"]) == ("speedup", ["loop"])
 
     def test_solver_seconds_need_two_prior_records_that_carry_them(self, tmp_path):
         # Older records hold the speedup only; they do not count as priors.

@@ -3,8 +3,9 @@
 Every subpackage ``__init__`` lists its public names in one
 :func:`repro._exports.lazy_exports` table.  One fresh interpreter first
 imports what a study script imports — :mod:`repro.experiments`,
-:mod:`repro.link`, ``repro.core.config`` and ``repro.datapath.nrz`` — and
-records which modules that loaded; it then resolves every exported name of
+:mod:`repro.link`, ``repro.core.config`` and ``repro.datapath.nrz``, and
+from the first two the names a study builds its grid from — and records
+which modules that loaded; it then resolves every exported name of
 every package.  The tests below read that one run.
 """
 
@@ -22,7 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Views of the top-down flow that no study entry point runs: the analytic
 #: design flow and multi-channel receiver, the PLL baseline, phase-noise
 #: budgeting, InfiniBand compliance, the statistical JTOL/FTOL/bathtub/
-#: Monte-Carlo sweeps and the time-domain jitter sources.
+#: Monte-Carlo sweeps, the time-domain jitter sources, and the eye-diagram
+#: and text-table views that a study's results offer but do not build.
 NOT_LOADED_BY_A_STUDY = (
     "repro.core.baselines",
     "repro.core.design_flow",
@@ -38,6 +40,8 @@ NOT_LOADED_BY_A_STUDY = (
     "repro.statistical.montecarlo",
     "repro.jitter.sources",
     "repro.jitter.accumulation",
+    "repro.analysis.eye",
+    "repro.reporting.tables",
 )
 
 PROBE = r"""
@@ -51,6 +55,10 @@ import repro.core.config
 import repro.datapath.nrz
 import repro.experiments
 import repro.link
+from repro.experiments import (
+    MeasurementPlan, ParameterAxis, ScenarioSpec, StimulusSpec, SweepResult, run_grid,
+)
+from repro.link import LinkConfig, RxCtle, TrainingBudget, TxFfe
 
 report = {"loaded": sorted(name for name in sys.modules if name.startswith("repro"))}
 import repro.sweep
