@@ -318,7 +318,7 @@ def bench_stateye_vs_bittrue(n_bits: int) -> dict:
 
     measurement, bittrue_s = _timed(bittrue)
     (stateye_ber, horizontal_ui, vertical), stateye_s = _timed(solve)
-    measured_ber = measurement.errors / measurement.compared_bits
+    measured_ber = measurement.ber
     throughput = n_bits / bittrue_s
     extrapolated_s = extrapolation_bits / throughput
     return {

@@ -103,7 +103,8 @@ def cross_check_study() -> None:
     print(f"bit-true ({check.backend} backend): {check.errors} errors in "
           f"{check.compared_bits} bits -> BER {check.measured_ber:.3e}")
     print(f"statistical objective predicts {check.predicted_ber:.3e} "
-          f"(ratio {check.ratio:.2f}, within 2x band: {check.within(2.0)})")
+          f"(ratio {check.ratio:.2f}, within 2x model-gap band: {check.within(2.0)};"
+          f" a deterministic run, so a band, not a sampling interval)")
     print()
 
 

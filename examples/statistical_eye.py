@@ -95,7 +95,7 @@ def cross_validation_study() -> None:
     measurement = channel.run(prbs_sequence(7, N_BITS),
                               rng=np.random.default_rng(3),
                               pattern_period=127).ber()
-    measured = measurement.errors / measurement.compared_bits
+    measured = measurement.ber
 
     budget = CdrJitterBudget(dj_ui_pp=0.0, rj_ui_rms=0.0,
                              osc_sigma_ui_per_bit=0.0,

@@ -7,6 +7,7 @@ __all__ = [
     "EyeMetrics",
     "BerMeasurement",
     "align_and_count",
+    "ber_interval",
     "count_errors",
     "TimingStatistics",
     "duty_cycle",
@@ -19,7 +20,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "eye": ("EyeDiagram", "EyeMetrics"),
-        "ber_counter": ("BerMeasurement", "align_and_count", "count_errors"),
+        "ber_counter": ("BerMeasurement", "align_and_count", "ber_interval", "count_errors"),
         "timing": (
             "TimingStatistics",
             "duty_cycle",

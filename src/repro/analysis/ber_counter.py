@@ -15,7 +15,31 @@ from scipy import special
 
 from .._validation import require_positive_int
 
-__all__ = ["BerMeasurement", "count_errors", "align_and_count"]
+__all__ = ["BerMeasurement", "align_and_count", "ber_interval", "count_errors"]
+
+
+def ber_interval(errors: int, bits: int, confidence: float = 0.95) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) bounds on the true BER behind *errors* in *bits*.
+
+    Each bound is one-sided at *confidence*: the true BER lies below
+    ``high`` (and, separately, above ``low``) with that probability.  Zero
+    errors give ``low = 0`` and all errors ``high = 1``; zero bits measured
+    nothing and give ``(nan, nan)``.  *confidence* must lie strictly
+    between 0 and 1 and *errors* in ``[0, bits]``.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    if not 0 <= errors <= bits:
+        raise ValueError(f"errors must lie in [0, bits], got {errors!r} of {bits!r}")
+    if bits == 0:
+        return (float("nan"), float("nan"))
+    low = 0.0
+    if errors > 0:
+        low = float(special.betaincinv(errors, bits - errors + 1, 1.0 - confidence))
+    high = 1.0
+    if errors < bits:
+        high = float(special.betaincinv(errors + 1, bits - errors, confidence))
+    return (low, high)
 
 
 @dataclass(frozen=True)
@@ -34,22 +58,8 @@ class BerMeasurement:
         return self.errors / self.compared_bits
 
     def confidence_upper_bound(self, confidence: float = 0.95) -> float:
-        """Upper bound on the true BER at the given confidence level.
-
-        For zero observed errors this is the standard ``-ln(1 - confidence) / N``
-        bound; otherwise a one-sided normal approximation around the
-        estimate is used, with ``z`` the standard-normal quantile of
-        *confidence*.  *confidence* must lie strictly between 0 and 1.
-        """
-        if not 0.0 < confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-        if self.compared_bits == 0:
-            return float("nan")
-        if self.errors == 0:
-            return float(-np.log(1.0 - confidence) / self.compared_bits)
-        p = self.ber
-        z = special.ndtri(confidence)
-        return float(min(1.0, p + z * np.sqrt(p * (1.0 - p) / self.compared_bits)))
+        """Exact one-sided upper bound on the true BER (see :func:`ber_interval`)."""
+        return ber_interval(self.errors, self.compared_bits, confidence)[1]
 
 
 def count_errors(transmitted: np.ndarray, received: np.ndarray) -> BerMeasurement:

@@ -119,9 +119,7 @@ class MultiChannelBehaviouralReport:
     @property
     def aggregate_ber(self) -> float:
         """Aggregate BER over all channels."""
-        if self.total_bits == 0:
-            return float("nan")
-        return self.total_errors / self.total_bits
+        return BerMeasurement(self.total_errors, self.total_bits).ber
 
 
 class MultiChannelReceiver:

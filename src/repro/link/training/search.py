@@ -29,6 +29,7 @@ import numpy as np
 
 from ... import telemetry
 from ..._validation import require_non_negative, require_positive_int
+from ...analysis.ber_counter import BerMeasurement
 from ...datapath.cid import RunLengthDistribution
 from ...datapath.prbs import prbs_sequence, sequence_period
 from ...statistical.ber_model import CdrJitterBudget
@@ -168,9 +169,13 @@ class TrainingCrossCheck:
     errors: int
     error_events: int
     compared_bits: int
-    measured_ber: float
     predicted_ber: float
     backend: str
+
+    @property
+    def measured_ber(self) -> float:
+        """Measured bit mismatches per compared bit."""
+        return BerMeasurement(self.errors, self.compared_bits).ber
 
     @property
     def event_rate(self) -> float:
@@ -189,6 +194,10 @@ class TrainingCrossCheck:
     def within(self, band: float = 2.0) -> bool:
         """True when the two views agree within a factor of *band*.
 
+        *band* is a model-gap band, not a sampling interval: the runs it
+        judges are deterministic (no random jitter, a periodic PRBS), so
+        no binomial interval describes them; a sampled BER takes
+        :func:`~repro.analysis.ber_counter.ber_interval` instead.
         With zero counted events the run can only bound the rate from
         above, so agreement then means the prediction sits below *band*
         times the resolution limit of the run (one event).  A run that
@@ -445,16 +454,10 @@ class LinkTrainer:
             pattern_period=sequence_period(prbs_order),
         )
         measurement = result.ber()
-        measured = (
-            measurement.errors / measurement.compared_bits
-            if measurement.compared_bits
-            else float("nan")
-        )
         return TrainingCrossCheck(
             errors=int(measurement.errors),
             error_events=result.error_events(),
             compared_bits=int(measurement.compared_bits),
-            measured_ber=float(measured),
             predicted_ber=trained.eye.ber_nominal,
             backend=channel.backend,
         )

@@ -25,7 +25,6 @@ __all__ = [
     "bathtub_curve",
     "eye_opening_ui",
     "optimum_sampling_phase",
-    "MonteCarloResult",
     "simulate_ber",
 ]
 
@@ -55,6 +54,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "ftol": ("FtolResult", "ber_vs_frequency_offset", "frequency_tolerance"),
         "bathtub": ("BathtubCurve", "bathtub_curve", "eye_opening_ui", "optimum_sampling_phase"),
-        "montecarlo": ("MonteCarloResult", "simulate_ber"),
+        "montecarlo": ("simulate_ber",),
     },
 )

@@ -11,44 +11,15 @@ simulations confirm the statistical results at moderate error ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .._validation import require_positive_int
+from ..analysis.ber_counter import BerMeasurement
 from ..datapath.cid import RunLengthDistribution, geometric_run_distribution
 from .ber_model import CdrJitterBudget, NOMINAL_SAMPLING_PHASE_UI
 
-__all__ = [
-    "MonteCarloResult",
-    "simulate_ber",
-]
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    """Result of a Monte-Carlo BER estimation."""
-
-    errors: int
-    trials: int
-
-    @property
-    def ber(self) -> float:
-        """Estimated bit error ratio."""
-        return self.errors / self.trials if self.trials else float("nan")
-
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation confidence interval on the BER."""
-        if self.trials == 0:
-            return (float("nan"), float("nan"))
-        p = self.ber
-        half_width = z * math.sqrt(max(p * (1.0 - p), 1.0 / self.trials) / self.trials)
-        return (max(0.0, p - half_width), min(1.0, p + half_width))
-
-    def consistent_with(self, ber: float, z: float = 3.0) -> bool:
-        """True if *ber* lies within the z-sigma confidence interval."""
-        low, high = self.confidence_interval(z)
-        return low <= ber <= high
+__all__ = ["simulate_ber"]
 
 
 def simulate_ber(
@@ -59,7 +30,7 @@ def simulate_ber(
     run_lengths: RunLengthDistribution | None = None,
     static_phase_error_ui: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> MonteCarloResult:
+) -> BerMeasurement:
     """Monte-Carlo estimate of the gated-oscillator CDR BER.
 
     The experiment mirrors the analytic model bit for bit: draw a run length
@@ -67,7 +38,7 @@ def simulate_ber(
     (frequency-offset accumulation + oscillator random walk) and the relative
     displacement of the end-of-run transition (DJ and RJ on both edges plus
     differential SJ), and count an error whenever the sampling edge leaves the
-    run.
+    run.  Every one of the *n_bits* trials is a compared bit.
     """
     budget = budget or CdrJitterBudget()
     run_lengths = run_lengths or geometric_run_distribution(max_run=5)
@@ -107,4 +78,4 @@ def simulate_ber(
         boundary = boundary + 0.5 * relative_pp * np.sin(phase)
 
     errors = int(np.count_nonzero((sampling_edge > boundary) | (sampling_edge < 0.0)))
-    return MonteCarloResult(errors=errors, trials=n_bits)
+    return BerMeasurement(errors=errors, compared_bits=n_bits)

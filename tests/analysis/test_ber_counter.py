@@ -1,9 +1,17 @@
 """Tests for bit-error counting and alignment."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.ber_counter import BerMeasurement, align_and_count, count_errors
+from repro.analysis.ber_counter import (
+    BerMeasurement,
+    align_and_count,
+    ber_interval,
+    count_errors,
+)
 
 
 class TestCountErrors:
@@ -87,13 +95,75 @@ class TestConfidence:
         bounds = [result.confidence_upper_bound(c) for c in (0.9, 0.95, 0.975, 0.999)]
         assert all(low < high for low, high in zip(bounds, bounds[1:])), bounds
 
-    def test_nonzero_error_bound_uses_normal_quantile(self):
+    def test_upper_bound_is_the_exact_one(self):
+        """The normal approximation gave 0.01518 here; the exact bound is higher."""
         result = BerMeasurement(errors=10, compared_bits=1000)
-        spread = np.sqrt(0.01 * 0.99 / 1000)
-        assert result.confidence_upper_bound(0.975) == pytest.approx(0.01 + 1.959964 * spread)
-        assert result.confidence_upper_bound(0.999) == pytest.approx(0.01 + 3.090232 * spread)
+        assert result.confidence_upper_bound() == pytest.approx(1.6903e-2, rel=1e-4)
+        assert result.confidence_upper_bound(0.975) == ber_interval(10, 1000, 0.975)[1]
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_confidence_outside_unit_interval_is_rejected(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
             BerMeasurement(errors=10, compared_bits=1000).confidence_upper_bound(confidence)
+
+
+@st.composite
+def _counts(draw):
+    bits = draw(st.integers(min_value=1, max_value=100_000))
+    return draw(st.integers(min_value=0, max_value=bits)), bits
+
+
+_CONFIDENCES = st.floats(min_value=0.5, max_value=0.999_999)
+
+
+class TestBerInterval:
+    @pytest.mark.parametrize("confidence, high", [
+        (0.95, 1.6956e-3),
+        (0.975, 1.8383e-3),
+        (0.999, 2.4117e-3),
+    ])
+    def test_exact_upper_bound_at_ten_errors(self, confidence, high):
+        assert ber_interval(10, 10000, confidence)[1] == pytest.approx(high, rel=1e-4)
+
+    def test_zero_errors_is_the_exact_zero_error_bound(self):
+        low, high = ber_interval(0, 1000)
+        assert low == 0.0
+        assert high == pytest.approx(1.0 - 0.05 ** (1.0 / 1000), rel=1e-9)
+        assert high == pytest.approx(2.9912e-3, rel=1e-4)
+
+    def test_all_errors_reach_one(self):
+        low, high = ber_interval(1000, 1000)
+        assert high == 1.0
+        assert low == pytest.approx(0.05 ** (1.0 / 1000), rel=1e-9)
+
+    def test_no_bits_measured_nothing(self):
+        assert all(math.isnan(bound) for bound in ber_interval(0, 0))
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_confidence_outside_unit_interval_is_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            ber_interval(10, 1000, confidence)
+
+    @pytest.mark.parametrize("errors, bits", [(-1, 1000), (1001, 1000), (1, 0), (0, -1)])
+    def test_errors_outside_the_bits_are_rejected(self, errors, bits):
+        with pytest.raises(ValueError, match="errors"):
+            ber_interval(errors, bits)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_counts(), _CONFIDENCES)
+    def test_bounds_lie_in_unit_interval_and_contain_estimate(self, counts, confidence):
+        errors, bits = counts
+        low, high = ber_interval(errors, bits, confidence)
+        assert 0.0 <= low <= errors / bits <= high <= 1.0
+        assert (low == 0.0) == (errors == 0)
+        assert (high == 1.0) == (errors == bits)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_counts(), _CONFIDENCES, _CONFIDENCES)
+    def test_interval_widens_with_confidence(self, counts, first, second):
+        errors, bits = counts
+        lower, higher = sorted((first, second))
+        low_narrow, high_narrow = ber_interval(errors, bits, lower)
+        low_wide, high_wide = ber_interval(errors, bits, higher)
+        assert low_wide <= low_narrow
+        assert high_narrow <= high_wide

@@ -2,27 +2,33 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
+from repro.analysis.ber_counter import BerMeasurement, ber_interval
 from repro.statistical.ber_model import CdrJitterBudget, GatedOscillatorBerModel
-from repro.statistical.montecarlo import MonteCarloResult, simulate_ber
+from repro.statistical.montecarlo import simulate_ber
+
+#: One-sided confidence of a z-sigma normal bound: an exact interval at this
+#: confidence per side has the coverage of the z-sigma interval.
+THREE_SIGMA = float(special.ndtr(3.0))
+FOUR_SIGMA = float(special.ndtr(4.0))
+
+STRESSED = CdrJitterBudget(sj_amplitude_ui_pp=0.8, sj_frequency_hz=1.25e9,
+                           frequency_offset=0.02)
 
 
-class TestMonteCarloResult:
-    def test_ber_computation(self):
-        assert MonteCarloResult(errors=5, trials=1000).ber == pytest.approx(5e-3)
-
-    def test_empty_result_is_nan(self):
-        assert np.isnan(MonteCarloResult(errors=0, trials=0).ber)
-
-    def test_confidence_interval_contains_estimate(self):
-        result = MonteCarloResult(errors=100, trials=10000)
-        low, high = result.confidence_interval()
-        assert low < result.ber < high
+class TestMeasurement:
+    def test_every_trial_is_a_compared_bit(self):
+        result = simulate_ber(STRESSED, n_bits=5000, rng=np.random.default_rng(0))
+        assert isinstance(result, BerMeasurement)
+        assert result.compared_bits == 5000
+        assert 0 < result.errors < 5000
+        assert result.ber == result.errors / 5000
 
     def test_consistency_check(self):
-        result = MonteCarloResult(errors=100, trials=10000)
-        assert result.consistent_with(0.01)
-        assert not result.consistent_with(0.10)
+        low, high = ber_interval(100, 10000, THREE_SIGMA)
+        assert low <= 0.01 <= high
+        assert not low <= 0.10 <= high
 
 
 class TestSimulation:
@@ -33,11 +39,10 @@ class TestSimulation:
 
     def test_agrees_with_analytic_model_at_high_stress(self):
         """The Monte-Carlo experiment and the PDF convolution model must agree."""
-        budget = CdrJitterBudget(sj_amplitude_ui_pp=0.8, sj_frequency_hz=1.25e9,
-                                 frequency_offset=0.02)
-        analytic = GatedOscillatorBerModel(budget, grid_step_ui=2e-3).ber()
-        monte_carlo = simulate_ber(budget, n_bits=200_000, rng=np.random.default_rng(1))
-        assert monte_carlo.consistent_with(analytic, z=4.0)
+        analytic = GatedOscillatorBerModel(STRESSED, grid_step_ui=2e-3).ber()
+        monte_carlo = simulate_ber(STRESSED, n_bits=200_000, rng=np.random.default_rng(1))
+        low, high = ber_interval(monte_carlo.errors, monte_carlo.compared_bits, FOUR_SIGMA)
+        assert low <= analytic <= high
         assert monte_carlo.ber == pytest.approx(analytic, rel=0.15)
 
     def test_agreement_under_pure_offset_stress(self):
