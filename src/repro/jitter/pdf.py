@@ -9,8 +9,15 @@ calculus that makes this possible:
 
 * :class:`Pdf` — a density sampled on a uniform grid with exact helpers for
   mean, variance, CDF and tail probabilities,
-* convolution of independent contributions (FFT-based),
+* convolution of independent contributions (direct ``np.convolve``),
 * constructors for the standard jitter shapes.
+
+The public constructor ``Pdf(grid, density)`` checks its arrays.  The
+delta, uniform and Gaussian constructors, convolution and
+:meth:`Pdf.normalised` build their outputs through the unchecked
+:meth:`Pdf._built` instead: their grids are uniform and their densities
+non-negative by construction, so the checks would pass and the clip to
+non-negative values would change no byte.
 
 All grids are expressed in unit intervals (UI) unless stated otherwise.
 """
@@ -92,6 +99,19 @@ class Pdf:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", np.clip(density, 0.0, None))
 
+    @classmethod
+    def _built(cls, grid: np.ndarray, density: np.ndarray) -> "Pdf":
+        """A Pdf of float arrays this module computed, skipping the checks.
+
+        Only for a strictly increasing uniform *grid* and a non-negative
+        *density* of equal length: ``Pdf(grid, density)`` would return the
+        same bytes.
+        """
+        pdf = object.__new__(cls)
+        object.__setattr__(pdf, "grid", grid)
+        object.__setattr__(pdf, "density", density)
+        return pdf
+
     # -- basic properties ---------------------------------------------------
 
     @property
@@ -109,7 +129,7 @@ class Pdf:
         total = self.total_probability
         if total <= 0.0:
             raise ValueError("cannot normalise a zero density")
-        return Pdf(self.grid, self.density / total)
+        return Pdf._built(self.grid, self.density / total)
 
     def mean(self) -> float:
         """First moment of the distribution."""
@@ -200,7 +220,7 @@ def delta_pdf(value: float = 0.0, step: float = DEFAULT_GRID_STEP_UI) -> Pdf:
     require_positive("step", step)
     grid = np.array([value - step, value, value + step], dtype=float)
     density = np.array([0.0, 1.0 / step, 0.0])
-    return Pdf(grid, density)
+    return Pdf._built(grid, density)
 
 
 def uniform_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
@@ -213,7 +233,7 @@ def uniform_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
     half = 0.5 * peak_to_peak
     grid = _symmetric_grid(half + 2.0 * step, step) + centre
     density = np.where(np.abs(grid - centre) <= half, 1.0 / peak_to_peak, 0.0)
-    return Pdf(grid, density).normalised()
+    return Pdf._built(grid, density).normalised()
 
 
 def gaussian_pdf(sigma: float, step: float = DEFAULT_GRID_STEP_UI,
@@ -230,7 +250,7 @@ def gaussian_pdf(sigma: float, step: float = DEFAULT_GRID_STEP_UI,
     grid = _symmetric_grid(n_sigma * sigma, step) + centre
     z = (grid - centre) / sigma
     density = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
-    return Pdf(grid, density).normalised()
+    return Pdf._built(grid, density).normalised()
 
 
 def sinusoidal_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
@@ -280,8 +300,8 @@ def dual_dirac_pdf(separation: float, step: float = DEFAULT_GRID_STEP_UI,
 def convolve_pdfs(first: Pdf, second: Pdf) -> Pdf:
     """Distribution of the sum of two independent random variables.
 
-    Both inputs are resampled onto the finer of the two grids before the FFT
-    convolution so resolutions can be mixed freely.
+    Both inputs are resampled onto the finer of the two grids before the
+    direct (``np.convolve``) convolution so resolutions can be mixed freely.
     """
     step = min(first.step, second.step)
     if not np.isclose(first.step, step):
@@ -296,6 +316,5 @@ def convolve_pdfs(first: Pdf, second: Pdf) -> Pdf:
     density = np.convolve(first.density, second.density) * step
     start = first.grid[0] + second.grid[0]
     grid = start + np.arange(density.size, dtype=float) * step
-    pdf = Pdf(grid, density)
     # Renormalise to remove accumulated quadrature error, preserving tails.
-    return pdf.normalised()
+    return Pdf._built(grid, density).normalised()

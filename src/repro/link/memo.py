@@ -2,8 +2,9 @@
 
 Every :class:`~repro.link.LinkPath` of an equal configuration — each point
 of a sweep grid, each candidate of a training search — needs the same
-pulse-response FFT, crosstalk superposition and pattern displacement
-table.  One bounded least-recently-used memo serves them all, keyed by the
+channel response, pulse response and spectra, crosstalk superposition
+and pattern displacement table.  One bounded least-recently-used memo
+serves them all, keyed by the
 frozen configuration dataclasses themselves (equal fields hash equal, and
 equal fields give the same bytes).  Its bounds are fixed here, not
 options.
@@ -42,7 +43,7 @@ _held_bytes = 0
 
 
 def clear_link_memo() -> None:
-    """Forget every memoized pulse response, crosstalk waveform and table."""
+    """Forget every memoized response, spectrum, crosstalk waveform and table."""
     global _held_bytes
     _MEMO.clear()
     _held_bytes = 0

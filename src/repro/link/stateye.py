@@ -64,7 +64,6 @@ from .._validation import (
 from ..datapath.cid import RunLengthDistribution
 from ..jitter.pdf import Pdf
 from ..statistical.ber_model import CdrJitterBudget, GatedOscillatorBerModel
-from .isi import superpose_circular
 from .path import LinkConfig, LinkPath
 
 __all__ = [
@@ -245,6 +244,25 @@ def _cursor_pmfs(shifts: np.ndarray, half_bins: int) -> np.ndarray:
     return pmfs
 
 
+def _amplitude_ber(cdf: np.ndarray, main_cursor: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Amplitude error probability at every (phase, threshold).
+
+    A transmitted one (rail ``+main_cursor``) errs when its ISI noise,
+    with CDF row *cdf[phase]* on *thresholds*, falls below
+    ``threshold - rail``; a transmitted zero when it rises above
+    ``threshold + rail`` (equiprobable bits).  Each phase interpolates
+    both shifted grids in one ``np.interp`` call; numpy evaluates every
+    point on its own, so this equals one call per grid.
+    """
+    n_bins = thresholds.size
+    rails = main_cursor[:, None]
+    shifted = np.concatenate((thresholds - rails, thresholds + rails), axis=1)
+    below = np.empty_like(shifted)
+    for phase_index, row in enumerate(shifted):
+        below[phase_index] = np.interp(row, thresholds, cdf[phase_index], left=0.0, right=1.0)
+    return 0.5 * (below[:, :n_bins] + (1.0 - below[:, n_bins:]))
+
+
 @dataclass(frozen=True)
 class StatisticalEye:
     """The solved statistical eye: a BER(phase, threshold) surface.
@@ -327,13 +345,12 @@ class StatisticalEye:
         """
         require_probability("target_ber", target_ber)
         passing = self.ber <= target_ber
-        lower = np.full(self.phases_ui.size, np.nan)
-        upper = np.full(self.phases_ui.size, np.nan)
-        for index in range(self.phases_ui.size):
-            columns = np.flatnonzero(passing[index])
-            if columns.size:
-                lower[index] = self.thresholds[columns[0]]
-                upper[index] = self.thresholds[columns[-1]]
+        last_column = self.thresholds.size - 1
+        first = passing.argmax(axis=1)
+        last = last_column - passing[:, ::-1].argmax(axis=1)
+        is_open = passing.any(axis=1)
+        lower = np.where(is_open, self.thresholds[first], np.nan)
+        upper = np.where(is_open, self.thresholds[last], np.nan)
         return lower, upper
 
     def horizontal_opening_ui(self, target_ber: float = 1.0e-12, threshold: float = 0.0) -> float:
@@ -433,7 +450,8 @@ class StatisticalEyeSolver:
         """Victim single-bit response through every linear stage (incl. DFE).
 
         TX FFE applies in the symbol domain, channel × CTLE through the
-        cached equalized pulse response, and a configured DFE subtracts its
+        cached equalized pulse response (:meth:`LinkPath.symbol_waveform`
+        of a unit impulse), and a configured DFE subtracts its
         *trained* tap weights over the corresponding post-cursor unit
         intervals (its feedback is piecewise-constant per UI, so the
         subtraction is exact for the adapted weights).
@@ -442,9 +460,7 @@ class StatisticalEyeSolver:
         spu = config.timebase.samples_per_ui
         impulse = np.zeros(self.span_ui)
         impulse[0] = 1.0
-        symbols = impulse if config.tx_ffe is None else config.tx_ffe.apply_to_symbols(impulse)
-        pulse = self.path.equalized_pulse_response(self.span_ui)
-        full = superpose_circular(symbols, pulse, spu)
+        full = self.path.symbol_waveform(impulse)
         if config.dfe is not None:
             weights = self._trained_dfe_weights()
             for offset, weight in enumerate(weights, start=1):
@@ -497,7 +513,6 @@ class StatisticalEyeSolver:
             main_cursor, isi_rows, aggressors, step, self.amplitude_noise_rms
         )
         thresholds = np.arange(-half_bins, half_bins + 1, dtype=float) * step
-        n_bins = thresholds.size
 
         gaussian = None
         if self.amplitude_noise_rms > 0.0:
@@ -535,19 +550,7 @@ class StatisticalEyeSolver:
                     for pmf in noise_pmf:
                         pmf[:] = np.convolve(pmf, kernel, mode="same")
 
-        # Amplitude error probability: a transmitted one samples below the
-        # threshold, a transmitted zero above it (equiprobable bits).
-        cdf = np.cumsum(noise_pmf, axis=1)
-        amplitude_ber = np.empty((spu, n_bins))
-        for phase_index in range(spu):
-            rail = main_cursor[phase_index]
-            below_one = np.interp(
-                thresholds - rail, thresholds, cdf[phase_index], left=0.0, right=1.0
-            )
-            below_zero = np.interp(
-                thresholds + rail, thresholds, cdf[phase_index], left=0.0, right=1.0
-            )
-            amplitude_ber[phase_index] = 0.5 * (below_one + (1.0 - below_zero))
+        amplitude_ber = _amplitude_ber(np.cumsum(noise_pmf, axis=1), main_cursor, thresholds)
 
         phases_ui = (np.arange(spu) + 0.5) / spu
         with tracer.span("stateye.timing"):

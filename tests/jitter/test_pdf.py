@@ -14,6 +14,7 @@ from repro.jitter.pdf import (
     uniform_pdf,
 )
 from repro.jitter.pdf import _STEP_RTOL, _uniform_steps
+from repro.statistical.ber_model import CdrJitterBudget, GatedOscillatorBerModel
 
 
 def _allclose_steps(steps):
@@ -214,3 +215,71 @@ class TestResampling:
         q = p.resampled(grid)
         assert q.std() == pytest.approx(p.std(), rel=0.05)
         assert q.total_probability == pytest.approx(1.0, rel=1e-6)
+
+
+def _recording_built(built: list):
+    """A ``Pdf._built`` that records every Pdf it returns."""
+    unchecked = Pdf._built.__func__
+
+    def recording(cls, grid, density):
+        pdf = unchecked(cls, grid, density)
+        built.append(pdf)
+        return pdf
+
+    return classmethod(recording)
+
+
+def _assert_revalidates(pdf: Pdf) -> None:
+    checked = Pdf(pdf.grid, pdf.density)
+    assert checked.grid.dtype == pdf.grid.dtype and checked.density.dtype == pdf.density.dtype
+    assert checked.grid.tobytes() == pdf.grid.tobytes()
+    assert checked.density.tobytes() == pdf.density.tobytes()
+
+
+class TestBuiltPdfsRevalidate:
+    """The unchecked ``Pdf._built`` returns what the public ``Pdf(...)`` would.
+
+    The delta, uniform and Gaussian constructors, convolution and
+    normalisation skip the public checks; every Pdf they build must pass
+    them and come back byte for byte (the non-negative clip a no-op).
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dj=st.one_of(st.just(0.0), st.floats(0.01, 0.6)),
+        rj=st.one_of(st.just(0.0), st.floats(0.001, 0.05)),
+        sj=st.one_of(st.just(0.0), st.floats(0.02, 1.5)),
+        sj_frequency_hz=st.floats(1.0e6, 1.25e9),
+        step=st.sampled_from([1.0e-3, 2.0e-3, 5.0e-3]),
+    )
+    def test_every_timing_model_pdf_revalidates(self, dj, rj, sj, sj_frequency_hz, step):
+        budget = CdrJitterBudget(
+            dj_ui_pp=dj, rj_ui_rms=rj, sj_amplitude_ui_pp=sj, sj_frequency_hz=sj_frequency_hz
+        )
+        built: list[Pdf] = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Pdf, "_built", _recording_built(built))
+            GatedOscillatorBerModel(budget, grid_step_ui=step).ber_at_phases(
+                np.linspace(0.05, 0.95, 7)
+            )
+        assert built
+        for pdf in built:
+            _assert_revalidates(pdf)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        width=st.one_of(st.just(0.0), st.floats(0.005, 0.5)),
+        centre=st.floats(-2.0, 2.0),
+        step=st.sampled_from([1.0e-3, 2.0e-3, 1.0e-2]),
+    )
+    def test_constructors_off_centre_revalidate(self, width, centre, step):
+        built: list[Pdf] = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Pdf, "_built", _recording_built(built))
+            delta_pdf(centre, step)
+            uniform_pdf(width, step, centre=centre)
+            gaussian = gaussian_pdf(0.1 * width, step, centre=centre)
+            gaussian.convolve(uniform_pdf(width, 2.0 * step, centre=-centre))
+        assert built
+        for pdf in built:
+            _assert_revalidates(pdf)

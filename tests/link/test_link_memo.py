@@ -1,12 +1,14 @@
 """The process-wide link memo is sound: a hit is a recompute, byte for byte.
 
-:mod:`repro.link.memo` shares pulse responses, crosstalk waveforms and
-pattern displacement tables (with their DFE adaptation) across every
-``LinkPath`` of an equal configuration.  These tests pin what sharing must
-never change: a hit returns exactly the bytes of a fresh recompute after a
-clear, equal configurations built separately share bytes, shared arrays are
-read-only, the LRU honours its bounds, and sweeps are worker-invariant and
-identical cold or warm.
+:mod:`repro.link.memo` shares channel responses, pulse responses (stored
+with their spectra), symbol-train spectra, rectangle spectra, crosstalk
+waveforms and pattern displacement tables (with their DFE adaptation)
+across every ``LinkPath`` of an equal configuration.  These tests pin what
+sharing must never change: a hit returns exactly the bytes of a fresh
+recompute after a clear, equal configurations built separately share
+bytes, shared arrays are read-only, the LRU honours its bounds, training
+candidates share what they have in common and a full training study
+evicts nothing, and sweeps are worker-invariant and identical cold or warm.
 """
 
 import numpy as np
@@ -15,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.datapath.nrz import JitterSpec
-from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
+from repro.experiments import (
+    MeasurementPlan,
+    ParameterAxis,
+    ScenarioSpec,
+    StimulusSpec,
+    run_grid,
+)
 from repro.link import (
     CrosstalkSpec,
     IdealChannel,
@@ -222,3 +230,97 @@ class TestSweepsOverTheMemo:
         assert tracer.counters["link.pulse_cache.misses"] == len(pulse_keys)
         # TX-FFE candidates on one channel x CTLE pair share one FFT.
         assert tracer.counters["link.pulse_cache.hits"] > 0
+
+
+def _memo_kinds() -> set:
+    return {key[0] for key in memo._MEMO}
+
+
+class TestTrainingCandidatesShareWork:
+    BITS = np.array([1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0], dtype=np.uint8)
+    CHANNEL = LossyLineChannel.for_loss_at_nyquist(10.0)
+
+    def test_channel_misses_equal_distinct_channel_grids(self):
+        training = TrainingBudget(
+            tx_post_db=(0.0, 2.0, 3.5), ctle_peaking_db=(3.0, 6.0), refine_rounds=1
+        )
+        link = LinkConfig(channel=self.CHANNEL)
+        with telemetry.trace() as tracer:
+            LinkTrainer(link, training=training).train()
+        channel_keys = {key[1:] for key in memo._MEMO if key[0] == "channel"}
+        assert channel_keys == {
+            (self.CHANNEL, link.timebase, link.timebase.n_samples(n_ui)) for n_ui in (64, 127)
+        }
+        assert tracer.counters["link.channel_cache.misses"] == len(channel_keys)
+        # Every CTLE candidate's pulse reads the one channel response per grid.
+        assert tracer.counters["link.channel_cache.hits"] > 0
+
+    def test_ffe_candidates_share_one_pulse_spectrum(self):
+        spectra = []
+        with telemetry.trace() as tracer:
+            for post_db in (0.0, 2.0, 3.5, 6.0):
+                config = LinkConfig(
+                    channel=self.CHANNEL,
+                    tx_ffe=TxFfe.de_emphasis(post_db=post_db),
+                    rx_ctle=RxCtle(peaking_db=6.0),
+                )
+                path = LinkPath(config)
+                path.received_pattern_waveform(self.BITS)
+                spectra.append(path.last_pulse_spectrum)
+        assert all(spectrum is spectra[0] for spectrum in spectra)
+        # The spectrum rides in the pulse entry: one miss, then only hits.
+        assert tracer.counters["link.pulse_cache.misses"] == 1
+        assert tracer.counters["link.pulse_cache.hits"] > 0
+        assert tracer.counters["link.symbols_cache.misses"] == 4
+        assert [key for key in memo._MEMO if key[0] == "pulse"] == [
+            ("pulse", self.CHANNEL, RxCtle(peaking_db=6.0), LinkTimebase(), self.BITS.size)
+        ]
+
+    def test_ctle_candidates_share_one_symbol_spectrum(self):
+        ffe = TxFfe.de_emphasis(post_db=3.5)
+        with telemetry.trace() as tracer:
+            for peaking_db in (0.0, 3.0, 6.0, 9.0):
+                config = LinkConfig(
+                    channel=self.CHANNEL, tx_ffe=ffe, rx_ctle=RxCtle(peaking_db=peaking_db)
+                )
+                LinkPath(config).received_pattern_waveform(self.BITS)
+        assert tracer.counters["link.symbols_cache.misses"] == 1
+        assert tracer.counters["link.symbols_cache.hits"] == 3
+        assert tracer.counters["link.channel_cache.misses"] == 1
+        assert tracer.counters["link.channel_cache.hits"] == 3
+        assert tracer.counters["link.pulse_cache.misses"] == 4
+
+    def test_clear_drops_every_kind_of_entry(self):
+        config = LinkConfig(
+            channel=self.CHANNEL,
+            tx_ffe=TxFfe.de_emphasis(post_db=3.5),
+            rx_ctle=RxCtle(),
+            crosstalk=CrosstalkSpec.single_fext(0.05),
+        )
+        path = LinkPath(config)
+        path.pattern_displacements(self.BITS)
+        path.crosstalk_waveform(self.BITS.size)
+        assert _memo_kinds() == {"channel", "rectangle", "pulse", "symbols", "pattern", "crosstalk"}
+        clear_link_memo()
+        assert memo_size() == (0, 0)
+        with telemetry.trace() as tracer:
+            LinkPath(config).received_pattern_waveform(self.BITS)
+        for kind in ("channel", "rectangle", "pulse", "symbols", "crosstalk"):
+            assert tracer.counters[f"link.{kind}_cache.misses"] == 1, kind
+
+    def test_full_training_study_evicts_nothing(self):
+        spec = ScenarioSpec(
+            stimulus=StimulusSpec(kind="prbs", n_bits=4 * 127, prbs_order=7, seed=3),
+            link=LinkConfig(),
+            measurement=MeasurementPlan(train_equalizers=True),
+        )
+        axes = [ParameterAxis("channel_loss_db", (8.0, 11.0, 14.0, 17.0))]
+        with telemetry.trace() as tracer:
+            run_grid(spec, axes, seed=5, workers=1)
+        misses = sum(
+            value for name, value in tracer.counters.items()
+            if name.startswith("link.") and name.endswith("_cache.misses")
+        )
+        # Every miss added one entry, and every entry is still held.
+        assert memo_size()[0] == misses < memo.MEMO_MAX_ENTRIES
+        assert memo_size()[1] < memo.MEMO_MAX_BYTES
