@@ -12,12 +12,13 @@ calculus that makes this possible:
 * convolution of independent contributions (direct ``np.convolve``),
 * constructors for the standard jitter shapes.
 
-The public constructor ``Pdf(grid, density)`` checks its arrays.  The
-delta, uniform and Gaussian constructors, convolution and
-:meth:`Pdf.normalised` build their outputs through the unchecked
-:meth:`Pdf._built` instead: their grids are uniform and their densities
-non-negative by construction, so the checks would pass and the clip to
-non-negative values would change no byte.
+The public constructor ``Pdf(grid, density)`` checks its arrays, and so
+do the shape constructors, whose grids come from the caller's centre and
+step.  Convolution and :meth:`Pdf.normalised` build their outputs from
+already-checked PDFs through the unchecked :meth:`Pdf._built` instead:
+their grids are uniform and their densities non-negative by
+construction, so the checks would pass and the clip to non-negative
+values would change no byte.
 
 All grids are expressed in unit intervals (UI) unless stated otherwise.
 """
@@ -220,7 +221,7 @@ def delta_pdf(value: float = 0.0, step: float = DEFAULT_GRID_STEP_UI) -> Pdf:
     require_positive("step", step)
     grid = np.array([value - step, value, value + step], dtype=float)
     density = np.array([0.0, 1.0 / step, 0.0])
-    return Pdf._built(grid, density)
+    return Pdf(grid, density)
 
 
 def uniform_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
@@ -233,7 +234,7 @@ def uniform_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
     half = 0.5 * peak_to_peak
     grid = _symmetric_grid(half + 2.0 * step, step) + centre
     density = np.where(np.abs(grid - centre) <= half, 1.0 / peak_to_peak, 0.0)
-    return Pdf._built(grid, density).normalised()
+    return Pdf(grid, density).normalised()
 
 
 def gaussian_pdf(sigma: float, step: float = DEFAULT_GRID_STEP_UI,
@@ -250,7 +251,7 @@ def gaussian_pdf(sigma: float, step: float = DEFAULT_GRID_STEP_UI,
     grid = _symmetric_grid(n_sigma * sigma, step) + centre
     z = (grid - centre) / sigma
     density = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
-    return Pdf._built(grid, density).normalised()
+    return Pdf(grid, density).normalised()
 
 
 def sinusoidal_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,

@@ -30,7 +30,6 @@ import numpy as np
 
 from .. import units
 from .._validation import require_non_negative, require_positive, require_positive_int
-from .memo import memoized
 from .timebase import LinkTimebase
 
 __all__ = [
@@ -49,17 +48,11 @@ def pulse_through_response(response: np.ndarray, timebase: LinkTimebase, n_ui: i
     *response* must be sampled on ``timebase.frequencies_hz(n_samples(n_ui))``.
     Shared by :meth:`ChannelModel.pulse_response` (channel only) and
     :meth:`repro.link.LinkPath.equalized_pulse_response` (channel × CTLE).
-    The rectangle's spectrum is memoized per ``(timebase, n_samples)``.
     """
     count = timebase.n_samples(n_ui)
-
-    def rectangle_spectrum():
-        rectangle = np.zeros(count)
-        rectangle[: timebase.samples_per_ui] = 1.0
-        return np.fft.rfft(rectangle)
-
-    spectrum = memoized(("rectangle", timebase, count), rectangle_spectrum)
-    return np.fft.irfft(spectrum * response, count)
+    rectangle = np.zeros(count)
+    rectangle[: timebase.samples_per_ui] = 1.0
+    return np.fft.irfft(np.fft.rfft(rectangle) * response, count)
 
 
 #: Nepers to decibels: ``20 * log10(e)``.

@@ -8,11 +8,7 @@ where ``p`` is the single-bit (pulse) response.  For the periodic patterns
 the sweeps transmit (PRBS), the steady-state waveform over one pattern
 period is the **circular** superposition of the per-UI shifted pulse
 copies; :func:`superpose_circular` evaluates it with one FFT
-multiply–inverse pass, vectorized over the whole grid.  Its two forward
-transforms are exposed on their own (:func:`symbol_spectrum`,
-:func:`pulse_spectrum`) so a caller that reuses a symbol period or a pulse
-across many superpositions computes each once and pays one inverse FFT
-per superposition (:func:`superpose_spectra`).  The direct
+multiply–inverse pass, vectorized over the whole grid.  The direct
 :func:`superpose_linear` (``np.convolve``) path is kept as the validation
 reference (``tests/link/test_isi.py`` checks the two agree to numerical
 precision in the interior).
@@ -27,11 +23,8 @@ from .._validation import require_positive_int
 __all__ = [
     "nrz_symbol_levels",
     "upsample_symbols",
-    "pulse_spectrum",
     "superpose_circular",
     "superpose_linear",
-    "superpose_spectra",
-    "symbol_spectrum",
 ]
 
 
@@ -63,25 +56,6 @@ def _folded_pulse(pulse: np.ndarray, length: int) -> np.ndarray:
     return padded.reshape(turns, length).sum(axis=0)
 
 
-def symbol_spectrum(symbols: np.ndarray, samples_per_ui: int) -> np.ndarray:
-    """Real FFT of the impulse train of one period of *symbols*."""
-    return np.fft.rfft(upsample_symbols(symbols, samples_per_ui))
-
-
-def pulse_spectrum(pulse: np.ndarray, length: int) -> np.ndarray:
-    """Real FFT of *pulse* folded onto a circular grid of *length* samples."""
-    return np.fft.rfft(_folded_pulse(pulse, length))
-
-
-def superpose_spectra(symbols_rfft: np.ndarray, pulse_rfft: np.ndarray, length: int) -> np.ndarray:
-    """One period (*length* samples) of the circular superposition of two spectra.
-
-    *symbols_rfft* and *pulse_rfft* come from :func:`symbol_spectrum` and
-    :func:`pulse_spectrum` on the same *length*-sample grid.
-    """
-    return np.fft.irfft(symbols_rfft * pulse_rfft, length)
-
-
 def superpose_circular(symbols: np.ndarray, pulse: np.ndarray, samples_per_ui: int) -> np.ndarray:
     """Steady-state received waveform of a repeating symbol pattern.
 
@@ -91,10 +65,10 @@ def superpose_circular(symbols: np.ndarray, pulse: np.ndarray, samples_per_ui: i
     frequency domain.  A pulse longer than the period is folded onto it
     (exact for a periodic drive).
     """
-    length = np.asarray(symbols).size * samples_per_ui
-    return superpose_spectra(
-        symbol_spectrum(symbols, samples_per_ui), pulse_spectrum(pulse, length), length
-    )
+    train = upsample_symbols(symbols, samples_per_ui)
+    kernel = _folded_pulse(pulse, train.size)
+    spectrum = np.fft.rfft(train) * np.fft.rfft(kernel)
+    return np.fft.irfft(spectrum, train.size)
 
 
 def superpose_linear(symbols: np.ndarray, pulse: np.ndarray, samples_per_ui: int) -> np.ndarray:

@@ -2,12 +2,11 @@
 
 Every :class:`~repro.link.LinkPath` of an equal configuration — each point
 of a sweep grid, each candidate of a training search — needs the same
-channel response, pulse response and spectra, crosstalk superposition
-and pattern displacement table.  One bounded least-recently-used memo
-serves them all, keyed by the
-frozen configuration dataclasses themselves (equal fields hash equal, and
-equal fields give the same bytes).  Its bounds are fixed here, not
-options.
+channel response, pulse response, crosstalk superposition and pattern
+displacement table.  One bounded least-recently-used memo serves them
+all, keyed by the frozen configuration dataclasses themselves (equal
+fields hash equal, and equal fields give the same bytes).  Its bounds are
+fixed here, not options.
 
 Memoized arrays, including a stored :class:`DfeAdaptation`'s, are made
 read-only, so no caller can corrupt a shared entry.  The memo is module
@@ -43,7 +42,7 @@ _held_bytes = 0
 
 
 def clear_link_memo() -> None:
-    """Forget every memoized response, spectrum, crosstalk waveform and table."""
+    """Forget every memoized response, crosstalk waveform and table."""
     global _held_bytes
     _MEMO.clear()
     _held_bytes = 0
@@ -66,8 +65,15 @@ def _freeze(value) -> int:
     return 0
 
 
-def memoized(key: tuple, compute: Callable[[], _T]) -> _T:
-    """``compute()``, memoized under *key*, whose first item names the cache."""
+def memoized(key: tuple, compute: Callable[[], _T], *, evict_first: bool = False) -> _T:
+    """``compute()``, memoized under *key*, whose first item names the cache.
+
+    With *evict_first* a new entry goes where the bounds drop entries
+    first, as if least recently used; a hit moves it to the back as usual.
+    It marks an intermediate that pays only while the memo has room — one
+    whose result has an entry of its own — so keeping it never pushes out
+    that result or a displacement table.
+    """
     global _held_bytes
     entry = _MEMO.get(key)
     if telemetry.ACTIVE:
@@ -78,6 +84,8 @@ def memoized(key: tuple, compute: Callable[[], _T]) -> _T:
     value = compute()
     nbytes = _freeze(value)
     _MEMO[key] = (value, nbytes)
+    if evict_first:
+        _MEMO.move_to_end(key, last=False)
     _held_bytes += nbytes
     while len(_MEMO) > MEMO_MAX_ENTRIES or _held_bytes > MEMO_MAX_BYTES:
         _held_bytes -= _MEMO.popitem(last=False)[1][1]

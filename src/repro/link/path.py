@@ -8,13 +8,10 @@ candidate — shares:
 
 * the **channel response** — one per ``(channel, timebase, grid length)``,
   whatever the equalizers;
-* the **equalized pulse response** and its real FFT — one per
+* the **equalized pulse response** — one channel/CTLE FFT per
   ``(channel, rx_ctle, timebase, n_ui)``, whatever the TX FFE (it applies
   in the symbol domain); the crosstalk waveform is keyed the same way
   plus the aggressor population;
-* the **symbol-train spectrum** — one real FFT per
-  ``(tx_ffe, symbol levels, samples_per_ui)``, whatever the CTLE, so a
-  superposition (:meth:`LinkPath.symbol_waveform`) is one inverse FFT;
 * the **pattern displacement table** — one circular ISI superposition plus
   crossing extraction per ``(LinkConfig, pattern)``, reused for every
   repetition of the pattern and every repeated ``transmit``.
@@ -45,13 +42,7 @@ from .channel import ChannelModel, IdealChannel, pulse_through_response
 from .crosstalk import CrosstalkSpec
 from .edges import circular_transition_positions, pattern_displacements_ui
 from .equalization import DfeAdaptation, LmsDfe, RxCtle, TxFfe
-from .isi import (
-    nrz_symbol_levels,
-    pulse_spectrum,
-    superpose_circular,
-    superpose_spectra,
-    symbol_spectrum,
-)
+from .isi import nrz_symbol_levels, superpose_circular
 from .memo import memoized
 from .timebase import LinkTimebase
 
@@ -127,36 +118,19 @@ class LinkPath:
         #: DFE training state behind the most recent displacement-table
         #: lookup (memoized alongside the table, so it tracks hits too).
         self.last_dfe_adaptation: DfeAdaptation | None = None
-        #: Real FFT of the pulse behind the most recent
-        #: :meth:`equalized_pulse_response` lookup (memoized alongside the
-        #: pulse, on the same grid).
-        self.last_pulse_spectrum: np.ndarray | None = None
 
     # -- frequency/time-domain views ----------------------------------------
-
-    def system_frequency_response(
-        self, frequencies_hz: np.ndarray, include_ffe: bool = True
-    ) -> np.ndarray:
-        """Combined linear response: channel × CTLE (× FFE if requested)."""
-        config = self.config
-        response = config.channel.frequency_response(frequencies_hz)
-        if config.rx_ctle is not None:
-            response = response * config.rx_ctle.frequency_response(frequencies_hz)
-        if include_ffe and config.tx_ffe is not None:
-            response = response * config.tx_ffe.frequency_response(
-                frequencies_hz, config.timebase.unit_interval_s
-            )
-        return response
 
     def equalized_pulse_response(self, n_ui: int) -> np.ndarray:
         """Single-bit response through channel and CTLE on an *n_ui* grid.
 
         Memoized by ``(channel, rx_ctle, timebase, n_ui)``: every pattern of
         that length, every sweep trial and every TX-FFE candidate on this
-        channel × CTLE pair reuses the same FFT work.  The entry holds the
-        pulse's real FFT too (see :attr:`last_pulse_spectrum`), and the
-        channel's own response is memoized per grid, so CTLE candidates on
-        one channel multiply in only their CTLE response.
+        channel × CTLE pair reuses the same FFT work.  The channel's own
+        response is memoized per grid, so CTLE candidates on one channel
+        multiply in only their CTLE response.  It is the memo's first entry
+        to go, so in a sweep that never reuses it (one CTLE per channel)
+        it pushes out no pulse and no table.
         """
         config = self.config
         timebase = config.timebase
@@ -167,37 +141,13 @@ class LinkPath:
             response = memoized(
                 ("channel", config.channel, timebase, count),
                 lambda: config.channel.frequency_response(frequencies),
+                evict_first=True,
             )
             if config.rx_ctle is not None:
                 response = response * config.rx_ctle.frequency_response(frequencies)
-            pulse = pulse_through_response(response, timebase, n_ui)
-            return pulse, pulse_spectrum(pulse, count)
+            return pulse_through_response(response, timebase, n_ui)
 
-        key = ("pulse", config.channel, config.rx_ctle, timebase, n_ui)
-        pulse, self.last_pulse_spectrum = memoized(key, compute)
-        return pulse
-
-    def symbol_waveform(self, levels: np.ndarray) -> np.ndarray:
-        """Steady-state waveform of one period of symbol *levels* (FFE, channel, CTLE).
-
-        The circular superposition of the FFE-filtered symbols with the
-        equalized pulse response on the ``levels.size``-UI grid, without
-        crosstalk or DFE.  Both spectra come from the memo — the symbol
-        train's keyed by ``(tx_ffe, levels, samples_per_ui)``, the pulse's
-        stored with the pulse — so a call costs one inverse FFT.
-        """
-        config = self.config
-        spu = config.timebase.samples_per_ui
-        levels = np.asarray(levels, dtype=float).ravel()
-        n_ui = require_positive_int("number of symbols", int(levels.size))
-
-        def symbols_rfft():
-            ffe = config.tx_ffe
-            return symbol_spectrum(levels if ffe is None else ffe.apply_to_symbols(levels), spu)
-
-        symbols = memoized(("symbols", config.tx_ffe, levels.tobytes(), spu), symbols_rfft)
-        self.equalized_pulse_response(n_ui)
-        return superpose_spectra(symbols, self.last_pulse_spectrum, n_ui * spu)
+        return memoized(("pulse", config.channel, config.rx_ctle, timebase, n_ui), compute)
 
     def aggressor_pulse_responses(self, n_ui: int) -> list[np.ndarray]:
         """Coupled single-bit pulse of every aggressor at the victim sampler.
@@ -259,7 +209,9 @@ class LinkPath:
         bits = np.asarray(pattern_bits, dtype=np.uint8).ravel()
         require_positive_int("pattern length", int(bits.size))
         levels = nrz_symbol_levels(bits)
-        waveform = self.symbol_waveform(levels)
+        symbols = levels if config.tx_ffe is None else config.tx_ffe.apply_to_symbols(levels)
+        pulse = self.equalized_pulse_response(int(bits.size))
+        waveform = superpose_circular(symbols, pulse, timebase.samples_per_ui)
         if config.crosstalk is not None and not config.crosstalk.is_silent:
             waveform = waveform + self.crosstalk_waveform(int(bits.size))
         self.last_dfe_adaptation = None

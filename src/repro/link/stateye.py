@@ -64,6 +64,7 @@ from .._validation import (
 from ..datapath.cid import RunLengthDistribution
 from ..jitter.pdf import Pdf
 from ..statistical.ber_model import CdrJitterBudget, GatedOscillatorBerModel
+from .isi import superpose_circular
 from .path import LinkConfig, LinkPath
 
 __all__ = [
@@ -450,8 +451,7 @@ class StatisticalEyeSolver:
         """Victim single-bit response through every linear stage (incl. DFE).
 
         TX FFE applies in the symbol domain, channel × CTLE through the
-        cached equalized pulse response (:meth:`LinkPath.symbol_waveform`
-        of a unit impulse), and a configured DFE subtracts its
+        cached equalized pulse response, and a configured DFE subtracts its
         *trained* tap weights over the corresponding post-cursor unit
         intervals (its feedback is piecewise-constant per UI, so the
         subtraction is exact for the adapted weights).
@@ -460,7 +460,9 @@ class StatisticalEyeSolver:
         spu = config.timebase.samples_per_ui
         impulse = np.zeros(self.span_ui)
         impulse[0] = 1.0
-        full = self.path.symbol_waveform(impulse)
+        symbols = impulse if config.tx_ffe is None else config.tx_ffe.apply_to_symbols(impulse)
+        pulse = self.path.equalized_pulse_response(self.span_ui)
+        full = superpose_circular(symbols, pulse, spu)
         if config.dfe is not None:
             weights = self._trained_dfe_weights()
             for offset, weight in enumerate(weights, start=1):

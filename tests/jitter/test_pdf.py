@@ -239,9 +239,10 @@ def _assert_revalidates(pdf: Pdf) -> None:
 class TestBuiltPdfsRevalidate:
     """The unchecked ``Pdf._built`` returns what the public ``Pdf(...)`` would.
 
-    The delta, uniform and Gaussian constructors, convolution and
-    normalisation skip the public checks; every Pdf they build must pass
-    them and come back byte for byte (the non-negative clip a no-op).
+    Convolution and normalisation skip the public checks; every Pdf they
+    build must pass them and come back byte for byte (the non-negative
+    clip a no-op).  The shape constructors keep the checks, because their
+    grids come from the caller's centre and step.
     """
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -262,7 +263,8 @@ class TestBuiltPdfsRevalidate:
             GatedOscillatorBerModel(budget, grid_step_ui=step).ber_at_phases(
                 np.linspace(0.05, 0.95, 7)
             )
-        assert built
+        # A budget with no jitter at all is one delta: nothing to convolve.
+        assert built or dj == rj == sj == 0.0
         for pdf in built:
             _assert_revalidates(pdf)
 
@@ -283,3 +285,14 @@ class TestBuiltPdfsRevalidate:
         assert built
         for pdf in built:
             _assert_revalidates(pdf)
+
+    @pytest.mark.parametrize("centre", [float("nan"), float("inf"), 1.0e20])
+    def test_constructors_reject_a_centre_without_a_grid(self, centre):
+        # NaN and infinite centres give a NaN grid, and at 1e20 the step is
+        # lost to rounding: the public checks still see every caller's grid.
+        with pytest.raises(ValueError):
+            delta_pdf(centre)
+        with pytest.raises(ValueError):
+            uniform_pdf(0.2, centre=centre)
+        with pytest.raises(ValueError):
+            gaussian_pdf(0.02, centre=centre)

@@ -13,10 +13,10 @@ everywhere.
 
 The whole link-training study (four channel losses, 105 solves) is
 pinned too: every solved surface and the grid's metrics, on an empty link
-memo with the oracles and the pre-memo superposition
-(``_reference_symbol_waveform``: a fresh channel × CTLE response, a fresh
-rectangle spectrum and two forward FFTs per call) patched in, equal the
-live code's on an empty memo and again on the memo that run left warm.
+memo with the oracles and the pulse response without the memo
+(``_reference_equalized_pulse_response``: a fresh channel × CTLE response
+per call) patched in, equal the live code's on an empty memo and again on
+the memo that run left warm.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ from repro._validation import require_probability
 from repro.experiments import MeasurementPlan, ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.link import LinkConfig, LinkPath, StatisticalEye, StatisticalEyeSolver
 from repro.link import stateye
-from repro.link.isi import superpose_circular
+from repro.link.channel import pulse_through_response
 from repro.link.memo import clear_link_memo
 
 
@@ -62,18 +62,14 @@ def _reference_contour(self, target_ber=1.0e-12):
     return lower, upper
 
 
-def _reference_symbol_waveform(self, levels):
-    """The oracle: superpose FFE symbols and a freshly computed pulse."""
+def _reference_equalized_pulse_response(self, n_ui):
+    """The oracle: channel × CTLE computed afresh, no memo."""
     config = self.config
-    timebase = config.timebase
-    levels = np.asarray(levels, dtype=float).ravel()
-    count = timebase.n_samples(levels.size)
-    response = self.system_frequency_response(timebase.frequencies_hz(count), include_ffe=False)
-    rectangle = np.zeros(count)
-    rectangle[: timebase.samples_per_ui] = 1.0
-    pulse = np.fft.irfft(np.fft.rfft(rectangle) * response, count)
-    symbols = levels if config.tx_ffe is None else config.tx_ffe.apply_to_symbols(levels)
-    return superpose_circular(symbols, pulse, timebase.samples_per_ui)
+    frequencies = config.timebase.frequencies_hz(config.timebase.n_samples(n_ui))
+    response = config.channel.frequency_response(frequencies)
+    if config.rx_ctle is not None:
+        response = response * config.rx_ctle.frequency_response(frequencies)
+    return pulse_through_response(response, config.timebase, n_ui)
 
 
 def _bytes_equal(left, right) -> bool:
@@ -232,7 +228,7 @@ class TestLinkTrainingStudy:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stateye, "_amplitude_ber", _reference_amplitude_ber)
             patch.setattr(StatisticalEye, "contour", _reference_contour)
-            patch.setattr(LinkPath, "symbol_waveform", _reference_symbol_waveform)
+            patch.setattr(LinkPath, "equalized_pulse_response", _reference_equalized_pulse_response)
             clear_link_memo()
             reference, reference_json, _ = _training_study()
         clear_link_memo()
@@ -241,7 +237,6 @@ class TestLinkTrainingStudy:
 
         assert len(reference) == len(cold) == len(warm) == TRAINING_SOLVES
         assert cold_counters["link.channel_cache.misses"] > 0
-        assert cold_counters["link.symbols_cache.misses"] > 0
         assert not [name for name in warm_counters if name.endswith(".misses")]
         for index, (expected, *others) in enumerate(zip(reference, cold, warm)):
             for eye in others:

@@ -1,14 +1,14 @@
 """The process-wide link memo is sound: a hit is a recompute, byte for byte.
 
-:mod:`repro.link.memo` shares channel responses, pulse responses (stored
-with their spectra), symbol-train spectra, rectangle spectra, crosstalk
-waveforms and pattern displacement tables (with their DFE adaptation)
-across every ``LinkPath`` of an equal configuration.  These tests pin what
-sharing must never change: a hit returns exactly the bytes of a fresh
-recompute after a clear, equal configurations built separately share
-bytes, shared arrays are read-only, the LRU honours its bounds, training
-candidates share what they have in common and a full training study
-evicts nothing, and sweeps are worker-invariant and identical cold or warm.
+:mod:`repro.link.memo` shares channel responses, pulse responses,
+crosstalk waveforms and pattern displacement tables (with their DFE
+adaptation) across every ``LinkPath`` of an equal configuration.  These
+tests pin what sharing must never change: a hit returns exactly the bytes
+of a fresh recompute after a clear, equal configurations built separately
+share bytes, shared arrays are read-only, the LRU honours its bounds and
+drops channel responses first, training candidates share what they have
+in common and a full training study evicts nothing, and sweeps are
+worker-invariant and identical cold or warm.
 """
 
 import numpy as np
@@ -194,6 +194,44 @@ class TestLruBounds:
         assert oversized.size == 200  # returned, but never kept
         assert memo_size() == (0, 0)
 
+    def test_evict_first_entry_goes_before_older_entries(self, monkeypatch):
+        monkeypatch.setattr(memo, "MEMO_MAX_BYTES", 1000)
+        memo.memoized(("probe", 0), lambda: np.zeros(50))  # 400 B each
+        memo.memoized(("probe", "first"), lambda: np.zeros(50), evict_first=True)
+        memo.memoized(("probe", 1), lambda: np.zeros(50))
+        assert memo_size() == (2, 800)
+        assert [key[1] for key in memo._MEMO] == [0, 1]
+
+    def test_hit_keeps_an_evict_first_entry(self, monkeypatch):
+        monkeypatch.setattr(memo, "MEMO_MAX_BYTES", 1000)
+        memo.memoized(("probe", "first"), lambda: np.zeros(50), evict_first=True)
+        memo.memoized(("probe", 0), lambda: np.zeros(50))
+        memo.memoized(("probe", "first"), lambda: np.ones(50))  # a hit: now the newest
+        memo.memoized(("probe", 1), lambda: np.zeros(50))
+        assert [key[1] for key in memo._MEMO] == ["first", 1]
+
+    def test_one_ctle_per_channel_sweep_keeps_every_pulse_and_table(self, monkeypatch):
+        # The bound holds exactly three links' pulses and tables.  Kept as
+        # ordinary entries, the channel responses would push out the first
+        # links' pulses and tables; kept as the first to go, they leave what
+        # a memo without them keeps.
+        bits = np.resize(np.array([1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1], dtype=np.uint8), 120)
+        configs = [
+            LinkConfig(channel=LossyLineChannel.for_loss_at_nyquist(loss))
+            for loss in (8.0, 10.0, 12.0)
+        ]
+        count = configs[0].timebase.n_samples(bits.size)
+        per_link = 8 * count + 8 * bits.size  # one pulse, one table
+        monkeypatch.setattr(memo, "MEMO_MAX_BYTES", 3 * per_link)
+        for config in configs:
+            LinkPath(config).pattern_displacements(bits)
+        assert [key[0] for key in memo._MEMO] == ["pulse", "pattern"] * 3
+        with telemetry.trace() as tracer:
+            for config in configs:
+                LinkPath(config).pattern_displacements(bits)
+        assert tracer.counters["link.pattern_cache.hits"] == 3
+        assert "link.pattern_cache.misses" not in tracer.counters
+
 
 class TestSweepsOverTheMemo:
     SPEC = ScenarioSpec(
@@ -255,8 +293,8 @@ class TestTrainingCandidatesShareWork:
         # Every CTLE candidate's pulse reads the one channel response per grid.
         assert tracer.counters["link.channel_cache.hits"] > 0
 
-    def test_ffe_candidates_share_one_pulse_spectrum(self):
-        spectra = []
+    def test_ffe_candidates_share_one_pulse(self):
+        pulses = []
         with telemetry.trace() as tracer:
             for post_db in (0.0, 2.0, 3.5, 6.0):
                 config = LinkConfig(
@@ -264,19 +302,18 @@ class TestTrainingCandidatesShareWork:
                     tx_ffe=TxFfe.de_emphasis(post_db=post_db),
                     rx_ctle=RxCtle(peaking_db=6.0),
                 )
-                path = LinkPath(config)
-                path.received_pattern_waveform(self.BITS)
-                spectra.append(path.last_pulse_spectrum)
-        assert all(spectrum is spectra[0] for spectrum in spectra)
-        # The spectrum rides in the pulse entry: one miss, then only hits.
+                LinkPath(config).received_pattern_waveform(self.BITS)
+                pulses.append(LinkPath(config).equalized_pulse_response(self.BITS.size))
+        assert all(pulse is pulses[0] for pulse in pulses)
         assert tracer.counters["link.pulse_cache.misses"] == 1
         assert tracer.counters["link.pulse_cache.hits"] > 0
-        assert tracer.counters["link.symbols_cache.misses"] == 4
+        assert tracer.counters["link.channel_cache.misses"] == 1
+        assert "link.channel_cache.hits" not in tracer.counters
         assert [key for key in memo._MEMO if key[0] == "pulse"] == [
             ("pulse", self.CHANNEL, RxCtle(peaking_db=6.0), LinkTimebase(), self.BITS.size)
         ]
 
-    def test_ctle_candidates_share_one_symbol_spectrum(self):
+    def test_ctle_candidates_share_one_channel_response(self):
         ffe = TxFfe.de_emphasis(post_db=3.5)
         with telemetry.trace() as tracer:
             for peaking_db in (0.0, 3.0, 6.0, 9.0):
@@ -284,8 +321,6 @@ class TestTrainingCandidatesShareWork:
                     channel=self.CHANNEL, tx_ffe=ffe, rx_ctle=RxCtle(peaking_db=peaking_db)
                 )
                 LinkPath(config).received_pattern_waveform(self.BITS)
-        assert tracer.counters["link.symbols_cache.misses"] == 1
-        assert tracer.counters["link.symbols_cache.hits"] == 3
         assert tracer.counters["link.channel_cache.misses"] == 1
         assert tracer.counters["link.channel_cache.hits"] == 3
         assert tracer.counters["link.pulse_cache.misses"] == 4
@@ -300,12 +335,12 @@ class TestTrainingCandidatesShareWork:
         path = LinkPath(config)
         path.pattern_displacements(self.BITS)
         path.crosstalk_waveform(self.BITS.size)
-        assert _memo_kinds() == {"channel", "rectangle", "pulse", "symbols", "pattern", "crosstalk"}
+        assert _memo_kinds() == {"channel", "pulse", "pattern", "crosstalk"}
         clear_link_memo()
         assert memo_size() == (0, 0)
         with telemetry.trace() as tracer:
             LinkPath(config).received_pattern_waveform(self.BITS)
-        for kind in ("channel", "rectangle", "pulse", "symbols", "crosstalk"):
+        for kind in ("channel", "pulse", "crosstalk"):
             assert tracer.counters[f"link.{kind}_cache.misses"] == 1, kind
 
     def test_full_training_study_evicts_nothing(self):
