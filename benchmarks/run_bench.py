@@ -20,7 +20,8 @@ Every entry is stamped with the run's provenance manifest
 (:func:`repro.telemetry.manifest.collect_manifest` — the sanctioned
 place for environment reads), and each run appends one manifest-stamped
 record of all speedups, with the absolute ``fast_s``/``event_s``,
-``stateye_s`` and ``training_s`` seconds where a benchmark has them
+``stateye_s``, ``training_s`` and ``short_point_s`` seconds where a
+benchmark has them
 (:data:`repro.telemetry.report.HISTORY_FIELDS`) and the run's mean
 host-probe time ``host_probe_ms`` (:func:`probe_once`), to
 ``benchmarks/results/bench_history.jsonl``.
@@ -56,6 +57,7 @@ from repro.core.config import CdrChannelConfig
 from repro.datapath.cid import measured_run_distribution
 from repro.datapath.nrz import JitterSpec, generate_edge_times
 from repro.datapath.prbs import prbs7, prbs_sequence
+from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.gates.ring import GccoParameters
 from repro.link import (
     LinkCdrChannel,
@@ -264,6 +266,7 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
     fast, fast_s = _timed(lambda: sweep("fast"))
     event, event_s = _timed(lambda: sweep("event"))
     assert np.array_equal(fast.metrics["errors"], event.metrics["errors"]), "backend divergence!"
+    _, short_point_s = _timed(lambda: _short_point_grid(link))
     return {
         "grid_points": int(losses.size),
         "n_bits_per_point": n_bits,
@@ -273,7 +276,33 @@ def bench_link_ber_vs_loss(n_bits: int) -> dict:
         "speedup": round(event_s / fast_s, 2),
         "identical_error_counts": True,
         "total_errors": int(fast.metrics["errors"].sum()),
+        "short_point_grid_points": SHORT_POINT_LOSSES.size * SHORT_POINT_SJ.size,
+        "short_point_s": _seconds(short_point_s),
     }
+
+
+#: The short-point grid: loss x SJ, 64 points of 256 bits each.
+SHORT_POINT_LOSSES = np.linspace(6.0, 13.75, 8)
+SHORT_POINT_SJ = np.linspace(0.0, 0.62, 8)
+
+
+def _short_point_grid(link: LinkConfig):
+    """One in-process fast-backend grid of short points, no checkpoint.
+
+    The cdrbench ``checkpointed_grid`` shape at 64 points: 256 PRBS7 bits
+    per point through *link*, with a 25 MHz SJ tone.  At 256 bits a point's
+    fixed cost (edge stream, the fast path's array passes, BER alignment,
+    engine) outweighs its per-bit cost, so ``short_point_s`` tracks it.
+    """
+    spec = ScenarioSpec(
+        stimulus=StimulusSpec(kind="prbs", n_bits=256, prbs_order=7, seed=1),
+        link=link,
+        jitter=JitterSpec(sj_frequency_hz=25.0e6),
+        backend="fast",
+    )
+    axes = (ParameterAxis("channel_loss_db", tuple(SHORT_POINT_LOSSES.tolist())),
+            ParameterAxis("sj_amplitude_ui_pp", tuple(SHORT_POINT_SJ.tolist())))
+    return run_grid(spec, axes, seed=9, workers=1)
 
 
 def bench_stateye_vs_bittrue(n_bits: int) -> dict:
@@ -519,7 +548,8 @@ def main() -> int:
     link = _traced("link_ber_vs_loss", bench_link_ber_vs_loss, probe_samples,
                    n_bits=1000 * scale)
     print(f"  event {link['event_s']}s  fast {link['fast_s']}s  "
-          f"speedup {link['speedup']}x")
+          f"speedup {link['speedup']}x  "
+          f"({link['short_point_grid_points']} short points {link['short_point_s']}s)")
     print("timing statistical eye vs bit-true 1e-12 extrapolation...")
     stateye = _traced("stateye_vs_bittrue", bench_stateye_vs_bittrue, probe_samples,
                       n_bits=10000 * scale)

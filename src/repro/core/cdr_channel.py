@@ -95,19 +95,23 @@ class BehavioralSimulationResult:
         return BerMeasurement(errors=errors, compared_bits=int(expected.size))
 
     def _aligned_comparison(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(expected, decided)`` bit arrays of the timing-based alignment."""
+        """``(expected, decided)`` bit arrays of the timing-based alignment.
+
+        A bit that got no decision reads -1 in *decided*.
+        """
         n_bits = int(self.transmitted_bits.size)
         if n_bits == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         indices, values = self.decisions_per_bit()
-        decided = np.full(n_bits, -1, dtype=np.int64)
-        in_range = (indices >= 0) & (indices < n_bits)
-        # Later decisions overwrite earlier ones (double-clocking keeps the last).
-        decided[indices[in_range]] = values[in_range]
+        # Bit i's decision lands in slot i + 1; "clip" puts decisions before
+        # or after the stream in the spare slots at either end.  Later
+        # decisions overwrite earlier ones (double-clocking keeps the last).
+        decided = np.full(n_bits + 2, -1, dtype=np.int64)
+        indices += 1
+        decided.put(indices, values, mode="clip")
         # Exclude the first and last bits, which may legitimately lack a
         # decision because of the pipeline latency at the stream boundaries.
-        usable = slice(1, n_bits - 1)
-        return self.transmitted_bits[usable].astype(np.int64), decided[usable]
+        return self.transmitted_bits[1:n_bits - 1], decided[2:n_bits]
 
     def error_events(self) -> int:
         """Number of contiguous error bursts in the per-bit comparison.

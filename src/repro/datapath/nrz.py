@@ -141,9 +141,9 @@ def ideal_edge_times(bits: np.ndarray | list[int], bit_period_s: float,
     bit_array = np.asarray(bits, dtype=np.uint8).ravel()
     require_positive("bit_period_s", bit_period_s)
     levels = np.concatenate(([np.uint8(initial_level)], bit_array))
-    transitions = np.flatnonzero(np.diff(levels.astype(np.int8)) != 0)
+    transitions = (levels[1:] != levels[:-1]).nonzero()[0]
     edge_times = start_time_s + transitions * bit_period_s
-    return edge_times.astype(float), transitions.astype(np.int64)
+    return edge_times.astype(float, copy=False), transitions.astype(np.int64, copy=False)
 
 
 def jitter_displacements_ui(edge_times_s: np.ndarray, jitter: JitterSpec,

@@ -44,6 +44,8 @@ jitter (:func:`needs_event_kernel`) is refused by
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .. import telemetry
@@ -52,7 +54,7 @@ from ..core.cdr_channel import BehavioralSimulationResult
 from ..core.config import CdrChannelConfig
 from ..core.edge_detector import GATE_DELAY_S
 from ..datapath.nrz import JitterSpec, NrzEdgeStream, generate_edge_times
-from .traces import ArrayRecorder, EdgeArrays
+from .traces import ArrayRecorder, DecisionEdges, EdgeArrays
 
 __all__ = ["FastCdrChannel", "needs_event_kernel", "require_jitter_free"]
 
@@ -88,7 +90,7 @@ def _drop_coincident(times: np.ndarray, *companions: np.ndarray) -> tuple[np.nda
     if times.size < 2:
         return (times, *companions)
     equal = times[1:] == times[:-1]
-    if not np.any(equal):
+    if not equal.any():
         return (times, *companions)
     keep = np.ones(times.size, dtype=bool)
     index = 0
@@ -118,10 +120,11 @@ def _settled_spans(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clock-tap times of every settled gate-high span of a jitter-free ring.
 
-    EDET starts high, so its toggles alternate fall, rise, fall, ...  Span
-    ``k`` starts with a stage-0 change at ``S_k`` (``0.0 + t_feedback`` for
-    the first span, ``rises[k-1] + t_gate`` after), ends at the fall
-    ``d = falls[k]`` and is followed by the rise ``rises[k]``.  From a
+    EDET starts high, so its toggles (sorted, as the edge detector merges
+    them) alternate fall, rise, fall, ...  Span ``k`` starts with a
+    stage-0 change at ``S_k`` (``0.0 + t_feedback`` for the first span,
+    ``rises[k-1] + t_gate`` after), ends at the fall ``d = falls[k]`` and
+    is followed by the rise ``rises[k]``.  From a
     quiescent ring (``v0 = 0``, last stage 1, nothing pending or in flight)
     an odd inverter chain free-runs: the stage-0 changes ``A_j`` alternate
     rise, fall, ... with feedback ``F_j = A_j + t_stage + ... + t_stage``
@@ -136,8 +139,8 @@ def _settled_spans(
           ``F_J`` schedules does not cancel the fall's);
     (iii) its last feedback — the forced fall's own, if there is one —
           lands strictly before the next rise;
-    (iv)  the toggles around it strictly increase and the next rise is at
-          or before *duration_s*.
+    (iv)  the toggles around it strictly increase (a span exists only if
+          its next rise is at or before *duration_s*).
 
     A settled span changes stage 0 at ``A_0 ... A_{J-1}``, at ``A_J`` if
     ``A_J < D`` (the fall's apply cancels it otherwise), then at ``D`` if
@@ -145,24 +148,32 @@ def _settled_spans(
 
     ``J`` is estimated from the span length and then checked against the
     row (``F_{J-1} < d < F_J``); a wrong estimate leaves the span
-    unsettled.  Spans are sorted by the estimate, so the rows of a block
-    have about the same length.
+    unsettled.  The rows of a block are as wide as its longest span, and
+    a block holds at most :data:`_BLOCK_CHANGES` changes.  When every span
+    fits one block (``n_spans * (max J + 1) <= _BLOCK_CHANGES``, a short
+    run's usual case) the rows stay in time order; otherwise the spans
+    are sorted by the estimate, so the rows of a block have about the
+    same length, and the blocks' taps are gathered back into time order.
+    Rows never mix, so both paths give the same bytes.
 
     Returns ``(settled, offsets, times)``: one flag per span whose next
     rise is within *duration_s*, and the clock-tap times of the settled
     spans in time order, span ``k``'s at ``times[offsets[k]:offsets[k + 1]]``.
     """
     rises = edet[1::2]
-    n_spans = int(np.searchsorted(rises, duration_s, side="right"))
+    n_spans = int(rises.searchsorted(duration_s, side="right"))
+    if n_spans == 0:
+        return np.zeros(0, dtype=bool), np.zeros(1, dtype=np.int64), np.zeros(0)
     rises = rises[:n_spans]
     falls = edet[0:2 * n_spans:2]
-    previous = np.empty(n_spans)
-    previous[:1] = -_INF
-    previous[1:] = rises[:-1]
-    starts = previous + t_gate
-    starts[:1] = 0.0 + t_feedback
+    starts = np.empty(n_spans)
+    starts[0] = 0.0 + t_feedback
+    np.add(rises[:-1], t_gate, out=starts[1:])
     forced_at = falls + t_gate
-    around = (previous < falls) & (falls < rises) & (rises <= duration_s)
+    # The toggles are sorted, so every rise kept is within duration_s;
+    # ties around a span leave it unsettled.
+    around = falls < rises
+    around[1:] &= rises[:-1] < falls[1:]
 
     n_inverters = n_stages - 1
     tap = n_stages - 2 if improved_tap else n_inverters
@@ -173,57 +184,75 @@ def _settled_spans(
 
     period = n_inverters * t_stage + t_feedback
     estimate = np.maximum((falls - starts - n_inverters * t_stage) / period + 1.0, 0.0)
+
+    def block(spans, j: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(settled, tap counts, tap times)`` of the spans *spans*, one row each."""
+        rows = j.size
+        fall, fall_at = falls[spans], forced_at[spans]
+
+        # Row k: S_k, then t_stage x n_inverters, t_feedback, t_stage, ...
+        # One change past the widest row leaves room for the forced fall.
+        columns = (width + 1) * n_stages
+        ring = np.empty((rows, columns))
+        ring.fill(t_stage)
+        if t_feedback != t_stage:
+            ring[:, n_stages::n_stages] = t_feedback
+        ring[:, 0] = starts[spans]
+        ring = np.add.accumulate(ring, axis=1, out=ring).reshape(-1)
+
+        # A_J, F_J and F_{J-1} (the previous row's last time when J = 0, unread).
+        row_at = np.arange(0, rows * columns, columns)
+        at_j = row_at + j * n_stages
+        a_j = ring[at_j]
+        f_j = ring[at_j + n_inverters]
+        f_before = ring[at_j - 1]
+        emit_j = a_j < fall_at
+        n_changes = j + emit_j
+        forced = n_changes & 1
+        last_feedback = np.where(forced, chain[n_inverters][spans],
+                                 np.where(emit_j, f_j, -_INF))
+
+        # On booleans, a <= b reads "a implies b": condition (ii).
+        ok = (around[spans]
+              & ((j == 0) | (f_before < fall)) & (fall < f_j)
+              & (a_j != fall) & (a_j != fall_at)
+              & (emit_j <= (fall_at < f_j + t_feedback))
+              & (last_feedback < rises[spans]))
+
+        # The forced fall's tap follows the row's last change; span k's
+        # taps are then changes 0 .. count - 1 of row k at the tap.
+        ring[at_j + (emit_j * n_stages + tap)] = chain[tap][spans]
+        count = np.where(ok, n_changes + forced, 0)
+        taps = ring.reshape(rows, width + 1, n_stages)[:, :, tap]
+        return ok, count, taps[np.arange(width + 1) < count[:, None]]
+
+    j = estimate.astype(np.int64)
+    widest = int(j.max()) + 1
+    offsets = np.zeros(n_spans + 1, dtype=np.int64)
+    if n_spans * widest <= _BLOCK_CHANGES:
+        # One block: its rows are the spans in time order.
+        settled, counts, times = block(slice(None), j, widest)
+        np.add.accumulate(counts, out=offsets[1:])
+        return settled, offsets, times
+
     # A 16-bit key sorts fast; the cumulative maximum below keeps block
     # widths right past its range.
     order = np.argsort(np.minimum(estimate, 0x7FFF).astype(np.int16), kind="stable")
-    estimate = estimate[order].astype(np.int64)
+    j = j[order]
 
-    oks, n_taps, values = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    oks, n_taps, values = [], [], []
     first = 0
     while first < n_spans:
         # Rows hold changes 0..J: as many rows as fit _BLOCK_CHANGES at
         # the block's widest row.
-        changes = np.maximum.accumulate(estimate[first:first + _BLOCK_CHANGES] + 1)
+        changes = np.maximum.accumulate(j[first:first + _BLOCK_CHANGES] + 1)
         rows = max(1, int(np.count_nonzero(
             changes * np.arange(1, changes.size + 1) <= _BLOCK_CHANGES)))
-        width = int(changes[rows - 1])
-        spans = order[first:first + rows]
-        j = estimate[first:first + rows]
-        fall, fall_at = falls[spans], forced_at[spans]
-
-        # Row k: S_k, then t_stage x n_inverters, t_feedback, t_stage, ...
-        columns = width * n_stages
-        steps = np.full(columns, t_stage)
-        steps[n_stages::n_stages] = t_feedback
-        ring = np.empty((rows, columns))
-        ring[:, 0] = starts[spans]
-        ring[:, 1:] = steps[1:]
-        np.add.accumulate(ring, axis=1, out=ring)
-        ring = ring.reshape(rows, width, n_stages)
-
-        index = np.arange(rows)
-        a_j = ring[index, j, 0]
-        f_j = ring[index, j, n_inverters]
-        f_before = ring[index, j - 1, n_inverters]
-        emit_j = a_j < fall_at
-        n_changes = j + emit_j
-        forced = (n_changes & 1).astype(bool)
-        last_feedback = np.where(forced, chain[n_inverters][spans],
-                                 np.where(emit_j, f_j, -_INF))
-
-        ok = (around[spans]
-              & ((j == 0) | (f_before < fall)) & (fall < f_j)
-              & (a_j != fall) & (a_j != fall_at)
-              & (~emit_j | (fall_at < f_j + t_feedback))
-              & (last_feedback < rises[spans]))
-
-        taps = np.empty((rows, width + 1))
-        taps[:, :width] = ring[:, :, tap]
-        taps[index, n_changes] = chain[tap][spans]
-        count = np.where(ok, n_changes + forced, 0)
+        ok, count, taps = block(order[first:first + rows], j[first:first + rows],
+                                int(changes[rows - 1]))
         oks.append(ok)
         n_taps.append(count)
-        values.append(taps[np.arange(width + 1) < count[:, None]])
+        values.append(taps)
         first += rows
 
     # The blocks' taps are in sorted-span order: gather them into time order.
@@ -235,7 +264,6 @@ def _settled_spans(
     values = np.concatenate(values)
     sorted_starts = np.empty(n_spans, dtype=np.int64)
     sorted_starts[order] = np.cumsum(sorted_counts) - sorted_counts
-    offsets = np.zeros(n_spans + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     times = values[np.repeat(sorted_starts - offsets[:-1], counts)
                    + np.arange(offsets[-1])]
@@ -255,7 +283,9 @@ def _ring_recurrence(
     """Run the gated-ring recurrence; return the selected clock-tap times.
 
     Every stage-0 change flips the stage, so the tap values strictly
-    alternate from the first change's; the caller derives them.
+    alternate from the first change's; the caller derives them.  Stage-0
+    changes run in time order and each tap trails its change by the same
+    adds, so the returned times never decrease.
 
     Three event sources are merged in time order, mirroring the kernel:
 
@@ -282,7 +312,9 @@ def _ring_recurrence(
     takes even stage counts only), so an EDET rise that finds the ring
     quiescent starts a span :func:`_settled_spans` may have solved: the
     loop then takes the clock times of the whole run of settled spans from
-    it and resumes, quiescent, at the rise that follows them.
+    it and resumes, quiescent, at the rise that follows them.  The run's
+    end is a lookup in the sorted indices of the unsettled spans, which is
+    usually empty.
     """
     n_inverters = n_stages - 1
     # Tap positions along the chain (number of inversions in front of them).
@@ -318,22 +350,21 @@ def _ring_recurrence(
     hf = nf = 0
     t_f = _INF
 
-    # Settled spans (the rise at edet[2k - 1] opens span k): settled[k]
-    # flags them, resume[k] is the first unsettled span at or after k.
-    settled: list[bool] = []
+    # Settled spans (the rise at edet[2k - 1] opens span k): span k is
+    # settled when k < n_spans and k is not in the sorted list unsettled,
+    # whose last entry is n_spans; a run of settled spans from k ends at
+    # the first entry at or after k.
+    n_spans = 0
     if len(edet) > 2:
         flags, offsets, span_times = _settled_spans(
             edet_times, t_gate=t_gate, t_feedback=t_feedback, t_stage=t_stage,
             duration_s=duration_s, n_stages=n_stages, improved_tap=improved_tap)
         n_spans = flags.size
-        resume = np.minimum.accumulate(
-            np.where(flags, n_spans, np.arange(n_spans))[::-1])[::-1].tolist()
-        resume.append(n_spans)
-        settled = flags.tolist()
-        settled += [False] * (len(edet) // 2 + 1 - n_spans)
-        if settled[0]:
+        unsettled = (~flags).nonzero()[0].tolist()
+        unsettled.append(n_spans)
+        if n_spans and flags[0]:
             # The first span starts from the time-zero kick.
-            end = resume[0]
+            end = unsettled[0]
             pieces.append(span_times[:offsets[end]])
             h0, t_0, gate_level = 1, _INF, 0
             i_edet = 2 * end - 1
@@ -395,18 +426,19 @@ def _ring_recurrence(
             else:
                 if t_e > duration_s:
                     break
-                if settled and gate_level == 0 and t_0 == _INF and t_f == _INF \
-                        and settled[(i_edet + 1) >> 1]:
-                    # A quiescent rise opens a settled span: take the run
-                    # of settled spans whole, up to the rise after it.
+                if gate_level == 0 and t_0 == _INF and t_f == _INF \
+                        and (i_edet + 1) >> 1 < n_spans:
                     span = (i_edet + 1) >> 1
-                    end = resume[span]
-                    pieces.append(clock_t)
-                    pieces.append(span_times[offsets[span]:offsets[end]])
-                    clock_t = []
-                    i_edet = 2 * end - 1
-                    t_e = edet[i_edet]
-                    continue
+                    end = unsettled[bisect_left(unsettled, span)]
+                    if end != span:
+                        # A quiescent rise opens a settled span: take the
+                        # run of settled spans whole, up to the rise after it.
+                        pieces.append(clock_t)
+                        pieces.append(span_times[offsets[span]:offsets[end]])
+                        clock_t = []
+                        i_edet = 2 * end - 1
+                        t_e = edet[i_edet]
+                        continue
                 gate_level = 1 - gate_level
                 time_s = t_e
                 i_edet += 1
@@ -443,7 +475,7 @@ def _edge_detector(prop_times: np.ndarray,
     for _cell in range(config.edge_detector_cells):
         line_times = line_times + cell_delay
     ddin_times = line_times + GATE_DELAY_S
-    edet_times = np.concatenate((prop_times + GATE_DELAY_S, line_times + GATE_DELAY_S))
+    edet_times = np.concatenate((prop_times + GATE_DELAY_S, ddin_times))
     return ddin_times, np.sort(edet_times)
 
 
@@ -466,15 +498,11 @@ def _ring_delays(config: CdrChannelConfig) -> dict[str, float]:
     }
 
 
-def _clock_levels(count: int) -> tuple[int, np.ndarray]:
-    """The selected clock tap's initial level and its values at *count* events.
-
-    Both taps start low: the nominal tap inverts the last stage, which an
-    odd inverter chain holds high, and the improved tap sits an even
-    number of inversions behind stage 0.  Every stage-0 change flips the
-    tap, so the values alternate from high.
-    """
-    return 0, (np.arange(count) & 1) ^ 1
+#: Both clock taps start low: the nominal tap inverts the last stage,
+#: which an odd inverter chain holds high, and the improved tap sits an
+#: even number of inversions behind stage 0.  Every stage-0 change flips
+#: the tap, so its values alternate from high.
+_CLOCK_INITIAL = 0
 
 
 class FastCdrChannel:
@@ -556,7 +584,7 @@ class FastCdrChannel:
                 rng=rng,
             )
         else:
-            if not np.array_equal(stream.bits, bits):
+            if stream.bits.shape != bits.shape or (stream.bits != bits).any():
                 raise ValueError("bits must match the provided stream's bits")
             start_time = stream.start_time_s
         duration = start_time + stream.duration_s + 4.0 * config.unit_interval_s
@@ -564,7 +592,7 @@ class FastCdrChannel:
         level = int(stream.initial_level)
 
         edge_times = stream.edge_times_s
-        edge_values = stream.bits[stream.edge_bit_index].astype(np.int64)
+        edge_values = stream.bits[stream.edge_bit_index]
         prop_times, prop_values = _drop_coincident(edge_times, edge_values)
 
         # --- edge detector: delay line, XNOR, dummy gate --------------------
@@ -579,59 +607,43 @@ class FastCdrChannel:
             n_stages=parameters.n_stages,
             improved_tap=config.improved_sampling,
         )
-        initial_clock, clock_values = _clock_levels(clock_times.size)
         # Inverter-chain events past the run horizon never execute in the
         # event kernel (run_until stops there), so they produce no decision.
-        horizon = clock_times <= duration
-        clock_times = clock_times[horizon]
-        clock_values = clock_values[horizon]
+        # The tap's times never decrease, so the executed ones are a prefix.
+        clock_times = clock_times[:clock_times.searchsorted(duration, side="right")]
 
         # --- sampler: decide DDIN at every rising clock edge ----------------
-        rising = clock_values == 1
-        sample_times = clock_times[rising]
-        indices = np.searchsorted(ddin_times, sample_times, side="left") - 1
-        sampled = np.full(sample_times.size, level, dtype=np.uint8)
-        in_range = indices >= 0
-        sampled[in_range] = prop_values[indices[in_range]].astype(np.uint8)
+        # Both taps start low and flip at every stage-0 change, so the
+        # rising edges are every other tap time from the first.
+        sample_times = clock_times[::2]
+        # DDIN before each sample: its initial level, then each edge's value.
+        ddin_levels = np.empty(prop_values.size + 1, dtype=np.uint8)
+        ddin_levels[0] = level
+        ddin_levels[1:] = prop_values
+        sampled = ddin_levels[ddin_times.searchsorted(sample_times, side="left")]
 
         # --- traces (match the event recorder, clipped to the run horizon) --
         # The recorder builds each trace on first access.
-        dout_times, dout_values = self._dout_events(
-            sample_times, sampled, config.sampler_delay_s)
         recorder = ArrayRecorder({
             "din": EdgeArrays(edge_times, edge_values, initial_value=level),
             "ddin": EdgeArrays(ddin_times, prop_values, initial_value=level,
                                horizon_s=duration),
             # EDET toggles at every edge, from its initial high level.
             "edet": EdgeArrays(edet_times, initial_value=1, horizon_s=duration),
-            "clock": EdgeArrays(clock_times, clock_values, initial_value=initial_clock,
-                                horizon_s=duration),
-            "dout": EdgeArrays(dout_times, dout_values, horizon_s=duration),
+            "clock": EdgeArrays(clock_times, initial_value=_CLOCK_INITIAL),
+            "dout": DecisionEdges(sample_times, sampled, config.sampler_delay_s,
+                                  horizon_s=duration),
         })
 
-        valid = sample_times >= start_time
+        # Sample times never decrease: the decisions from start_time on are
+        # a suffix.
+        valid = int(sample_times.searchsorted(start_time, side="left"))
         return BehavioralSimulationResult(
             config=config,
             transmitted_bits=bits,
             stream=stream,
             recorder=recorder,
-            sample_times_s=sample_times[valid],
-            sampled_bits=sampled[valid],
+            sample_times_s=sample_times[valid:].copy(),
+            sampled_bits=sampled[valid:],
             duration_s=duration,
         )
-
-    @staticmethod
-    def _dout_events(sample_times: np.ndarray, sampled: np.ndarray,
-                     clock_to_q_s: float) -> tuple[np.ndarray, np.ndarray]:
-        """DOUT transitions: decisions re-timed by the clock-to-Q delay.
-
-        The flip-flop assigns its output on every rising edge; only actual
-        value changes produce events (the transport apply filters the rest).
-        DOUT itself starts at 0, whatever the data's initial level.
-        """
-        if sample_times.size == 0:
-            return np.zeros(0), np.zeros(0, dtype=np.int64)
-        values = sampled.astype(np.int64)
-        previous = np.concatenate(([0], values[:-1]))
-        changed = values != previous
-        return (sample_times + clock_to_q_s)[changed], values[changed]

@@ -10,7 +10,8 @@ surface.
 
 A sweep point reads its decisions, not its waveforms, so the fast path
 hands the recorder :class:`EdgeArrays` — the edge arrays plus how to clip
-and label them — and the recorder builds each ``Trace`` the first time it
+and label them — and, for DOUT, :class:`DecisionEdges`, the decisions its
+edges derive from; the recorder builds each ``Trace`` the first time it
 is asked for.  Nothing random happens at build time (every jitter draw was
 taken when the arrays were made), so a trace built late is byte-equal to
 one built at once, and the recorder holds only arrays and plain records:
@@ -25,7 +26,7 @@ import numpy as np
 
 from ..events.waveform import Trace
 
-__all__ = ["array_trace", "EdgeArrays", "ArrayRecorder"]
+__all__ = ["array_trace", "EdgeArrays", "DecisionEdges", "ArrayRecorder"]
 
 
 def array_trace(name: str, times_s: np.ndarray, values: np.ndarray,
@@ -78,20 +79,43 @@ class EdgeArrays:
         return array_trace(name, times, values, initial_value=self.initial_value)
 
 
+@dataclass(frozen=True, eq=False)
+class DecisionEdges:
+    """DOUT's edges, derived from the sampler's decisions when first read.
+
+    The flip-flop assigns its output at every rising clock edge, one
+    clock-to-Q delay later; only actual value changes are edges (the
+    transport apply filters the rest).  DOUT starts at 0, whatever the
+    data's initial level.
+    """
+
+    sample_times_s: np.ndarray
+    sampled: np.ndarray
+    clock_to_q_s: float
+    horizon_s: float | None = None
+
+    def build(self, name: str) -> Trace:
+        """The :class:`Trace` named *name* (see :class:`EdgeArrays`)."""
+        values = self.sampled.astype(np.int64)
+        changed = np.diff(values, prepend=0) != 0
+        times = (self.sample_times_s + self.clock_to_q_s)[changed]
+        return EdgeArrays(times, values[changed], horizon_s=self.horizon_s).build(name)
+
+
 class ArrayRecorder:
     """Duck-typed stand-in for :class:`WaveformRecorder` holding fixed traces.
 
-    Each entry is a ready :class:`Trace` or :class:`EdgeArrays`; the latter
-    is built on first access and kept.
+    Each entry is a ready :class:`Trace`, or an :class:`EdgeArrays` or
+    :class:`DecisionEdges` record that is built on first access and kept.
     """
 
-    def __init__(self, traces: dict[str, Trace | EdgeArrays]) -> None:
+    def __init__(self, traces: dict[str, Trace | EdgeArrays | DecisionEdges]) -> None:
         self._traces = dict(traces)
 
     def trace(self, name: str) -> Trace:
         """Return the trace recorded under *name* (KeyError if unknown)."""
         trace = self._traces[name]
-        if isinstance(trace, EdgeArrays):
+        if not isinstance(trace, Trace):
             trace = self._traces[name] = trace.build(name)
         return trace
 

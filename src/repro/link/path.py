@@ -300,7 +300,8 @@ class LinkPath:
             require_positive_int("pattern_period", pattern_period)
             period = min(pattern_period, int(bits.size))
             pattern = bits[:period]
-            if not np.array_equal(bits, np.resize(pattern, bits.size)):
+            # bits tiles its first P bits when each bit repeats the one P before.
+            if (bits[period:] != bits[:-period]).any():
                 raise ValueError("bits do not tile the leading pattern_period bits")
         table = self.pattern_displacements(pattern)
 

@@ -30,7 +30,8 @@ run) and renders each benchmark's trend beside its latest absolute
 fast-path seconds (``fast_s``, where the benchmark records them).  An
 entry is judged on the absolute seconds it records — each of the
 event-kernel and fast-path legs (``event_s``, ``fast_s``) and the
-solver times (``stateye_s``, ``training_s``) on its own — never on a
+solver times (``stateye_s``, ``training_s``) and the short-point grid
+seconds (``short_point_s``) on its own — never on a
 ratio of two legs, which improves when a shared layer slows both and
 falls when one leg gets faster.  The seconds are rescaled by the
 records' ``host_probe_ms`` (a fixed pure-Python slice timed in thread
@@ -86,16 +87,20 @@ HISTORY_VERSION = 1
 #: Fields of a benchmark entry that its history record keeps: the speedup
 #: always, the absolute fast-path and event-kernel seconds where the
 #: benchmark measures them, the fast path's gated-ring bits/s
-#: (``bittrue_kernels``), and the statistical-eye solve and link-training
+#: (``bittrue_kernels``), the statistical-eye solve and link-training
 #: seconds (``stateye_vs_bittrue``, ``link_training``), whose speedups
 #: divide by an extrapolated bit-true time and so move with the fast
-#: path too.  Older records lack the later fields and still load.
-HISTORY_FIELDS = ("speedup", "fast_s", "event_s", "ring_bits_per_s", "stateye_s", "training_s")
+#: path too, and the seconds of a grid of short fast-path points
+#: (``short_point_s``, ``link_ber_vs_loss``), which the per-point fixed
+#: cost dominates.  Older records lack the later fields and still load.
+HISTORY_FIELDS = (
+    "speedup", "fast_s", "event_s", "ring_bits_per_s", "stateye_s", "training_s", "short_point_s",
+)
 
 #: Absolute seconds that :func:`history_summary` judges, each on its own;
 #: an entry whose latest record carries none of them is judged on its
 #: speedup.
-SECONDS_FIELDS = ("event_s", "fast_s", "stateye_s", "training_s")
+SECONDS_FIELDS = ("event_s", "fast_s", "stateye_s", "training_s", "short_point_s")
 
 #: Decimals to which ``benchmarks/run_bench.py`` records a timed leg's
 #: seconds; each history record says so in its ``seconds_decimals`` field.

@@ -44,6 +44,25 @@ class TestIdealEdges:
         times, _ = nrz.ideal_edge_times([1, 1], 1.0e-9, initial_level=1)
         assert times.size == 0
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        bits=st.lists(st.integers(0, 1), max_size=64),
+        initial_level=st.integers(0, 1),
+        bit_period_s=st.floats(1.0e-12, 1.0e-8),
+        start_time_s=st.floats(0.0, 1.0e-8),
+    )
+    def test_edges_match_the_diff_form(self, bits, initial_level, bit_period_s, start_time_s):
+        """The level compare finds the same edges as the int8 ``np.diff``
+        form it replaced (the oracle below), empty streams included."""
+        times, indices = nrz.ideal_edge_times(
+            bits, bit_period_s, start_time_s=start_time_s, initial_level=initial_level)
+        levels = np.concatenate(([np.uint8(initial_level)], np.asarray(bits, dtype=np.uint8)))
+        transitions = np.flatnonzero(np.diff(levels.astype(np.int8)) != 0)
+        expected_times = (start_time_s + transitions * bit_period_s).astype(float)
+        assert times.dtype == expected_times.dtype and indices.dtype == np.int64
+        assert times.tobytes() == expected_times.tobytes()
+        assert indices.tobytes() == transitions.astype(np.int64).tobytes()
+
 
 class TestGenerateEdgeTimes:
     def test_no_jitter_matches_ideal(self):

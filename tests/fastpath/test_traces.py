@@ -23,7 +23,7 @@ from repro.datapath.prbs import prbs7
 from repro.experiments import MeasurementPlan, ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.fastpath import FastCdrChannel, array_trace
 from repro.fastpath import engine as fast_engine
-from repro.fastpath.traces import ArrayRecorder, EdgeArrays
+from repro.fastpath.traces import ArrayRecorder, DecisionEdges, EdgeArrays
 from repro.gates.ring import GccoParameters
 
 TRACE_NAMES = ("din", "ddin", "edet", "clock", "dout")
@@ -38,14 +38,32 @@ EAGER_NEXT_DRAW = 0.5845614498008885
 EAGER_TRACES_SHA256 = "bf75ea95a7084b1340989efa7ef6d2fa54f244e9d104a81ab18e74f1a9b011c7"
 
 
-def _eager_traces(arrays: dict[str, EdgeArrays], duration_s: float) -> dict:
-    """The previous eager build, from the same edge arrays: the oracle."""
+def _dout_events(sample_times, sampled, clock_to_q_s):
+    """The previous eager DOUT derivation: decisions re-timed by clock-to-Q."""
+    if sample_times.size == 0:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    values = sampled.astype(np.int64)
+    previous = np.concatenate(([0], values[:-1]))
+    changed = values != previous
+    return (sample_times + clock_to_q_s)[changed], values[changed]
+
+
+def _eager_traces(arrays: dict, duration_s: float) -> dict:
+    """The previous eager build, from the same records: the oracle.
+
+    The clock's values were built as ``(arange & 1) ^ 1`` and DOUT's edges
+    by :func:`_dout_events`, both before the horizon clip.
+    """
 
     def clipped(name, times, values, initial_value=0):
         mask = times <= duration_s
         return array_trace(name, times[mask], values[mask], initial_value=initial_value)
 
     edet = arrays["edet"].times_s
+    clock_times = arrays["clock"].times_s
+    decisions = arrays["dout"]
+    dout_times, dout_values = _dout_events(
+        decisions.sample_times_s, decisions.sampled, decisions.clock_to_q_s)
     return {
         "din": array_trace("din", arrays["din"].times_s, arrays["din"].values),
         "ddin": clipped("ddin", arrays["ddin"].times_s, arrays["ddin"].values),
@@ -55,9 +73,9 @@ def _eager_traces(arrays: dict[str, EdgeArrays], duration_s: float) -> dict:
             np.arange(np.count_nonzero(edet <= duration_s)) & 1,
             initial_value=1,
         ),
-        "clock": clipped("clock", arrays["clock"].times_s, arrays["clock"].values,
+        "clock": clipped("clock", clock_times, (np.arange(clock_times.size) & 1) ^ 1,
                          initial_value=arrays["clock"].initial_value),
-        "dout": clipped("dout", arrays["dout"].times_s, arrays["dout"].values),
+        "dout": clipped("dout", dout_times, dout_values),
     }
 
 
@@ -88,7 +106,8 @@ class TestOnAccessTraces:
         monkeypatch.setattr(fast_engine, "ArrayRecorder", CapturingRecorder)
         result, _ = run_fast(NO_GATE_JITTER)
         (arrays,) = captured
-        assert all(isinstance(entry, EdgeArrays) for entry in arrays.values())
+        assert isinstance(arrays["dout"], DecisionEdges)
+        assert all(isinstance(arrays[name], EdgeArrays) for name in TRACE_NAMES[:-1])
         expected = _eager_traces(arrays, result.duration_s)
         assert result.recorder.names() == sorted(TRACE_NAMES)
         for name in TRACE_NAMES:

@@ -17,8 +17,11 @@ three-way merge loop it replaced (``_ring_recurrence_reference``): on
 generated EDET streams, including the clock values derived from its
 times, on long streams
 whose settled gate-high spans the bulk step takes and whose unsettled
-ones it hands to the scalar loop and back, and on whole
-``FastCdrChannel`` runs.  Whole-channel
+ones it hands to the scalar loop and back, on streams at the settled-span
+step's one-block bound and one change past it (each path counted), on
+streams with no span, and on whole
+``FastCdrChannel`` runs.  ``ber()``'s timing alignment is pinned against
+the masked scatter it replaced.  Whole-channel
 comparisons monkeypatch the reference loop in, on an empty link memo, and
 assert it ran — a memoized displacement table would skip it.  These tests
 byte-compare arrays (``.tobytes()``), not approximately.  The event
@@ -35,14 +38,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cdr_channel import BehavioralCdrChannel
+from repro.core.cdr_channel import BehavioralCdrChannel, BehavioralSimulationResult
 from repro.core.config import CdrChannelConfig
-from repro.datapath.nrz import JitterSpec
+from repro.datapath.nrz import JitterSpec, NrzEdgeStream
 from repro.datapath.prbs import prbs_sequence
 from repro.events.kernel import Simulator
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
 from repro.fastpath import FastCdrChannel
 from repro.fastpath import engine as fast_engine
+from repro.fastpath.traces import EdgeArrays
 from repro.link import (
     CrosstalkSpec,
     DfeAdaptation,
@@ -864,17 +868,111 @@ def _log_bulk_steps(monkeypatch) -> list:
     return log
 
 
+#: ``(n_spans, widest)`` with ``n_spans * widest`` exactly at the one-block
+#: bound of ``_settled_spans``, and one change over it (4097 = 17 x 241).
+AT_BLOCK_BOUND = ((256, 16), (512, 8), (128, 32), (1024, 4))
+OVER_BLOCK_BOUND = ((241, 17), (17, 241))
+
+
+@st.composite
+def block_bound_cases(draw):
+    """EDET whose spans put ``n_spans * widest`` at the one-block bound or one
+    change over it: ``(edet, recurrence kwargs, fits one block)``.
+
+    Each span's fall lies half a ring period past the feedback that makes
+    its estimate ``J``, so rounding cannot move the estimate, and one span
+    takes the widest ``J``.  The feedback delay may differ from the stage
+    delay.  At a drawn rate a rise comes before the forced fall's feedback,
+    which leaves that span to the scalar loop.
+    """
+    kwargs = draw(ring_kwargs())
+    kwargs["t_feedback"] = kwargs["t_stage"] * draw(st.sampled_from([1.0, 1.1, 0.93]))
+    one_block = draw(st.booleans())
+    n_spans, widest = draw(st.sampled_from(AT_BLOCK_BOUND if one_block else OVER_BLOCK_BOUND))
+    t_stage, t_feedback, t_gate = kwargs["t_stage"], kwargs["t_feedback"], kwargs["t_gate"]
+    n_inverters = kwargs["n_stages"] - 1
+    period = n_inverters * t_stage + t_feedback
+    drained = t_gate + n_inverters * t_stage
+
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    estimates = stream.integers(0, widest, n_spans)
+    estimates[stream.integers(n_spans)] = widest - 1
+    early = stream.random(n_spans) < draw(st.sampled_from([0.0, 0.05]))
+    lows = drained * np.where(early, stream.uniform(0.2, 0.9, n_spans),
+                              stream.uniform(1.05, 1.5, n_spans))
+    edet = []
+    start = 0.0 + t_feedback
+    for estimate, low in zip(estimates.tolist(), lows.tolist()):
+        fall = start + n_inverters * t_stage + (estimate - 0.5) * period
+        rise = fall + low
+        edet += [fall, rise]
+        start = rise + t_gate
+    duration = edet[-1] + draw(st.floats(0.0, 4.0e-9))
+    return np.array(edet), {**kwargs, "duration_s": duration}, one_block
+
+
+@st.composite
+def spanless_cases(draw):
+    """EDET with toggles but no rise within the horizon: no span to settle."""
+    gaps = draw(st.lists(EDET_GAPS, min_size=1, max_size=6))
+    edet = 1.0e-12 + draw(st.floats(0.0, 2.0e-9)) + np.cumsum(np.array([0.0, *gaps]))
+    duration = draw(st.floats(0.0, 1.0, exclude_max=True)) * float(edet[1])
+    return edet, {**draw(ring_kwargs()), "duration_s": duration}
+
+
+class _SortLog:
+    """Numpy, as the engine sees it, logging each sort: of the two
+    ``_settled_spans`` paths, only the sorted multi-block one sorts."""
+
+    def __init__(self, log: list) -> None:
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, *args, **kwargs):
+        self._log.append("argsort")
+        return np.argsort(*args, **kwargs)
+
+
+def _log_block_paths(monkeypatch) -> list:
+    """Patch the engine to log the path of each ``_settled_spans`` call:
+    ``"no span"``, ``"one block"`` or ``"sorted"``; return the log."""
+    log, sorts = [], []
+    monkeypatch.setattr(fast_engine, "np", _SortLog(sorts))
+    settled_spans = fast_engine._settled_spans
+
+    def logged(edet, **kwargs):
+        sorts.clear()
+        settled, offsets, times = settled_spans(edet, **kwargs)
+        log.append("no span" if settled.size == 0 else "sorted" if sorts else "one block")
+        return settled, offsets, times
+
+    monkeypatch.setattr(fast_engine, "_settled_spans", logged)
+    return log
+
+
+def _derived_clock_values(count):
+    """The values the channel gives *count* clock-tap times: a toggle
+    stream from the tap's initial level, as its clock trace builds it."""
+    times = np.zeros(count)
+    trace = EdgeArrays(times, initial_value=fast_engine._CLOCK_INITIAL).build("clock")
+    return trace.as_arrays()[1][1:]
+
+
 def _ring_pair(edet, kwargs):
     """Run the recurrence and its oracle; check both agree.
 
     The oracle's clock values must be the alternating ones the channel
-    derives from the times.
+    derives from the times, and the times must never decrease: the
+    channel takes the executed taps as a prefix and its rising edges as
+    every other tap from the first.
     """
     clock_t = fast_engine._ring_recurrence(edet, **kwargs)
     ref_t, ref_v = _ring_recurrence_reference(edet, **kwargs)
-    _, clock_v = fast_engine._clock_levels(clock_t.size)
     assert _bytes_equal(clock_t, np.asarray(ref_t, dtype=float))
-    assert _bytes_equal(clock_v, np.asarray(ref_v, dtype=np.int64))
+    assert _bytes_equal(_derived_clock_values(clock_t.size), np.asarray(ref_v, dtype=np.int64))
+    assert np.all(clock_t[1:] >= clock_t[:-1])
     return clock_t
 
 
@@ -924,6 +1022,41 @@ class TestRingRecurrenceBitIdentity:
 
         check()
         assert sum(steps >= 2 for steps in steps_per_case) >= 10, steps_per_case
+
+    def test_both_block_paths_at_the_block_bound(self, monkeypatch):
+        """Up to ``n_spans * widest == _BLOCK_CHANGES`` every span fits one
+        block in time order; one change over, the spans are sorted into
+        blocks.  Both paths match the oracle."""
+        log = _log_block_paths(monkeypatch)
+        paths = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(block_bound_cases())
+        def check(case):
+            edet, kwargs, one_block = case
+            log.clear()
+            _ring_pair(edet, kwargs)
+            assert log == ["one block" if one_block else "sorted"]
+            paths.append(log[0])
+
+        check()
+        assert paths.count("one block") >= 10 and paths.count("sorted") >= 10, paths
+
+    def test_no_span_within_the_horizon(self, monkeypatch):
+        """Toggles, but no rise at or before the horizon: no span, no block."""
+        log = _log_block_paths(monkeypatch)
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(spanless_cases())
+        def check(case):
+            edet, kwargs = case
+            log.clear()
+            _ring_pair(edet, kwargs)
+            assert log == ["no span"]
+            settled, offsets, times = fast_engine._settled_spans(edet, **kwargs)
+            assert settled.size == 0 and times.size == 0 and offsets.tolist() == [0]
+
+        check()
 
     @pytest.mark.parametrize("skew", [0.0, 5.0e-12, 1.6 * STAGE_DELAY_S])
     @pytest.mark.parametrize("n_stages", [4, 6])
@@ -986,7 +1119,7 @@ class TestFastChannelRingBitIdentity:
 
         def reference_recurrence(edet_times, **kwargs):
             clock_t, clock_v = _ring_recurrence_reference(edet_times, **kwargs)
-            _, derived = fast_engine._clock_levels(len(clock_t))
+            derived = _derived_clock_values(len(clock_t))
             assert _bytes_equal(derived, np.asarray(clock_v, dtype=np.int64))
             calls.append(edet_times)
             return np.asarray(clock_t, dtype=float)
@@ -999,3 +1132,56 @@ class TestFastChannelRingBitIdentity:
         for name in ("edet", "clock", "dout"):
             edges = fast.trace(name).edges("any")
             assert _bytes_equal(edges, reference.trace(name).edges("any")), name
+
+
+def _reference_aligned_comparison(result):
+    """The previous timing alignment: mask the in-range decisions, then scatter."""
+    n_bits = int(result.transmitted_bits.size)
+    indices, values = result.decisions_per_bit()
+    decided = np.full(n_bits, -1, dtype=np.int64)
+    in_range = (indices >= 0) & (indices < n_bits)
+    decided[indices[in_range]] = values[in_range]
+    usable = slice(1, n_bits - 1)
+    return result.transmitted_bits[usable].astype(np.int64), decided[usable]
+
+
+@st.composite
+def decision_results(draw):
+    """Results with decisions in any order, before, inside and after the
+    stream, several to a bit."""
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_bits = draw(st.integers(1, 60))
+    bit_period = 4.0e-10
+    bits = stream.integers(0, 2, n_bits).astype(np.uint8)
+    start = draw(st.sampled_from([0.0, 1.6e-9]))
+    n_decisions = draw(st.integers(0, 2 * n_bits + 4))
+    times = start + stream.uniform(-3.0, n_bits + 3.0, n_decisions) * bit_period
+    if draw(st.booleans()):
+        times.sort()
+    return BehavioralSimulationResult(
+        config=CdrChannelConfig(),
+        transmitted_bits=bits,
+        stream=NrzEdgeStream(bits, np.zeros(0), np.zeros(0, dtype=np.int64), bit_period,
+                             start_time_s=start),
+        recorder=None,
+        sample_times_s=times,
+        sampled_bits=stream.integers(0, 2, n_decisions).astype(np.uint8),
+        duration_s=start + (n_bits + 4) * bit_period,
+    )
+
+
+class TestBerAlignmentBitIdentity:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(decision_results())
+    def test_alignment_matches_the_masked_scatter(self, result):
+        """``ber()`` and ``error_events()`` read the same per-bit decisions
+        as the masked scatter they replaced; the last decision in a bit wins."""
+        expected, decided = result._aligned_comparison()
+        reference_expected, reference_decided = _reference_aligned_comparison(result)
+        assert _bytes_equal(decided, reference_decided)
+        assert np.array_equal(expected, reference_expected)
+        mask = reference_decided != reference_expected
+        assert result.ber().errors == int(np.count_nonzero(mask))
+        assert result.ber().compared_bits == reference_expected.size
+        starts = np.flatnonzero(np.diff(np.concatenate(([False], mask)).astype(np.int8)) == 1)
+        assert result.error_events() == starts.size

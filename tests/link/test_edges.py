@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import telemetry
 from repro.datapath import JitterSpec, generate_edge_times, prbs_sequence, waveform_from_edges
@@ -16,6 +17,7 @@ from repro.link import (
     match_crossings_ui,
 )
 from repro.link.edges import MISSING_EDGE_DISPLACEMENT_UI
+from repro.link.memo import clear_link_memo
 
 
 class TestTransitionPositions:
@@ -134,6 +136,59 @@ class TestLinkPathTransmit:
         bits = np.array([0, 1, 1, 0, 1, 1, 1, 0], dtype=np.uint8)
         with pytest.raises(ValueError):
             path.transmit(bits, pattern_period=3)
+
+
+def _tiles_reference(bits: np.ndarray, pattern_period: int) -> bool:
+    """The previous tiling check: compare with the pattern resized to the stream."""
+    pattern = bits[:min(pattern_period, bits.size)]
+    return np.array_equal(bits, np.resize(pattern, bits.size))
+
+
+@st.composite
+def tiling_cases(draw):
+    """``(bits, pattern_period)``: a tiled stream, maybe with one bit flipped."""
+    pattern = draw(st.lists(st.integers(0, 1), min_size=1, max_size=9))
+    n_bits = draw(st.integers(1, 40))
+    bits = np.resize(np.array(pattern, dtype=np.uint8), n_bits)
+    if draw(st.booleans()):
+        bits[draw(st.integers(0, n_bits - 1))] ^= 1
+    return bits, draw(st.sampled_from([len(pattern), n_bits, n_bits + draw(st.integers(1, 5))]))
+
+
+class TestTransmitTilingCheck:
+    """``transmit(pattern_period=P)`` raises if and only if the bits do not
+    tile ``bits[:P]``, as the resize-and-compare oracle decides."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_memo(self):
+        yield
+        clear_link_memo()
+
+    @staticmethod
+    def _check(bits: np.ndarray, pattern_period: int) -> None:
+        path = LinkPath(LinkConfig())
+        if _tiles_reference(bits, pattern_period):
+            path.transmit(bits, pattern_period=pattern_period)
+        else:
+            with pytest.raises(ValueError, match="do not tile"):
+                path.transmit(bits, pattern_period=pattern_period)
+
+    @pytest.mark.parametrize("bits,pattern_period,tiles", [
+        ([0, 1, 1, 0, 1], 5, True),             # P = n
+        ([0, 1, 1, 0, 1], 8, True),             # P > n
+        ([0, 1, 1, 0, 1, 1, 0, 0], 3, False),   # only the last, partial period differs
+        ([0, 1, 1, 1, 1, 1, 0, 1, 1], 3, False),  # bit P differs
+    ], ids=["P_equals_n", "P_beyond_n", "last_partial_period", "bit_P"])
+    def test_named_cases(self, bits, pattern_period, tiles):
+        bits = np.array(bits, dtype=np.uint8)
+        assert _tiles_reference(bits, pattern_period) == tiles
+        self._check(bits, pattern_period)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tiling_cases())
+    @example((np.array([1, 0, 1, 1, 0, 1, 1], dtype=np.uint8), 3))
+    def test_raises_iff_the_oracle_finds_no_tiling(self, case):
+        self._check(*case)
 
     def test_lossy_channel_produces_ddj(self):
         bits = prbs_sequence(7)

@@ -271,6 +271,37 @@ class TestHistory:
         assert main(["--history", str(path)]) == 1
         assert "REGRESSION: stateye_vs_bittrue stateye_s 0.006s" in capsys.readouterr().out
 
+    def test_slower_short_points_are_flagged(self, tmp_path, capsys):
+        # The backend legs hold their time; the short-point grid reads 1.5x.
+        runs = [{**STEADY_LEGS, "short_point_s": 0.030}] * 3
+        runs.append({**STEADY_LEGS, "short_point_s": 0.045})
+        path = _ledger(tmp_path, runs, name="link_ber_vs_loss", probes_ms=[0.5] * 4,
+                       decimals=MICROSECONDS)
+        summary = history_summary(path)
+        entry = summary["benchmarks"]["link_ber_vs_loss"]
+        assert summary["regressions"] == ["link_ber_vs_loss"]
+        assert sorted(entry["metrics"]) == ["event_s", "fast_s", "short_point_s"]
+        assert (entry["metric"], entry["latest"], entry["median"]) == ("short_point_s", 0.045, 0.030)
+        assert main(["--history", str(path)]) == 1
+        assert "REGRESSION: link_ber_vs_loss short_point_s 0.045s" in capsys.readouterr().out
+
+    def test_entry_without_short_points_is_judged_as_before(self, tmp_path):
+        # Earlier records lack the field; so does the latest: only the legs count.
+        runs = [{**STEADY_LEGS, "short_point_s": 0.030}] * 3 + [_legs(0.400, 0.015)]
+        summary = history_summary(_ledger(tmp_path, runs, name="link_ber_vs_loss",
+                                           probes_ms=[0.5] * 4, decimals=MICROSECONDS))
+        entry = summary["benchmarks"]["link_ber_vs_loss"]
+        assert sorted(entry["metrics"]) == ["event_s", "fast_s"]
+        assert (entry["metric"], entry["regression"]) == ("fast_s", True)
+        steady = history_summary(_ledger(tmp_path, [STEADY_LEGS] * 4, name="link_ber_vs_loss",
+                                          probes_ms=[0.5] * 4, decimals=MICROSECONDS))
+        assert steady["regressions"] == []
+        assert "short_point_s" not in steady["benchmarks"]["link_ber_vs_loss"]["metrics"]
+
+    def test_history_entry_keeps_short_point_seconds(self):
+        link = {**STEADY_LEGS, "short_point_s": 0.03, "short_point_grid_points": 64}
+        assert history_entry(link) == {**STEADY_LEGS, "short_point_s": 0.03}
+
     def test_faster_event_leg_is_not_a_regression(self, tmp_path):
         # The speedup falls 1.3x, below the 0.8 tolerance, but no leg got slower.
         runs = [STEADY_LEGS] * 3 + [_legs(0.400 / 1.3, 0.010)]
