@@ -29,9 +29,10 @@ output.  Instead of dispatching per-edge events through the
   the next EDET toggle or the run horizon.
 * Every EDET rise that finds the ring quiescent restarts it from the same
   state, so the gate-high spans are independent: :func:`_settled_spans`
-  advances all of them together, one sequential ``np.add.accumulate`` row
-  per span, and the loop fast-forwards over each run of spans whose
-  outcome it proves (see PERFORMANCE.md).
+  advances all of them together — a short run's spans as the rows of one
+  ``np.add.accumulate`` matrix, a longer run's column by column over the
+  spans sorted longest first — and the loop fast-forwards over each run
+  of spans whose outcome it proves (see PERFORMANCE.md).
 * The decision flip-flop samples the delayed data at every rising clock
   edge, so the decisions are one ``searchsorted`` away.
 
@@ -103,9 +104,18 @@ def _drop_coincident(times: np.ndarray, *companions: np.ndarray) -> tuple[np.nda
     return (times[keep], *[c[keep] for c in companions])
 
 
-#: Stage-0 changes per block of :func:`_settled_spans`: bounds its
-#: (spans x increments) matrix to a few MB, however long the run.
+#: Stage-0 changes of the one-block path of :func:`_settled_spans`: up to
+#: this many, its (spans x changes) matrix is one row-wise accumulate.
 _BLOCK_CHANGES = 1 << 12
+
+#: Spans still running when the column pass of :func:`_settled_spans`
+#: hands them to row-wise slabs: for fewer rows, a column's numpy call
+#: costs more than its adds.
+_TALL_ROWS = 64
+
+#: Cells of one row-wise slab of the column pass: bounds that matrix,
+#: however long a run of identical digits.
+_SLAB_CELLS = 1 << 16
 
 
 def _settled_spans(
@@ -129,7 +139,7 @@ def _settled_spans(
     an odd inverter chain free-runs: the stage-0 changes ``A_j`` alternate
     rise, fall, ... with feedback ``F_j = A_j + t_stage + ... + t_stage``
     and ``A_{j+1} = F_j + t_feedback``.  Each span's times are one
-    sequential IEEE sum, taken here as one ``np.add.accumulate`` row, so
+    sequential IEEE sum, taken here in the recurrence's own order, so
     they are the recurrence's own adds.  With ``J`` the first ``j`` with
     ``F_j > d`` and ``D = d + t_gate``, a span is *settled* when
 
@@ -147,14 +157,19 @@ def _settled_spans(
     the last change was a rise, and leaves the ring quiescent.
 
     ``J`` is estimated from the span length and then checked against the
-    row (``F_{J-1} < d < F_J``); a wrong estimate leaves the span
-    unsettled.  The rows of a block are as wide as its longest span, and
-    a block holds at most :data:`_BLOCK_CHANGES` changes.  When every span
-    fits one block (``n_spans * (max J + 1) <= _BLOCK_CHANGES``, a short
-    run's usual case) the rows stay in time order; otherwise the spans
-    are sorted by the estimate, so the rows of a block have about the
-    same length, and the blocks' taps are gathered back into time order.
-    Rows never mix, so both paths give the same bytes.
+    ring (``F_{J-1} < d < F_J``); a wrong estimate leaves the span
+    unsettled.  When every span fits one block (``n_spans * (max J + 1)
+    <= _BLOCK_CHANGES``, a short run's usual case) the spans are the rows
+    of one matrix in time order, as wide as the widest, taken by one
+    ``np.add.accumulate(axis=1)``.  Longer runs take the column pass: the
+    spans are sorted longest first, so the rows still running at change
+    ``q`` are a prefix, and each column of the recurrence is one in-place
+    add over that prefix — the adds of a row's accumulate, in its order,
+    with nothing padded.  Once at most :data:`_TALL_ROWS` rows run (long
+    runs of identical digits), they finish in row-wise slabs of at most
+    :data:`_SLAB_CELLS` cells.  Each change's taps are kept as one column
+    and scattered into time order once the spans' outcomes give their
+    offsets.  Rows never mix, so both paths give the same bytes.
 
     Returns ``(settled, offsets, times)``: one flag per span whose next
     rise is within *duration_s*, and the clock-tap times of the settled
@@ -177,97 +192,141 @@ def _settled_spans(
 
     n_inverters = n_stages - 1
     tap = n_stages - 2 if improved_tap else n_inverters
-    # The forced fall's trip through the inverter chain.
-    chain = [forced_at]
-    for _hop in range(n_inverters):
-        chain.append(chain[-1] + t_stage)
+    # The forced fall's trip through the inverter chain: its tap and feedback.
+    fall_feedback = forced_at
+    for hop in range(1, n_stages):
+        fall_feedback = fall_feedback + t_stage
+        if hop == tap:
+            fall_tap = fall_feedback
 
     period = n_inverters * t_stage + t_feedback
-    estimate = np.maximum((falls - starts - n_inverters * t_stage) / period + 1.0, 0.0)
+    j = np.maximum((falls - starts - n_inverters * t_stage) / period + 1.0,
+                   0.0).astype(np.int64)
+    widest = int(j.max()) + 1
+    offsets = np.zeros(n_spans + 1, dtype=np.int64)
 
-    def block(spans, j: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(settled, tap counts, tap times)`` of the spans *spans*, one row each."""
-        rows = j.size
-        fall, fall_at = falls[spans], forced_at[spans]
+    def outcome(a_j: np.ndarray, f_j: np.ndarray,
+                f_before: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(settled, changes, forced fall)`` of every span, in time order,
+        from its ``A_J``, ``F_J`` and ``F_{J-1}``."""
+        emit_j = a_j < forced_at
+        n_changes = j + emit_j
+        forced = n_changes & 1
+        last_feedback = np.where(forced, fall_feedback, np.where(emit_j, f_j, -_INF))
+        # On booleans, a <= b reads "a implies b": condition (ii).
+        settled = (around
+                   & ((j == 0) | (f_before < falls)) & (falls < f_j)
+                   & (a_j != falls) & (a_j != forced_at)
+                   & (emit_j <= (forced_at < f_j + t_feedback))
+                   & (last_feedback < rises))
+        return settled, n_changes, forced
 
+    if n_spans * widest <= _BLOCK_CHANGES:
         # Row k: S_k, then t_stage x n_inverters, t_feedback, t_stage, ...
         # One change past the widest row leaves room for the forced fall.
-        columns = (width + 1) * n_stages
-        ring = np.empty((rows, columns))
+        columns = (widest + 1) * n_stages
+        ring = np.empty((n_spans, columns))
         ring.fill(t_stage)
         if t_feedback != t_stage:
             ring[:, n_stages::n_stages] = t_feedback
-        ring[:, 0] = starts[spans]
+        ring[:, 0] = starts
         ring = np.add.accumulate(ring, axis=1, out=ring).reshape(-1)
 
         # A_J, F_J and F_{J-1} (the previous row's last time when J = 0, unread).
-        row_at = np.arange(0, rows * columns, columns)
+        row_at = np.arange(0, n_spans * columns, columns)
         at_j = row_at + j * n_stages
-        a_j = ring[at_j]
-        f_j = ring[at_j + n_inverters]
-        f_before = ring[at_j - 1]
-        emit_j = a_j < fall_at
-        n_changes = j + emit_j
-        forced = n_changes & 1
-        last_feedback = np.where(forced, chain[n_inverters][spans],
-                                 np.where(emit_j, f_j, -_INF))
-
-        # On booleans, a <= b reads "a implies b": condition (ii).
-        ok = (around[spans]
-              & ((j == 0) | (f_before < fall)) & (fall < f_j)
-              & (a_j != fall) & (a_j != fall_at)
-              & (emit_j <= (fall_at < f_j + t_feedback))
-              & (last_feedback < rises[spans]))
-
+        settled, n_changes, forced = outcome(ring[at_j], ring[at_j + n_inverters],
+                                             ring[at_j - 1])
         # The forced fall's tap follows the row's last change; span k's
         # taps are then changes 0 .. count - 1 of row k at the tap.
-        ring[at_j + (emit_j * n_stages + tap)] = chain[tap][spans]
-        count = np.where(ok, n_changes + forced, 0)
-        taps = ring.reshape(rows, width + 1, n_stages)[:, :, tap]
-        return ok, count, taps[np.arange(width + 1) < count[:, None]]
-
-    j = estimate.astype(np.int64)
-    widest = int(j.max()) + 1
-    offsets = np.zeros(n_spans + 1, dtype=np.int64)
-    if n_spans * widest <= _BLOCK_CHANGES:
-        # One block: its rows are the spans in time order.
-        settled, counts, times = block(slice(None), j, widest)
+        ring[row_at + (n_changes * n_stages + tap)] = fall_tap
+        counts = np.where(settled, n_changes + forced, 0)
         np.add.accumulate(counts, out=offsets[1:])
-        return settled, offsets, times
+        taps = ring.reshape(n_spans, widest + 1, n_stages)[:, :, tap]
+        return settled, offsets, taps[np.arange(widest + 1) < counts[:, None]]
 
-    # A 16-bit key sorts fast; the cumulative maximum below keeps block
-    # widths right past its range.
-    order = np.argsort(np.minimum(estimate, 0x7FFF).astype(np.int16), kind="stable")
-    j = j[order]
+    # Longest first: the rows still running at change q (J >= q) are the
+    # first running[q].  A 16-bit key sorts fast.
+    order = np.argsort(-(j.astype(np.int16) if widest <= 0x7FFF else j), kind="stable")
+    running = np.zeros(widest + 2, dtype=np.int64)
+    running[:widest] = np.bincount(j)[::-1].cumsum()[::-1]
+    n_columns = int(np.count_nonzero(running > _TALL_ROWS))
 
-    oks, n_taps, values = [], [], []
-    first = 0
-    while first < n_spans:
-        # Rows hold changes 0..J: as many rows as fit _BLOCK_CHANGES at
-        # the block's widest row.
-        changes = np.maximum.accumulate(j[first:first + _BLOCK_CHANGES] + 1)
-        rows = max(1, int(np.count_nonzero(
-            changes * np.arange(1, changes.size + 1) <= _BLOCK_CHANGES)))
-        ok, count, taps = block(order[first:first + rows], j[first:first + rows],
-                                int(changes[rows - 1]))
-        oks.append(ok)
-        n_taps.append(count)
-        values.append(taps)
-        first += rows
+    # F_{J-1} of a span with J = 0 is never read; zero keeps it defined.
+    a_j, f_j, f_before = np.empty(n_spans), np.empty(n_spans), np.zeros(n_spans)
+    ring = starts[order]
+    # The column pass: ring[:rows] holds A_q of the rows still running,
+    # and store[column_at[q]:column_at[q + 1]] their taps of change q.
+    column_at = np.zeros(n_columns + 1, dtype=np.int64)
+    np.cumsum(running[:n_columns], out=column_at[1:])
+    store = np.empty(int(column_at[-1]))
+    running, column_at = running.tolist(), column_at.tolist()
+    for q in range(n_columns):
+        rows, ending, next_ending = running[q:q + 3]
+        # Rows ending .. rows - 1 have J = q, rows next_ending .. ending - 1 J = q + 1.
+        a_j[order[ending:rows]] = ring[ending:rows]
+        value = ring[:rows]
+        for stage in range(1, n_stages):
+            out = store[column_at[q]:column_at[q + 1]] if stage == tap else ring[:rows]
+            np.add(value, t_stage, out=out)
+            value = out
+        f_j[order[ending:rows]] = value[ending:rows]
+        f_before[order[next_ending:ending]] = value[next_ending:ending]
+        np.add(value[:ending], t_feedback, out=ring[:ending])
 
-    # The blocks' taps are in sorted-span order: gather them into time order.
-    settled = np.empty(n_spans, dtype=bool)
-    settled[order] = np.concatenate(oks)
-    sorted_counts = np.concatenate(n_taps)
-    counts = np.empty(n_spans, dtype=np.int64)
-    counts[order] = sorted_counts
-    values = np.concatenate(values)
-    sorted_starts = np.empty(n_spans, dtype=np.int64)
-    sorted_starts[order] = np.cumsum(sorted_counts) - sorted_counts
-    np.cumsum(counts, out=offsets[1:])
-    times = values[np.repeat(sorted_starts - offsets[:-1], counts)
-                   + np.arange(offsets[-1])]
-    return settled, offsets, times
+    # The tall rows: slab[r, c] is column q * n_stages + c of row r, from
+    # A_q at c = 0 to A_{q+k} at c = k * n_stages.
+    tall = []
+    q = n_columns
+    while q < widest:
+        rows = running[q]
+        k = min(widest - q, max(1, _SLAB_CELLS // (rows * n_stages)))
+        width = k * n_stages + 1
+        slab = np.empty((rows, width))
+        slab.fill(t_stage)
+        if t_feedback != t_stage:
+            slab[:, n_stages::n_stages] = t_feedback
+        slab[:, 0] = ring[:rows]
+        np.add.accumulate(slab, axis=1, out=slab)
+        cells = slab.reshape(-1)
+        # J in [q, q + k): A_J and F_J; J in [q + 1, q + k]: F_{J-1}.
+        ending, first = running[q + k], running[q + k + 1]
+        spans = order[ending:rows]
+        at_j = np.arange(ending * width, rows * width, width) + (j[spans] - q) * n_stages
+        a_j[spans] = cells[at_j]
+        f_j[spans] = cells[at_j + n_inverters]
+        spans = order[first:running[q + 1]]
+        f_before[spans] = cells[np.arange(first * width, running[q + 1] * width, width)
+                                + ((j[spans] - q) * n_stages - 1)]
+        tall.append((q, slab[:, tap:k * n_stages:n_stages].copy()))
+        ring[:ending] = slab[:ending, -1]
+        q += k
+
+    settled, n_changes, forced = outcome(a_j, f_j, f_before)
+    # Free the per-span inputs: the output stage holds the most memory.
+    del starts, ring, a_j, f_j, f_before
+    ring_counts = np.where(settled, n_changes, 0)
+    forced &= settled
+    np.cumsum(ring_counts + forced, out=offsets[1:])
+    total = int(offsets[-1])
+    # Change q of sorted row r goes to at[r] + q.  A slab's taps past a
+    # row's count are masked out.  A column's only tap past its row's
+    # count is a cancelled A_J, at q = J: it lands on the span's forced
+    # fall, on the next counted span's change 0 or on the spare tail, and
+    # the forced falls and change 0 are written after it, changes last
+    # first.  A span with no tap writes only to the spare tail.
+    times = np.empty(total + n_columns)
+    at = np.where(ring_counts > 0, offsets[:-1], total)[order]
+    for q, taps in tall:
+        rows, k = taps.shape
+        change = np.arange(q, q + k)
+        keep = change < ring_counts[order[:rows], None]
+        times[(at[:rows, None] + change)[keep]] = taps[keep]
+    for q in range(n_columns - 1, -1, -1):
+        times[at[:running[q]] + q] = store[column_at[q]:column_at[q + 1]]
+    forced = forced.astype(bool)
+    times[offsets[:-1][forced] + n_changes[forced]] = fall_tap[forced]
+    return settled, offsets, times[:total]
 
 
 def _ring_recurrence(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import require_non_negative, require_positive
+from .._validation import require_finite, require_non_negative, require_positive
 
 __all__ = [
     "Pdf",
@@ -218,6 +218,7 @@ def _symmetric_grid(half_span: float, step: float) -> np.ndarray:
 
 def delta_pdf(value: float = 0.0, step: float = DEFAULT_GRID_STEP_UI) -> Pdf:
     """A (discretised) Dirac delta at *value* — used for 'no jitter' components."""
+    require_finite("value", value)
     require_positive("step", step)
     grid = np.array([value - step, value, value + step], dtype=float)
     density = np.array([0.0, 1.0 / step, 0.0])
@@ -227,6 +228,7 @@ def delta_pdf(value: float = 0.0, step: float = DEFAULT_GRID_STEP_UI) -> Pdf:
 def uniform_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
                 centre: float = 0.0) -> Pdf:
     """Uniform density of the given peak-to-peak span (deterministic jitter)."""
+    require_finite("centre", centre)
     require_non_negative("peak_to_peak", peak_to_peak)
     require_positive("step", step)
     if peak_to_peak == 0.0:
@@ -244,6 +246,7 @@ def gaussian_pdf(sigma: float, step: float = DEFAULT_GRID_STEP_UI,
     The grid extends to ``n_sigma`` standard deviations; 10 sigma keeps the
     truncated tail below ~1e-23, far under the 1e-12 BER target.
     """
+    require_finite("centre", centre)
     require_non_negative("sigma", sigma)
     require_positive("step", step)
     if sigma == 0.0:
@@ -261,6 +264,7 @@ def sinusoidal_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
     A sampled sinusoid ``(A/2)·sin(θ)`` with uniformly random phase has the
     arcsine ("bathtub-shaped") density ``1/(π·sqrt((A/2)² - x²))``.
     """
+    require_finite("centre", centre)
     require_non_negative("peak_to_peak", peak_to_peak)
     require_positive("step", step)
     if peak_to_peak == 0.0:
@@ -285,6 +289,7 @@ def dual_dirac_pdf(separation: float, step: float = DEFAULT_GRID_STEP_UI,
     This is the standard model for data-dependent deterministic jitter used by
     jitter-decomposition methods.
     """
+    require_finite("centre", centre)
     require_non_negative("separation", separation)
     require_positive("step", step)
     if separation == 0.0:

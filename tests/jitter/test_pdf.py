@@ -1,5 +1,7 @@
 """Tests for the numerical PDF algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,13 +288,23 @@ class TestBuiltPdfsRevalidate:
         for pdf in built:
             _assert_revalidates(pdf)
 
-    @pytest.mark.parametrize("centre", [float("nan"), float("inf"), 1.0e20])
+    @pytest.mark.parametrize("centre", [float("nan"), float("inf"), -float("inf"), 1.0e20])
     def test_constructors_reject_a_centre_without_a_grid(self, centre):
-        # NaN and infinite centres give a NaN grid, and at 1e20 the step is
-        # lost to rounding: the public checks still see every caller's grid.
-        with pytest.raises(ValueError):
-            delta_pdf(centre)
-        with pytest.raises(ValueError):
-            uniform_pdf(0.2, centre=centre)
-        with pytest.raises(ValueError):
-            gaussian_pdf(0.02, centre=centre)
+        # A NaN or infinite centre is rejected by name before any grid
+        # arithmetic; at 1e20 the step is lost to rounding, and the grid
+        # checks still catch it.
+        finite = np.isfinite(centre)
+        constructors = [
+            ("value", lambda: delta_pdf(centre)),
+            ("centre", lambda: uniform_pdf(0.2, centre=centre)),
+            ("centre", lambda: gaussian_pdf(0.02, centre=centre)),
+            ("centre", lambda: sinusoidal_pdf(0.2, centre=centre)),
+            ("centre", lambda: dual_dirac_pdf(0.2, centre=centre)),
+        ]
+        for name, build in constructors:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError) as raised:
+                    build()
+            if not finite:
+                assert str(raised.value).startswith(f"{name} must be finite")

@@ -20,8 +20,14 @@ whose settled gate-high spans the bulk step takes and whose unsettled
 ones it hands to the scalar loop and back, on streams at the settled-span
 step's one-block bound and one change past it (each path counted), on
 streams with no span, and on whole
-``FastCdrChannel`` runs.  ``ber()``'s timing alignment is pinned against
-the masked scatter it replaced.  Whole-channel
+``FastCdrChannel`` runs.  The settled-span step's column pass is pinned
+against the row-major sorted blocks it replaced
+(``_settled_spans_reference``): on runs of 30 to 80 identical digits,
+whose tall rows finish in row-wise slabs, at one slab's bound and one
+change past it, and with a feedback input slower than the gating input;
+one pass on a 400 000-bit stream must hold no matrix of every span.
+``ber()``'s timing alignment is pinned against the masked scatter it
+replaced.  Whole-channel
 comparisons monkeypatch the reference loop in, on an empty link memo, and
 assert it ran — a memoized displacement table would skip it.  These tests
 byte-compare arrays (``.tobytes()``), not approximately.  The event
@@ -31,6 +37,7 @@ draws — lives in ``test_event_kernel_oracle.py``.
 
 import importlib.util
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +47,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cdr_channel import BehavioralCdrChannel, BehavioralSimulationResult
 from repro.core.config import CdrChannelConfig
-from repro.datapath.nrz import JitterSpec, NrzEdgeStream
+from repro.datapath.nrz import JitterSpec, NrzEdgeStream, generate_edge_times
 from repro.datapath.prbs import prbs_sequence
 from repro.events.kernel import Simulator
 from repro.experiments import ParameterAxis, ScenarioSpec, StimulusSpec, run_grid
@@ -698,6 +705,138 @@ def _ring_recurrence_reference(
     return clock_t, clock_v
 
 
+#: Stage-0 changes per block of the settled-span oracle.
+_REFERENCE_BLOCK_CHANGES = 1 << 12
+
+
+def _settled_spans_reference(
+    edet,
+    *,
+    t_gate,
+    t_feedback,
+    t_stage,
+    duration_s,
+    n_stages,
+    improved_tap,
+):
+    """The settled-span oracle: row-major blocks, spans sorted into blocks.
+
+    One ``np.add.accumulate(axis=1)`` row per span, every row of a block
+    padded to its widest; when the spans do not fit one block they are
+    sorted by their estimate into blocks of at most
+    ``_REFERENCE_BLOCK_CHANGES`` changes and the blocks' taps gathered
+    back into time order.
+    """
+    rises = edet[1::2]
+    n_spans = int(rises.searchsorted(duration_s, side="right"))
+    if n_spans == 0:
+        return np.zeros(0, dtype=bool), np.zeros(1, dtype=np.int64), np.zeros(0)
+    rises = rises[:n_spans]
+    falls = edet[0:2 * n_spans:2]
+    starts = np.empty(n_spans)
+    starts[0] = 0.0 + t_feedback
+    np.add(rises[:-1], t_gate, out=starts[1:])
+    forced_at = falls + t_gate
+    # The toggles are sorted, so every rise kept is within duration_s;
+    # ties around a span leave it unsettled.
+    around = falls < rises
+    around[1:] &= rises[:-1] < falls[1:]
+
+    n_inverters = n_stages - 1
+    tap = n_stages - 2 if improved_tap else n_inverters
+    # The forced fall's trip through the inverter chain.
+    chain = [forced_at]
+    for _hop in range(n_inverters):
+        chain.append(chain[-1] + t_stage)
+
+    period = n_inverters * t_stage + t_feedback
+    estimate = np.maximum((falls - starts - n_inverters * t_stage) / period + 1.0, 0.0)
+
+    def block(spans, j: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(settled, tap counts, tap times)`` of the spans *spans*, one row each."""
+        rows = j.size
+        fall, fall_at = falls[spans], forced_at[spans]
+
+        # Row k: S_k, then t_stage x n_inverters, t_feedback, t_stage, ...
+        # One change past the widest row leaves room for the forced fall.
+        columns = (width + 1) * n_stages
+        ring = np.empty((rows, columns))
+        ring.fill(t_stage)
+        if t_feedback != t_stage:
+            ring[:, n_stages::n_stages] = t_feedback
+        ring[:, 0] = starts[spans]
+        ring = np.add.accumulate(ring, axis=1, out=ring).reshape(-1)
+
+        # A_J, F_J and F_{J-1} (the previous row's last time when J = 0, unread).
+        row_at = np.arange(0, rows * columns, columns)
+        at_j = row_at + j * n_stages
+        a_j = ring[at_j]
+        f_j = ring[at_j + n_inverters]
+        f_before = ring[at_j - 1]
+        emit_j = a_j < fall_at
+        n_changes = j + emit_j
+        forced = n_changes & 1
+        last_feedback = np.where(forced, chain[n_inverters][spans],
+                                 np.where(emit_j, f_j, -np.inf))
+
+        # On booleans, a <= b reads "a implies b": condition (ii).
+        ok = (around[spans]
+              & ((j == 0) | (f_before < fall)) & (fall < f_j)
+              & (a_j != fall) & (a_j != fall_at)
+              & (emit_j <= (fall_at < f_j + t_feedback))
+              & (last_feedback < rises[spans]))
+
+        # The forced fall's tap follows the row's last change; span k's
+        # taps are then changes 0 .. count - 1 of row k at the tap.
+        ring[at_j + (emit_j * n_stages + tap)] = chain[tap][spans]
+        count = np.where(ok, n_changes + forced, 0)
+        taps = ring.reshape(rows, width + 1, n_stages)[:, :, tap]
+        return ok, count, taps[np.arange(width + 1) < count[:, None]]
+
+    j = estimate.astype(np.int64)
+    widest = int(j.max()) + 1
+    offsets = np.zeros(n_spans + 1, dtype=np.int64)
+    if n_spans * widest <= _REFERENCE_BLOCK_CHANGES:
+        # One block: its rows are the spans in time order.
+        settled, counts, times = block(slice(None), j, widest)
+        np.add.accumulate(counts, out=offsets[1:])
+        return settled, offsets, times
+
+    # A 16-bit key sorts fast; the cumulative maximum below keeps block
+    # widths right past its range.
+    order = np.argsort(np.minimum(estimate, 0x7FFF).astype(np.int16), kind="stable")
+    j = j[order]
+
+    oks, n_taps, values = [], [], []
+    first = 0
+    while first < n_spans:
+        # Rows hold changes 0..J: as many rows as fit
+        # _REFERENCE_BLOCK_CHANGES at the block's widest row.
+        changes = np.maximum.accumulate(j[first:first + _REFERENCE_BLOCK_CHANGES] + 1)
+        rows = max(1, int(np.count_nonzero(
+            changes * np.arange(1, changes.size + 1) <= _REFERENCE_BLOCK_CHANGES)))
+        ok, count, taps = block(order[first:first + rows], j[first:first + rows],
+                                int(changes[rows - 1]))
+        oks.append(ok)
+        n_taps.append(count)
+        values.append(taps)
+        first += rows
+
+    # The blocks' taps are in sorted-span order: gather them into time order.
+    settled = np.empty(n_spans, dtype=bool)
+    settled[order] = np.concatenate(oks)
+    sorted_counts = np.concatenate(n_taps)
+    counts = np.empty(n_spans, dtype=np.int64)
+    counts[order] = sorted_counts
+    values = np.concatenate(values)
+    sorted_starts = np.empty(n_spans, dtype=np.int64)
+    sorted_starts[order] = np.cumsum(sorted_counts) - sorted_counts
+    np.cumsum(counts, out=offsets[1:])
+    times = values[np.repeat(sorted_starts - offsets[:-1], counts)
+                   + np.arange(offsets[-1])]
+    return settled, offsets, times
+
+
 #: Stage delay of the paper's 2.5 GHz four-stage ring.
 STAGE_DELAY_S = 50.0e-12
 
@@ -761,7 +900,7 @@ def tie_cases(draw):
 
 
 @st.composite
-def long_ring_cases(draw):
+def long_ring_cases(draw, cid_runs=False):
     """Long EDET streams: PRBS-like gate-high spans with unsettled ones mixed in.
 
     Every data edge makes a fall and, one EDET-low time later, a rise; the
@@ -771,9 +910,12 @@ def long_ring_cases(draw):
     the ring drains.  Toggles are then moved onto the oracle's feedback
     and stage-0 apply times, or one float step off them, and the horizon
     may cut inside a span.  The stream itself comes from a drawn seed, so
-    hundreds of toggles cost one draw.
+    hundreds of toggles cost one draw.  With *cid_runs*, a drawn share of
+    the runs last 30 to 80 unit intervals (consecutive identical digits),
+    so only a few spans are still running at the end of the column pass,
+    and the feedback delay may differ from the stage delay.
     """
-    kwargs = draw(ring_kwargs())
+    kwargs = draw(feedback_kwargs() if cid_runs else ring_kwargs())
     stage = kwargs["t_stage"]
     unit = 2 * kwargs["n_stages"] * stage
     unsettled_rate = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
@@ -781,6 +923,9 @@ def long_ring_cases(draw):
     n_edges = draw(st.integers(100, 250))
 
     runs = np.minimum(stream.geometric(0.5, n_edges), 7)
+    if cid_runs:
+        long_rate = draw(st.sampled_from([0.02, 0.05, 0.1]))
+        runs = np.where(stream.random(n_edges) < long_rate, stream.integers(30, 81, n_edges), runs)
     low = stream.uniform(0.55, 0.8, n_edges) * unit
     high = runs * unit - low
     kind = np.where(stream.random(n_edges) < unsettled_rate, stream.integers(1, 5, n_edges), 0)
@@ -874,41 +1019,83 @@ AT_BLOCK_BOUND = ((256, 16), (512, 8), (128, 32), (1024, 4))
 OVER_BLOCK_BOUND = ((241, 17), (17, 241))
 
 
+def _edet_for_estimates(kwargs, estimates, early, stream):
+    """EDET whose span ``k`` has the estimate ``estimates[k]``.
+
+    Each span's fall lies half a ring period past the feedback that makes
+    its estimate ``J``, so rounding cannot move the estimate.  Where
+    *early* is set, the next rise comes before the forced fall's
+    feedback, which leaves that span to the scalar loop.
+    """
+    t_stage, t_feedback, t_gate = kwargs["t_stage"], kwargs["t_feedback"], kwargs["t_gate"]
+    n_inverters = kwargs["n_stages"] - 1
+    period = n_inverters * t_stage + t_feedback
+    drained = t_gate + n_inverters * t_stage
+    lows = drained * np.where(early, stream.uniform(0.2, 0.9, early.size),
+                              stream.uniform(1.05, 1.5, early.size))
+    edet = []
+    start = 0.0 + t_feedback
+    for estimate, low in zip(np.asarray(estimates).tolist(), lows.tolist()):
+        fall = start + n_inverters * t_stage + (estimate - 0.5) * period
+        rise = fall + low
+        edet += [fall, rise]
+        start = rise + t_gate
+    return np.array(edet)
+
+
+@st.composite
+def feedback_kwargs(draw):
+    """Recurrence keyword arguments whose feedback delay may differ from
+    the stage delay."""
+    kwargs = draw(ring_kwargs())
+    kwargs["t_feedback"] = kwargs["t_stage"] * draw(st.sampled_from([1.0, 1.1, 0.93]))
+    return kwargs
+
+
 @st.composite
 def block_bound_cases(draw):
     """EDET whose spans put ``n_spans * widest`` at the one-block bound or one
     change over it: ``(edet, recurrence kwargs, fits one block)``.
 
-    Each span's fall lies half a ring period past the feedback that makes
-    its estimate ``J``, so rounding cannot move the estimate, and one span
-    takes the widest ``J``.  The feedback delay may differ from the stage
-    delay.  At a drawn rate a rise comes before the forced fall's feedback,
-    which leaves that span to the scalar loop.
+    One span takes the widest ``J``; at a drawn rate a span is left to the
+    scalar loop (:func:`_edet_for_estimates`).
     """
-    kwargs = draw(ring_kwargs())
-    kwargs["t_feedback"] = kwargs["t_stage"] * draw(st.sampled_from([1.0, 1.1, 0.93]))
+    kwargs = draw(feedback_kwargs())
     one_block = draw(st.booleans())
     n_spans, widest = draw(st.sampled_from(AT_BLOCK_BOUND if one_block else OVER_BLOCK_BOUND))
-    t_stage, t_feedback, t_gate = kwargs["t_stage"], kwargs["t_feedback"], kwargs["t_gate"]
-    n_inverters = kwargs["n_stages"] - 1
-    period = n_inverters * t_stage + t_feedback
-    drained = t_gate + n_inverters * t_stage
-
     stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     estimates = stream.integers(0, widest, n_spans)
     estimates[stream.integers(n_spans)] = widest - 1
     early = stream.random(n_spans) < draw(st.sampled_from([0.0, 0.05]))
-    lows = drained * np.where(early, stream.uniform(0.2, 0.9, n_spans),
-                              stream.uniform(1.05, 1.5, n_spans))
-    edet = []
-    start = 0.0 + t_feedback
-    for estimate, low in zip(estimates.tolist(), lows.tolist()):
-        fall = start + n_inverters * t_stage + (estimate - 0.5) * period
-        rise = fall + low
-        edet += [fall, rise]
-        start = rise + t_gate
+    edet = _edet_for_estimates(kwargs, estimates, early, stream)
     duration = edet[-1] + draw(st.floats(0.0, 4.0e-9))
-    return np.array(edet), {**kwargs, "duration_s": duration}, one_block
+    return edet, {**kwargs, "duration_s": duration}, one_block
+
+
+@st.composite
+def slab_bound_cases(draw):
+    """EDET whose tall spans fill the column pass's first row-wise slab
+    exactly, or one change past it: ``(edet, kwargs, slabs)``.
+
+    At least 65 short spans take ``J = s`` and up to ``_TALL_ROWS`` tall
+    spans a larger ``J``, so ``T`` tall rows are left at change ``s + 1``
+    and a slab holds ``k = _SLAB_CELLS // (T * n_stages)`` changes; the
+    widest tall span takes ``J = s + k`` (one slab) or ``s + k + 1`` (two).
+    """
+    kwargs = draw(feedback_kwargs())
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    short = draw(st.integers(0, 3))
+    n_tall = draw(st.sampled_from([fast_engine._TALL_ROWS, 40]))
+    per_slab = fast_engine._SLAB_CELLS // (n_tall * kwargs["n_stages"])
+    slabs = draw(st.sampled_from([1, 2]))
+    tallest = short + per_slab + slabs - 1
+    tall = stream.integers(short + 1, tallest + 1, n_tall)
+    tall[0] = tallest
+    estimates = np.concatenate((np.full(65, short), stream.integers(0, short + 1, 40), tall))
+    estimates = stream.permutation(estimates)
+    early = stream.random(estimates.size) < draw(st.sampled_from([0.0, 0.05]))
+    edet = _edet_for_estimates(kwargs, estimates, early, stream)
+    return edet, {**kwargs, "duration_s": float(edet[-1])}, slabs
 
 
 @st.composite
@@ -920,9 +1107,10 @@ def spanless_cases(draw):
     return edet, {**draw(ring_kwargs()), "duration_s": duration}
 
 
-class _SortLog:
-    """Numpy, as the engine sees it, logging each sort: of the two
-    ``_settled_spans`` paths, only the sorted multi-block one sorts."""
+class _NumpyLog:
+    """Numpy, as the engine sees it, logging each sort and each 2-D
+    ``empty``: of the ``_settled_spans`` paths, only the column pass sorts,
+    and its tall rows take one 2-D slab each."""
 
     def __init__(self, log: list) -> None:
         self._log = log
@@ -934,22 +1122,41 @@ class _SortLog:
         self._log.append("argsort")
         return np.argsort(*args, **kwargs)
 
+    def empty(self, shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 2:
+            self._log.append("matrix")
+        return np.empty(shape, *args, **kwargs)
+
 
 def _log_block_paths(monkeypatch) -> list:
     """Patch the engine to log the path of each ``_settled_spans`` call:
-    ``"no span"``, ``"one block"`` or ``"sorted"``; return the log."""
-    log, sorts = [], []
-    monkeypatch.setattr(fast_engine, "np", _SortLog(sorts))
+    ``"no span"``, ``"one block"`` or ``"columns"`` followed by one
+    ``"slab"`` per row-wise slab of its tall rows; return the log."""
+    log, calls = [], []
+    monkeypatch.setattr(fast_engine, "np", _NumpyLog(calls))
     settled_spans = fast_engine._settled_spans
 
     def logged(edet, **kwargs):
-        sorts.clear()
+        calls.clear()
         settled, offsets, times = settled_spans(edet, **kwargs)
-        log.append("no span" if settled.size == 0 else "sorted" if sorts else "one block")
+        if settled.size == 0:
+            log.append("no span")
+        elif "argsort" in calls:
+            log.append(("columns", *["slab"] * calls.count("matrix")))
+        else:
+            log.append("one block")
         return settled, offsets, times
 
     monkeypatch.setattr(fast_engine, "_settled_spans", logged)
     return log
+
+
+def _settled_pair(edet, kwargs):
+    """``_settled_spans`` and its sorted-block oracle agree byte for byte."""
+    live = fast_engine._settled_spans(edet, **kwargs)
+    reference = _settled_spans_reference(edet, **kwargs)
+    for array, expected in zip(live, reference):
+        assert _bytes_equal(array, expected)
 
 
 def _derived_clock_values(count):
@@ -1025,10 +1232,10 @@ class TestRingRecurrenceBitIdentity:
 
     def test_both_block_paths_at_the_block_bound(self, monkeypatch):
         """Up to ``n_spans * widest == _BLOCK_CHANGES`` every span fits one
-        block in time order; one change over, the spans are sorted into
-        blocks.  Both paths match the oracle."""
+        block in time order; one change over, the column pass takes them.
+        Both paths match the sorted-block oracle and the recurrence's."""
         log = _log_block_paths(monkeypatch)
-        paths = []
+        one_block_paths = []
 
         @settings(max_examples=40, deadline=None, derandomize=True)
         @given(block_bound_cases())
@@ -1036,11 +1243,50 @@ class TestRingRecurrenceBitIdentity:
             edet, kwargs, one_block = case
             log.clear()
             _ring_pair(edet, kwargs)
-            assert log == ["one block" if one_block else "sorted"]
+            _settled_pair(edet, kwargs)
+            assert (log[0] == "one block") if one_block else (log[0][0] == "columns")
+            one_block_paths.append(one_block)
+
+        check()
+        assert one_block_paths.count(True) >= 10 and one_block_paths.count(False) >= 10, \
+            one_block_paths
+
+    def test_column_pass_on_long_runs_of_identical_digits(self, monkeypatch):
+        """Runs of 30 to 80 unit intervals leave only a few spans running,
+        which the column pass finishes in row-wise slabs.  It matches the
+        sorted-block oracle, and the recurrence its oracle, ties included."""
+        log = _log_block_paths(monkeypatch)
+        paths = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(long_ring_cases(cid_runs=True))
+        def check(case):
+            log.clear()
+            _ring_pair(*case)
+            _settled_pair(*case)
             paths.append(log[0])
 
         check()
-        assert paths.count("one block") >= 10 and paths.count("sorted") >= 10, paths
+        assert sum(path[0] == "columns" and "slab" in path for path in paths) >= 20, paths
+
+    def test_tall_rows_at_the_slab_bound(self, monkeypatch):
+        """The tall rows fill one row-wise slab exactly, or one change past
+        it: one slab or two, both matching the oracles."""
+        log = _log_block_paths(monkeypatch)
+        counts = []
+
+        @settings(max_examples=12, deadline=None, derandomize=True)
+        @given(slab_bound_cases())
+        def check(case):
+            edet, kwargs, slabs = case
+            log.clear()
+            _ring_pair(edet, kwargs)
+            _settled_pair(edet, kwargs)
+            assert log[0] == ("columns", *["slab"] * slabs)
+            counts.append(slabs)
+
+        check()
+        assert counts.count(1) >= 3 and counts.count(2) >= 3, counts
 
     def test_no_span_within_the_horizon(self, monkeypatch):
         """Toggles, but no rise at or before the horizon: no span, no block."""
@@ -1073,6 +1319,26 @@ class TestRingRecurrenceBitIdentity:
         edet = _falls_beside_feedback(kwargs, n_spans=300, seed=n_stages)
         _ring_pair(edet, {**kwargs, "duration_s": float(edet[-1])})
 
+    @pytest.mark.parametrize("n_stages", [4, 6])
+    @pytest.mark.parametrize("improved_tap", [False, True])
+    def test_falls_just_past_a_slower_feedback_match_reference(self, n_stages, improved_tap):
+        """A feedback input slower than the gating input: a fall one float
+        step past ``F_{J-1}`` lets the fall's apply cancel ``A_J``, so the
+        column pass holds a change past the span's count.  800 spans take
+        the column pass."""
+        stage = STAGE_DELAY_S * 4 / n_stages
+        kwargs = {
+            "t_gate": stage,
+            "t_feedback": stage * 1.1,
+            "t_stage": stage,
+            "n_stages": n_stages,
+            "improved_tap": improved_tap,
+        }
+        edet = _falls_beside_feedback(kwargs, n_spans=800, seed=n_stages)
+        kwargs["duration_s"] = float(edet[-1])
+        _ring_pair(edet, kwargs)
+        _settled_pair(edet, kwargs)
+
     def test_paper_channel_settles_every_span(self, monkeypatch):
         """On the paper's channel the bulk step takes every gate-high span."""
         calls = []
@@ -1088,6 +1354,64 @@ class TestRingRecurrenceBitIdentity:
         settled, _, _ = fast_engine._settled_spans(edet_times, **kwargs)
         assert settled.size == edet_times.size // 2
         assert settled.all()
+
+
+def _traced_settled_spans(edet, kwargs):
+    """``(peak bytes, returned bytes)`` of one ``_settled_spans`` call."""
+    tracemalloc.start()
+    try:
+        returned = fast_engine._settled_spans(edet, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(array.nbytes for array in returned)
+
+
+#: What one settled-span pass may hold besides a fixed slab: a few
+#: per-span arrays and one column per change, within this many times the
+#: bytes it returns.  A (changes x spans) matrix of every span takes
+#: about 15 times them on PRBS7.
+RETURNED_BYTES_FACTOR = 4
+
+
+class TestSettledSpanMemory:
+    def test_long_prbs7_stream_holds_no_matrix_of_every_span(self):
+        """400 000 jitter-free PRBS7 bits: about 200 000 spans."""
+        config = CdrChannelConfig()
+        stream = generate_edge_times(
+            prbs_sequence(7, 400_000),
+            bit_rate_hz=config.bit_rate_hz,
+            jitter=JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0, sj_amplitude_ui_pp=0.0),
+            start_time_s=4 * config.unit_interval_s,
+            rng=np.random.default_rng(0),
+        )
+        _, edet = fast_engine._edge_detector(stream.edge_times_s, config)
+        kwargs = {
+            **fast_engine._ring_delays(config),
+            "duration_s": float(edet[-1]) + 4 * config.unit_interval_s,
+            "n_stages": config.oscillator.n_stages,
+            "improved_tap": config.improved_sampling,
+        }
+        peak, returned = _traced_settled_spans(edet, kwargs)
+        assert returned > 5_000_000
+        assert peak <= RETURNED_BYTES_FACTOR * returned + 8 * fast_engine._SLAB_CELLS
+
+    def test_long_runs_of_identical_digits_stay_within_the_slab(self):
+        """Sixty spans of about 1 000 changes and one of 100 000: the tall
+        rows finish in slabs, never one matrix of their widest."""
+        kwargs = {
+            "t_gate": STAGE_DELAY_S,
+            "t_feedback": STAGE_DELAY_S,
+            "t_stage": STAGE_DELAY_S,
+            "n_stages": 4,
+            "improved_tap": False,
+        }
+        stream = np.random.default_rng(3)
+        estimates = np.concatenate((stream.integers(900, 1100, 60), [100_000]))
+        edet = _edet_for_estimates(kwargs, estimates, np.zeros(estimates.size, dtype=bool), stream)
+        kwargs["duration_s"] = float(edet[-1])
+        peak, returned = _traced_settled_spans(edet, kwargs)
+        assert peak <= RETURNED_BYTES_FACTOR * returned + 8 * fast_engine._SLAB_CELLS
 
 
 def _load_equivalence_corpus():
