@@ -28,7 +28,6 @@ __all__ = [
     "JitterSpec",
     "NrzEdgeStream",
     "generate_edge_times",
-    "edge_stream_from_bits",
     "ideal_edge_times",
     "jitter_displacements_ui",
     "waveform_from_edges",
@@ -226,11 +225,6 @@ def generate_edge_times(
         start_time_s=start_time_s,
         initial_level=initial_level,
     )
-
-
-def edge_stream_from_bits(bits: np.ndarray | list[int], **kwargs) -> NrzEdgeStream:
-    """Alias of :func:`generate_edge_times` kept for API symmetry."""
-    return generate_edge_times(bits, **kwargs)
 
 
 def waveform_from_edges(stream: NrzEdgeStream, sample_period_s: float,

@@ -8,9 +8,6 @@ __all__ = [
     "And2Gate",
     "BufferGate",
     "InverterGate",
-    "Mux2Gate",
-    "Nand2Gate",
-    "Or2Gate",
     "Xnor2Gate",
     "Xor2Gate",
     "CmlFlipFlop",
@@ -28,9 +25,6 @@ __getattr__, __dir__ = lazy_exports(
             "And2Gate",
             "BufferGate",
             "InverterGate",
-            "Mux2Gate",
-            "Nand2Gate",
-            "Or2Gate",
             "Xnor2Gate",
             "Xor2Gate",
         ),

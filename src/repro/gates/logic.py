@@ -1,4 +1,4 @@
-"""Concrete behavioural CML gates (buffer, AND/NAND, XOR/XNOR, MUX).
+"""Concrete behavioural CML gates (buffer, inverter, AND, XOR/XNOR).
 
 All delay cells in the paper's design — the edge-detector delay line and the
 ring-oscillator stages alike — are "identical current-mode logic two-input
@@ -7,8 +7,6 @@ machinery and differs only in its evaluation function.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -19,11 +17,8 @@ __all__ = [
     "BufferGate",
     "InverterGate",
     "And2Gate",
-    "Nand2Gate",
-    "Or2Gate",
     "Xor2Gate",
     "Xnor2Gate",
-    "Mux2Gate",
 ]
 
 
@@ -55,25 +50,6 @@ class And2Gate(CmlGate):
                          invert_output=invert_output, rng=rng)
 
 
-class Nand2Gate(And2Gate):
-    """Two-input NAND gate (AND with the differential output swapped)."""
-
-    def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
-                 timing: CmlTiming, *, rng: np.random.Generator | None = None) -> None:
-        super().__init__(name, in_a, in_b, output, timing, invert_output=True, rng=rng)
-
-
-class Or2Gate(CmlGate):
-    """Two-input OR gate."""
-
-    def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
-                 timing: CmlTiming, *, invert_output: bool = False,
-                 rng: np.random.Generator | None = None) -> None:
-        super().__init__(name, [in_a, in_b], output,
-                         lambda v: v[0] | v[1], timing,
-                         invert_output=invert_output, rng=rng)
-
-
 class Xor2Gate(CmlGate):
     """Two-input XOR gate — the edge detector's comparison element."""
 
@@ -95,16 +71,3 @@ class Xnor2Gate(Xor2Gate):
     def __init__(self, name: str, in_a: Signal, in_b: Signal, output: Signal,
                  timing: CmlTiming, *, rng: np.random.Generator | None = None) -> None:
         super().__init__(name, in_a, in_b, output, timing, invert_output=True, rng=rng)
-
-
-class Mux2Gate(CmlGate):
-    """Two-input multiplexer: output = a when select = 0, b when select = 1."""
-
-    def __init__(self, name: str, in_a: Signal, in_b: Signal, select: Signal,
-                 output: Signal, timing: CmlTiming, *,
-                 rng: np.random.Generator | None = None) -> None:
-        def evaluate(values: Sequence[int]) -> int:
-            a, b, sel = values
-            return b if sel else a
-
-        super().__init__(name, [in_a, in_b, select], output, evaluate, timing, rng=rng)

@@ -1,4 +1,4 @@
-"""Jitter substrate: PDF algebra, time-domain sources, accumulation and decomposition."""
+"""Jitter substrate: PDF algebra, accumulation and decomposition."""
 
 from .._exports import lazy_exports
 
@@ -11,14 +11,6 @@ __all__ = [
     "gaussian_pdf",
     "sinusoidal_pdf",
     "uniform_pdf",
-    "BoundedUncorrelatedJitter",
-    "CompositeJitter",
-    "DeterministicJitter",
-    "JitterSource",
-    "NoJitter",
-    "RandomJitter",
-    "SinusoidalJitter",
-    "table1_jitter_sources",
     "PAPER_CKJ_UI_RMS",
     "PAPER_WORST_CASE_CID",
     "OscillatorJitterBudget",
@@ -49,16 +41,6 @@ __getattr__, __dir__ = lazy_exports(
             "gaussian_pdf",
             "sinusoidal_pdf",
             "uniform_pdf",
-        ),
-        "sources": (
-            "BoundedUncorrelatedJitter",
-            "CompositeJitter",
-            "DeterministicJitter",
-            "JitterSource",
-            "NoJitter",
-            "RandomJitter",
-            "SinusoidalJitter",
-            "table1_jitter_sources",
         ),
         "accumulation": (
             "PAPER_CKJ_UI_RMS",

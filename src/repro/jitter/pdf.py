@@ -8,7 +8,7 @@ oscillator jitter distributions and evaluates error probabilities down to
 calculus that makes this possible:
 
 * :class:`Pdf` — a density sampled on a uniform grid with exact helpers for
-  mean, variance, CDF and tail probabilities,
+  mean, variance and tail probabilities,
 * convolution of independent contributions (direct ``np.convolve``),
 * constructors for the standard jitter shapes.
 
@@ -76,8 +76,9 @@ class Pdf:
     grid:
         Sample points (uniformly spaced, strictly increasing).
     density:
-        Density values at the grid points; integrates to ~1 with the
-        trapezoid/rectangle rule ``sum(density) * step``.
+        Density values at the grid points; each stands for the cell of
+        width ``step`` centred on its point, so the density integrates to
+        ~1 with the rectangle rule ``sum(density) * step``.
     """
 
     grid: np.ndarray
@@ -156,26 +157,20 @@ class Pdf:
 
     # -- probabilities ------------------------------------------------------
 
-    def cdf(self) -> np.ndarray:
-        """Cumulative distribution evaluated at the grid points."""
-        return np.cumsum(self.density) * self.step
-
     def probability_below(self, threshold: float) -> float:
-        """Return ``P(X < threshold)`` with linear interpolation inside a cell."""
-        grid = self.grid
-        if threshold <= grid[0]:
-            return 0.0
-        if threshold >= grid[-1]:
-            return min(1.0, self.total_probability)
-        index = int(np.searchsorted(grid, threshold, side="right")) - 1
-        full_cells = float(self.density[: index + 1].sum() * self.step)
-        fraction = (threshold - grid[index]) / self.step
-        partial = float(self.density[index]) * self.step * (fraction - 1.0)
-        return float(np.clip(full_cells + partial, 0.0, 1.0))
+        """Return ``P(X < threshold)``.
+
+        Each grid point carries the mass of the cell of width :attr:`step`
+        centred on it, as every constructor builds it, spread evenly over
+        that cell.
+        """
+        covered = np.clip((threshold - self.grid) / self.step + 0.5, 0.0, 1.0)
+        return float(np.clip(np.dot(self.density, covered) * self.step, 0.0, 1.0))
 
     def probability_above(self, threshold: float) -> float:
-        """Return ``P(X > threshold)``."""
-        return float(np.clip(self.total_probability - self.probability_below(threshold), 0.0, 1.0))
+        """Return ``P(X > threshold)``, on the cells of :meth:`probability_below`."""
+        covered = np.clip((self.grid - threshold) / self.step + 0.5, 0.0, 1.0)
+        return float(np.clip(np.dot(self.density, covered) * self.step, 0.0, 1.0))
 
     # -- transformations ----------------------------------------------------
 
@@ -234,9 +229,9 @@ def uniform_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
     if peak_to_peak == 0.0:
         return delta_pdf(centre, step)
     half = 0.5 * peak_to_peak
-    grid = _symmetric_grid(half + 2.0 * step, step) + centre
-    density = np.where(np.abs(grid - centre) <= half, 1.0 / peak_to_peak, 0.0)
-    return Pdf(grid, density).normalised()
+    offsets = _symmetric_grid(half + 2.0 * step, step)
+    density = np.where(np.abs(offsets) <= half, 1.0 / peak_to_peak, 0.0)
+    return Pdf(offsets + centre, density).normalised()
 
 
 def gaussian_pdf(sigma: float, step: float = DEFAULT_GRID_STEP_UI,
@@ -251,10 +246,10 @@ def gaussian_pdf(sigma: float, step: float = DEFAULT_GRID_STEP_UI,
     require_positive("step", step)
     if sigma == 0.0:
         return delta_pdf(centre, step)
-    grid = _symmetric_grid(n_sigma * sigma, step) + centre
-    z = (grid - centre) / sigma
+    offsets = _symmetric_grid(n_sigma * sigma, step)
+    z = offsets / sigma
     density = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
-    return Pdf(grid, density).normalised()
+    return Pdf(offsets + centre, density).normalised()
 
 
 def sinusoidal_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
@@ -270,8 +265,7 @@ def sinusoidal_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
     if peak_to_peak == 0.0:
         return delta_pdf(centre, step)
     amplitude = 0.5 * peak_to_peak
-    grid = _symmetric_grid(amplitude + 2.0 * step, step) + centre
-    x = grid - centre
+    x = _symmetric_grid(amplitude + 2.0 * step, step)
     # Evaluate the analytic CDF difference per cell to avoid the integrable
     # singularities at +/- amplitude.
     left_edges = np.clip(x - 0.5 * step, -amplitude, amplitude)
@@ -279,7 +273,7 @@ def sinusoidal_pdf(peak_to_peak: float, step: float = DEFAULT_GRID_STEP_UI,
     cdf_left = 0.5 + np.arcsin(left_edges / amplitude) / np.pi
     cdf_right = 0.5 + np.arcsin(right_edges / amplitude) / np.pi
     density = (cdf_right - cdf_left) / step
-    return Pdf(grid, density).normalised()
+    return Pdf(x + centre, density).normalised()
 
 
 def dual_dirac_pdf(separation: float, step: float = DEFAULT_GRID_STEP_UI,

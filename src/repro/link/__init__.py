@@ -41,11 +41,9 @@ __all__ = [
     "nrz_symbol_levels",
     "upsample_symbols",
     "superpose_circular",
-    "superpose_linear",
     "circular_transition_positions",
     "match_crossings_ui",
     "pattern_displacements_ui",
-    "edge_stream_from_waveform",
     "AGGRESSOR_KINDS",
     "CrosstalkAggressor",
     "CrosstalkSpec",
@@ -78,10 +76,9 @@ __getattr__, __dir__ = lazy_exports(
             "SinglePoleChannel",
         ),
         "equalization": ("DfeAdaptation", "ErrorPropagation", "LmsDfe", "RxCtle", "TxFfe"),
-        "isi": ("nrz_symbol_levels", "superpose_circular", "superpose_linear", "upsample_symbols"),
+        "isi": ("nrz_symbol_levels", "superpose_circular", "upsample_symbols"),
         "edges": (
             "circular_transition_positions",
-            "edge_stream_from_waveform",
             "match_crossings_ui",
             "pattern_displacements_ui",
         ),

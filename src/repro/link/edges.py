@@ -1,7 +1,9 @@
-"""Threshold-crossing extraction: link waveform → CDR edge stream.
+"""Threshold-crossing extraction: link waveform → per-transition displacement.
 
 The CDR engines consume :class:`~repro.datapath.nrz.NrzEdgeStream` edge
-times; this module converts a received waveform back into that form, so
+times; this module measures, from a received pattern waveform, how far
+each transition's threshold crossing sits from its ideal time, so
+:meth:`repro.link.path.LinkPath.transmit` can displace the ideal edges and
 both the event kernel and :mod:`repro.fastpath` run unmodified behind the
 link front end.
 
@@ -16,31 +18,20 @@ two used to be near-copies).  On top of it this module:
   so the CDR demonstrably mis-samples it),
 * snaps numerically-zero displacements to exactly 0.0 so an ideal channel
   reproduces the input edge times bit-for-bit,
-* composes residual transmitter jitter from a
-  :class:`~repro.datapath.nrz.JitterSpec` through the same
-  :func:`~repro.datapath.nrz.jitter_displacements_ui` draws the direct
-  (channel-less) stimulus path uses.
+* tabulates those displacements per bit position of a circular pattern.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import units
 from .._validation import require_positive
 from ..analysis.timing import threshold_crossings
-from ..datapath.nrz import (
-    JitterSpec,
-    NrzEdgeStream,
-    ideal_edge_times,
-    jitter_displacements_ui,
-)
 
 __all__ = [
     "circular_transition_positions",
     "match_crossings_ui",
     "pattern_displacements_ui",
-    "edge_stream_from_waveform",
 ]
 
 #: Displacement (UI) assigned to a transition with no crossing in the window.
@@ -168,56 +159,3 @@ def pattern_displacements_ui(
     )
     return table
 
-
-def edge_stream_from_waveform(
-    time_axis_s: np.ndarray,
-    waveform: np.ndarray,
-    bits: np.ndarray,
-    *,
-    bit_rate_hz: float = units.DEFAULT_BIT_RATE,
-    data_rate_offset_ppm: float = 0.0,
-    start_time_s: float = 0.0,
-    threshold: float = 0.0,
-    jitter: JitterSpec | None = None,
-    rng: np.random.Generator | None = None,
-    match_window_ui: float = 0.5,
-) -> NrzEdgeStream:
-    """Convert a received waveform into an :class:`NrzEdgeStream`.
-
-    The ideal (jitter-free) edge times of *bits* are computed exactly as
-    the direct stimulus path does; each is displaced by its matched
-    threshold crossing in *waveform* (whose time axis must be aligned so
-    the first bit starts at *start_time_s*), then residual transmitter
-    jitter from *jitter* is composed on top with the same draw order as
-    :func:`~repro.datapath.nrz.generate_edge_times`.  On an ideal channel
-    the result is therefore bit-for-bit identical to the direct path.
-    """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    require_positive("bit_rate_hz", bit_rate_hz)
-    nominal_period = 1.0 / bit_rate_hz
-    actual_rate = bit_rate_hz * (1.0 + units.ppm_to_fraction(data_rate_offset_ppm))
-    bit_period_s = 1.0 / actual_rate
-
-    edge_times, edge_bit_index = ideal_edge_times(
-        bits, bit_period_s, start_time_s=start_time_s, initial_level=0
-    )
-
-    if edge_times.size:
-        crossings = threshold_crossings(time_axis_s, waveform, threshold=threshold, kind="any")
-        displacement_ui = match_crossings_ui(
-            crossings, edge_times, nominal_period, match_window_ui=match_window_ui
-        )
-        if jitter is not None:
-            rng = rng or np.random.default_rng()  # repro-lint: disable=RPL001 — opt-in entropy: reproducible callers pass a seeded Generator
-            displacement_ui = displacement_ui + jitter_displacements_ui(edge_times, jitter, rng)
-        edge_times = edge_times + displacement_ui * nominal_period
-        edge_times = np.maximum.accumulate(edge_times)
-
-    return NrzEdgeStream(
-        bits=bits,
-        edge_times_s=edge_times,
-        edge_bit_index=edge_bit_index,
-        bit_period_s=bit_period_s,
-        start_time_s=start_time_s,
-        initial_level=0,
-    )

@@ -8,10 +8,7 @@ where ``p`` is the single-bit (pulse) response.  For the periodic patterns
 the sweeps transmit (PRBS), the steady-state waveform over one pattern
 period is the **circular** superposition of the per-UI shifted pulse
 copies; :func:`superpose_circular` evaluates it with one FFT
-multiply–inverse pass, vectorized over the whole grid.  The direct
-:func:`superpose_linear` (``np.convolve``) path is kept as the validation
-reference (``tests/link/test_isi.py`` checks the two agree to numerical
-precision in the interior).
+multiply–inverse pass, vectorized over the whole grid.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ __all__ = [
     "nrz_symbol_levels",
     "upsample_symbols",
     "superpose_circular",
-    "superpose_linear",
 ]
 
 
@@ -70,13 +66,3 @@ def superpose_circular(symbols: np.ndarray, pulse: np.ndarray, samples_per_ui: i
     spectrum = np.fft.rfft(train) * np.fft.rfft(kernel)
     return np.fft.irfft(spectrum, train.size)
 
-
-def superpose_linear(symbols: np.ndarray, pulse: np.ndarray, samples_per_ui: int) -> np.ndarray:
-    """Direct (non-circular) superposition via ``np.convolve`` — reference.
-
-    Returns the full linear convolution of the impulse train with the
-    pulse; the first ``len(pulse)`` samples carry the start-up transient
-    that the circular form replaces with the steady-state wrap.
-    """
-    train = upsample_symbols(symbols, samples_per_ui)
-    return np.convolve(train, np.asarray(pulse, dtype=float).ravel())

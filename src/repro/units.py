@@ -31,10 +31,6 @@ __all__ = [
     "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
-    "peak_to_peak_to_rms_uniform",
-    "rms_to_peak_to_peak_uniform",
-    "peak_to_peak_to_rms_sine",
-    "rms_to_peak_to_peak_sine",
     "bit_period",
     "power_per_gbps",
 ]
@@ -111,30 +107,6 @@ def watts_to_dbm(value_w: float) -> float:
     if value_w <= 0.0:
         raise ValueError(f"power must be positive to convert to dBm, got {value_w!r}")
     return linear_to_db(value_w / 1.0e-3)
-
-
-def peak_to_peak_to_rms_uniform(value_pp: float) -> float:
-    """RMS of a zero-mean uniform distribution with the given peak-to-peak span.
-
-    Deterministic jitter is modelled with a uniform PDF (paper section 3.1), for
-    which ``rms = pp / sqrt(12)``.
-    """
-    return value_pp / math.sqrt(12.0)
-
-
-def rms_to_peak_to_peak_uniform(value_rms: float) -> float:
-    """Peak-to-peak span of a uniform distribution with the given RMS value."""
-    return value_rms * math.sqrt(12.0)
-
-
-def peak_to_peak_to_rms_sine(value_pp: float) -> float:
-    """RMS of a sinusoid with the given peak-to-peak amplitude (``pp / (2*sqrt(2))``)."""
-    return value_pp / (2.0 * math.sqrt(2.0))
-
-
-def rms_to_peak_to_peak_sine(value_rms: float) -> float:
-    """Peak-to-peak amplitude of a sinusoid with the given RMS value."""
-    return value_rms * 2.0 * math.sqrt(2.0)
 
 
 def power_per_gbps(power_w: float, bit_rate_hz: float) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.datapath import nrz
+from repro.jitter.pdf import gaussian_pdf, sinusoidal_pdf, uniform_pdf
 
 
 class TestJitterSpec:
@@ -112,6 +113,79 @@ class TestGenerateEdgeTimes:
                                          jitter=nrz.JitterSpec(0.0, 0.0),
                                          rng=np.random.default_rng(0))
         assert stream.edge_times_s[0] == pytest.approx(1.0e-6)
+
+
+#: Per-case false-alarm rate of the binned chi-square test below.
+CHI_SQUARE_ALPHA = 1.0e-6
+#: Draws per case and bins per test: every bin expects hundreds of draws.
+N_DRAWS = 20_000
+N_BINS = 16
+
+
+def _chi_square_p_value(draws, pdf, inner_edges):
+    """Upper-tail p-value of the binned chi-square statistic of *draws*
+    against *pdf*: two open outer bins around the bins between
+    *inner_edges*, each bin's mass read from ``probability_below``."""
+    from scipy.stats import chi2
+
+    below = np.array([pdf.probability_below(edge) for edge in inner_edges])
+    masses = np.diff(np.concatenate(([0.0], below, [1.0])))
+    counts = np.bincount(np.searchsorted(inner_edges, draws), minlength=masses.size)
+    expected = masses * draws.size
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    return float(chi2.sf(statistic, masses.size - 1))
+
+
+class TestDrawsFollowTheModelPdfs:
+    """The stimulus's one jitter draw, ``jitter_displacements_ui``, samples
+    the very densities the analytic model convolves: DJ ``uniform_pdf``, RJ
+    ``gaussian_pdf`` and SJ ``sinusoidal_pdf``.
+
+    Each case bins ``N_DRAWS`` displacements into ``N_BINS`` bins and
+    rejects at a false-alarm rate of ``CHI_SQUARE_ALPHA`` = 1e-6 per case
+    (chi-square upper tail, ``N_BINS - 1`` degrees of freedom).  The model
+    grid step is 1/2000 of the width, so its discretisation moves a bin's
+    mass by ~1e-3 of itself, far below the test's resolution.  SJ samples a
+    sinusoid, not a generator: its edges sit one unit interval apart and the
+    SJ period is an irrational number of unit intervals, so the phases are
+    equidistributed.
+    """
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+    def test_dj_draws_are_uniform(self, dj_ui_pp, seed):
+        draws = nrz.jitter_displacements_ui(
+            np.arange(N_DRAWS) * units.DEFAULT_UNIT_INTERVAL,
+            nrz.JitterSpec(dj_ui_pp=dj_ui_pp, rj_ui_rms=0.0), np.random.default_rng(seed))
+        half = 0.5 * dj_ui_pp
+        edges = np.linspace(-0.95 * half, 0.95 * half, N_BINS - 1)
+        pdf = uniform_pdf(dj_ui_pp, dj_ui_pp / 2000.0)
+        assert _chi_square_p_value(draws, pdf, edges) >= CHI_SQUARE_ALPHA
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.floats(0.002, 0.1), st.integers(0, 2**32 - 1))
+    def test_rj_draws_are_gaussian(self, rj_ui_rms, seed):
+        draws = nrz.jitter_displacements_ui(
+            np.arange(N_DRAWS) * units.DEFAULT_UNIT_INTERVAL,
+            nrz.JitterSpec(dj_ui_pp=0.0, rj_ui_rms=rj_ui_rms), np.random.default_rng(seed))
+        edges = np.linspace(-2.5 * rj_ui_rms, 2.5 * rj_ui_rms, N_BINS - 1)
+        pdf = gaussian_pdf(rj_ui_rms, rj_ui_rms / 200.0)
+        assert _chi_square_p_value(draws, pdf, edges) >= CHI_SQUARE_ALPHA
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 1.0), st.integers(1, 50), st.floats(-np.pi, np.pi))
+    def test_sj_draws_are_arcsine(self, amplitude_ui_pp, divisor, phase_rad):
+        golden = 0.5 * (np.sqrt(5.0) - 1.0)
+        spec = nrz.JitterSpec(
+            dj_ui_pp=0.0, rj_ui_rms=0.0, sj_amplitude_ui_pp=amplitude_ui_pp,
+            sj_frequency_hz=golden * units.DEFAULT_BIT_RATE / divisor, sj_phase_rad=phase_rad)
+        draws = nrz.jitter_displacements_ui(
+            np.arange(N_DRAWS) * units.DEFAULT_UNIT_INTERVAL, spec, np.random.default_rng(0))
+        # The arcsine's integrable peaks sit in the two open outer bins.
+        half = 0.5 * amplitude_ui_pp
+        edges = np.linspace(-0.9 * half, 0.9 * half, N_BINS - 1)
+        pdf = sinusoidal_pdf(amplitude_ui_pp, amplitude_ui_pp / 2000.0)
+        assert _chi_square_p_value(draws, pdf, edges) >= CHI_SQUARE_ALPHA
 
 
 class TestStreamSampling:

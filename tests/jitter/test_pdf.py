@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.jitter.pdf import (
     Pdf,
@@ -133,6 +133,27 @@ class TestConstructors:
         assert gaussian_pdf(0.0).std() == pytest.approx(0.0, abs=1e-6)
 
 
+@st.composite
+def symmetric_pdfs(draw):
+    """``(pdf, centre)``: a uniform, Gaussian or sinusoidal PDF about its
+    centre, or the convolution of two on one grid step."""
+    step = draw(st.sampled_from([5e-4, 1e-3, 2e-3]))
+
+    def shape():
+        centre = draw(st.floats(-0.5, 0.5))
+        kind = draw(st.sampled_from(["uniform", "gaussian", "sinusoidal"]))
+        if kind == "gaussian":
+            return gaussian_pdf(draw(st.floats(0.002, 0.1)), step, centre=centre), centre
+        constructor = uniform_pdf if kind == "uniform" else sinusoidal_pdf
+        return constructor(draw(st.floats(0.01, 0.8)), step, centre=centre), centre
+
+    pdf, centre = shape()
+    if draw(st.booleans()):
+        other, other_centre = shape()
+        pdf, centre = pdf.convolve(other), centre + other_centre
+    return pdf, centre
+
+
 class TestProbabilities:
     def test_probability_below_and_above_are_complementary(self):
         p = gaussian_pdf(0.1, step=1e-3)
@@ -146,8 +167,39 @@ class TestProbabilities:
 
     def test_uniform_cdf_midpoint(self):
         p = uniform_pdf(0.4, step=1e-3)
-        assert p.probability_below(0.0) == pytest.approx(0.5, abs=0.01)
-        assert p.probability_below(0.1) == pytest.approx(0.75, abs=0.01)
+        assert p.probability_below(0.0) == pytest.approx(0.5, abs=1e-12)
+        # 401 cells of 1e-3 carry the 0.4 UI span: 300.5 of them lie below 0.1.
+        assert p.probability_below(0.1) == pytest.approx(300.5 / 401.0, abs=1e-12)
+
+    def test_gaussian_tails_are_symmetric(self):
+        from scipy.stats import norm
+
+        p = gaussian_pdf(0.021, step=1e-3)
+        assert p.probability_below(0.0) == pytest.approx(0.5, abs=1e-12)
+        assert p.probability_below(-0.1) == pytest.approx(p.probability_above(0.1), rel=1e-12)
+        assert p.probability_above(0.1) == pytest.approx(norm.sf(0.1 / 0.021), rel=0.01)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(symmetric_pdfs(), st.floats(0.0, 1.0))
+    # Half the span just under 500 cells: masking on ``grid - centre`` kept
+    # the boundary cell on one side only.
+    @example((uniform_pdf(0.49999999999999994, 5e-4, centre=0.35645609035302345),
+              0.35645609035302345), 0.0)
+    def test_tails_mirror_about_the_centre(self, case, offset):
+        """Every constructor centres a cell on each grid point, so a PDF
+        symmetric about ``c`` has ``P(X < c - t) == P(X > c + t)`` and
+        ``P(X < c) == 1/2``.
+
+        ``c`` is the grid's midpoint: a convolution steps its grid by the
+        difference of two input points, so its midpoint drifts from the
+        sum of the centres by ~1e-13 UI, which the tails would see.
+        """
+        pdf, centre = case
+        middle = 0.5 * (pdf.grid[0] + pdf.grid[-1])
+        assert middle == pytest.approx(centre, abs=1e-9)
+        assert pdf.probability_below(middle) == pytest.approx(0.5, abs=1e-12)
+        assert pdf.probability_below(middle - offset) == pytest.approx(
+            pdf.probability_above(middle + offset), abs=1e-12)
 
 
 class TestTransformations:

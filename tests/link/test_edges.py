@@ -1,11 +1,18 @@
-"""Round-trip and edge-extraction tests (waveform -> NrzEdgeStream)."""
+"""Edge-extraction tests: rendered crossings, ``LinkPath.transmit`` and its tiling check."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import telemetry
-from repro.datapath import JitterSpec, generate_edge_times, prbs_sequence, waveform_from_edges
+from repro.analysis.timing import threshold_crossings
+from repro.datapath import (
+    JitterSpec,
+    generate_edge_times,
+    ideal_edge_times,
+    prbs_sequence,
+    waveform_from_edges,
+)
 from repro.link import (
     IdealChannel,
     LinkConfig,
@@ -13,7 +20,6 @@ from repro.link import (
     LinkTimebase,
     LossyLineChannel,
     circular_transition_positions,
-    edge_stream_from_waveform,
     match_crossings_ui,
 )
 from repro.link.edges import MISSING_EDGE_DISPLACEMENT_UI
@@ -50,63 +56,84 @@ class TestMatchCrossings:
         assert displacements[0] == 0.0 and displacements[2] == 0.0
 
 
-class TestWaveformRoundTrip:
-    """Satellite requirement: ``waveform_from_edges`` <-> edge extraction."""
+def _render_midpoint(stream, samples_per_ui):
+    """Render *stream* with ``waveform_from_edges`` on the midpoint grid."""
+    step = stream.bit_period_s / samples_per_ui
+    time_axis, levels = waveform_from_edges(stream, step)
+    # waveform_from_edges samples the level that holds over
+    # [t, t + step); shift to midpoints and map 0/1 -> -1/+1.
+    return time_axis + 0.5 * step, 2.0 * levels.astype(float) - 1.0
 
-    def _render_midpoint(self, stream, samples_per_ui):
-        """Render a stream with waveform_from_edges on the midpoint grid."""
-        step = stream.bit_period_s / samples_per_ui
-        time_axis, levels = waveform_from_edges(stream, step)
-        # waveform_from_edges samples the level that holds over
-        # [t, t + step); shift to midpoints and map 0/1 -> -1/+1.
-        return time_axis + 0.5 * step, 2.0 * levels.astype(float) - 1.0
 
-    def test_ideal_round_trip_bit_exact(self):
-        bits = prbs_sequence(7, 500)
+class TestRenderedCrossings:
+    """``waveform_from_edges`` -> ``threshold_crossings`` -> ``match_crossings_ui``
+    recovers the edges it rendered."""
+
+    @staticmethod
+    def _recovered_edges(stream, samples_per_ui):
+        time_axis, waveform = _render_midpoint(stream, samples_per_ui)
+        crossings = threshold_crossings(time_axis, waveform, kind="any")
+        ideal, _ = ideal_edge_times(stream.bits, stream.bit_period_s,
+                                    start_time_s=stream.start_time_s)
+        displacements = match_crossings_ui(crossings, ideal, stream.bit_period_s)
+        return ideal + displacements * stream.bit_period_s
+
+    def test_ideal_edges_recovered_bit_exact(self):
         stream = generate_edge_times(
-            bits, jitter=JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0),
+            prbs_sequence(7, 500), jitter=JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0),
             start_time_s=1.6e-9)
-        time_axis, waveform = self._render_midpoint(stream, 32)
-        recovered = edge_stream_from_waveform(
-            time_axis, waveform, bits, start_time_s=1.6e-9)
-        assert np.array_equal(recovered.edge_times_s, stream.edge_times_s)
-        assert np.array_equal(recovered.edge_bit_index, stream.edge_bit_index)
-        assert np.array_equal(recovered.bits, stream.bits)
+        recovered = self._recovered_edges(stream, 32)
+        assert np.array_equal(recovered, stream.edge_times_s)
 
-    def test_jittered_round_trip_within_half_sample(self):
-        rng = np.random.default_rng(21)
-        bits = prbs_sequence(9, 400)
+    def test_jittered_edges_recovered_within_one_sample(self):
         jitter = JitterSpec(dj_ui_pp=0.1, rj_ui_rms=0.01)
-        stream = generate_edge_times(bits, jitter=jitter, rng=rng,
-                                     start_time_s=1.6e-9)
+        stream = generate_edge_times(prbs_sequence(9, 400), jitter=jitter,
+                                     rng=np.random.default_rng(21), start_time_s=1.6e-9)
         samples_per_ui = 32
-        time_axis, waveform = self._render_midpoint(stream, samples_per_ui)
-        recovered = edge_stream_from_waveform(
-            time_axis, waveform, bits, start_time_s=1.6e-9)
+        recovered = self._recovered_edges(stream, samples_per_ui)
         step = stream.bit_period_s / samples_per_ui
         # Each edge is quantised inside its sample cell (half a step) and
         # the whole population carries the median-centring shift (bounded
         # by another half step), so no edge moves by more than one step.
-        offsets = recovered.edge_times_s - stream.edge_times_s
-        assert np.max(np.abs(offsets)) <= step + 1e-15
+        assert np.max(np.abs(recovered - stream.edge_times_s)) <= step + 1e-15
 
-    def test_residual_jitter_draws_match_direct_path(self):
-        # Link extraction + JitterSpec composition must be bit-for-bit the
-        # direct generate_edge_times stream for an ideal channel.
-        bits = prbs_sequence(7, 300)
-        jitter = JitterSpec(dj_ui_pp=0.2, rj_ui_rms=0.02,
-                            sj_amplitude_ui_pp=0.1, sj_frequency_hz=100e6)
-        reference = generate_edge_times(
-            bits, jitter=jitter, rng=np.random.default_rng(5),
-            start_time_s=1.6e-9)
-        ideal = generate_edge_times(
-            bits, jitter=JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0),
-            start_time_s=1.6e-9)
-        time_axis, waveform = self._render_midpoint(ideal, 32)
-        recovered = edge_stream_from_waveform(
-            time_axis, waveform, bits, start_time_s=1.6e-9,
-            jitter=jitter, rng=np.random.default_rng(5))
-        assert np.array_equal(recovered.edge_times_s, reference.edge_times_s)
+
+@st.composite
+def direct_stimulus_cases(draw):
+    """Bits, a DJ/RJ/SJ spec, a generator seed, a ppm offset and a start time."""
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=1, max_size=200)), dtype=np.uint8)
+    jitter = JitterSpec(
+        dj_ui_pp=draw(st.sampled_from([0.0, 0.1, 0.4])),
+        rj_ui_rms=draw(st.sampled_from([0.0, 0.005, 0.021])),
+        sj_amplitude_ui_pp=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        sj_frequency_hz=draw(st.floats(1.0e5, 1.0e9)),
+        sj_phase_rad=draw(st.floats(-np.pi, np.pi)),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    ppm = draw(st.floats(-500.0, 500.0))
+    start_time_s = draw(st.floats(0.0, 1.0e-8))
+    return bits, jitter, seed, ppm, start_time_s
+
+
+class TestZeroLossLinkIsTheDirectPath:
+    """A link with no channel loss reduces to the channel-less stimulus path:
+    ``LinkPath.transmit`` returns ``generate_edge_times``'s stream byte for
+    byte, with the same generator draws."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(direct_stimulus_cases())
+    def test_transmit_equals_generate_edge_times(self, case):
+        bits, jitter, seed, ppm, start_time_s = case
+        linked = LinkPath(LinkConfig()).transmit(
+            bits, jitter=jitter, rng=np.random.default_rng(seed),
+            data_rate_offset_ppm=ppm, start_time_s=start_time_s)
+        direct = generate_edge_times(
+            bits, jitter=jitter, rng=np.random.default_rng(seed),
+            data_rate_offset_ppm=ppm, start_time_s=start_time_s)
+        assert linked.edge_times_s.tobytes() == direct.edge_times_s.tobytes()
+        assert linked.edge_bit_index.tobytes() == direct.edge_bit_index.tobytes()
+        assert linked.bit_period_s == direct.bit_period_s
+        assert linked.bits.tobytes() == direct.bits.tobytes()
 
 
 class TestLinkPathTransmit:

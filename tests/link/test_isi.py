@@ -8,9 +8,19 @@ from repro.link import (
     LossyLineChannel,
     nrz_symbol_levels,
     superpose_circular,
-    superpose_linear,
     upsample_symbols,
 )
+
+
+def superpose_linear(symbols, pulse, samples_per_ui):
+    """Direct (non-circular) superposition via ``np.convolve`` — the oracle.
+
+    Returns the full linear convolution of the impulse train with the
+    pulse; the first ``len(pulse)`` samples carry the start-up transient
+    that the circular form replaces with the steady-state wrap.
+    """
+    train = upsample_symbols(symbols, samples_per_ui)
+    return np.convolve(train, np.asarray(pulse, dtype=float).ravel())
 
 
 class TestUpsample:

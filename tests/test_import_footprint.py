@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Views of the top-down flow that no study entry point runs: the analytic
 #: design flow and multi-channel receiver, the PLL baseline, phase-noise
 #: budgeting, InfiniBand compliance, the statistical JTOL/FTOL/bathtub/
-#: Monte-Carlo sweeps, the time-domain jitter sources, and the eye-diagram
+#: Monte-Carlo sweeps, oscillator jitter accumulation, and the eye-diagram
 #: and text-table views that a study's results offer but do not build.
 NOT_LOADED_BY_A_STUDY = (
     "repro.core.baselines",
@@ -38,7 +38,6 @@ NOT_LOADED_BY_A_STUDY = (
     "repro.statistical.ftol",
     "repro.statistical.bathtub",
     "repro.statistical.montecarlo",
-    "repro.jitter.sources",
     "repro.jitter.accumulation",
     "repro.analysis.eye",
     "repro.reporting.tables",

@@ -72,23 +72,6 @@ class TestPpmAndDb:
 
 
 class TestJitterShapeConversions:
-    def test_uniform_rms_factor(self):
-        # A uniform distribution has sigma = pp / sqrt(12).
-        assert units.peak_to_peak_to_rms_uniform(1.0) == pytest.approx(1.0 / math.sqrt(12.0))
-
-    def test_uniform_round_trip(self):
-        assert units.rms_to_peak_to_peak_uniform(
-            units.peak_to_peak_to_rms_uniform(0.4)
-        ) == pytest.approx(0.4)
-
-    def test_sine_rms_factor(self):
-        assert units.peak_to_peak_to_rms_sine(2.0) == pytest.approx(1.0 / math.sqrt(2.0))
-
-    def test_sine_round_trip(self):
-        assert units.rms_to_peak_to_peak_sine(
-            units.peak_to_peak_to_rms_sine(0.3)
-        ) == pytest.approx(0.3)
-
     def test_table1_rj_relationship(self):
         # Table 1 quotes RJ as 0.021 UIrms (0.3 UIpp at the 1e-12 Q scale),
         # i.e. the pp value is about 14.1 times the rms value.
