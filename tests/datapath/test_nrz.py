@@ -188,6 +188,116 @@ class TestDrawsFollowTheModelPdfs:
         assert _chi_square_p_value(draws, pdf, edges) >= CHI_SQUARE_ALPHA
 
 
+def _sj_only(amplitude_ui_pp, frequency_hz, phase_rad=0.0):
+    return nrz.JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0, sj_amplitude_ui_pp=amplitude_ui_pp,
+                          sj_frequency_hz=frequency_hz, sj_phase_rad=phase_rad)
+
+
+class TestJitterDisplacements:
+    """Per-component bounds, moments and the draw-order contract of
+    ``jitter_displacements_ui``, the one jitter draw of the stimulus."""
+
+    def test_zero_spec_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        draws = nrz.jitter_displacements_ui(
+            np.linspace(0.0, 1.0e-6, 100), nrz.JitterSpec(0.0, 0.0), rng)
+        assert draws.shape == (100,) and np.all(draws == 0.0)
+        assert rng.bit_generator.state == state
+
+    def test_no_edges_draw_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        draws = nrz.jitter_displacements_ui(
+            np.empty(0), nrz.JitterSpec().with_sinusoidal(0.1, 1.0e6), rng)
+        assert draws.size == 0
+        assert rng.bit_generator.state == state
+
+    def test_dj_support_is_bounded(self):
+        draws = nrz.jitter_displacements_ui(
+            np.zeros(100_000), nrz.JitterSpec(dj_ui_pp=0.4, rj_ui_rms=0.0),
+            np.random.default_rng(2))
+        assert np.abs(draws).max() <= 0.2
+        assert draws.std() == pytest.approx(uniform_pdf(0.4, 1e-4).std(), rel=0.02)
+
+    def test_rj_statistics_match_sigma(self):
+        draws = nrz.jitter_displacements_ui(
+            np.zeros(200_000), nrz.JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.02),
+            np.random.default_rng(1))
+        assert draws.std() == pytest.approx(0.02, rel=0.02)
+        assert abs(draws.mean()) < 1.0e-3
+
+    def test_sj_follows_the_sine(self):
+        frequency_hz = 10.0e6
+        quarter_period = 1.0 / (4.0 * frequency_hz)
+        draws = nrz.jitter_displacements_ui(
+            np.array([0.0, quarter_period, 3.0 * quarter_period]),
+            _sj_only(0.2, frequency_hz), np.random.default_rng(0))
+        np.testing.assert_allclose(draws, [0.0, 0.1, -0.1], atol=1e-12)
+
+    def test_sj_phase_offsets_the_sine(self):
+        draws = nrz.jitter_displacements_ui(
+            np.array([0.0]), _sj_only(0.2, 10.0e6, phase_rad=0.5 * np.pi),
+            np.random.default_rng(0))
+        assert draws[0] == pytest.approx(0.1, abs=1e-12)
+
+    def test_sj_is_bounded_by_half_its_amplitude(self):
+        draws = nrz.jitter_displacements_ui(
+            np.linspace(0.0, 1.0e-5, 10_000), _sj_only(0.3, 1.0e6), np.random.default_rng(0))
+        assert np.abs(draws).max() <= 0.15 + 1e-12
+        assert np.abs(draws).max() == pytest.approx(0.15, rel=1e-3)
+
+    def test_sj_draws_no_random_numbers(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        nrz.jitter_displacements_ui(np.linspace(0.0, 1.0e-6, 50), _sj_only(0.2, 1.0e6), rng)
+        assert rng.bit_generator.state == state
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        dj_ui_pp=st.sampled_from([0.0, 0.4]),
+        rj_ui_rms=st.sampled_from([0.0, 0.021]),
+        sj_ui_pp=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_order_is_dj_then_rj_then_sj(self, dj_ui_pp, rj_ui_rms, sj_ui_pp, seed):
+        """The replay below draws DJ, then RJ, from one generator and adds SJ
+        last; the routine matches it byte for byte."""
+        spec = nrz.JitterSpec(dj_ui_pp=dj_ui_pp, rj_ui_rms=rj_ui_rms,
+                              sj_amplitude_ui_pp=sj_ui_pp, sj_frequency_hz=250.0e6,
+                              sj_phase_rad=0.3)
+        times = np.arange(64) * units.DEFAULT_UNIT_INTERVAL
+        draws = nrz.jitter_displacements_ui(times, spec, np.random.default_rng(seed))
+        replay = np.random.default_rng(seed)
+        expected = np.zeros(times.size)
+        if dj_ui_pp > 0.0:
+            expected += replay.uniform(-0.5 * dj_ui_pp, 0.5 * dj_ui_pp, size=times.size)
+        if rj_ui_rms > 0.0:
+            expected += replay.normal(0.0, rj_ui_rms, size=times.size)
+        if sj_ui_pp > 0.0:
+            expected += 0.5 * sj_ui_pp * np.sin(2.0 * np.pi * 250.0e6 * times + 0.3)
+        assert draws.tobytes() == expected.tobytes()
+
+    def test_components_add_in_quadrature(self):
+        """DJ and RJ are independent, so the draw's rms is the rms of the
+        model's convolved PDF."""
+        draws = nrz.jitter_displacements_ui(
+            np.zeros(200_000), nrz.JitterSpec(dj_ui_pp=0.4, rj_ui_rms=0.021),
+            np.random.default_rng(4))
+        model = uniform_pdf(0.4, 1e-4).convolve(gaussian_pdf(0.021, 1e-4))
+        assert model.std() == pytest.approx(np.sqrt(0.4 ** 2 / 12.0 + 0.021 ** 2), rel=1e-3)
+        assert draws.std() == pytest.approx(model.std(), rel=0.02)
+
+    def test_bounded_components_stay_within_the_deterministic_bound(self):
+        spec = nrz.JitterSpec(dj_ui_pp=0.3, rj_ui_rms=0.0,
+                              sj_amplitude_ui_pp=0.2, sj_frequency_hz=3.1e6)
+        draws = nrz.jitter_displacements_ui(
+            np.arange(50_000) * units.DEFAULT_UNIT_INTERVAL, spec, np.random.default_rng(5))
+        bound = 0.5 * spec.total_deterministic_ui_pp()
+        assert np.abs(draws).max() <= bound
+        assert np.abs(draws).max() > 0.95 * bound
+
+
 class TestStreamSampling:
     def test_level_at_reproduces_bits(self):
         bits = [1, 0, 0, 1, 1, 1, 0]

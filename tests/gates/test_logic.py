@@ -85,6 +85,53 @@ class TestPropagation:
                 simulator.run()
                 assert output.value == expected, (gate_class.__name__, a, b)
 
+    @pytest.mark.parametrize("gate_class, function", [
+        (And2Gate, lambda a, b: a & b),
+        (Xor2Gate, lambda a, b: a ^ b),
+        (Xnor2Gate, lambda a, b: 1 - (a ^ b)),
+    ])
+    def test_input_events_follow_the_truth_table(self, gate_class, function):
+        """Every row, reached through input events rather than ``settle``."""
+        simulator, (in_a, in_b), output = setup(2)
+        gate_class("g", in_a, in_b, output, CmlTiming(DELAY)).settle()
+        simulator.run()
+        assert output.value == function(0, 0)
+        for a, b in [(1, 0), (1, 1), (0, 1), (0, 0)]:
+            in_a.force(a)
+            in_b.force(b)
+            simulator.run()
+            assert output.value == function(a, b), (gate_class.__name__, a, b)
+
+    def test_inverted_and_is_nand(self):
+        for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            simulator, (in_a, in_b), output = setup(2)
+            gate = And2Gate("nand", in_a, in_b, output, CmlTiming(DELAY), invert_output=True)
+            in_a.force(a)
+            in_b.force(b)
+            gate.settle()
+            simulator.run()
+            assert output.value == 1 - (a & b), (a, b)
+
+    def test_xnor_toggles_with_xor_in_opposite_polarity(self):
+        """Same inputs, same timing: the XNOR's edges fall at the XOR's edge
+        times with the opposite sense."""
+        simulator, (in_a, in_b), xor_out = setup(2)
+        xnor_out = Signal(simulator, "xnor", initial=1)
+        Xor2Gate("xor", in_a, in_b, xor_out, CmlTiming(DELAY))
+        Xnor2Gate("xnor", in_a, in_b, xnor_out, CmlTiming(DELAY))
+        recorder = WaveformRecorder()
+        xor_trace = recorder.watch(xor_out)
+        xnor_trace = recorder.watch(xnor_out)
+        for time_s, signal, value in [(1e-10, in_a, 1), (2e-10, in_b, 1),
+                                      (3e-10, in_a, 0), (4e-10, in_b, 0)]:
+            simulator.run_until(time_s)
+            signal.force(value)
+        simulator.run()
+        np.testing.assert_array_equal(xor_trace.edges("rising"), xnor_trace.edges("falling"))
+        np.testing.assert_array_equal(xor_trace.edges("falling"), xnor_trace.edges("rising"))
+        assert xor_trace.edges("rising").size == 2
+        assert xor_out.value == 0 and xnor_out.value == 1
+
     def test_per_input_skew_changes_delay(self):
         simulator, (in_a, in_b), output = setup(2)
         timing = CmlTiming(DELAY, input_skew_s=(0.0, 15.0e-12))

@@ -122,6 +122,18 @@ class TestConstructors:
         edge_density = p.density[np.argmin(np.abs(p.grid - 0.45))]
         assert edge_density > centre_density
 
+    @pytest.mark.parametrize("constructor, rms_over_pp", [
+        (uniform_pdf, 1.0 / np.sqrt(12.0)),
+        (sinusoidal_pdf, 1.0 / (2.0 * np.sqrt(2.0))),
+        (dual_dirac_pdf, 0.5),
+    ])
+    def test_rms_shape_factor(self, constructor, rms_over_pp):
+        """The rms of each bounded shape is a fixed fraction of its
+        peak-to-peak width, resolved to 1e-3 on 2000 cells per width."""
+        for peak_to_peak in (0.05, 0.4, 1.0):
+            pdf = constructor(peak_to_peak, peak_to_peak / 2000.0)
+            assert pdf.std() == pytest.approx(rms_over_pp * peak_to_peak, rel=1e-3)
+
     def test_dual_dirac_two_impulses(self):
         p = dual_dirac_pdf(0.2, step=1e-3)
         assert p.total_probability == pytest.approx(1.0, rel=1e-6)
@@ -178,6 +190,49 @@ class TestProbabilities:
         assert p.probability_below(0.0) == pytest.approx(0.5, abs=1e-12)
         assert p.probability_below(-0.1) == pytest.approx(p.probability_above(0.1), rel=1e-12)
         assert p.probability_above(0.1) == pytest.approx(norm.sf(0.1 / 0.021), rel=0.01)
+
+    @pytest.mark.parametrize("n_sigma", [1.0, 3.0, 5.0, 7.0])
+    def test_gaussian_tails_match_the_normal_distribution(self, n_sigma):
+        """At 200 cells per sigma the centred cells put both tails within
+        1e-3 of ``Q(n_sigma)``; reading ``grid[i]`` as a cell's left edge
+        moved them by ~2 % at 7 sigma."""
+        from scipy.stats import norm
+
+        p = gaussian_pdf(0.021, step=0.021 / 200.0)
+        expected = norm.sf(n_sigma)
+        assert p.probability_above(n_sigma * 0.021) == pytest.approx(expected, rel=1e-3)
+        assert p.probability_below(-n_sigma * 0.021) == pytest.approx(expected, rel=1e-3)
+
+    def test_delta_steps_at_its_value(self):
+        p = delta_pdf(0.3, step=1e-3)
+        assert p.probability_below(0.3) == pytest.approx(0.5, abs=1e-12)
+        assert p.probability_below(0.3 - 0.5e-3) == 0.0
+        assert p.probability_above(0.3 + 0.5e-3) == 0.0
+
+    def test_dual_dirac_quartiles(self):
+        """Each impulse holds half the mass, split evenly by its own position."""
+        p = dual_dirac_pdf(0.2, step=1e-3)
+        assert p.probability_below(-0.1) == pytest.approx(0.25, abs=1e-12)
+        assert p.probability_below(0.0) == pytest.approx(0.5, abs=1e-12)
+        assert p.probability_above(0.1) == pytest.approx(0.25, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(symmetric_pdfs(), st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=8))
+    def test_probability_below_is_monotone(self, case, thresholds):
+        pdf, _ = case
+        below = [pdf.probability_below(t) for t in sorted(thresholds)]
+        assert all(0.0 <= value <= 1.0 for value in below)
+        assert np.all(np.diff(below) >= 0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(symmetric_pdfs(), st.floats(-0.5, 0.5), st.floats(-1.0, 1.0))
+    def test_shift_and_mirror_move_the_tails(self, case, offset, threshold):
+        """``X + c`` reads X's tails at ``t - c``; ``-X`` swaps them."""
+        pdf, _ = case
+        assert pdf.shifted(offset).probability_below(threshold + offset) == pytest.approx(
+            pdf.probability_below(threshold), abs=1e-12)
+        assert pdf.mirrored().probability_below(-threshold) == pytest.approx(
+            pdf.probability_above(threshold), abs=1e-12)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(symmetric_pdfs(), st.floats(0.0, 1.0))

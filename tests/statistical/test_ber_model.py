@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.datapath.cid import geometric_run_distribution
+from repro.datapath.nrz import JitterSpec, jitter_displacements_ui
 from repro.statistical.ber_model import (
     IMPROVED_SAMPLING_PHASE_UI,
     NOMINAL_SAMPLING_PHASE_UI,
@@ -43,6 +45,37 @@ class TestCdrJitterBudget:
         budget = CdrJitterBudget(sj_amplitude_ui_pp=0.3,
                                  sj_frequency_hz=units.DEFAULT_BIT_RATE / 2.0)
         assert budget.relative_sj_pp_over_gap(1.0) == pytest.approx(0.6)
+
+    def test_relative_sj_nulls_at_the_bit_rate(self):
+        budget = CdrJitterBudget(sj_amplitude_ui_pp=1.0, sj_frequency_hz=units.DEFAULT_BIT_RATE)
+        assert budget.relative_sj_pp_over_gap(1.0) == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        amplitude_ui_pp=st.floats(0.01, 1.0),
+        frequency_over_rate=st.floats(1.0e-3, 1.0),
+        gap_ui=st.integers(1, 12),
+        phase_rad=st.floats(-np.pi, np.pi),
+    )
+    def test_relative_sj_is_the_stimulus_differential_swing(
+            self, amplitude_ui_pp, frequency_over_rate, gap_ui, phase_rad):
+        """The model's differential SJ is the peak-to-peak of the stimulus's
+        SJ displacement difference between edges *gap_ui* apart, taken over
+        one SJ period of start times (2001 of them, so the sampled extremes
+        fall short of the true ones by under 2e-6 relative)."""
+        frequency_hz = frequency_over_rate * units.DEFAULT_BIT_RATE
+        budget = CdrJitterBudget(sj_amplitude_ui_pp=amplitude_ui_pp,
+                                 sj_frequency_hz=frequency_hz)
+        spec = JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0, sj_amplitude_ui_pp=amplitude_ui_pp,
+                          sj_frequency_hz=frequency_hz, sj_phase_rad=phase_rad)
+        starts = np.linspace(0.0, 1.0 / frequency_hz, 2001)
+        rng = np.random.default_rng(0)
+        difference = (jitter_displacements_ui(starts + gap_ui * units.DEFAULT_UNIT_INTERVAL,
+                                              spec, rng)
+                      - jitter_displacements_ui(starts, spec, rng))
+        swing = float(difference.max() - difference.min())
+        assert swing == pytest.approx(budget.relative_sj_pp_over_gap(gap_ui),
+                                      rel=1e-5, abs=1e-9)
 
     def test_paper_table1_factory(self):
         budget = CdrJitterBudget.paper_table1(0.1, 250.0e6, 0.01)
