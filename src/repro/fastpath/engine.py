@@ -34,7 +34,8 @@ output.  Instead of dispatching per-edge events through the
   spans sorted longest first — and the loop fast-forwards over each run
   of spans whose outcome it proves (see PERFORMANCE.md).
 * The decision flip-flop samples the delayed data at every rising clock
-  edge, so the decisions are one ``searchsorted`` away.
+  edge, so the decisions are one ``searchsorted`` away; a long run ranks
+  the DDIN edges among the samples instead (:func:`_ddin_index`).
 
 Constant delays are the premise of every pass, so the fast path accepts
 only what it reproduces exactly: a configuration with gate or oscillator
@@ -373,7 +374,9 @@ def _ring_recurrence(
     loop then takes the clock times of the whole run of settled spans from
     it and resumes, quiescent, at the rise that follows them.  The run's
     end is a lookup in the sorted indices of the unsettled spans, which is
-    usually empty.
+    usually empty.  The loop reads *edet_times* in place, one toggle at a
+    time with ``+inf`` past the last: where every span settles it reads
+    only the few toggles around the scalar events.
     """
     n_inverters = n_stages - 1
     # Tap positions along the chain (number of inversions in front of them).
@@ -381,10 +384,9 @@ def _ring_recurrence(
     tap_hop = improved_hops - 1 if improved_tap else -1
     hops = range(n_inverters)
 
-    edet = edet_times.tolist()
-    edet.append(_INF)
+    n_edet = edet_times.size
     i_edet = 0
-    t_e = edet[0]
+    t_e = edet_times.item(0) if n_edet else _INF
     gate_level = 1
 
     clock_t: list[float] = []
@@ -409,12 +411,13 @@ def _ring_recurrence(
     hf = nf = 0
     t_f = _INF
 
-    # Settled spans (the rise at edet[2k - 1] opens span k): span k is
-    # settled when k < n_spans and k is not in the sorted list unsettled,
-    # whose last entry is n_spans; a run of settled spans from k ends at
-    # the first entry at or after k.
+    # Settled spans (the rise at edet_times[2k - 1] opens span k): span k
+    # is settled when k < n_spans and k is not in the sorted list
+    # unsettled, whose last entry is n_spans; a run of settled spans from k
+    # ends at the first entry at or after k, whose rise (the last one within
+    # the horizon at the latest) is a toggle in edet_times.
     n_spans = 0
-    if len(edet) > 2:
+    if n_edet > 1:
         flags, offsets, span_times = _settled_spans(
             edet_times, t_gate=t_gate, t_feedback=t_feedback, t_stage=t_stage,
             duration_s=duration_s, n_stages=n_stages, improved_tap=improved_tap)
@@ -427,7 +430,7 @@ def _ring_recurrence(
             pieces.append(span_times[:offsets[end]])
             h0, t_0, gate_level = 1, _INF, 0
             i_edet = 2 * end - 1
-            t_e = edet[i_edet]
+            t_e = edet_times.item(i_edet)
 
     while True:
         if t_0 <= t_e and t_0 <= t_f:
@@ -496,12 +499,12 @@ def _ring_recurrence(
                         pieces.append(span_times[offsets[span]:offsets[end]])
                         clock_t = []
                         i_edet = 2 * end - 1
-                        t_e = edet[i_edet]
+                        t_e = edet_times.item(i_edet)
                         continue
                 gate_level = 1 - gate_level
                 time_s = t_e
                 i_edet += 1
-                t_e = edet[i_edet]
+                t_e = edet_times.item(i_edet) if i_edet < n_edet else _INF
                 base = t_gate
             time_s = time_s + base
             # Transport semantics: cancel pending applies at or after time_s.
@@ -536,6 +539,29 @@ def _edge_detector(prop_times: np.ndarray,
     ddin_times = line_times + GATE_DELAY_S
     edet_times = np.concatenate((prop_times + GATE_DELAY_S, ddin_times))
     return ddin_times, np.sort(edet_times)
+
+
+#: Samples up to which the sampler finds DDIN's level by one binary search
+#: per sample; past it, ranking the DDIN edges among the samples is
+#: cheaper (see :func:`_ddin_index`).
+_SEARCH_SAMPLES = 1 << 10
+
+
+def _ddin_index(ddin_times: np.ndarray, sample_times: np.ndarray) -> np.ndarray:
+    """DDIN edges before each sample: ``ddin_times.searchsorted(sample_times)``.
+
+    *sample_times* never decrease, so past :data:`_SEARCH_SAMPLES` samples
+    each DDIN edge is ranked among them instead (an edge at a sample's time
+    is not before it) and the counts of the edges ranked at or below each
+    sample are cumulated: the same integers, one binary search per DDIN
+    edge (about one per two bits) in place of one per sample.  The rank
+    costs a few numpy calls more, which a short run does not recover.
+    """
+    n_samples = sample_times.size
+    if n_samples <= _SEARCH_SAMPLES:
+        return ddin_times.searchsorted(sample_times, side="left")
+    ranks = sample_times.searchsorted(ddin_times, side="right")
+    return np.bincount(ranks, minlength=n_samples + 1)[:n_samples].cumsum()
 
 
 def _ring_delays(config: CdrChannelConfig) -> dict[str, float]:
@@ -625,7 +651,14 @@ class FastCdrChannel:
         settle_bits: int = 4,
         stream: NrzEdgeStream | None = None,
     ) -> BehavioralSimulationResult:
-        """Vectorized batch simulation; same contract as ``BehavioralCdrChannel.run``."""
+        """Vectorized batch simulation; same contract as ``BehavioralCdrChannel.run``.
+
+        The stimulus, the edge detector and the ring give DDIN's edges and
+        the sampler's clock; each decision is DDIN's level just before a
+        rising clock edge, found for all samples at once
+        (:func:`_ddin_index`: one binary search per sample on a short run,
+        a rank of the DDIN edges among the samples on a long one).
+        """
         config = self.config
         bits = np.asarray(bits, dtype=np.uint8)
         require_positive_int("number of bits", int(bits.size))
@@ -679,7 +712,7 @@ class FastCdrChannel:
         ddin_levels = np.empty(prop_values.size + 1, dtype=np.uint8)
         ddin_levels[0] = level
         ddin_levels[1:] = prop_values
-        sampled = ddin_levels[ddin_times.searchsorted(sample_times, side="left")]
+        sampled = ddin_levels[_ddin_index(ddin_times, sample_times)]
 
         # --- traces (match the event recorder, clipped to the run horizon) --
         # The recorder builds each trace on first access.

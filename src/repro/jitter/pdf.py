@@ -281,7 +281,11 @@ def dual_dirac_pdf(separation: float, step: float = DEFAULT_GRID_STEP_UI,
     """Dual-Dirac density: two equal impulses separated by *separation*.
 
     This is the standard model for data-dependent deterministic jitter used by
-    jitter-decomposition methods.
+    jitter-decomposition methods.  The lower impulse sits on the grid point
+    nearest ``centre - separation / 2`` and the upper one on its mirror
+    image about ``centre``, so the mean is ``centre`` even when the
+    separation is an odd number of grid steps (the nearest point is then a
+    tie) and the separation is within one step of the requested one.
     """
     require_finite("centre", centre)
     require_non_negative("separation", separation)
@@ -291,9 +295,9 @@ def dual_dirac_pdf(separation: float, step: float = DEFAULT_GRID_STEP_UI,
     half = 0.5 * separation
     grid = _symmetric_grid(half + 2.0 * step, step) + centre
     density = np.zeros_like(grid)
-    for impulse in (centre - half, centre + half):
-        index = int(np.argmin(np.abs(grid - impulse)))
-        density[index] += 0.5 / step
+    lower = int(np.argmin(np.abs(grid - (centre - half))))
+    density[lower] += 0.5 / step
+    density[grid.size - 1 - lower] += 0.5 / step
     return Pdf(grid, density)
 
 

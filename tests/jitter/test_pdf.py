@@ -139,6 +139,18 @@ class TestConstructors:
         assert p.total_probability == pytest.approx(1.0, rel=1e-6)
         assert p.std() == pytest.approx(0.1, rel=0.05)
 
+    @pytest.mark.parametrize("centre", [0.0, 0.137])
+    @pytest.mark.parametrize("steps", range(1, 10))
+    def test_dual_dirac_is_centred_at_any_step_count(self, steps, centre):
+        """An odd step count puts each impulse on a tie between two grid
+        points; the impulses still mirror each other about the centre."""
+        step = 1e-3
+        p = dual_dirac_pdf(steps * step, step=step, centre=centre)
+        impulses = p.grid[p.density > 0.0]
+        assert p.total_probability == pytest.approx(1.0, rel=1e-12)
+        assert p.mean() == pytest.approx(centre, abs=1e-12)
+        assert abs((impulses[-1] - impulses[0]) - steps * step) <= step * (1.0 + 1e-9)
+
     def test_zero_width_collapses_to_delta(self):
         assert uniform_pdf(0.0).std() == pytest.approx(0.0, abs=1e-6)
         assert sinusoidal_pdf(0.0).std() == pytest.approx(0.0, abs=1e-6)

@@ -19,8 +19,12 @@ times, on long streams
 whose settled gate-high spans the bulk step takes and whose unsettled
 ones it hands to the scalar loop and back, on streams at the settled-span
 step's one-block bound and one change past it (each path counted), on
-streams with no span, and on whole
-``FastCdrChannel`` runs.  The settled-span step's column pass is pinned
+streams with no span, on zero to three toggles with the horizon on the
+last, and on whole ``FastCdrChannel`` runs.  The sampler's DDIN lookup
+is pinned against ``searchsorted(side="left")`` one below, at and one
+above its size bound (samples on DDIN edges, before the first and after
+the last, no edge at all), and a run long enough to rank against the
+event kernel.  The settled-span step's column pass is pinned
 against the row-major sorted blocks it replaced
 (``_settled_spans_reference``): on runs of 30 to 80 identical digits,
 whose tall rows finish in row-wise slabs, at one slab's bound and one
@@ -35,8 +39,10 @@ kernel's own oracle — the reference transport queue, gates and scalar
 draws — lives in ``test_event_kernel_oracle.py``.
 """
 
+import contextlib
 import importlib.util
 import math
+import signal
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -1107,10 +1113,49 @@ def spanless_cases(draw):
     return edet, {**draw(ring_kwargs()), "duration_s": duration}
 
 
+@st.composite
+def few_toggle_cases(draw, n_toggles, horizon):
+    """``(edet_times, kwargs)``: *n_toggles* EDET toggles, the horizon
+    ``"before"``, ``"on"`` or ``"past"`` the last one.
+
+    Every read past the last toggle must find ``+inf``: a horizon on the
+    last toggle executes it, one past it leaves the ring free-running with
+    no toggle left.
+    """
+    gaps = draw(st.lists(EDET_GAPS, min_size=n_toggles, max_size=n_toggles))
+    edet = draw(st.floats(0.0, 2.0e-9)) + np.cumsum(np.array(gaps, dtype=float))
+    last = float(edet[-1]) if edet.size else draw(st.floats(0.0, 2.0e-9))
+    if horizon == "before":
+        duration = draw(st.floats(0.0, 1.0, exclude_max=True)) * last
+    elif horizon == "on":
+        duration = last
+    else:
+        duration = last + draw(st.floats(0.0, 8.0e-9, exclude_min=True))
+    return edet, {**draw(ring_kwargs()), "duration_s": duration}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the block once it has run *seconds*: a recurrence that reads a
+    finite time past the last toggle toggles the gate there for ever."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class _NumpyLog:
-    """Numpy, as the engine sees it, logging each sort and each 2-D
-    ``empty``: of the ``_settled_spans`` paths, only the column pass sorts,
-    and its tall rows take one 2-D slab each."""
+    """Numpy, as the engine sees it, logging each sort, each 2-D ``empty``
+    and each ``bincount``: of the ``_settled_spans`` paths, only the column
+    pass sorts, and its tall rows take one 2-D slab each; of the sampler's
+    DDIN lookups, only the rank counts."""
 
     def __init__(self, log: list) -> None:
         self._log = log
@@ -1121,6 +1166,10 @@ class _NumpyLog:
     def argsort(self, *args, **kwargs):
         self._log.append("argsort")
         return np.argsort(*args, **kwargs)
+
+    def bincount(self, *args, **kwargs):
+        self._log.append("bincount")
+        return np.bincount(*args, **kwargs)
 
     def empty(self, shape, *args, **kwargs):
         if isinstance(shape, tuple) and len(shape) == 2:
@@ -1204,6 +1253,21 @@ class TestRingRecurrenceBitIdentity:
             },
         )
         assert len(clock_t) > 1000
+
+    @pytest.mark.parametrize("horizon", ["before", "on", "past"])
+    @pytest.mark.parametrize("n_toggles", range(4))
+    def test_zero_to_three_toggles_match_reference(self, n_toggles, horizon):
+        """The toggles are read in place, ``+inf`` past the last: with 0 to
+        3 toggles and the horizon before, on or past the last one."""
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(few_toggle_cases(n_toggles, horizon))
+        def check(case):
+            edet, kwargs = case
+            with _deadline(5.0):
+                _ring_pair(edet, kwargs)
+
+        check()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(tie_cases())
@@ -1456,6 +1520,101 @@ class TestFastChannelRingBitIdentity:
         for name in ("edet", "clock", "dout"):
             edges = fast.trace(name).edges("any")
             assert _bytes_equal(edges, reference.trace(name).edges("any")), name
+
+
+#: What a DDIN lookup case must show, at each sample count: a sample on a
+#: DDIN edge, samples before the first edge and after the last, edges
+#: before the first sample and after the last, and no edge at all.
+SAMPLER_FEATURES = {"tie", "samples before", "samples after", "edges before",
+                    "edges after", "no edge"}
+
+
+@st.composite
+def sampler_cases(draw, n_samples):
+    """``(ddin_times, sample_times, features)`` with *n_samples* samples.
+
+    Samples and DDIN edges sit on one 1 ps grid, several to a point, so
+    edges fall exactly on samples; the edges inside the samples' span
+    cover a drawn part of it, and a few may lie outside it.
+    """
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = 1.0e-12
+    first, end = 100, 100 + 2 * n_samples
+    sample_times = np.sort(stream.integers(first, end, n_samples)) * step
+    if draw(st.integers(0, 3)) == 0:
+        ddin_times = np.zeros(0)
+    else:
+        low = draw(st.integers(first - 50, end))
+        high = draw(st.integers(low, end + 50))
+        inside = stream.integers(low, high + 1, draw(st.integers(1, n_samples)))
+        before = stream.integers(0, first, draw(st.integers(0, 2)))
+        after = stream.integers(end, end + 100, draw(st.integers(0, 2)))
+        ddin_times = np.sort(np.concatenate((before, inside, after))) * step
+    features = set()
+    if ddin_times.size == 0:
+        features.add("no edge")
+    else:
+        features.update(name for name, shown in (
+            ("tie", np.isin(ddin_times, sample_times).any()),
+            ("samples before", sample_times[0] <= ddin_times[0]),
+            ("samples after", sample_times[-1] > ddin_times[-1]),
+            ("edges before", ddin_times[0] < sample_times[0]),
+            ("edges after", ddin_times[-1] > sample_times[-1]),
+        ) if shown)
+    return ddin_times, sample_times, features
+
+
+class TestSamplerLookupBitIdentity:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lookup_matches_searchsorted_at_the_size_bound(self, offset, monkeypatch):
+        """One below, at and one above ``_SEARCH_SAMPLES`` the lookup gives
+        ``searchsorted(side="left")``'s integers; only above it does it rank."""
+        n_samples = fast_engine._SEARCH_SAMPLES + offset
+        log = []
+        monkeypatch.setattr(fast_engine, "np", _NumpyLog(log))
+        seen = set()
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(sampler_cases(n_samples))
+        def check(case):
+            ddin_times, sample_times, features = case
+            log.clear()
+            index = fast_engine._ddin_index(ddin_times, sample_times)
+            assert _bytes_equal(index, ddin_times.searchsorted(sample_times, side="left"))
+            assert log == (["bincount"] if offset > 0 else [])
+            seen.update(features)
+
+        check()
+        assert seen == SAMPLER_FEATURES, sorted(SAMPLER_FEATURES - seen)
+
+    @pytest.mark.parametrize("label", ["clean", "heavy", "improved_tap"])
+    def test_long_run_takes_the_rank_and_matches_the_event_kernel(self, label, monkeypatch):
+        """1200 bits sample more than ``_SEARCH_SAMPLES`` times: the fast
+        run ranks, and its decisions and traces are the event kernel's."""
+        [(_, config, jitter, ppm)] = [case for case in RING_CHANNEL_CASES if case[0] == label]
+        bits = prbs_sequence(7, 1200)
+
+        def run(channel):
+            return channel.run(bits, jitter=jitter, data_rate_offset_ppm=ppm,
+                               rng=np.random.default_rng(29))
+
+        event = run(BehavioralCdrChannel(config))
+        sizes = []
+        ddin_index = fast_engine._ddin_index
+
+        def logged(ddin_times, sample_times):
+            sizes.append(sample_times.size)
+            return ddin_index(ddin_times, sample_times)
+
+        monkeypatch.setattr(fast_engine, "_ddin_index", logged)
+        fast = run(FastCdrChannel(config))
+        [n_samples] = sizes
+        assert n_samples > fast_engine._SEARCH_SAMPLES
+        assert _bytes_equal(fast.sample_times_s, event.sample_times_s)
+        assert _bytes_equal(fast.sampled_bits, event.sampled_bits)
+        for name in ("ddin", "edet", "clock", "dout"):
+            edges = fast.trace(name).edges("any")
+            assert _bytes_equal(edges, event.trace(name).edges("any")), name
 
 
 def _reference_aligned_comparison(result):
