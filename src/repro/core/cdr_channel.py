@@ -73,9 +73,9 @@ class BehavioralSimulationResult:
         if self.sample_times_s.size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
         start = self.stream.start_time_s + self.data_pipeline_delay_s
-        relative = (self.sample_times_s - start) / self.stream.bit_period_s
-        indices = np.floor(relative).astype(np.int64)
-        return indices, self.sampled_bits
+        relative = self.sample_times_s - start
+        relative /= self.stream.bit_period_s
+        return np.floor(relative, out=relative).astype(np.int64), self.sampled_bits
 
     def ber(self) -> BerMeasurement:
         """Per-bit error measurement using timing-based alignment.
@@ -95,23 +95,25 @@ class BehavioralSimulationResult:
         return BerMeasurement(errors=errors, compared_bits=int(expected.size))
 
     def _aligned_comparison(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(expected, decided)`` bit arrays of the timing-based alignment.
+        """``(expected, decided)`` int8 bit arrays of the timing-based alignment.
 
         A bit that got no decision reads -1 in *decided*.
         """
         n_bits = int(self.transmitted_bits.size)
         if n_bits == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int8)
         indices, values = self.decisions_per_bit()
         # Bit i's decision lands in slot i + 1; "clip" puts decisions before
         # or after the stream in the spare slots at either end.  Later
         # decisions overwrite earlier ones (double-clocking keeps the last).
-        decided = np.full(n_bits + 2, -1, dtype=np.int64)
+        decided = np.full(n_bits + 2, -1, dtype=np.int8)
         indices += 1
         decided.put(indices, values, mode="clip")
         # Exclude the first and last bits, which may legitimately lack a
         # decision because of the pipeline latency at the stream boundaries.
-        return self.transmitted_bits[1:n_bits - 1], decided[2:n_bits]
+        # The bits are 0 or 1: in int8 they compare with the slots as they are.
+        expected = self.transmitted_bits[1:n_bits - 1].astype(np.int8, copy=False)
+        return expected, decided[2:n_bits]
 
     def error_events(self) -> int:
         """Number of contiguous error bursts in the per-bit comparison.
@@ -138,13 +140,13 @@ class BehavioralSimulationResult:
                                max_offset=max_offset)
 
     def missed_bits(self) -> int:
-        """Number of transmitted bits that never received a sampling decision."""
-        n_bits = int(self.transmitted_bits.size)
-        indices, _values = self.decisions_per_bit()
-        decided = np.zeros(n_bits, dtype=bool)
-        in_range = (indices >= 0) & (indices < n_bits)
-        decided[indices[in_range]] = True
-        return int(np.count_nonzero(~decided[1:n_bits - 1]))
+        """Number of compared bits that never received a sampling decision.
+
+        These are the bits :meth:`ber` reads as -1: the first and last
+        bits are not compared, so they are never counted.
+        """
+        _expected, decided = self._aligned_comparison()
+        return int(np.count_nonzero(decided == -1))
 
     def recovered_clock_frequency_hz(self) -> float:
         """Average recovered-clock frequency over the simulation."""

@@ -34,8 +34,8 @@ output.  Instead of dispatching per-edge events through the
   spans sorted longest first — and the loop fast-forwards over each run
   of spans whose outcome it proves (see PERFORMANCE.md).
 * The decision flip-flop samples the delayed data at every rising clock
-  edge, so the decisions are one ``searchsorted`` away; a long run ranks
-  the DDIN edges among the samples instead (:func:`_ddin_index`).
+  edge, so the decisions are one ``searchsorted`` away; a long run merges
+  the samples with the DDIN edges instead (:func:`_ddin_index`).
 
 Constant delays are the premise of every pass, so the fast path accepts
 only what it reproduces exactly: a configuration with gate or oscillator
@@ -185,7 +185,6 @@ def _settled_spans(
     starts = np.empty(n_spans)
     starts[0] = 0.0 + t_feedback
     np.add(rises[:-1], t_gate, out=starts[1:])
-    forced_at = falls + t_gate
     # The toggles are sorted, so every rise kept is within duration_s;
     # ties around a span leave it unsettled.
     around = falls < rises
@@ -193,33 +192,39 @@ def _settled_spans(
 
     n_inverters = n_stages - 1
     tap = n_stages - 2 if improved_tap else n_inverters
-    # The forced fall's trip through the inverter chain: its tap and feedback.
-    fall_feedback = forced_at
-    for hop in range(1, n_stages):
-        fall_feedback = fall_feedback + t_stage
-        if hop == tap:
-            fall_tap = fall_feedback
+
+    def forced_fall(spans, hops: int) -> np.ndarray:
+        """The forced fall ``D = d + t_gate`` of *spans*, *hops* stages on."""
+        value = falls[spans] + t_gate
+        for _hop in range(hops):
+            np.add(value, t_stage, out=value)
+        return value
 
     period = n_inverters * t_stage + t_feedback
     j = np.maximum((falls - starts - n_inverters * t_stage) / period + 1.0,
                    0.0).astype(np.int64)
     widest = int(j.max()) + 1
-    offsets = np.zeros(n_spans + 1, dtype=np.int64)
 
     def outcome(a_j: np.ndarray, f_j: np.ndarray,
                 f_before: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(settled, changes, forced fall)`` of every span, in time order,
-        from its ``A_J``, ``F_J`` and ``F_{J-1}``."""
+        from its ``A_J``, ``F_J`` and ``F_{J-1}``; overwrites *f_j*."""
+        forced_at = falls + t_gate
         emit_j = a_j < forced_at
         n_changes = j + emit_j
-        forced = n_changes & 1
-        last_feedback = np.where(forced, fall_feedback, np.where(emit_j, f_j, -_INF))
+        forced = (n_changes & 1).astype(bool)
         # On booleans, a <= b reads "a implies b": condition (ii).
         settled = (around
                    & ((j == 0) | (f_before < falls)) & (falls < f_j)
                    & (a_j != falls) & (a_j != forced_at)
-                   & (emit_j <= (forced_at < f_j + t_feedback))
-                   & (last_feedback < rises))
+                   & (emit_j <= (forced_at < f_j + t_feedback)))
+        # Condition (iii) on the last feedback: the forced fall's own (its
+        # trip through the chain), else F_J if A_J changed stage 0.
+        for _hop in range(n_inverters):
+            np.add(forced_at, t_stage, out=forced_at)
+        np.copyto(f_j, -_INF, where=~emit_j)
+        np.copyto(f_j, forced_at, where=forced)
+        settled &= f_j < rises
         return settled, n_changes, forced
 
     if n_spans * widest <= _BLOCK_CHANGES:
@@ -240,15 +245,20 @@ def _settled_spans(
                                              ring[at_j - 1])
         # The forced fall's tap follows the row's last change; span k's
         # taps are then changes 0 .. count - 1 of row k at the tap.
-        ring[row_at + (n_changes * n_stages + tap)] = fall_tap
+        ring[row_at + (n_changes * n_stages + tap)] = forced_fall(slice(None), tap)
         counts = np.where(settled, n_changes + forced, 0)
+        offsets = np.zeros(n_spans + 1, dtype=np.int64)
         np.add.accumulate(counts, out=offsets[1:])
         taps = ring.reshape(n_spans, widest + 1, n_stages)[:, :, tap]
         return settled, offsets, taps[np.arange(widest + 1) < counts[:, None]]
 
+    # A span's count, at most J + 2, fits 16 bits below this bound, and a
+    # 16-bit key sorts fast.  Index sums below stay 64-bit.
+    if widest < 0x7FFF:
+        j = j.astype(np.int16)
     # Longest first: the rows still running at change q (J >= q) are the
-    # first running[q].  A 16-bit key sorts fast.
-    order = np.argsort(-(j.astype(np.int16) if widest <= 0x7FFF else j), kind="stable")
+    # first running[q].
+    order = np.argsort(-j, kind="stable")
     running = np.zeros(widest + 2, dtype=np.int64)
     running[:widest] = np.bincount(j)[::-1].cumsum()[::-1]
     n_columns = int(np.count_nonzero(running > _TALL_ROWS))
@@ -256,6 +266,7 @@ def _settled_spans(
     # F_{J-1} of a span with J = 0 is never read; zero keeps it defined.
     a_j, f_j, f_before = np.empty(n_spans), np.empty(n_spans), np.zeros(n_spans)
     ring = starts[order]
+    del starts
     # The column pass: ring[:rows] holds A_q of the rows still running,
     # and store[column_at[q]:column_at[q + 1]] their taps of change q.
     column_at = np.zeros(n_columns + 1, dtype=np.int64)
@@ -274,6 +285,7 @@ def _settled_spans(
         f_j[order[ending:rows]] = value[ending:rows]
         f_before[order[next_ending:ending]] = value[next_ending:ending]
         np.add(value[:ending], t_feedback, out=ring[:ending])
+        del value, out  # views of store, which the output stage frees
 
     # The tall rows: slab[r, c] is column q * n_stages + c of row r, from
     # A_q at c = 0 to A_{q+k} at c = k * n_stages.
@@ -293,40 +305,56 @@ def _settled_spans(
         # J in [q, q + k): A_J and F_J; J in [q + 1, q + k]: F_{J-1}.
         ending, first = running[q + k], running[q + k + 1]
         spans = order[ending:rows]
-        at_j = np.arange(ending * width, rows * width, width) + (j[spans] - q) * n_stages
+        at_j = (np.arange(ending * width, rows * width, width)
+                + (j[spans] - q).astype(np.int64) * n_stages)
         a_j[spans] = cells[at_j]
         f_j[spans] = cells[at_j + n_inverters]
         spans = order[first:running[q + 1]]
         f_before[spans] = cells[np.arange(first * width, running[q + 1] * width, width)
-                                + ((j[spans] - q) * n_stages - 1)]
+                                + ((j[spans] - q).astype(np.int64) * n_stages - 1)]
         tall.append((q, slab[:, tap:k * n_stages:n_stages].copy()))
         ring[:ending] = slab[:ending, -1]
         q += k
+    del ring
 
     settled, n_changes, forced = outcome(a_j, f_j, f_before)
     # Free the per-span inputs: the output stage holds the most memory.
-    del starts, ring, a_j, f_j, f_before
-    ring_counts = np.where(settled, n_changes, 0)
+    del a_j, f_j, f_before
     forced &= settled
-    np.cumsum(ring_counts + forced, out=offsets[1:])
+    offsets = np.zeros(n_spans + 1, dtype=np.int64)
+    np.cumsum(np.where(settled, n_changes + forced, 0), out=offsets[1:], dtype=np.int64)
     total = int(offsets[-1])
     # Change q of sorted row r goes to at[r] + q.  A slab's taps past a
-    # row's count are masked out.  A column's only tap past its row's
-    # count is a cancelled A_J, at q = J: it lands on the span's forced
-    # fall, on the next counted span's change 0 or on the spare tail, and
-    # the forced falls and change 0 are written after it, changes last
-    # first.  A span with no tap writes only to the spare tail.
+    # span's taps are masked out; the one on its forced fall is written
+    # over below.  A column's only tap past its row's changes is a
+    # cancelled A_J, at q = J: it lands on the span's forced fall, on the
+    # next counted span's change 0 or on the spare tail, and the forced
+    # falls and change 0 are written after it, changes last first.  A
+    # span with no tap (no stage-0 change, or unsettled) writes only to
+    # the spare tail.
+    at = offsets.take(order)
+    at[(offsets[1:] == offsets[:-1])[order]] = total
+    spans = order[:running[n_columns]]
+    tall_counts = offsets[spans + 1] - offsets[spans]
+    del order, spans
     times = np.empty(total + n_columns)
-    at = np.where(ring_counts > 0, offsets[:-1], total)[order]
     for q, taps in tall:
         rows, k = taps.shape
         change = np.arange(q, q + k)
-        keep = change < ring_counts[order[:rows], None]
+        keep = change < tall_counts[:rows, None]
         times[(at[:rows, None] + change)[keep]] = taps[keep]
+    # Column q writes at at[r] + q, kept in at itself, last column first:
+    # the rows of column q + 1 step back one slot, and the rows whose J is
+    # q join at slot q.
+    at[:running[n_columns]] += n_columns
     for q in range(n_columns - 1, -1, -1):
-        times[at[:running[q]] + q] = store[column_at[q]:column_at[q + 1]]
-    forced = forced.astype(bool)
-    times[offsets[:-1][forced] + n_changes[forced]] = fall_tap[forced]
+        at[:running[q + 1]] -= 1
+        at[running[q + 1]:running[q]] += q
+        times[at[:running[q]]] = store[column_at[q]:column_at[q + 1]]
+    del at, store
+    fall_at = offsets[:-1][forced]
+    fall_at += n_changes[forced]
+    times[fall_at] = forced_fall(forced, tap)
     return settled, offsets, times[:total]
 
 
@@ -530,7 +558,8 @@ def _edge_detector(prop_times: np.ndarray,
     """Delay line, XNOR and dummy gate: the DDIN and EDET event times.
 
     EDET toggles at every event of either XNOR input, so its toggles are
-    the sorted merge of the two inputs.
+    the sorted merge of the two inputs.  Each input is sorted already, so
+    a stable sort (a merge of the two runs) gives the bytes of a full sort.
     """
     cell_delay = config.edge_detector_delay_s / config.edge_detector_cells
     line_times = prop_times
@@ -538,11 +567,11 @@ def _edge_detector(prop_times: np.ndarray,
         line_times = line_times + cell_delay
     ddin_times = line_times + GATE_DELAY_S
     edet_times = np.concatenate((prop_times + GATE_DELAY_S, ddin_times))
-    return ddin_times, np.sort(edet_times)
+    return ddin_times, np.sort(edet_times, kind="stable")
 
 
 #: Samples up to which the sampler finds DDIN's level by one binary search
-#: per sample; past it, ranking the DDIN edges among the samples is
+#: per sample; past it, merging the samples with the DDIN edges is
 #: cheaper (see :func:`_ddin_index`).
 _SEARCH_SAMPLES = 1 << 10
 
@@ -550,18 +579,21 @@ _SEARCH_SAMPLES = 1 << 10
 def _ddin_index(ddin_times: np.ndarray, sample_times: np.ndarray) -> np.ndarray:
     """DDIN edges before each sample: ``ddin_times.searchsorted(sample_times)``.
 
-    *sample_times* never decrease, so past :data:`_SEARCH_SAMPLES` samples
-    each DDIN edge is ranked among them instead (an edge at a sample's time
-    is not before it) and the counts of the edges ranked at or below each
-    sample are cumulated: the same integers, one binary search per DDIN
-    edge (about one per two bits) in place of one per sample.  The rank
-    costs a few numpy calls more, which a short run does not recover.
+    Both inputs are sorted, so past :data:`_SEARCH_SAMPLES` samples one
+    stable sort merges them, the samples first so that an edge at a
+    sample's time is not before it: sample ``i`` lands at position
+    ``i + index[i]``.  The same integers, in one linear merge in place of
+    one binary search per sample; a short run does not recover its few
+    numpy calls more.
     """
     n_samples = sample_times.size
     if n_samples <= _SEARCH_SAMPLES:
         return ddin_times.searchsorted(sample_times, side="left")
-    ranks = sample_times.searchsorted(ddin_times, side="right")
-    return np.bincount(ranks, minlength=n_samples + 1)[:n_samples].cumsum()
+    order = np.argsort(np.concatenate((sample_times, ddin_times)), kind="stable")
+    index = np.flatnonzero(order < n_samples)
+    del order
+    index -= np.arange(n_samples)
+    return index
 
 
 def _ring_delays(config: CdrChannelConfig) -> dict[str, float]:
@@ -657,7 +689,7 @@ class FastCdrChannel:
         the sampler's clock; each decision is DDIN's level just before a
         rising clock edge, found for all samples at once
         (:func:`_ddin_index`: one binary search per sample on a short run,
-        a rank of the DDIN edges among the samples on a long one).
+        a merge of the samples with the DDIN edges on a long one).
         """
         config = self.config
         bits = np.asarray(bits, dtype=np.uint8)

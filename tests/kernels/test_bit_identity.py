@@ -23,14 +23,19 @@ streams with no span, on zero to three toggles with the horizon on the
 last, and on whole ``FastCdrChannel`` runs.  The sampler's DDIN lookup
 is pinned against ``searchsorted(side="left")`` one below, at and one
 above its size bound (samples on DDIN edges, before the first and after
-the last, no edge at all), and a run long enough to rank against the
-event kernel.  The settled-span step's column pass is pinned
+the last, no edge at all), and a run long enough to merge against the
+event kernel.  The edge detector's stable-sort merge of its two sorted
+inputs is pinned against the full re-sort it replaced
+(``_edge_detector_reference``), on streams with coincident edges and
+delay-line ties.  The settled-span step's column pass is pinned
 against the row-major sorted blocks it replaced
 (``_settled_spans_reference``): on runs of 30 to 80 identical digits,
 whose tall rows finish in row-wise slabs, at one slab's bound and one
 change past it, and with a feedback input slower than the gating input;
-one pass on a 400 000-bit stream must hold no matrix of every span.
-``ber()``'s timing alignment is pinned against the masked scatter it
+one pass on a 400 000-bit stream must hold no matrix of every span, and
+one 36 000-bit channel run stays within its traced working set.
+``ber()``'s timing alignment, in int8 slots, is pinned against the
+masked scatter it replaced, and ``missed_bits()`` against the mask it
 replaced.  Whole-channel
 comparisons monkeypatch the reference loop in, on an empty link memo, and
 assert it ran — a memoized displacement table would skip it.  These tests
@@ -53,6 +58,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cdr_channel import BehavioralCdrChannel, BehavioralSimulationResult
 from repro.core.config import CdrChannelConfig
+from repro.core.edge_detector import GATE_DELAY_S
 from repro.datapath.nrz import JitterSpec, NrzEdgeStream, generate_edge_times
 from repro.datapath.prbs import prbs_sequence
 from repro.events.kernel import Simulator
@@ -1155,7 +1161,7 @@ class _NumpyLog:
     """Numpy, as the engine sees it, logging each sort, each 2-D ``empty``
     and each ``bincount``: of the ``_settled_spans`` paths, only the column
     pass sorts, and its tall rows take one 2-D slab each; of the sampler's
-    DDIN lookups, only the rank counts."""
+    DDIN lookups, only the merge sorts."""
 
     def __init__(self, log: list) -> None:
         self._log = log
@@ -1478,6 +1484,32 @@ class TestSettledSpanMemory:
         assert peak <= RETURNED_BYTES_FACTOR * returned + 8 * fast_engine._SLAB_CELLS
 
 
+#: Traced peak of one 36 000-bit PRBS7 fast point, its run and its
+#: ``ber()``: 2.26 MB measured (numpy 2.4), plus about 15 % headroom.
+#: The settled-span output stage peaked at 3.43 MB before it freed its
+#: per-span inputs early and kept its counts narrow.
+LONG_POINT_PEAK_BYTES = 2_600_000
+
+
+class TestLongPointMemory:
+    def test_long_point_stays_within_its_working_set(self):
+        config = CdrChannelConfig()
+        channel = FastCdrChannel(config)
+        jitter = JitterSpec(sj_frequency_hz=25.0e6)
+        # A short run first, so nothing imported or cached on first use is traced.
+        channel.run(prbs_sequence(7, 2_000), jitter=jitter, rng=np.random.default_rng(5)).ber()
+        bits = prbs_sequence(7, 36_000)
+        tracemalloc.start()
+        try:
+            result = channel.run(bits, jitter=jitter, rng=np.random.default_rng(5))
+            result.ber()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.sample_times_s.size > 35_000
+        assert peak <= LONG_POINT_PEAK_BYTES, peak
+
+
 def _load_equivalence_corpus():
     """``CORPUS`` of ``tests/fastpath/test_equivalence.py``, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "fastpath" / "test_equivalence.py"
@@ -1568,7 +1600,7 @@ class TestSamplerLookupBitIdentity:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_lookup_matches_searchsorted_at_the_size_bound(self, offset, monkeypatch):
         """One below, at and one above ``_SEARCH_SAMPLES`` the lookup gives
-        ``searchsorted(side="left")``'s integers; only above it does it rank."""
+        ``searchsorted(side="left")``'s integers; only above it does it merge."""
         n_samples = fast_engine._SEARCH_SAMPLES + offset
         log = []
         monkeypatch.setattr(fast_engine, "np", _NumpyLog(log))
@@ -1581,16 +1613,16 @@ class TestSamplerLookupBitIdentity:
             log.clear()
             index = fast_engine._ddin_index(ddin_times, sample_times)
             assert _bytes_equal(index, ddin_times.searchsorted(sample_times, side="left"))
-            assert log == (["bincount"] if offset > 0 else [])
+            assert log == (["argsort"] if offset > 0 else [])
             seen.update(features)
 
         check()
         assert seen == SAMPLER_FEATURES, sorted(SAMPLER_FEATURES - seen)
 
     @pytest.mark.parametrize("label", ["clean", "heavy", "improved_tap"])
-    def test_long_run_takes_the_rank_and_matches_the_event_kernel(self, label, monkeypatch):
+    def test_long_run_takes_the_merge_and_matches_the_event_kernel(self, label, monkeypatch):
         """1200 bits sample more than ``_SEARCH_SAMPLES`` times: the fast
-        run ranks, and its decisions and traces are the event kernel's."""
+        run merges, and its decisions and traces are the event kernel's."""
         [(_, config, jitter, ppm)] = [case for case in RING_CHANNEL_CASES if case[0] == label]
         bits = prbs_sequence(7, 1200)
 
@@ -1615,6 +1647,83 @@ class TestSamplerLookupBitIdentity:
         for name in ("ddin", "edet", "clock", "dout"):
             edges = fast.trace(name).edges("any")
             assert _bytes_equal(edges, event.trace(name).edges("any")), name
+
+
+def _edge_detector_reference(prop_times, config):
+    """The previous edge detector: the same delay line, then a full
+    re-sort of the two XNOR inputs' concatenation."""
+    cell_delay = config.edge_detector_delay_s / config.edge_detector_cells
+    line_times = prop_times
+    for _cell in range(config.edge_detector_cells):
+        line_times = line_times + cell_delay
+    ddin_times = line_times + GATE_DELAY_S
+    return ddin_times, np.sort(np.concatenate((prop_times + GATE_DELAY_S, ddin_times)))
+
+
+#: What an edge-detector case must show: two data edges at one time, and
+#: a data edge exactly where an earlier one leaves the delay line.
+EDGE_DETECTOR_FEATURES = {"coincident", "delay-line tie"}
+
+
+@st.composite
+def edge_detector_cases(draw):
+    """``(prop_times, config, features)``: sorted data edges on a 100 ps
+    grid, some at one time, and a drawn share of extra edges placed where
+    an earlier edge leaves the delay line (the same adds), so the two XNOR
+    inputs tie."""
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config = replace(CdrChannelConfig(),
+                     edge_detector_delay_ui=draw(st.sampled_from([0.25, 0.5, 0.625])),
+                     edge_detector_cells=draw(st.integers(1, 4)))
+    n_edges = draw(st.integers(0, 400))
+    times = 400e-12 + np.sort(stream.integers(0, 3 * n_edges + 1, n_edges)) * 100e-12
+    ties = times[stream.random(n_edges) < draw(st.sampled_from([0.0, 0.05, 0.5]))]
+    cell_delay = config.edge_detector_delay_s / config.edge_detector_cells
+    for _cell in range(config.edge_detector_cells):
+        ties = ties + cell_delay
+    prop_times = np.sort(np.concatenate((times, ties)))
+    ddin_times, _ = _edge_detector_reference(prop_times, config)
+    features = {name for name, shown in (
+        ("coincident", (prop_times[1:] == prop_times[:-1]).any()),
+        ("delay-line tie", np.isin(prop_times + GATE_DELAY_S, ddin_times).any()),
+    ) if shown}
+    return prop_times, config, features
+
+
+class TestEdgeDetectorBitIdentity:
+    def test_stable_merge_matches_the_full_sort(self):
+        """The stable sort of the two sorted inputs gives the full
+        re-sort's DDIN and EDET bytes, ties included."""
+        seen = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(edge_detector_cases())
+        def check(case):
+            prop_times, config, features = case
+            live = fast_engine._edge_detector(prop_times, config)
+            reference = _edge_detector_reference(prop_times, config)
+            for array, expected in zip(live, reference):
+                assert _bytes_equal(array, expected)
+            seen.update(features)
+
+        check()
+        assert seen == EDGE_DETECTOR_FEATURES, sorted(EDGE_DETECTOR_FEATURES - seen)
+
+    @pytest.mark.parametrize("jitter", [None, JitterSpec(sj_frequency_hz=25.0e6)])
+    def test_long_channel_stream_matches_the_full_sort(self, jitter):
+        """A 36 000-bit PRBS7 stimulus, as a long bit-true point feeds it."""
+        config = CdrChannelConfig()
+        stream = generate_edge_times(
+            prbs_sequence(7, 36_000),
+            bit_rate_hz=config.bit_rate_hz,
+            jitter=jitter or JitterSpec(dj_ui_pp=0.0, rj_ui_rms=0.0, sj_amplitude_ui_pp=0.0),
+            start_time_s=4 * config.unit_interval_s,
+            rng=np.random.default_rng(11),
+        )
+        live = fast_engine._edge_detector(stream.edge_times_s, config)
+        reference = _edge_detector_reference(stream.edge_times_s, config)
+        for array, expected in zip(live, reference):
+            assert _bytes_equal(array, expected)
 
 
 def _reference_aligned_comparison(result):
@@ -1653,18 +1762,42 @@ def decision_results(draw):
     )
 
 
+def _reference_missed_bits(result):
+    """The previous missed-bit count: mark the in-range decisions, count
+    the compared bits left unmarked."""
+    n_bits = int(result.transmitted_bits.size)
+    indices, _values = result.decisions_per_bit()
+    decided = np.zeros(n_bits, dtype=bool)
+    in_range = (indices >= 0) & (indices < n_bits)
+    decided[indices[in_range]] = True
+    return int(np.count_nonzero(~decided[1:n_bits - 1]))
+
+
 class TestBerAlignmentBitIdentity:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(decision_results())
     def test_alignment_matches_the_masked_scatter(self, result):
         """``ber()`` and ``error_events()`` read the same per-bit decisions
-        as the masked scatter they replaced; the last decision in a bit wins."""
+        as the masked scatter they replaced, kept in int8 slots; the last
+        decision in a bit wins."""
         expected, decided = result._aligned_comparison()
         reference_expected, reference_decided = _reference_aligned_comparison(result)
-        assert _bytes_equal(decided, reference_decided)
-        assert np.array_equal(expected, reference_expected)
+        assert decided.dtype == np.int8
+        assert expected.dtype == np.int8
+        assert _bytes_equal(decided.astype(np.int64), reference_decided)
+        assert _bytes_equal(expected.astype(np.int64), reference_expected)
         mask = reference_decided != reference_expected
         assert result.ber().errors == int(np.count_nonzero(mask))
         assert result.ber().compared_bits == reference_expected.size
         starts = np.flatnonzero(np.diff(np.concatenate(([False], mask)).astype(np.int8)) == 1)
         assert result.error_events() == starts.size
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(decision_results())
+    def test_missed_bits_read_the_empty_slots(self, result):
+        """``missed_bits()`` counts the -1 slots ``ber()`` compares: the same
+        count as the mask and scatter it replaced."""
+        _expected, decided = result._aligned_comparison()
+        missed = result.missed_bits()
+        assert missed == _reference_missed_bits(result)
+        assert missed == int(np.count_nonzero(decided == -1))
